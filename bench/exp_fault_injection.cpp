@@ -32,8 +32,6 @@
 #include <string>
 #include <vector>
 
-#include "metrics_endpoint.hpp"
-
 #include "core/design_baselines.hpp"
 #include "core/evaluators.hpp"
 #include "core/local_search.hpp"
@@ -71,8 +69,6 @@ double max_distance(const graph::Metric& metric) {
 }  // namespace
 
 int main() {
-  // QPLACE_METRICS_PORT=P serves /metrics for the life of this driver.
-  const qp::bench::MetricsEndpoint metrics_endpoint;
   bool violated = false;
   const int kNodes = 16;
   const double kDuration = 400.0;

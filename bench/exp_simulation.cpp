@@ -16,8 +16,6 @@
 #include <random>
 #include <vector>
 
-#include "metrics_endpoint.hpp"
-
 #include "core/evaluators.hpp"
 #include "core/qpp_solver.hpp"
 #include "graph/generators.hpp"
@@ -30,8 +28,6 @@ using namespace qp;
 }
 
 int main() {
-  // QPLACE_METRICS_PORT=P serves /metrics for the life of this driver.
-  const qp::bench::MetricsEndpoint metrics_endpoint;
   bool violated = false;
 
   report::banner(std::cout,

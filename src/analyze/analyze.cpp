@@ -4,6 +4,7 @@
 #include <cmath>
 #include <map>
 #include <set>
+#include <sstream>
 #include <stdexcept>
 
 #include "check/contracts.hpp"
@@ -96,30 +97,41 @@ double context_number(const ParsedAccessLog& log, const std::string& key,
   }
 }
 
-std::map<std::string, std::uint64_t> extract_counters(
-    const json::Value& report, bool* found) {
-  std::map<std::string, std::uint64_t> counters;
-  const json::Value* source = nullptr;
-  if (const json::Value* det = report.find("deterministic")) {
-    source = det->find("counters");
-  } else {
-    source = report.find("solver_counters");  // bench baseline format
-  }
-  *found = source != nullptr && source->is_object();
-  if (!*found) return counters;
-  for (const auto& [name, value] : source->object) {
-    if (value.type == json::Value::Type::kNumber) {
-      counters[name] = static_cast<std::uint64_t>(value.number);
+/// Reads one side's counter object into `out`; "" or the error naming the
+/// offending counter.
+std::string read_counters(const json::Value* counters, const char* side,
+                          const std::string& path,
+                          std::map<std::string, std::uint64_t>& out) {
+  if (counters == nullptr) return "";
+  // 2^53: every integer up to here is exact in a double, and the cast to
+  // uint64 below is defined.
+  constexpr double kMaxExact = 9007199254740992.0;
+  for (const auto& [name, value] : counters->object) {
+    const double number = value.number;
+    if (value.type != json::Value::Type::kNumber || !(number >= 0.0) ||
+        number > kMaxExact || std::floor(number) != number) {
+      std::ostringstream message;
+      message << "counter '" << name << "'";
+      if (!path.empty()) message << " at '" << path << "'";
+      message << " in the " << side << " document is ";
+      if (value.type == json::Value::Type::kNumber) {
+        message << number;
+      } else {
+        message << "not a number";
+      }
+      message << ", not an integer in [0, 2^53]; not comparable";
+      return message.str();
     }
-  }
-  return counters;
-}
-
-std::string report_digest(const json::Value& report) {
-  if (const json::Value* context = report.find("context")) {
-    return context->get_string("instance_digest", "");
+    out[name] = static_cast<std::uint64_t>(number);
   }
   return "";
+}
+
+const json::Value* deterministic_counters(const json::Value& report) {
+  const json::Value* det = report.find("deterministic");
+  const json::Value* counters =
+      det != nullptr ? det->find("counters") : nullptr;
+  return counters != nullptr && counters->is_object() ? counters : nullptr;
 }
 
 bool report_obs_off(const json::Value& report) {
@@ -389,11 +401,54 @@ double CounterDiff::rel_drift() const {
     const std::uint64_t present = in_base ? base : cand;
     return present == 0 ? 0.0 : std::numeric_limits<double>::infinity();
   }
-  const double reference = std::max<double>(static_cast<double>(base), 1.0);
-  const double delta = static_cast<double>(cand) > static_cast<double>(base)
-                           ? static_cast<double>(cand - base)
-                           : static_cast<double>(base - cand);
-  return delta / reference;
+  const double b = static_cast<double>(base);
+  const double c = static_cast<double>(cand);
+  return std::fabs(c - b) / std::max(b, 1.0);
+}
+
+std::string compare_counters(const json::Value* base, const json::Value* cand,
+                             const std::string& path,
+                             std::vector<CounterDiff>& out) {
+  std::map<std::string, std::uint64_t> base_values;
+  std::map<std::string, std::uint64_t> cand_values;
+  std::string error = read_counters(base, "base", path, base_values);
+  if (error.empty()) {
+    error = read_counters(cand, "candidate", path, cand_values);
+  }
+  if (!error.empty()) return error;
+
+  std::set<std::string> names;
+  for (const auto& [name, value] : base_values) names.insert(name);
+  for (const auto& [name, value] : cand_values) names.insert(name);
+  for (const std::string& name : names) {
+    CounterDiff entry;
+    entry.path = path;
+    entry.name = name;
+    const auto in_base = base_values.find(name);
+    const auto in_cand = cand_values.find(name);
+    entry.in_base = in_base != base_values.end();
+    entry.in_cand = in_cand != cand_values.end();
+    if (entry.in_base) entry.base = in_base->second;
+    if (entry.in_cand) entry.cand = in_cand->second;
+    out.push_back(std::move(entry));
+  }
+  return "";
+}
+
+std::string digest_mismatch(const json::Value& base, const json::Value& cand) {
+  const auto digest = [](const json::Value& doc) {
+    const json::Value* context = doc.find("context");
+    return context != nullptr ? context->get_string("instance_digest", "")
+                              : std::string();
+  };
+  const std::string digest_base = digest(base);
+  const std::string digest_cand = digest(cand);
+  if (digest_base.empty() || digest_cand.empty() ||
+      digest_base == digest_cand) {
+    return "";
+  }
+  return "instance digests differ (" + digest_base + " vs " + digest_cand +
+         "); refusing to compare different instances";
 }
 
 double ReportDiff::max_deterministic_drift() const {
@@ -416,41 +471,21 @@ double ReportDiff::max_deterministic_drift() const {
 
 ReportDiff diff_run_reports(const json::Value& base, const json::Value& cand) {
   ReportDiff diff;
-  bool base_has_counters = false;
-  bool cand_has_counters = false;
-  const auto base_counters = extract_counters(base, &base_has_counters);
-  const auto cand_counters = extract_counters(cand, &cand_has_counters);
-  if (!base_has_counters || !cand_has_counters) {
+  const json::Value* base_counters = deterministic_counters(base);
+  const json::Value* cand_counters = deterministic_counters(cand);
+  if (base_counters == nullptr || cand_counters == nullptr) {
     diff.error =
-        "not a qplace.run_report.v1 document (no deterministic.counters or "
-        "solver_counters)";
+        "not a qplace.run_report.v1 document (no deterministic.counters)";
     return diff;
   }
-  const std::string digest_base = report_digest(base);
-  const std::string digest_cand = report_digest(cand);
-  if (!digest_base.empty() && !digest_cand.empty() &&
-      digest_base != digest_cand) {
-    diff.error = "instance digests differ (" + digest_base + " vs " +
-                 digest_cand + "); refusing to compare different instances";
-    return diff;
+  diff.error = digest_mismatch(base, cand);
+  if (diff.error.empty()) {
+    diff.error = compare_counters(base_counters, cand_counters, "",
+                                  diff.counters);
   }
+  if (!diff.error.empty()) return diff;
   diff.obs_off_base = report_obs_off(base);
   diff.obs_off_cand = report_obs_off(cand);
-
-  std::set<std::string> names;
-  for (const auto& [name, value] : base_counters) names.insert(name);
-  for (const auto& [name, value] : cand_counters) names.insert(name);
-  for (const std::string& name : names) {
-    CounterDiff entry;
-    entry.name = name;
-    const auto in_base = base_counters.find(name);
-    const auto in_cand = cand_counters.find(name);
-    entry.in_base = in_base != base_counters.end();
-    entry.in_cand = in_cand != cand_counters.end();
-    if (entry.in_base) entry.base = in_base->second;
-    if (entry.in_cand) entry.cand = in_cand->second;
-    diff.counters.push_back(entry);
-  }
 
   // Series: exact element-wise equality, the same contract the metamorphic
   // suite enforces in-process.

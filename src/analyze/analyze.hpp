@@ -26,17 +26,18 @@
 ///     respect the configured maximum.
 ///
 ///  2. diff_run_reports(): a structured diff of two
-///     `qplace.run_report.v1` documents (or the bench baseline's embedded
-///     `solver_counters`): deterministic counter deltas, series equality,
-///     histogram distribution shift, and wall-time ratios explicitly
-///     labelled nondeterministic. The deterministic half doubles as the
-///     perf-regression gate -- `qplace analyze --diff` exits non-zero when
-///     a work counter drifts beyond the tolerance, which CI runs against
-///     the committed BENCH_parallel.json baseline
-///     (docs/OBSERVABILITY.md §7).
+///     `qplace.run_report.v1` documents: deterministic counter deltas,
+///     series equality, histogram distribution shift, and wall-time ratios
+///     explicitly labelled nondeterministic. The deterministic half doubles
+///     as the work-counter regression gate -- `qplace analyze --diff` exits
+///     non-zero when a counter drifts beyond the tolerance; the ctest
+///     `cli_counter_gate` runs it against the committed fixture
+///     tests/fixtures/counter_gate_report.json (docs/OBSERVABILITY.md §7).
 ///
-/// Both refuse to compare artifacts whose embedded instance digests
-/// (core::instance_digest) disagree.
+/// compare_counters() and digest_mismatch() are the one counter-drift
+/// comparator and the one digest-refusal policy; diff_run_reports() and
+/// diff_profiles() (profile_diff.hpp) are both built on them, so a counter
+/// gates the same way whichever artifact carries it.
 
 #include <cstdint>
 #include <limits>
@@ -165,9 +166,13 @@ AccessLogAnalysis analyze_access_log(const core::QppInstance& instance,
                                      const sim::FaultSchedule* faults =
                                          nullptr);
 
-// ---------------------------------------------------------------- report diff
+// ------------------------------------------------------------- counter drift
 
+/// One work counter compared across two artifacts.
 struct CounterDiff {
+  /// "/"-joined profile span path the counter is attributed to; "" for
+  /// run-report counters and the profile root.
+  std::string path;
   std::string name;
   bool in_base = false;
   bool in_cand = false;
@@ -176,9 +181,25 @@ struct CounterDiff {
 
   /// |cand - base| / max(base, 1); +infinity when the counter exists on
   /// only one side with a non-zero value (an appearing/vanishing
-  /// instrument is always a drift).
+  /// instrument is always a drift; a one-sided zero is no work at all).
   double rel_drift() const;
 };
+
+/// Compares two JSON counter objects (name -> value; nullptr reads as
+/// empty) and appends one row per counter name to `out`, tagged with
+/// `path`. Returns "" on success, else a "not comparable" error naming the
+/// first counter whose value is not an integer in [0, 2^53] (the range a
+/// double holds exactly); `out` is then left untouched.
+std::string compare_counters(const json::Value* base, const json::Value* cand,
+                             const std::string& path,
+                             std::vector<CounterDiff>& out);
+
+/// The digest-refusal policy: "" when the documents' `context`
+/// `instance_digest` values agree or either is absent (older artifacts),
+/// else the refusal message -- cross-instance counter drift is meaningless.
+std::string digest_mismatch(const json::Value& base, const json::Value& cand);
+
+// ---------------------------------------------------------------- report diff
 
 struct SeriesDiff {
   std::string name;
@@ -222,7 +243,8 @@ struct ResourceDiff {
 
 struct ReportDiff {
   /// Non-empty when the documents are not comparable (schema mismatch,
-  /// disagreeing instance digests); every other field is then unset.
+  /// disagreeing instance digests, a malformed counter value); every other
+  /// field is then unset.
   std::string error;
   /// True when the respective report was produced by a -DQPLACE_OBS=OFF
   /// build (context "obs_compiled_in" == "false"): its counter map is
@@ -246,9 +268,8 @@ struct ReportDiff {
   }
 };
 
-/// Diffs two parsed documents. Accepts `qplace.run_report.v1` reports and
-/// the BENCH_parallel.json baseline (whose `solver_counters` member acts as
-/// a counters-only report).
+/// Diffs two parsed `qplace.run_report.v1` documents. A report trimmed to
+/// `context.instance_digest` + `deterministic.counters` is a valid base.
 ReportDiff diff_run_reports(const json::Value& base, const json::Value& cand);
 
 }  // namespace qp::obs

@@ -1,7 +1,8 @@
 #include "analyze/profile_diff.hpp"
 
-#include <cmath>
+#include <algorithm>
 #include <limits>
+#include <map>
 #include <set>
 
 namespace qp::obs {
@@ -10,19 +11,15 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Flattened deterministic tree: path -> (counter -> value). Paths join
-/// span names with "/"; the root node's own counters live under "".
-using CounterTree = std::map<std::string, std::map<std::string, double>>;
+/// Flattened deterministic tree: path -> the node's counter object (nullptr
+/// when it has none). Paths join span names with "/"; the root is "".
+using CounterTree = std::map<std::string, const json::Value*>;
 
 void flatten_deterministic(const json::Value& node, const std::string& path,
                            CounterTree& out) {
-  auto& counters = out[path];
-  if (const json::Value* c = node.find("counters");
-      c != nullptr && c->is_object()) {
-    for (const auto& [name, value] : c->object) {
-      counters[name] = value.number;
-    }
-  }
+  const json::Value* counters = node.find("counters");
+  out[path] = counters != nullptr && counters->is_object() ? counters
+                                                           : nullptr;
   if (const json::Value* children = node.find("children");
       children != nullptr && children->is_object()) {
     for (const auto& [name, child] : children->object) {
@@ -58,33 +55,12 @@ const json::Value* profile_root(const json::Value& doc, const char* half) {
 
 }  // namespace
 
-double ProfileCounterDiff::rel_drift() const {
-  if (in_base != in_cand) {
-    const std::uint64_t present = in_base ? base : cand;
-    return present == 0 ? 0.0 : kInf;
-  }
-  const double b = static_cast<double>(base);
-  const double c = static_cast<double>(cand);
-  return std::fabs(c - b) / std::max(b, 1.0);
-}
-
-double ProfileWallDiff::wall_drift() const {
-  return std::fabs(total_ms_cand - total_ms_base) /
-         std::max(total_ms_base, 1e-9);
-}
-
 double ProfileDiff::max_deterministic_drift() const {
   if (!structure.empty()) return kInf;
   double max = 0.0;
   for (const auto& counter : counters) {
     max = std::max(max, counter.rel_drift());
   }
-  return max;
-}
-
-double ProfileDiff::max_wall_drift() const {
-  double max = 0.0;
-  for (const auto& wall : walls) max = std::max(max, wall.wall_drift());
   return max;
 }
 
@@ -100,20 +76,8 @@ ProfileDiff diff_profiles(const json::Value& base, const json::Value& cand) {
     return diff;
   }
 
-  const auto digest = [](const json::Value& doc) {
-    const json::Value* context = doc.find("context");
-    return context != nullptr ? context->get_string("instance_digest", "")
-                              : std::string();
-  };
-  const std::string digest_base = digest(base);
-  const std::string digest_cand = digest(cand);
-  if (!digest_base.empty() && !digest_cand.empty() &&
-      digest_base != digest_cand) {
-    diff.error = "instance digests disagree (" + digest_base + " vs " +
-                 digest_cand + "); refusing to compare profiles of " +
-                 "different instances";
-    return diff;
-  }
+  diff.error = digest_mismatch(base, cand);
+  if (!diff.error.empty()) return diff;
 
   const json::Value* det_base = profile_root(base, "deterministic");
   const json::Value* det_cand = profile_root(cand, "deterministic");
@@ -141,25 +105,9 @@ ProfileDiff diff_profiles(const json::Value& base, const json::Value& cand) {
       diff.structure.push_back(std::move(structural));
       continue;
     }
-    std::set<std::string> names;
-    for (const auto& [name, value] : it_base->second) names.insert(name);
-    for (const auto& [name, value] : it_cand->second) names.insert(name);
-    for (const std::string& name : names) {
-      ProfileCounterDiff counter;
-      counter.path = path;
-      counter.counter = name;
-      const auto b = it_base->second.find(name);
-      const auto c = it_cand->second.find(name);
-      counter.in_base = b != it_base->second.end();
-      counter.in_cand = c != it_cand->second.end();
-      if (counter.in_base) {
-        counter.base = static_cast<std::uint64_t>(b->second);
-      }
-      if (counter.in_cand) {
-        counter.cand = static_cast<std::uint64_t>(c->second);
-      }
-      diff.counters.push_back(std::move(counter));
-    }
+    diff.error = compare_counters(it_base->second, it_cand->second, path,
+                                  diff.counters);
+    if (!diff.error.empty()) return ProfileDiff{diff.error, {}, {}, {}};
   }
 
   const json::Value* wall_base = profile_root(base, "nondeterministic");

@@ -6,37 +6,24 @@
 /// The comparison mirrors analyze.hpp's run-report diff split:
 ///
 ///  - The **deterministic** half -- per-node counter attribution -- is
-///    compared exactly. Any node path or counter present on only one side,
-///    or any counter whose value drifts beyond the tolerance, gates the
-///    diff (CLI exit 1). Under the docs/PARALLEL.md contract two profiles
-///    of the same instance at any thread counts must show zero drift.
-///  - The **nondeterministic** half -- per-node wall time -- is reported as
-///    ratios and only gated when the caller opts in with a wall tolerance
-///    (by default wall drift is informational, like TimerDiff).
+///    compared with analyze.hpp's compare_counters(), node by node. Any node
+///    path present on only one side, a one-sided non-zero counter, or a
+///    counter whose value drifts beyond the tolerance gates the diff (CLI
+///    exit 1). Under the docs/PARALLEL.md contract two profiles of the same
+///    instance at any thread counts must show zero drift.
+///  - The **nondeterministic** half -- per-node wall time -- is reported
+///    for information only, never gated (like TimerDiff).
 ///
-/// Like diff_run_reports, profiles whose embedded `instance_digest` context
-/// values disagree are refused: cross-instance counter drift is meaningless.
+/// Profiles whose embedded `instance_digest` context values disagree are
+/// refused by the same digest_mismatch() policy as run reports.
 
 #include <string>
 #include <vector>
 
+#include "analyze/analyze.hpp"
 #include "obs/json.hpp"
 
 namespace qp::obs {
-
-/// One counter at one node path, compared across the two profiles.
-struct ProfileCounterDiff {
-  std::string path;     ///< "/"-joined span path; "" is the root node
-  std::string counter;  ///< registry counter name
-  bool in_base = false;
-  bool in_cand = false;
-  std::uint64_t base = 0;
-  std::uint64_t cand = 0;
-
-  /// |cand - base| / max(base, 1); +infinity when the counter exists on
-  /// only one side with a non-zero value.
-  double rel_drift() const;
-};
 
 /// A node path present in only one profile's deterministic tree --
 /// structural drift, gated like an infinite counter drift.
@@ -46,24 +33,22 @@ struct ProfileStructureDiff {
   bool in_cand = false;
 };
 
-/// Wall-class comparison of one node present in both profiles.
-/// Informational unless a wall tolerance is supplied to the gate.
+/// Wall-class comparison of one node present in both profiles;
+/// informational only.
 struct ProfileWallDiff {
   std::string path;
   double calls_base = 0.0, calls_cand = 0.0;
   double total_ms_base = 0.0, total_ms_cand = 0.0;
-
-  /// |cand - base| / max(base, epsilon) over total wall time.
-  double wall_drift() const;
 };
 
 struct ProfileDiff {
   /// Non-empty when the documents are not comparable (schema mismatch,
-  /// disagreeing instance digests); every other field is then unset.
+  /// disagreeing instance digests, a malformed counter value); every other
+  /// field is then unset.
   std::string error;
 
   std::vector<ProfileStructureDiff> structure;  // deterministic -- gated
-  std::vector<ProfileCounterDiff> counters;     // deterministic -- gated
+  std::vector<CounterDiff> counters;            // deterministic -- gated
   std::vector<ProfileWallDiff> walls;           // nondeterministic
 
   /// Largest relative counter drift; +infinity on any structural drift or
@@ -72,8 +57,6 @@ struct ProfileDiff {
   bool deterministic_ok(double tolerance) const {
     return error.empty() && max_deterministic_drift() <= tolerance;
   }
-  /// Largest wall drift across common nodes (0 when there are none).
-  double max_wall_drift() const;
 };
 
 /// Diffs two parsed `qplace.profile.v1` documents.

@@ -3,13 +3,12 @@
 /// \file http_server.hpp
 /// Minimal embedded HTTP/1.1 server for the admin plane.
 ///
-/// `qplace simulate --metrics-port` (and the bench drivers via
-/// QPLACE_METRICS_PORT) serve `/metrics`, `/healthz` and `/report` from a
-/// long-lived run (docs/OBSERVABILITY.md §8) -- the seed of the ROADMAP
-/// `qplace serve` admin endpoint, modeled on the scaliendb HTTPConnection
-/// idea but deliberately smaller: pure POSIX sockets, no external
-/// dependencies, one blocking accept loop on a background thread, one
-/// connection served at a time, `Connection: close` on every response.
+/// `qplace simulate --metrics-port` serves `/metrics`, `/healthz` and
+/// `/report` from a long-lived run (docs/OBSERVABILITY.md §8) -- the seed
+/// of the ROADMAP `qplace serve` admin endpoint, modeled on the scaliendb
+/// HTTPConnection idea but deliberately smaller: pure POSIX sockets, no
+/// external dependencies, one blocking accept loop on a background thread,
+/// one connection served at a time, `Connection: close` on every response.
 /// That is exactly enough for a scraper or a curl probe and keeps the
 /// server out of the simulator's hot path entirely (handlers read shared
 /// state through their own synchronization; the server itself holds no

@@ -650,16 +650,6 @@ TEST(ReportDiff, RefusesDisagreeingInstanceDigests) {
   EXPECT_FALSE(diff.deterministic_ok(0.0));
 }
 
-TEST(ReportDiff, AcceptsBenchBaselineFormat) {
-  const obs::json::Value bench = obs::json::parse(
-      "{\"schema\": \"qplace.bench.v1\", "
-      "\"solver_counters\": {\"lp.pivots\": 768}}");
-  const obs::ReportDiff diff =
-      obs::diff_run_reports(bench, make_report("{\"lp.pivots\": 768}"));
-  EXPECT_TRUE(diff.error.empty());
-  EXPECT_EQ(diff.max_deterministic_drift(), 0.0);
-}
-
 TEST(ReportDiff, RejectsDocumentsWithoutCounters) {
   const obs::ReportDiff diff = obs::diff_run_reports(
       obs::json::parse("{\"hello\": 1}"), make_report("{}"));

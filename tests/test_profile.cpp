@@ -1,20 +1,20 @@
-/// Work-attribution profiler suite (obs/profile.hpp, analyze/profile_diff.hpp,
-/// analyze/trend.hpp): span-path folding edge cases (duplicate siblings,
-/// ring eviction, empty traces), counter self-attribution, ambient frames,
-/// the metamorphic byte-identity of the deterministic subtree across thread
-/// counts, and the profile-diff / bench-history trend analyses the CLI gates
-/// on.
+/// Work-attribution profiler suite (obs/profile.hpp, analyze/profile_diff.hpp):
+/// span-path folding edge cases (duplicate siblings, ring eviction, empty
+/// traces), counter self-attribution, ambient frames, the metamorphic
+/// byte-identity of the deterministic subtree across thread counts, the
+/// profile diff the CLI gates on, and the counter-drift comparator table
+/// shared by the run-report and profile diffs.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "analyze/profile_diff.hpp"
-#include "analyze/trend.hpp"
 #include "core/qpp_solver.hpp"
 #include "exec/thread_pool.hpp"
 #include "graph/generators.hpp"
@@ -294,7 +294,10 @@ TEST(ProfileDiff, IdenticalProfilesShowZeroDrift) {
   EXPECT_TRUE(diff.structure.empty());
   EXPECT_EQ(diff.max_deterministic_drift(), 0.0);
   EXPECT_TRUE(diff.deterministic_ok(0.0));
-  EXPECT_EQ(diff.max_wall_drift(), 0.0);
+  // Wall times are reported only; on identical documents they agree.
+  for (const obs::ProfileWallDiff& wall : diff.walls) {
+    EXPECT_EQ(wall.total_ms_base, wall.total_ms_cand) << wall.path;
+  }
 }
 
 TEST(ProfileDiff, CounterValueDriftIsDetectedAndLocated) {
@@ -306,9 +309,9 @@ TEST(ProfileDiff, CounterValueDriftIsDetectedAndLocated) {
   EXPECT_TRUE(diff.deterministic_ok(0.25));
   // The drifted counter is named at its node path.
   bool located = false;
-  for (const obs::ProfileCounterDiff& counter : diff.counters) {
+  for (const obs::CounterDiff& counter : diff.counters) {
     if (counter.path == "qpp.relay_sweep" &&
-        counter.counter == "qpp.relay_candidates") {
+        counter.name == "qpp.relay_candidates") {
       located = true;
       EXPECT_EQ(counter.base, 100u);
       EXPECT_EQ(counter.cand, 120u);
@@ -366,154 +369,129 @@ TEST(ProfileDiff, WallDriftIsReportedButSeparateFromDeterministic) {
   const obs::ProfileDiff diff = diff_docs(profile_doc("abc", 100, 4, 10.0),
                                           profile_doc("abc", 100, 4, 15.0));
   EXPECT_TRUE(diff.error.empty()) << diff.error;
-  // Same work, slower wall clock: deterministic gate passes at tolerance 0,
-  // while the wall-side drift is visible for the opt-in gate.
+  // Same work, slower wall clock: the deterministic gate passes at
+  // tolerance 0, while the wall times are reported side by side.
   EXPECT_TRUE(diff.deterministic_ok(0.0));
-  EXPECT_NEAR(diff.max_wall_drift(), 0.5, 1e-9);
-}
-
-// ------------------------------------------------------------------ trend
-
-obs::json::Value history_entry(
-    const std::string& digest,
-    const std::map<std::string, std::uint64_t>& counters,
-    const std::string& schema = "qplace.bench_history.v1") {
-  std::string text = "{\"schema\": \"" + schema +
-                     "\", \"git_sha\": \"abc1234\", \"instance_digest\": \"" +
-                     digest + "\", \"counters\": {";
-  bool first = true;
-  for (const auto& [name, value] : counters) {
-    if (!first) text += ", ";
-    first = false;
-    text += "\"" + name + "\": " + std::to_string(value);
+  bool reported = false;
+  for (const obs::ProfileWallDiff& wall : diff.walls) {
+    if (wall.path != "qpp.relay_sweep") continue;
+    reported = true;
+    EXPECT_NEAR(wall.total_ms_base, 10.0, 1e-9);
+    EXPECT_NEAR(wall.total_ms_cand, 15.0, 1e-9);
   }
-  text += "}}";
-  return obs::json::parse(text);
+  EXPECT_TRUE(reported);
 }
 
-std::vector<obs::json::Value> pivot_history(
-    const std::vector<std::uint64_t>& values) {
-  std::vector<obs::json::Value> entries;
-  for (const std::uint64_t value : values) {
-    entries.push_back(history_entry("d", {{"lp.pivots", value}}));
+// ------------------------------------------------------- comparator table
+
+/// One counter-drift case, run against both artifact kinds: the two sides'
+/// counter objects and instance digests ("" = none), and either the
+/// expected rows and max deterministic drift or a fragment of the refusal
+/// message.
+struct ComparatorCase {
+  const char* name;
+  const char* base_counters;
+  const char* cand_counters;
+  const char* base_digest;
+  const char* cand_digest;
+  std::size_t rows;     ///< expected CounterDiff rows when comparable
+  double drift;         ///< expected drift when comparable
+  const char* refusal;  ///< expected error fragment; nullptr = comparable
+};
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+const ComparatorCase kComparatorCases[] = {
+    {"identical documents", R"({"lp.pivots": 768, "exec.chunks": 30})",
+     R"({"lp.pivots": 768, "exec.chunks": 30})", "abc", "abc", 2, 0.0,
+     nullptr},
+    {"value drift", R"({"lp.pivots": 100})", R"({"lp.pivots": 120})", "abc",
+     "abc", 1, 0.2, nullptr},
+    // A one-sided zero is indistinguishable from an absent counter (the
+    // work never happened); a one-sided non-zero is an appearing
+    // instrument and always gates.
+    {"one-sided zero", R"({"lp.pivots": 100})",
+     R"({"lp.pivots": 100, "lp.solves": 0})", "abc", "abc", 2, 0.0, nullptr},
+    {"one-sided nonzero", R"({"lp.pivots": 100})",
+     R"({"lp.pivots": 100, "lp.solves": 5})", "abc", "abc", 2, kInf, nullptr},
+    {"digest on one side only", R"({"lp.pivots": 100})",
+     R"({"lp.pivots": 100})", "", "abc", 1, 0.0, nullptr},
+    {"digest refusal", R"({"lp.pivots": 100})", R"({"lp.pivots": 100})",
+     "abc", "xyz", 0, 0.0, "instance digests differ"},
+    // Malformed values are refused, never cast: -5 used to read as
+    // 2^64 - 5.
+    {"negative counter", R"({"lp.pivots": 100})", R"({"lp.pivots": -5})",
+     "abc", "abc", 0, 0.0, "counter 'lp.pivots'"},
+    {"fractional counter", R"({"lp.pivots": 100.5})", R"({"lp.pivots": 100})",
+     "abc", "abc", 0, 0.0, "counter 'lp.pivots'"},
+    {"counter above 2^53", R"({"lp.pivots": 100})",
+     R"({"lp.pivots": 1e19})", "abc", "abc", 0, 0.0, "counter 'lp.pivots'"},
+    {"non-numeric counter", R"({"lp.pivots": 100})",
+     R"({"lp.pivots": "100"})", "abc", "abc", 0, 0.0, "counter 'lp.pivots'"},
+};
+
+std::string context_json(const char* digest) {
+  return *digest == '\0'
+             ? std::string("{}")
+             : std::string(R"({"instance_digest": ")") + digest + "\"}";
+}
+
+obs::json::Value case_run_report(const char* counters, const char* digest) {
+  return obs::json::parse(
+      R"({"schema": "qplace.run_report.v1", "context": )" +
+      context_json(digest) + R"(, "deterministic": {"counters": )" +
+      counters + "}}");
+}
+
+/// The same counters attributed to one span below the root.
+obs::json::Value case_profile(const char* counters, const char* digest) {
+  return obs::json::parse(
+      R"({"schema": "qplace.profile.v1", "context": )" +
+      context_json(digest) +
+      R"(, "deterministic": {"root": {"counters": {}, "children": )"
+      R"({"qpp.relay_sweep": {"counters": )" +
+      counters + "}}}}}");
+}
+
+template <typename Diff>
+void expect_case(const ComparatorCase& c, const Diff& diff) {
+  SCOPED_TRACE(c.name);
+  if (c.refusal != nullptr) {
+    EXPECT_NE(diff.error.find(c.refusal), std::string::npos) << diff.error;
+    EXPECT_TRUE(diff.counters.empty());
+    EXPECT_FALSE(diff.deterministic_ok(1e9));
+    return;
   }
-  return entries;
-}
-
-const obs::TrendCounter* find_counter(const obs::TrendAnalysis& trend,
-                                      const std::string& name) {
-  for (const obs::TrendCounter& counter : trend.counters) {
-    if (counter.name == name) return &counter;
+  EXPECT_TRUE(diff.error.empty()) << diff.error;
+  EXPECT_EQ(diff.counters.size(), c.rows);
+  if (std::isinf(c.drift)) {
+    EXPECT_TRUE(std::isinf(diff.max_deterministic_drift()));
+    EXPECT_FALSE(diff.deterministic_ok(1e9));
+  } else {
+    EXPECT_NEAR(diff.max_deterministic_drift(), c.drift, 1e-12);
+    EXPECT_TRUE(diff.deterministic_ok(c.drift));
   }
-  return nullptr;
 }
 
-TEST(Trend, SteadyHistoryPassesTheGate) {
-  const obs::TrendAnalysis trend = obs::analyze_trend(
-      pivot_history({100, 102, 101}));
-  EXPECT_TRUE(trend.error.empty()) << trend.error;
-  EXPECT_TRUE(trend.gated);
-  EXPECT_EQ(trend.entries_total, 3u);
-  EXPECT_EQ(trend.baseline_entries, 2u);
-  const obs::TrendCounter* pivots = find_counter(trend, "lp.pivots");
-  ASSERT_NE(pivots, nullptr);
-  // Median of {100, 102} is 101 -- exactly the newest value.
-  EXPECT_EQ(pivots->baseline, 101.0);
-  EXPECT_EQ(pivots->latest, 101u);
-  EXPECT_EQ(pivots->regression(), 0.0);
-  EXPECT_EQ(pivots->history, (std::vector<double>{100.0, 102.0}));
-  EXPECT_TRUE(trend.ok(0.10));
+TEST(CounterComparator, TableHoldsForRunReports) {
+  for (const ComparatorCase& c : kComparatorCases) {
+    expect_case(c, obs::diff_run_reports(
+                       case_run_report(c.base_counters, c.base_digest),
+                       case_run_report(c.cand_counters, c.cand_digest)));
+  }
 }
 
-TEST(Trend, RegressionBeyondToleranceGates) {
-  const obs::TrendAnalysis trend = obs::analyze_trend(
-      pivot_history({100, 100, 100, 125}));
-  EXPECT_TRUE(trend.gated);
-  EXPECT_NEAR(trend.max_regression(), 0.25, 1e-12);
-  EXPECT_FALSE(trend.ok(0.10));
-  EXPECT_TRUE(trend.ok(0.30));
-}
-
-TEST(Trend, ImprovementIsNeverGated) {
-  const obs::TrendAnalysis trend = obs::analyze_trend(
-      pivot_history({100, 100, 60}));
-  const obs::TrendCounter* pivots = find_counter(trend, "lp.pivots");
-  ASSERT_NE(pivots, nullptr);
-  EXPECT_LT(pivots->rel_change(), 0.0);
-  EXPECT_EQ(pivots->regression(), 0.0);
-  EXPECT_TRUE(trend.ok(0.0));
-}
-
-TEST(Trend, VanishedCounterGatesLikeInfiniteDrift) {
-  std::vector<obs::json::Value> entries;
-  entries.push_back(history_entry("d", {{"a", 100}, {"b", 50}}));
-  entries.push_back(history_entry("d", {{"a", 100}, {"b", 50}}));
-  entries.push_back(history_entry("d", {{"a", 100}}));
-  const obs::TrendAnalysis trend = obs::analyze_trend(entries);
-  const obs::TrendCounter* vanished = find_counter(trend, "b");
-  ASSERT_NE(vanished, nullptr);
-  EXPECT_FALSE(vanished->in_latest);
-  EXPECT_TRUE(std::isinf(vanished->regression()));
-  EXPECT_FALSE(trend.ok(1e9));
-}
-
-TEST(Trend, NewCounterIsReportedButNotGated) {
-  std::vector<obs::json::Value> entries;
-  entries.push_back(history_entry("d", {{"a", 100}}));
-  entries.push_back(history_entry("d", {{"a", 100}}));
-  entries.push_back(history_entry("d", {{"a", 100}, {"b", 7}}));
-  const obs::TrendAnalysis trend = obs::analyze_trend(entries);
-  const obs::TrendCounter* fresh = find_counter(trend, "b");
-  ASSERT_NE(fresh, nullptr);
-  EXPECT_FALSE(fresh->in_baseline);
-  EXPECT_EQ(fresh->rel_change(), 0.0);
-  EXPECT_TRUE(trend.ok(0.0));
-}
-
-TEST(Trend, SingleEntryHasNoBaselineAndDoesNotGate) {
-  const obs::TrendAnalysis trend = obs::analyze_trend(pivot_history({900}));
-  EXPECT_TRUE(trend.error.empty()) << trend.error;
-  EXPECT_FALSE(trend.gated);
-  EXPECT_EQ(trend.baseline_entries, 0u);
-  EXPECT_TRUE(trend.ok(0.0));
-}
-
-TEST(Trend, DigestMismatchedPriorEntriesAreSkipped) {
-  // The bench instance changed at the newest entry: history restarts, the
-  // old-digest entries are skipped, and with no comparable prior entries
-  // nothing gates.
-  std::vector<obs::json::Value> entries;
-  entries.push_back(history_entry("old", {{"a", 10}}));
-  entries.push_back(history_entry("old", {{"a", 10}}));
-  entries.push_back(history_entry("new", {{"a", 500}}));
-  const obs::TrendAnalysis trend = obs::analyze_trend(entries);
-  EXPECT_EQ(trend.instance_digest, "new");
-  EXPECT_EQ(trend.entries_skipped, 2u);
-  EXPECT_FALSE(trend.gated);
-  EXPECT_TRUE(trend.ok(0.0));
-}
-
-TEST(Trend, WindowBoundsTheRollingBaseline) {
-  obs::TrendOptions options;
-  options.window = 2;
-  // Priors are {10, 100, 100, 100}; a window of 2 keeps only the last two,
-  // so the outlier 10 cannot drag the median down.
-  const obs::TrendAnalysis trend = obs::analyze_trend(
-      pivot_history({10, 100, 100, 100, 130}), options);
-  const obs::TrendCounter* pivots = find_counter(trend, "lp.pivots");
-  ASSERT_NE(pivots, nullptr);
-  EXPECT_EQ(pivots->samples, 2u);
-  EXPECT_EQ(pivots->baseline, 100.0);
-  EXPECT_NEAR(trend.max_regression(), 0.30, 1e-12);
-}
-
-TEST(Trend, HistoryWithoutValidEntriesIsAnError) {
-  EXPECT_FALSE(obs::analyze_trend({}).error.empty());
-  std::vector<obs::json::Value> entries;
-  entries.push_back(history_entry("d", {{"a", 1}}, "some.other.schema"));
-  const obs::TrendAnalysis trend = obs::analyze_trend(entries);
-  EXPECT_FALSE(trend.error.empty());
-  EXPECT_FALSE(trend.ok(1e9));
+TEST(CounterComparator, TableHoldsForProfiles) {
+  for (const ComparatorCase& c : kComparatorCases) {
+    const obs::ProfileDiff diff =
+        obs::diff_profiles(case_profile(c.base_counters, c.base_digest),
+                           case_profile(c.cand_counters, c.cand_digest));
+    expect_case(c, diff);
+    // Every comparable row is located at the span it was attributed to.
+    for (const obs::CounterDiff& counter : diff.counters) {
+      EXPECT_EQ(counter.path, "qpp.relay_sweep") << c.name;
+    }
+  }
 }
 
 }  // namespace

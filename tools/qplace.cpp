@@ -26,9 +26,10 @@
 /// observed per-node load against the analytic evaluators and the
 /// certificate's (alpha+1)-cap bound. `analyze --diff A --against B`
 /// structurally diffs two run reports (counter deltas gated by
-/// --tolerance; wall times reported but never gated) -- the CI
-/// perf-regression gate (docs/OBSERVABILITY.md).
+/// --tolerance; wall times reported but never gated) -- the work-counter
+/// regression gate (ctest cli_counter_gate, docs/OBSERVABILITY.md §7).
 
+#include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
@@ -36,6 +37,7 @@
 #include <optional>
 #include <random>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -48,7 +50,6 @@
 #include "analyze/analyze.hpp"
 #include "analyze/profile_diff.hpp"
 #include "analyze/trace_check.hpp"
-#include "analyze/trend.hpp"
 #include "obs/json.hpp"
 #include "obs/obs.hpp"
 #include "obs/profile.hpp"
@@ -98,12 +99,9 @@ int usage() {
       "             against the fault schedule that drove the run);\n"
       "             with --diff A --against B [--tolerance T]: structured\n"
       "             run-report diff, exit 1 on deterministic counter drift;\n"
-      "             with --profile-diff A --against B [--tolerance T]\n"
-      "             [--wall-tolerance W]: per-node profile diff (counters\n"
-      "             gated exact, wall ratios gated only with W);\n"
-      "             with --trend BENCH_history.jsonl [--tolerance T]\n"
-      "             [--window N]: per-counter trajectory vs the rolling\n"
-      "             median baseline, exit 1 on a regression beyond T\n"
+      "             with --profile-diff A --against B [--tolerance T]:\n"
+      "             per-node profile diff (counters gated like --diff,\n"
+      "             wall times reported only)\n"
       "  solve      place a quorum system on a topology\n"
       "  simulate   message-level simulation of a solved placement\n"
       "             (--warmup W --jitter J --relay route via Thm 1.2 v0);\n"
@@ -472,26 +470,53 @@ int cmd_analyze_access_log(const cli::ParsedArgs& args) {
   return analysis.ok() ? 0 : 1;
 }
 
+/// --tolerance of the counter-drift gates (--diff, --profile-diff): the
+/// largest relative drift |cand - base| / max(base, 1) that still passes,
+/// default 0 (exact). A negative or non-finite value is a usage error.
+double drift_tolerance(const cli::ParsedArgs& args) {
+  const double tolerance = args.get_double("tolerance", 0.0);
+  if (!std::isfinite(tolerance) || tolerance < 0.0) {
+    throw std::invalid_argument(
+        "flag --tolerance expects a finite number >= 0, got '" +
+        args.get("tolerance", "") + "'");
+  }
+  return tolerance;
+}
+
+/// The verdict of a counter-drift gate: the max drift against the
+/// tolerance, then every counter over it by name. Returns the exit code
+/// (0 within tolerance, 1 drift).
+int drift_verdict(double drift, double tolerance,
+                  const std::vector<obs::CounterDiff>& counters) {
+  const bool ok = drift <= tolerance;
+  std::cout << "\nmax deterministic drift: " << report::Table::num(drift, 6)
+            << " (tolerance " << report::Table::num(tolerance, 6) << ") -- "
+            << (ok ? "OK" : "REGRESSION") << "\n";
+  for (const obs::CounterDiff& entry : counters) {
+    if (entry.rel_drift() <= tolerance) continue;
+    std::cout << "  counter '" << entry.name << "'"
+              << (entry.path.empty() ? "" : " at '" + entry.path + "'")
+              << " drifted " << report::Table::num(entry.rel_drift(), 6)
+              << " > tolerance " << report::Table::num(tolerance, 6)
+              << " (base " << (entry.in_base ? std::to_string(entry.base) : "-")
+              << ", candidate "
+              << (entry.in_cand ? std::to_string(entry.cand) : "-") << ")\n";
+  }
+  return ok ? 0 : 1;
+}
+
 /// `qplace analyze --diff BASE --against CAND [--tolerance T]`: structured
 /// run-report diff. Deterministic counters/series are gated on T (default
 /// 0), histograms are reported, wall times are labelled nondeterministic
 /// and never gated. Exit 0 = within tolerance, 1 = drift, 2 = not
-/// comparable (schema or instance digest mismatch, unreadable file).
+/// comparable (schema or instance digest mismatch, malformed counter,
+/// unreadable file) or a bad --tolerance.
 int cmd_analyze_diff(const cli::ParsedArgs& args) {
   const std::string base_path = args.get("diff", "");
   const std::string cand_path = args.require("against");
-  const double tolerance = args.get_double("tolerance", 0.0);
-
-  obs::json::Value base;
-  obs::json::Value cand;
-  try {
-    base = load_json_file(base_path);
-    cand = load_json_file(cand_path);
-  } catch (const std::exception& e) {
-    std::cerr << "error: " << e.what() << "\n";
-    return 2;
-  }
-  const obs::ReportDiff diff = obs::diff_run_reports(base, cand);
+  const double tolerance = drift_tolerance(args);
+  const obs::ReportDiff diff = obs::diff_run_reports(
+      load_json_file(base_path), load_json_file(cand_path));
   if (!diff.error.empty()) {
     std::cerr << "error: " << diff.error << "\n";
     return 2;
@@ -575,58 +600,30 @@ int cmd_analyze_diff(const cli::ParsedArgs& args) {
     resources.print(std::cout);
   }
 
-  const double drift = diff.max_deterministic_drift();
-  const bool ok = diff.deterministic_ok(tolerance);
-  std::cout << "\nmax deterministic drift: " << report::Table::num(drift, 6)
-            << " (tolerance " << report::Table::num(tolerance, 6) << ") -- "
-            << (ok ? "OK" : "REGRESSION") << "\n";
-  if (!ok) {
-    // Name every offender so a failing gate says what regressed, not just
-    // that something did.
-    for (const obs::CounterDiff& entry : diff.counters) {
-      if (entry.rel_drift() > tolerance) {
-        std::cout << "  counter '" << entry.name << "' drifted "
-                  << report::Table::num(entry.rel_drift(), 6)
-                  << " > tolerance " << report::Table::num(tolerance, 6)
-                  << " (base " << entry.base << ", candidate " << entry.cand
-                  << ")\n";
-      }
-    }
-    for (const obs::SeriesDiff& entry : diff.series) {
-      if (entry.in_base != entry.in_cand || !entry.equal) {
-        std::cout << "  series '" << entry.name
-                  << (entry.in_base != entry.in_cand
-                          ? "' present in only one report\n"
-                          : "' diverged (gated at exact equality)\n");
-      }
+  const int code =
+      drift_verdict(diff.max_deterministic_drift(), tolerance, diff.counters);
+  for (const obs::SeriesDiff& entry : diff.series) {
+    if (entry.in_base != entry.in_cand || !entry.equal) {
+      std::cout << "  series '" << entry.name
+                << (entry.in_base != entry.in_cand
+                        ? "' present in only one report\n"
+                        : "' diverged (gated at exact equality)\n");
     }
   }
-  return ok ? 0 : 1;
+  return code;
 }
 
-/// `qplace analyze --profile-diff BASE --against CAND [--tolerance T]
-/// [--wall-tolerance W]`: structured diff of two qplace.profile.v1
-/// documents. Per-node counter attribution is deterministic and gated on T
-/// (default 0, like --diff); per-node wall time is nondeterministic and
-/// gated only when --wall-tolerance is passed. Exit 0 = within tolerance,
-/// 1 = drift, 2 = not comparable.
+/// `qplace analyze --profile-diff BASE --against CAND [--tolerance T]`:
+/// structured diff of two qplace.profile.v1 documents. Per-node counter
+/// attribution is deterministic and gated on T (default 0, like --diff);
+/// per-node wall time is nondeterministic and reported, never gated. Exit
+/// codes as for --diff.
 int cmd_analyze_profile_diff(const cli::ParsedArgs& args) {
   const std::string base_path = args.get("profile-diff", "");
   const std::string cand_path = args.require("against");
-  const double tolerance = args.get_double("tolerance", 0.0);
-  const bool wall_gated = !args.get("wall-tolerance", "").empty();
-  const double wall_tolerance = args.get_double("wall-tolerance", 0.0);
-
-  obs::json::Value base;
-  obs::json::Value cand;
-  try {
-    base = load_json_file(base_path);
-    cand = load_json_file(cand_path);
-  } catch (const std::exception& e) {
-    std::cerr << "error: " << e.what() << "\n";
-    return 2;
-  }
-  const obs::ProfileDiff diff = obs::diff_profiles(base, cand);
+  const double tolerance = drift_tolerance(args);
+  const obs::ProfileDiff diff = obs::diff_profiles(
+      load_json_file(base_path), load_json_file(cand_path));
   if (!diff.error.empty()) {
     std::cerr << "error: " << diff.error << "\n";
     return 2;
@@ -648,11 +645,11 @@ int cmd_analyze_profile_diff(const cli::ParsedArgs& args) {
 
   std::size_t drifted = 0;
   report::Table counters({"path", "counter", "base", "candidate", "drift"});
-  for (const obs::ProfileCounterDiff& entry : diff.counters) {
+  for (const obs::CounterDiff& entry : diff.counters) {
     if (entry.rel_drift() == 0.0) continue;
     ++drifted;
     counters.add_row(
-        {entry.path.empty() ? "(root)" : entry.path, entry.counter,
+        {entry.path.empty() ? "(root)" : entry.path, entry.name,
          entry.in_base ? std::to_string(entry.base) : "-",
          entry.in_cand ? std::to_string(entry.cand) : "-",
          report::Table::num(entry.rel_drift(), 4)});
@@ -663,11 +660,7 @@ int cmd_analyze_profile_diff(const cli::ParsedArgs& args) {
   if (drifted > 0) counters.print(std::cout);
 
   if (!diff.walls.empty()) {
-    std::cout << "\nper-node wall time (NONDETERMINISTIC, "
-              << (wall_gated ? "gated, tolerance " +
-                                   report::Table::num(wall_tolerance, 4)
-                             : std::string("never gated"))
-              << "):\n";
+    std::cout << "\nper-node wall time (NONDETERMINISTIC, never gated):\n";
     report::Table walls({"path", "calls b/c", "total ms b/c", "ratio"});
     for (const obs::ProfileWallDiff& entry : diff.walls) {
       walls.add_row({entry.path.empty() ? "(root)" : entry.path,
@@ -683,107 +676,8 @@ int cmd_analyze_profile_diff(const cli::ParsedArgs& args) {
     walls.print(std::cout);
   }
 
-  const double drift = diff.max_deterministic_drift();
-  bool ok = diff.deterministic_ok(tolerance);
-  std::cout << "\nmax deterministic drift: " << report::Table::num(drift, 6)
-            << " (tolerance " << report::Table::num(tolerance, 6) << ") -- "
-            << (diff.deterministic_ok(tolerance) ? "OK" : "REGRESSION")
-            << "\n";
-  if (wall_gated) {
-    const double wall_drift = diff.max_wall_drift();
-    const bool wall_ok = wall_drift <= wall_tolerance;
-    std::cout << "max wall drift: " << report::Table::num(wall_drift, 6)
-              << " (tolerance " << report::Table::num(wall_tolerance, 6)
-              << ") -- " << (wall_ok ? "OK" : "REGRESSION") << "\n";
-    ok = ok && wall_ok;
-  }
-  return ok ? 0 : 1;
-}
-
-/// `qplace analyze --trend HISTORY.jsonl [--tolerance T] [--window N]`:
-/// per-counter trajectory of the bench history appended by
-/// `bench/run_bench.sh --history`. The newest entry is compared against the
-/// median of the up-to-N preceding same-instance entries; exit 1 when a
-/// counter grew beyond T over that baseline, 0 otherwise (including the
-/// no-baseline-yet case), 2 on unusable input.
-int cmd_analyze_trend(const cli::ParsedArgs& args) {
-  const std::string path = args.get("trend", "");
-  std::ifstream in(path);
-  if (!in) {
-    std::cerr << "error: cannot open bench history '" << path << "'\n";
-    return 2;
-  }
-  std::vector<obs::json::Value> entries;
-  std::size_t bad_lines = 0;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-    try {
-      entries.push_back(obs::json::parse(line));
-    } catch (const std::exception&) {
-      ++bad_lines;  // a corrupt line degrades the window, never the verdict
-    }
-  }
-  if (bad_lines > 0) {
-    std::cerr << "warning: " << bad_lines << " unparseable history line"
-              << (bad_lines == 1 ? "" : "s") << " skipped\n";
-  }
-
-  obs::TrendOptions options;
-  options.tolerance = args.get_double("tolerance", options.tolerance);
-  const int window = args.get_int("window", static_cast<int>(options.window));
-  if (window < 1) {
-    std::cerr << "error: --window must be >= 1\n";
-    return 2;
-  }
-  options.window = static_cast<std::size_t>(window);
-  const obs::TrendAnalysis trend = obs::analyze_trend(entries, options);
-  if (!trend.error.empty()) {
-    std::cerr << "error: " << path << ": " << trend.error << "\n";
-    return 2;
-  }
-
-  std::cout << "bench trend: " << path << " (" << trend.entries_total
-            << " lines, " << trend.baseline_entries
-            << " baseline entries in window, " << trend.entries_skipped
-            << " skipped)\nlatest entry: git_sha " << trend.latest_git_sha
-            << ", instance " << trend.instance_digest << "\n\n";
-
-  report::Table table(
-      {"counter", "baseline (median)", "latest", "change", "status"});
-  for (const obs::TrendCounter& entry : trend.counters) {
-    const double change = entry.rel_change();
-    std::string status;
-    if (!entry.in_latest) {
-      status = "VANISHED";
-    } else if (!entry.in_baseline) {
-      status = "new";
-    } else if (entry.regression() > options.tolerance) {
-      status = "REGRESSION";
-    } else if (change < 0.0) {
-      status = "improved";
-    } else {
-      status = "ok";
-    }
-    table.add_row(
-        {entry.name,
-         entry.in_baseline ? report::Table::num(entry.baseline, 1) : "-",
-         entry.in_latest ? std::to_string(entry.latest) : "-",
-         report::Table::num(change, 4), status});
-  }
-  table.print(std::cout);
-
-  if (!trend.gated) {
-    std::cout << "\nno baseline yet (" << trend.baseline_entries
-              << " comparable prior entries) -- nothing gated\n";
-    return 0;
-  }
-  const bool ok = trend.ok(options.tolerance);
-  std::cout << "\nmax regression: "
-            << report::Table::num(trend.max_regression(), 6) << " (tolerance "
-            << report::Table::num(options.tolerance, 6) << ", window "
-            << window << ") -- " << (ok ? "OK" : "REGRESSION") << "\n";
-  return ok ? 0 : 1;
+  return drift_verdict(diff.max_deterministic_drift(), tolerance,
+                       diff.counters);
 }
 
 /// `qplace analyze --trace TRACE --access-log LOG [--tolerance T]
@@ -851,7 +745,6 @@ int cmd_analyze(const cli::ParsedArgs& args) {
   // --trace first: it also takes --access-log, so it must win the dispatch.
   if (args.has("trace")) return cmd_analyze_trace(args);
   if (args.has("profile-diff")) return cmd_analyze_profile_diff(args);
-  if (args.has("trend")) return cmd_analyze_trend(args);
   if (args.has("diff")) return cmd_analyze_diff(args);
   if (args.has("access-log")) return cmd_analyze_access_log(args);
   const quorum::QuorumSystem system = cli::make_system(args);
