@@ -1,7 +1,6 @@
 #include "obs/access_log.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
@@ -12,35 +11,9 @@ namespace qp::obs {
 
 namespace {
 
-void append_double(std::string& out, double value) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  out += buf;
-}
-
-void append_int(std::string& out, std::int64_t value) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(value));
-  out += buf;
-}
-
-void append_escaped_string(std::string& out, const std::string& text) {
-  out.push_back('"');
-  for (const char c : text) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x",
-                    static_cast<unsigned>(static_cast<unsigned char>(c)));
-      out += buf;
-    } else {
-      out.push_back(c);
-    }
-  }
-  out.push_back('"');
-}
+using json::append_double;
+using json::append_int;
+using json::append_string;
 
 /// splitmix64 finalizer: a bijective avalanche mix, so consecutive access
 /// ids map to effectively independent uniform draws.
@@ -84,7 +57,7 @@ std::string render_access_record(const AccessRecord& record) {
   out += ", \"attempts\": ";
   append_int(out, record.attempts);
   out += ", \"outcome\": ";
-  append_escaped_string(out, access_outcome_name(record.outcome));
+  append_string(out, access_outcome_name(record.outcome));
   out += ", \"start\": ";
   append_double(out, record.start);
   out += ", \"finish\": ";
@@ -160,9 +133,9 @@ void AccessLogWriter::close() {
   for (const auto& [key, value] : context_) {
     if (!first) header += ", ";
     first = false;
-    append_escaped_string(header, key);
+    append_string(header, key);
     header += ": ";
-    append_escaped_string(header, value);
+    append_string(header, value);
   }
   header += "}}";
   out_ << header << "\n";

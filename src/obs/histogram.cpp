@@ -2,28 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <limits>
 #include <stdexcept>
 
+#include "obs/json.hpp"
+
 namespace qp::obs {
 
-namespace {
-
-void append_double(std::string& out, double value) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  out += buf;
-}
-
-void append_uint(std::string& out, std::uint64_t value) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%llu",
-                static_cast<unsigned long long>(value));
-  out += buf;
-}
-
-}  // namespace
+using json::append_double;
+using json::append_uint;
 
 LogHistogram::LogHistogram()
     : buckets_(static_cast<std::size_t>(kNumBuckets), 0) {}

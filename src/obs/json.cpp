@@ -1,5 +1,6 @@
 #include "obs/json.hpp"
 
+#include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -238,5 +239,60 @@ double Value::get_number(const std::string& key, double fallback) const {
 }
 
 Value parse(const std::string& text) { return Parser(text).parse_document(); }
+
+void append_escaped(std::string& out, std::string_view text) {
+  for (const char c : text) {
+    if (c == '"' || c == '\\') {
+      out.push_back('\\');
+      out.push_back(c);
+    } else if (static_cast<unsigned char>(c) < 0x20) {
+      char buf[8];
+      std::snprintf(buf, sizeof(buf), "\\u%04x",
+                    static_cast<unsigned>(static_cast<unsigned char>(c)));
+      out += buf;
+    } else {
+      out.push_back(c);
+    }
+  }
+}
+
+void append_string(std::string& out, std::string_view text) {
+  out.push_back('"');
+  append_escaped(out, text);
+  out.push_back('"');
+}
+
+void append_double(std::string& out, double value) {
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "%.17g", value);
+  out += buf;
+}
+
+void append_uint(std::string& out, std::uint64_t value) {
+  char buf[24];
+  std::snprintf(buf, sizeof(buf), "%llu",
+                static_cast<unsigned long long>(value));
+  out += buf;
+}
+
+void append_int(std::string& out, std::int64_t value) {
+  char buf[24];
+  std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(value));
+  out += buf;
+}
+
+void append_object(std::string& out,
+                   const std::map<std::string, std::string>& rendered) {
+  out.push_back('{');
+  bool first = true;
+  for (const auto& [key, value] : rendered) {
+    if (!first) out += ", ";
+    first = false;
+    append_string(out, key);
+    out += ": ";
+    out += value;
+  }
+  out.push_back('}');
+}
 
 }  // namespace qp::obs::json

@@ -1,21 +1,40 @@
 #pragma once
 
 /// \file json.hpp
-/// Minimal recursive-descent JSON reader for the observability tooling.
+/// JSON for the observability tooling: the emit helpers every obs writer
+/// builds its documents with, and a minimal recursive-descent reader.
 ///
 /// The obs layer *writes* JSON by direct string building (run_report.hpp,
-/// access_log.hpp); this is the matching *reader* used by `qplace analyze`
-/// to load access logs, run reports (`qplace.run_report.v1`), and the
-/// committed bench baseline back into memory for cross-checking and
-/// diffing. It is deliberately small: strict JSON, doubles for all numbers
-/// (every value we emit round-trips through %.17g), objects as sorted maps
-/// so iteration order matches the sorted-key emission contract.
+/// access_log.hpp, telemetry.hpp, ...) through the append_* helpers below,
+/// so every document escapes strings and prints numbers the same way. The
+/// reader is the matching half used by `qplace analyze` to load access
+/// logs, run reports (`qplace.run_report.v1`), and the committed bench
+/// baseline back into memory for cross-checking and diffing. It is
+/// deliberately small: strict JSON, doubles for all numbers (every value we
+/// emit round-trips through %.17g), objects as sorted maps so iteration
+/// order matches the sorted-key emission contract.
 
+#include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace qp::obs::json {
+
+/// Appends \p text with quotes and backslashes escaped and control
+/// characters (< 0x20) as \u00XX; no surrounding quotes.
+void append_escaped(std::string& out, std::string_view text);
+/// Appends \p text as a quoted, escaped JSON string.
+void append_string(std::string& out, std::string_view text);
+/// Appends \p value as %.17g, which round-trips every double.
+void append_double(std::string& out, double value);
+void append_uint(std::string& out, std::uint64_t value);
+void append_int(std::string& out, std::int64_t value);
+/// Appends `{"key": value, ...}` from already-rendered values, in map
+/// (sorted-key) order.
+void append_object(std::string& out,
+                   const std::map<std::string, std::string>& rendered);
 
 /// One JSON value; a tagged union over the seven JSON shapes (integers are
 /// not distinguished from doubles -- all emitters in this repo print

@@ -1,10 +1,10 @@
 #include "obs/profile.hpp"
 
-#include <cstdio>
 #include <memory>
 #include <mutex>
 #include <utility>
 
+#include "obs/json.hpp"
 #include "obs/obs.hpp"
 
 namespace qp::obs {
@@ -50,40 +50,9 @@ std::vector<std::pair<std::uint32_t, std::uint64_t>> flatten(
 
 // ------------------------------------------------------------- JSON helpers
 
-void append_escaped(std::string& out, const std::string& text) {
-  for (const char c : text) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x",
-                    static_cast<unsigned>(static_cast<unsigned char>(c)));
-      out += buf;
-    } else {
-      out.push_back(c);
-    }
-  }
-}
-
-void append_string(std::string& out, const std::string& text) {
-  out.push_back('"');
-  append_escaped(out, text);
-  out.push_back('"');
-}
-
-void append_double(std::string& out, double value) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  out += buf;
-}
-
-void append_uint(std::string& out, std::uint64_t value) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%llu",
-                static_cast<unsigned long long>(value));
-  out += buf;
-}
+using json::append_double;
+using json::append_string;
+using json::append_uint;
 
 /// Deterministic subtree of one node: {"counters": {...}, "children": {...}}.
 void append_deterministic(std::string& out, const ProfileNode& node) {

@@ -1,6 +1,5 @@
 #include "obs/run_report.hpp"
 
-#include <cstdio>
 #include <fstream>
 #include <stdexcept>
 
@@ -8,61 +7,17 @@
 #include <sys/resource.h>
 #endif
 
+#include "obs/json.hpp"
 #include "obs/obs.hpp"
 
 namespace qp::obs {
 
 namespace {
 
-void append_escaped(std::string& out, const std::string& text) {
-  for (const char c : text) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x",
-                    static_cast<unsigned>(static_cast<unsigned char>(c)));
-      out += buf;
-    } else {
-      out.push_back(c);
-    }
-  }
-}
-
-void append_string(std::string& out, const std::string& text) {
-  out.push_back('"');
-  append_escaped(out, text);
-  out.push_back('"');
-}
-
-void append_double(std::string& out, double value) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  out += buf;
-}
-
-void append_uint(std::string& out, std::uint64_t value) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%llu",
-                static_cast<unsigned long long>(value));
-  out += buf;
-}
-
-/// Emits `"key": <value>` pairs of a pre-rendered map as a JSON object.
-void append_object(std::string& out,
-                   const std::map<std::string, std::string>& rendered) {
-  out.push_back('{');
-  bool first = true;
-  for (const auto& [key, value] : rendered) {
-    if (!first) out += ", ";
-    first = false;
-    append_string(out, key);
-    out += ": ";
-    out += value;
-  }
-  out.push_back('}');
-}
+using json::append_double;
+using json::append_object;
+using json::append_string;
+using json::append_uint;
 
 }  // namespace
 

@@ -4,158 +4,72 @@
 #include <cmath>
 #include <cstdio>
 #include <iostream>
-#include <limits>
 #include <ostream>
-#include <stdexcept>
-#include <utility>
+#include <type_traits>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <unistd.h>
 #endif
 
+#include "obs/json.hpp"
 #include "obs/obs.hpp"
-#include "obs/prom.hpp"
 
 namespace qp::obs {
 
 namespace {
 
-void append_escaped(std::string& out, const std::string& text) {
-  for (const char c : text) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x",
-                    static_cast<unsigned>(static_cast<unsigned char>(c)));
-      out += buf;
-    } else {
-      out.push_back(c);
-    }
-  }
-}
-
-void append_string(std::string& out, const std::string& text) {
-  out.push_back('"');
-  append_escaped(out, text);
-  out.push_back('"');
-}
-
-void append_double(std::string& out, double value) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  out += buf;
-}
-
-void append_uint(std::string& out, std::uint64_t value) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%llu",
-                static_cast<unsigned long long>(value));
-  out += buf;
-}
+using json::append_double;
+using json::append_object;
+using json::append_uint;
 
 /// NaN has no JSON literal; quantiles of an empty histogram render as null
 /// so readers cannot mistake "no data" for a measured zero (same rule as
 /// LogHistogram::to_json).
-void append_double_or_null(std::string& out, double value) {
-  if (std::isnan(value)) {
+void append_quantile(std::string& out, const LogHistogram& histogram,
+                     double q) {
+  if (histogram.count() == 0) {
     out += "null";
   } else {
-    append_double(out, value);
+    append_double(out, histogram.quantile(q));
   }
 }
 
-/// Emits `"key": <value>` pairs of a pre-rendered map as a JSON object.
-void append_object(std::string& out,
-                   const std::map<std::string, std::string>& rendered) {
-  out.push_back('{');
-  bool first = true;
-  for (const auto& [key, value] : rendered) {
-    if (!first) out += ", ";
-    first = false;
-    append_string(out, key);
-    out += ": ";
-    out += value;
-  }
-  out.push_back('}');
-}
-
-void append_snapshot_line(std::string& out, const MetricsSnapshot& snapshot) {
-  out += "{\"deterministic\": {\"t\": ";
-  append_double(out, snapshot.sim_time);
-  out += ", \"counters\": ";
-  {
-    std::map<std::string, std::string> rendered;
-    for (const auto& [name, value] : snapshot.counters) {
-      std::string cell;
+/// \p values rendered as JSON numbers, ready for append_object: counters
+/// as exact integers, everything else as %.17g.
+template <typename T>
+std::map<std::string, std::string> rendered_numbers(
+    const std::map<std::string, T>& values) {
+  std::map<std::string, std::string> rendered;
+  for (const auto& [name, value] : values) {
+    std::string cell;
+    if constexpr (std::is_same_v<T, std::uint64_t>) {
       append_uint(cell, value);
-      rendered[name] = cell;
-    }
-    append_object(out, rendered);
-  }
-  out += ", \"values\": ";
-  {
-    std::map<std::string, std::string> rendered;
-    for (const auto& [name, value] : snapshot.values) {
-      std::string cell;
+    } else {
       append_double(cell, value);
-      rendered[name] = cell;
     }
-    append_object(out, rendered);
+    rendered[name] = cell;
   }
-  out += ", \"histograms\": ";
-  {
-    std::map<std::string, std::string> rendered;
-    for (const auto& [name, point] : snapshot.histograms) {
-      std::string cell = "{\"count\": ";
-      append_uint(cell, point.count);
-      cell += ", \"sum\": ";
-      append_double(cell, point.sum);
-      cell += ", \"p50\": ";
-      append_double_or_null(cell, point.p50);
-      cell += ", \"p90\": ";
-      append_double_or_null(cell, point.p90);
-      cell += ", \"p99\": ";
-      append_double_or_null(cell, point.p99);
-      cell += "}";
-      rendered[name] = cell;
-    }
-    append_object(out, rendered);
-  }
-  out += "}, \"nondeterministic\": {\"wall_ms\": ";
-  append_double(out, snapshot.wall_ms);
-  out += ", \"gauges\": ";
-  {
-    std::map<std::string, std::string> rendered;
-    for (const auto& [name, value] : snapshot.gauges) {
-      std::string cell;
-      append_double(cell, value);
-      rendered[name] = cell;
-    }
-    append_object(out, rendered);
-  }
-  out += "}}\n";
+  return rendered;
 }
 
 }  // namespace
 
-MetricsSnapshotter::MetricsSnapshotter(TelemetryConfig config)
-    : config_(config), epoch_(std::chrono::steady_clock::now()) {
-  if (config_.capacity == 0) {
-    throw std::invalid_argument("telemetry capacity must be >= 1");
+MetricsSnapshotter::MetricsSnapshotter(
+    std::ostream& out, const std::map<std::string, std::string>& context)
+    : out_(out), epoch_(std::chrono::steady_clock::now()) {
+  std::string header = "{\"schema\": \"qplace.timeseries.v2\", \"context\": ";
+  std::map<std::string, std::string> rendered;
+  for (const auto& [key, value] : context) {
+    json::append_string(rendered[key], value);
   }
-}
-
-void MetricsSnapshotter::set_context(const std::string& key,
-                                     const std::string& value) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  context_[key] = value;
+  append_object(header, rendered);
+  header += "}\n";
+  out_ << header;
+  out_.flush();
 }
 
 void MetricsSnapshotter::watch_histogram(const std::string& name,
                                          const LogHistogram* histogram) {
-  const std::lock_guard<std::mutex> lock(mutex_);
   if (histogram == nullptr) {
     watched_.erase(name);
   } else {
@@ -166,92 +80,42 @@ void MetricsSnapshotter::watch_histogram(const std::string& name,
 void MetricsSnapshotter::sample(double sim_time,
                                 const std::map<std::string, double>& values) {
   const Registry& registry = Registry::instance();
-  MetricsSnapshot snapshot;
-  snapshot.sim_time = sim_time;
-  snapshot.counters = registry.counter_values();
-  snapshot.values = values;
-  snapshot.gauges = registry.gauge_values();
-
-  const std::lock_guard<std::mutex> lock(mutex_);
-  snapshot.wall_ms =
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - epoch_)
-          .count();
+  std::string line = "{\"deterministic\": {\"t\": ";
+  append_double(line, sim_time);
+  line += ", \"counters\": ";
+  append_object(line, rendered_numbers(registry.counter_values()));
+  line += ", \"values\": ";
+  append_object(line, rendered_numbers(values));
+  line += ", \"histograms\": ";
+  std::map<std::string, std::string> histograms;
   for (const auto& [name, histogram] : watched_) {
-    HistogramPoint point;
-    point.count = histogram->count();
-    point.sum = histogram->sum();
-    if (point.count > 0) {
-      point.p50 = histogram->quantile(0.50);
-      point.p90 = histogram->quantile(0.90);
-      point.p99 = histogram->quantile(0.99);
-    } else {
-      point.p50 = point.p90 = point.p99 =
-          std::numeric_limits<double>::quiet_NaN();
-    }
-    snapshot.histograms[name] = point;
+    std::string& cell = histograms[name];
+    cell = "{\"count\": ";
+    append_uint(cell, histogram->count());
+    cell += ", \"sum\": ";
+    append_double(cell, histogram->sum());
+    cell += ", \"p50\": ";
+    append_quantile(cell, *histogram, 0.50);
+    cell += ", \"p90\": ";
+    append_quantile(cell, *histogram, 0.90);
+    cell += ", \"p99\": ";
+    append_quantile(cell, *histogram, 0.99);
+    cell += "}";
   }
-  if (ring_.size() == config_.capacity) {
-    ring_.pop_front();
-    ++dropped_;
-  }
-  ring_.push_back(std::move(snapshot));
-}
-
-std::vector<MetricsSnapshot> MetricsSnapshotter::snapshots() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return {ring_.begin(), ring_.end()};
-}
-
-std::optional<MetricsSnapshot> MetricsSnapshotter::latest() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (ring_.empty()) return std::nullopt;
-  return ring_.back();
-}
-
-std::size_t MetricsSnapshotter::size() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return ring_.size();
-}
-
-std::uint64_t MetricsSnapshotter::dropped() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return dropped_;
-}
-
-std::string MetricsSnapshotter::to_jsonl() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  std::string out = "{\"schema\": \"qplace.timeseries.v1\", \"context\": ";
-  {
-    std::map<std::string, std::string> rendered;
-    for (const auto& [key, value] : context_) {
-      std::string cell;
-      append_string(cell, value);
-      rendered[key] = cell;
-    }
-    append_object(out, rendered);
-  }
-  out += ", \"capacity\": ";
-  append_uint(out, config_.capacity);
-  out += ", \"samples\": ";
-  append_uint(out, ring_.size());
-  out += ", \"dropped\": ";
-  append_uint(out, dropped_);
-  out += "}\n";
-  for (const MetricsSnapshot& snapshot : ring_) {
-    append_snapshot_line(out, snapshot);
-  }
-  return out;
-}
-
-std::string MetricsSnapshotter::prometheus_summaries() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (ring_.empty()) return {};
-  std::string out;
-  for (const auto& [name, point] : ring_.back().histograms) {
-    append_prometheus_summary(out, name, point);
-  }
-  return out;
+  append_object(line, histograms);
+  line += "}, \"nondeterministic\": {\"wall_ms\": ";
+  append_double(line,
+                std::chrono::duration<double, std::milli>(
+                    std::chrono::steady_clock::now() - epoch_)
+                    .count());
+  line += ", \"gauges\": ";
+  append_object(line, rendered_numbers(registry.gauge_values()));
+  line += "}}\n";
+  // One write plus a flush per line: a reader tailing the file sees whole
+  // samples (at most a trailing partial line while a write is in flight).
+  out_ << line;
+  out_.flush();
+  ++samples_;
 }
 
 namespace {

@@ -1,84 +1,58 @@
 #pragma once
 
 /// \file telemetry.hpp
-/// Live telemetry: periodic metrics snapshots and a TTY progress meter.
+/// Live telemetry: a streamed metrics time series and a TTY progress meter.
 ///
 /// Everything in obs so far is post-hoc -- counters, histograms and logs
 /// become visible only after a run exits. This file adds the *online* view
 /// (docs/OBSERVABILITY.md §8):
 ///
 ///  - MetricsSnapshotter: samples the obs Registry (counters, gauges) plus
-///    caller-registered LogHistograms and caller-provided values into a
-///    bounded in-memory time-series ring. Snapshots are keyed by
-///    *simulation time* for the deterministic subtree -- the simulator's
-///    event loop is sequential, so the registry state at sim-time t is a
-///    pure function of (instance, placement, config) and the snapshot
-///    sequence obeys the docs/PARALLEL.md determinism contract -- and by
-///    wall time for the rest. to_jsonl() flushes the ring as a
-///    `qplace.timeseries.v1` JSONL document whose per-record
-///    "deterministic" objects are byte-identical across thread counts.
+///    caller-registered LogHistograms and caller-provided values, and
+///    streams each sample as one `qplace.timeseries.v2` JSONL line the
+///    moment it is taken, so `tail -f` of the series file is the live view.
+///    Samples are keyed by *simulation time* for the deterministic subtree
+///    -- the simulator's event loop is sequential, so the registry state at
+///    sim-time t is a pure function of (instance, placement, config) and
+///    the line sequence obeys the docs/PARALLEL.md determinism contract --
+///    and by wall time for the rest: the per-line "deterministic" objects
+///    are byte-identical across thread counts.
 ///  - ProgressMeter: a single live TTY line (accesses/s, availability, p99
 ///    vs the certified bound) redrawn in place for long runs. Rates are
 ///    wall-clock derived and never feed any deterministic artifact.
 ///
-/// Thread-safety: sample() and the read accessors lock one mutex, so an
-/// embedded admin endpoint (net/http_server.hpp) may serve latest() while
-/// the simulation thread keeps sampling.
+/// Thread-safety: none; both are driven from the thread that owns the
+/// deterministic state (the sim event loop).
 
 #include <chrono>
-#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <iosfwd>
 #include <map>
-#include <mutex>
-#include <optional>
 #include <string>
-#include <vector>
 
 #include "obs/histogram.hpp"
 
 namespace qp::obs {
 
-/// Deterministic digest of one watched histogram at sample time. Quantiles
-/// are NaN when the histogram is empty (rendered as JSON null -- there is
-/// no sample to bound; see LogHistogram::quantile).
-struct HistogramPoint {
-  std::uint64_t count = 0;
-  double sum = 0.0;
-  double p50 = 0.0;
-  double p90 = 0.0;
-  double p99 = 0.0;
-};
-
-/// One sample of the time series. The deterministic members are a pure
-/// function of sim_time and the run's configuration; wall_ms and gauges are
-/// not and are segregated in the JSONL rendering, mirroring the run-report
-/// split (run_report.hpp).
-struct MetricsSnapshot {
-  double sim_time = 0.0;                            // deterministic key
-  std::map<std::string, std::uint64_t> counters;    // deterministic
-  std::map<std::string, double> values;             // deterministic
-  std::map<std::string, HistogramPoint> histograms; // deterministic
-  double wall_ms = 0.0;                             // nondeterministic
-  std::map<std::string, double> gauges;             // nondeterministic
-};
-
-struct TelemetryConfig {
-  /// Snapshots held in memory; the oldest is evicted (and counted as
-  /// dropped) when the ring is full. Must be >= 1.
-  std::size_t capacity = 4096;
-};
-
-/// Bounded in-memory time series over the obs Registry.
+/// Streaming time series over the obs Registry: one JSONL line per sample.
+///
+/// Document (`qplace.timeseries.v2`): a header line written by the
+/// constructor, then one line per sample() call:
+///   {"schema": "qplace.timeseries.v2", "context": {...}}
+///   {"deterministic": {"t": <sim_time>, "counters": {...},
+///                      "values": {...}, "histograms": {<name>:
+///                      {"count": N, "sum": S, "p50": q|null, ...}}},
+///    "nondeterministic": {"wall_ms": W, "gauges": {...}}}
+/// Histogram quantiles are null while the histogram is empty (there is no
+/// sample to bound; see LogHistogram::quantile).
 class MetricsSnapshotter {
  public:
-  /// \throws std::invalid_argument when capacity is 0.
-  explicit MetricsSnapshotter(TelemetryConfig config = {});
-
-  /// Context echoed into the JSONL header (string-valued, like the run
-  /// report's context map).
-  void set_context(const std::string& key, const std::string& value);
+  /// Writes the header line -- schema plus the string-valued \p context
+  /// (like the run report's context map) -- to \p out and flushes it.
+  /// \p out must outlive the snapshotter; write errors surface in its
+  /// stream state for the owner to check.
+  MetricsSnapshotter(std::ostream& out,
+                     const std::map<std::string, std::string>& context);
 
   /// Registers a histogram to digest at every sample. \p histogram is
   /// borrowed and must stay alive until unregistered (pass nullptr to
@@ -86,43 +60,20 @@ class MetricsSnapshotter {
   /// returning); re-registering a name replaces the pointer.
   void watch_histogram(const std::string& name, const LogHistogram* histogram);
 
-  /// Takes one snapshot keyed by \p sim_time: all Registry counters and
+  /// Takes one sample keyed by \p sim_time -- all Registry counters and
   /// gauges, every watched histogram, plus the caller-provided deterministic
-  /// \p values (e.g. the simulator's current availability). Call from the
-  /// thread that owns the deterministic state (the sim event loop).
+  /// \p values (e.g. the simulator's current availability) -- and appends
+  /// it to the stream as one complete, flushed line.
   void sample(double sim_time,
               const std::map<std::string, double>& values = {});
 
-  /// Snapshots currently held, oldest first (copy; the ring keeps going).
-  std::vector<MetricsSnapshot> snapshots() const;
-  /// Most recent snapshot, if any.
-  std::optional<MetricsSnapshot> latest() const;
-  std::size_t size() const;
-  /// Snapshots evicted because the ring was full.
-  std::uint64_t dropped() const;
-
-  /// Renders the `qplace.timeseries.v1` JSONL document: one header line
-  /// (schema, context, capacity, samples, dropped), then one line per held
-  /// snapshot:
-  ///   {"deterministic": {"t": <sim_time>, "counters": {...},
-  ///                      "values": {...}, "histograms": {<name>:
-  ///                      {"count": N, "sum": S, "p50": q|null, ...}}},
-  ///    "nondeterministic": {"wall_ms": W, "gauges": {...}}}
-  /// The "deterministic" objects are byte-identical across thread counts.
-  std::string to_jsonl() const;
-
-  /// Prometheus summary exposition of the latest snapshot's watched
-  /// histograms (empty string when no snapshot was taken); see prom.hpp for
-  /// the name mangling.
-  std::string prometheus_summaries() const;
+  /// Sample lines written so far (the header not counted).
+  std::uint64_t samples() const { return samples_; }
 
  private:
-  mutable std::mutex mutex_;
-  TelemetryConfig config_;
-  std::map<std::string, std::string> context_;
+  std::ostream& out_;
   std::map<std::string, const LogHistogram*> watched_;
-  std::deque<MetricsSnapshot> ring_;
-  std::uint64_t dropped_ = 0;
+  std::uint64_t samples_ = 0;
   std::chrono::steady_clock::time_point epoch_;
 };
 

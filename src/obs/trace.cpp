@@ -7,6 +7,8 @@
 #include <utility>
 #include <vector>
 
+#include "obs/json.hpp"
+
 namespace qp::obs {
 
 /// Per-thread ring buffer. Only its owning thread writes; merges happen from
@@ -32,23 +34,6 @@ std::vector<std::unique_ptr<TraceRecorder::ThreadBuffer>>& buffers() {
 std::atomic<bool> g_trace_enabled{false};
 
 thread_local TraceRecorder::ThreadBuffer* tl_buffer = nullptr;
-
-void append_escaped(std::string& out, const char* text) {
-  for (const char* p = text; *p != '\0'; ++p) {
-    const char c = *p;
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x",
-                    static_cast<unsigned>(static_cast<unsigned char>(c)));
-      out += buf;
-    } else {
-      out.push_back(c);
-    }
-  }
-}
 
 }  // namespace
 
@@ -157,7 +142,7 @@ std::string TraceRecorder::to_chrome_json() const {
       if (!first) out += ", ";
       first = false;
       out += "{\"name\": \"";
-      append_escaped(out, event.name);
+      json::append_escaped(out, event.name);
       out += "\", \"cat\": \"qplace\", \"ph\": \"X\", \"ts\": ";
       std::snprintf(number, sizeof(number), "%.3f", event.ts_us);
       out += number;

@@ -52,17 +52,8 @@ bool contains(const std::vector<int>& sorted, int node) {
   return std::binary_search(sorted.begin(), sorted.end(), node);
 }
 
-void append_double(std::string& out, double value) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  out += buf;
-}
-
-void append_int(std::string& out, int value) {
-  char buf[16];
-  std::snprintf(buf, sizeof(buf), "%d", value);
-  out += buf;
-}
+using obs::json::append_double;
+using obs::json::append_int;
 
 void append_side(std::string& out, const std::vector<int>& side) {
   out += "[";

@@ -259,9 +259,9 @@ SimulationResult simulate(const core::QppInstance& instance,
   // ---- live telemetry / progress / span tracing (docs/OBSERVABILITY.md §8)
   //
   // Counters update incrementally at the event sites below, so a mid-run
-  // telemetry sample or /metrics scrape sees live totals; the zero-adds
-  // here register every instrument up front so the counter *set* of a run
-  // report never depends on which events a particular run encountered.
+  // telemetry sample sees live totals; the zero-adds here register every
+  // instrument up front so the counter *set* of a run report never
+  // depends on which events a particular run encountered.
   // Totals are a pure function of (instance, placement, config) -- the
   // event loop is sequential -- so they satisfy the determinism contract.
   QP_COUNTER_ADD("sim.runs", 1);

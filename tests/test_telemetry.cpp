@@ -1,9 +1,10 @@
 /// Unit tests for the live-telemetry layer (src/obs/telemetry.*,
-/// docs/OBSERVABILITY.md "Live telemetry"): snapshotter ring semantics,
-/// the qplace.timeseries.v1 JSONL rendering and its deterministic /
-/// nondeterministic split, Prometheus summary exposition, the TTY progress
-/// meter, and -- the load-bearing property -- byte-identical deterministic
-/// series from the simulator at 1 vs 8 threads.
+/// docs/OBSERVABILITY.md "Live telemetry"): the streamed
+/// qplace.timeseries.v2 JSONL -- each sample on the stream as a complete
+/// line the moment it is taken -- and its deterministic / nondeterministic
+/// split, the TTY progress meter, and -- the load-bearing property --
+/// byte-identical deterministic series from the simulator at 1 vs 8
+/// threads.
 
 #include "obs/telemetry.hpp"
 
@@ -12,9 +13,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <fstream>
 #include <random>
 #include <sstream>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -23,7 +24,6 @@
 #include "exec/thread_pool.hpp"
 #include "obs/json.hpp"
 #include "obs/obs.hpp"
-#include "obs/prom.hpp"
 #include "quorum/constructions.hpp"
 #include "sim/simulator.hpp"
 
@@ -39,10 +39,45 @@ std::vector<std::string> lines_of(const std::string& text) {
   return out;
 }
 
-TEST(Telemetry, RejectsZeroCapacity) {
-  obs::TelemetryConfig config;
-  config.capacity = 0;
-  EXPECT_THROW(obs::MetricsSnapshotter{config}, std::invalid_argument);
+/// The parsed sample records of a series document (header skipped).
+std::vector<obs::json::Value> records_of(const std::string& jsonl) {
+  std::vector<obs::json::Value> out;
+  const std::vector<std::string> lines = lines_of(jsonl);
+  for (std::size_t i = 1; i < lines.size(); ++i) {
+    out.push_back(obs::json::parse(lines[i]));
+  }
+  return out;
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+TEST(Telemetry, EachSampleIsOnTheStreamAsACompleteLine) {
+  // A real file, read back through a second handle while the snapshotter
+  // is still alive: what `tail -f` of --series-out sees mid-run.
+  const std::string path =
+      ::testing::TempDir() + "qplace_telemetry_stream.jsonl";
+  std::ofstream out(path);
+  obs::MetricsSnapshotter snapshotter(out, {{"seed", "1"}});
+  EXPECT_EQ(lines_of(read_file(path)).size(), 1u);  // header only
+
+  for (int k = 1; k <= 3; ++k) {
+    snapshotter.sample(static_cast<double>(k));
+    const std::string text = read_file(path);
+    ASSERT_FALSE(text.empty());
+    EXPECT_EQ(text.back(), '\n');  // no partial trailing line
+    const std::vector<std::string> lines = lines_of(text);
+    ASSERT_EQ(lines.size(), static_cast<std::size_t>(1 + k));
+    EXPECT_EQ(snapshotter.samples(), static_cast<std::uint64_t>(k));
+    EXPECT_EQ(obs::json::parse(lines.back())
+                  .find("deterministic")
+                  ->get_number("t", -1.0),
+              static_cast<double>(k));
+  }
 }
 
 TEST(Telemetry, SampleCapturesRegistryAndCallerValues) {
@@ -50,68 +85,61 @@ TEST(Telemetry, SampleCapturesRegistryAndCallerValues) {
   obs::Registry::instance().counter("telemetry_test.events").add(7);
   obs::Registry::instance().gauge("telemetry_test.depth").set(3.5);
 
-  obs::MetricsSnapshotter snapshotter;
-  EXPECT_EQ(snapshotter.size(), 0u);
-  EXPECT_FALSE(snapshotter.latest().has_value());
+  std::ostringstream out;
+  obs::MetricsSnapshotter snapshotter(out, {});
+  EXPECT_EQ(snapshotter.samples(), 0u);
+  EXPECT_TRUE(records_of(out.str()).empty());
 
   snapshotter.sample(10.0, {{"availability", 0.25}});
-  ASSERT_EQ(snapshotter.size(), 1u);
-  const obs::MetricsSnapshot snap = *snapshotter.latest();
-  EXPECT_EQ(snap.sim_time, 10.0);
-  EXPECT_EQ(snap.counters.at("telemetry_test.events"), 7u);
-  EXPECT_EQ(snap.values.at("availability"), 0.25);
-  EXPECT_EQ(snap.gauges.at("telemetry_test.depth"), 3.5);
-  EXPECT_GE(snap.wall_ms, 0.0);
-}
-
-TEST(Telemetry, RingEvictsOldestAndCountsDrops) {
-  obs::TelemetryConfig config;
-  config.capacity = 2;
-  obs::MetricsSnapshotter snapshotter(config);
-  snapshotter.sample(1.0);
-  snapshotter.sample(2.0);
-  snapshotter.sample(3.0);
-  EXPECT_EQ(snapshotter.size(), 2u);
-  EXPECT_EQ(snapshotter.dropped(), 1u);
-  const std::vector<obs::MetricsSnapshot> held = snapshotter.snapshots();
-  ASSERT_EQ(held.size(), 2u);
-  EXPECT_EQ(held.front().sim_time, 2.0);  // t=1 evicted
-  EXPECT_EQ(held.back().sim_time, 3.0);
+  EXPECT_EQ(snapshotter.samples(), 1u);
+  const std::vector<obs::json::Value> records = records_of(out.str());
+  ASSERT_EQ(records.size(), 1u);
+  const obs::json::Value* det = records[0].find("deterministic");
+  const obs::json::Value* nondet = records[0].find("nondeterministic");
+  EXPECT_EQ(det->get_number("t", -1.0), 10.0);
+  EXPECT_EQ(det->find("counters")->get_number("telemetry_test.events", -1.0),
+            7.0);
+  EXPECT_EQ(det->find("values")->get_number("availability", -1.0), 0.25);
+  EXPECT_EQ(nondet->find("gauges")->get_number("telemetry_test.depth", -1.0),
+            3.5);
+  EXPECT_GE(nondet->get_number("wall_ms", -1.0), 0.0);
 }
 
 TEST(Telemetry, WatchedHistogramsAreDigestedAndUnregisterable) {
-  obs::MetricsSnapshotter snapshotter;
+  std::ostringstream out;
+  obs::MetricsSnapshotter snapshotter(out, {});
   obs::LogHistogram delays;
   for (int i = 1; i <= 100; ++i) delays.record(static_cast<double>(i));
   snapshotter.watch_histogram("delays", &delays);
 
   snapshotter.sample(1.0);
-  const obs::HistogramPoint point =
-      snapshotter.latest()->histograms.at("delays");
-  EXPECT_EQ(point.count, 100u);
-  EXPECT_EQ(point.sum, delays.sum());
-  EXPECT_EQ(point.p50, delays.quantile(0.50));
-  EXPECT_EQ(point.p99, delays.quantile(0.99));
-
   // nullptr unregisters: the next sample no longer touches the histogram
   // (the simulator relies on this before its result goes out of scope).
   snapshotter.watch_histogram("delays", nullptr);
   snapshotter.sample(2.0);
-  EXPECT_EQ(snapshotter.latest()->histograms.count("delays"), 0u);
+
+  const std::vector<obs::json::Value> records = records_of(out.str());
+  ASSERT_EQ(records.size(), 2u);
+  const obs::json::Value* point =
+      records[0].find("deterministic")->find("histograms")->find("delays");
+  ASSERT_NE(point, nullptr);
+  EXPECT_EQ(point->get_number("count", -1.0), 100.0);
+  EXPECT_EQ(point->get_number("sum", -1.0), delays.sum());
+  EXPECT_EQ(point->get_number("p50", -1.0), delays.quantile(0.50));
+  EXPECT_EQ(point->get_number("p99", -1.0), delays.quantile(0.99));
+  EXPECT_EQ(
+      records[1].find("deterministic")->find("histograms")->find("delays"),
+      nullptr);
 }
 
 TEST(Telemetry, EmptyHistogramQuantilesRenderAsNull) {
-  obs::MetricsSnapshotter snapshotter;
+  std::ostringstream out;
+  obs::MetricsSnapshotter snapshotter(out, {});
   obs::LogHistogram empty;
   snapshotter.watch_histogram("empty", &empty);
   snapshotter.sample(1.0);
 
-  const obs::HistogramPoint point =
-      snapshotter.latest()->histograms.at("empty");
-  EXPECT_EQ(point.count, 0u);
-  EXPECT_TRUE(std::isnan(point.p50));
-
-  const std::vector<std::string> lines = lines_of(snapshotter.to_jsonl());
+  const std::vector<std::string> lines = lines_of(out.str());
   ASSERT_EQ(lines.size(), 2u);
   EXPECT_NE(lines[1].find("\"p50\": null"), std::string::npos) << lines[1];
   // The line still parses, and the nulls type as JSON null, not 0.
@@ -119,24 +147,26 @@ TEST(Telemetry, EmptyHistogramQuantilesRenderAsNull) {
   const obs::json::Value* hist =
       parsed.find("deterministic")->find("histograms")->find("empty");
   ASSERT_NE(hist, nullptr);
+  EXPECT_EQ(hist->get_number("count", -1.0), 0.0);
   EXPECT_TRUE(hist->find("p99")->is_null());
 }
 
 TEST(Telemetry, JsonlFollowsSchemaAndSplitsDeterminism) {
   obs::Registry::instance().reset_all();
-  obs::MetricsSnapshotter snapshotter;
-  snapshotter.set_context("seed", "42");
+  std::ostringstream out;
+  obs::MetricsSnapshotter snapshotter(out, {{"seed", "42"}});
   snapshotter.sample(5.0, {{"availability", 1.0}});
   snapshotter.sample(10.0, {{"availability", 0.5}});
 
-  const std::vector<std::string> lines = lines_of(snapshotter.to_jsonl());
+  const std::vector<std::string> lines = lines_of(out.str());
   ASSERT_EQ(lines.size(), 3u);
 
+  // The header is written before any sample exists, so it carries only
+  // what is known up front.
   const obs::json::Value header = obs::json::parse(lines[0]);
-  EXPECT_EQ(header.get_string("schema", ""), "qplace.timeseries.v1");
-  EXPECT_EQ(header.get_number("samples", -1.0), 2.0);
-  EXPECT_EQ(header.get_number("dropped", -1.0), 0.0);
+  EXPECT_EQ(header.get_string("schema", ""), "qplace.timeseries.v2");
   EXPECT_EQ(header.find("context")->get_string("seed", ""), "42");
+  EXPECT_EQ(header.object.size(), 2u);
 
   for (std::size_t i = 1; i < lines.size(); ++i) {
     const obs::json::Value record = obs::json::parse(lines[i]);
@@ -156,64 +186,6 @@ TEST(Telemetry, JsonlFollowsSchemaAndSplitsDeterminism) {
                 ->find("values")
                 ->get_number("availability", -1.0),
             1.0);
-}
-
-TEST(Telemetry, PrometheusSummariesRenderLatestHistograms) {
-  obs::MetricsSnapshotter snapshotter;
-  EXPECT_EQ(snapshotter.prometheus_summaries(), "");  // no snapshot yet
-
-  obs::LogHistogram delays;
-  for (int i = 1; i <= 50; ++i) delays.record(static_cast<double>(i));
-  obs::LogHistogram empty;
-  snapshotter.watch_histogram("sim.access_delay", &delays);
-  snapshotter.watch_histogram("sim.queue_wait", &empty);
-  snapshotter.sample(1.0);
-
-  const std::string text = snapshotter.prometheus_summaries();
-  EXPECT_NE(text.find("# TYPE qplace_sim_access_delay summary"),
-            std::string::npos);
-  EXPECT_NE(text.find("qplace_sim_access_delay{quantile=\"0.5\"}"),
-            std::string::npos);
-  EXPECT_NE(text.find("qplace_sim_access_delay_count 50"), std::string::npos);
-  // The empty histogram has no quantiles to expose, but count/sum exist.
-  EXPECT_EQ(text.find("qplace_sim_queue_wait{quantile"), std::string::npos);
-  EXPECT_NE(text.find("qplace_sim_queue_wait_count 0"), std::string::npos);
-}
-
-TEST(Telemetry, RenderPrometheusCoversEveryInstrumentKind) {
-  obs::Registry& registry = obs::Registry::instance();
-  registry.counter("prom_test.events").add(41);
-  registry.gauge("prom_test.depth").set(2.5);
-  registry.timer("prom_test.phase").add(1500000000);  // 1.5 s in nanos
-  registry.append_series("prom_test.series", 0.25);
-  registry.append_series("prom_test.series", 0.75);
-
-  const std::string text = obs::render_prometheus(registry);
-  EXPECT_NE(text.find("# TYPE qplace_prom_test_events_total counter"),
-            std::string::npos);
-  EXPECT_NE(text.find("qplace_prom_test_events_total 41"), std::string::npos);
-  EXPECT_NE(text.find("# TYPE qplace_prom_test_depth gauge"),
-            std::string::npos);
-  EXPECT_NE(text.find("qplace_prom_test_depth 2.5"), std::string::npos);
-  // Timers split into accumulated seconds and a call count.
-  EXPECT_NE(text.find("qplace_prom_test_phase_seconds_total 1.5"),
-            std::string::npos);
-  EXPECT_NE(text.find("qplace_prom_test_phase_calls_total 1"),
-            std::string::npos);
-  // A series exposes its latest value as a gauge.
-  EXPECT_NE(text.find("# TYPE qplace_prom_test_series gauge"),
-            std::string::npos);
-  EXPECT_NE(text.find("qplace_prom_test_series 0.75"), std::string::npos);
-  EXPECT_EQ(text.find("qplace_prom_test_series 0.25"), std::string::npos);
-  // The whole exposition is TYPE comments and samples -- nothing else.
-  std::istringstream lines(text);
-  std::string line;
-  while (std::getline(lines, line)) {
-    if (line.empty()) continue;
-    EXPECT_TRUE(line.rfind("# TYPE qplace_", 0) == 0 ||
-                line.rfind("qplace_", 0) == 0)
-        << line;
-  }
 }
 
 TEST(Telemetry, ProgressMeterDrawsAndFinishesIdempotently) {
@@ -286,24 +258,6 @@ TEST(Telemetry, ProgressMeterAutoDetectTreatsPlainStreamsAsLive) {
   EXPECT_TRUE(meter.live());
 }
 
-TEST(Telemetry, RenderBuildInfoEmitsConstantGaugeWithEscapedLabels) {
-  const std::string text =
-      obs::render_build_info("abc1234", "1.2.3", /*obs_compiled_in=*/true);
-  EXPECT_NE(text.find("# TYPE qplace_build_info gauge"), std::string::npos)
-      << text;
-  EXPECT_NE(
-      text.find("qplace_build_info{git_sha=\"abc1234\",obs=\"true\","
-                "version=\"1.2.3\"} 1\n"),
-      std::string::npos)
-      << text;
-
-  const std::string hostile =
-      obs::render_build_info("a\"b\\c\nd", "v", /*obs_compiled_in=*/false);
-  EXPECT_NE(hostile.find("git_sha=\"a\\\"b\\\\c\\nd\""), std::string::npos)
-      << hostile;
-  EXPECT_NE(hostile.find("obs=\"false\""), std::string::npos) << hostile;
-}
-
 TEST(Telemetry, ProgressMeterOmitsP99AndBoundWhenUnavailable) {
   std::ostringstream out;
   obs::ProgressMeter meter(out, std::nan(""));  // no certified bound
@@ -330,13 +284,15 @@ core::QppInstance make_instance() {
       quorum::AccessStrategy::uniform(system));
 }
 
-/// One telemetry-enabled simulation under a pool of \p threads.
+/// One telemetry-enabled simulation under a pool of \p threads; returns the
+/// streamed series.
 std::string run_with_telemetry(const core::QppInstance& instance,
                                const core::Placement& placement,
                                int threads) {
   exec::set_num_threads(threads);
   obs::Registry::instance().reset_all();
-  obs::MetricsSnapshotter snapshotter;
+  std::ostringstream out;
+  obs::MetricsSnapshotter snapshotter(out, {});
   sim::SimulationConfig config;
   config.seed = 9;
   config.duration = 200.0;
@@ -346,10 +302,10 @@ std::string run_with_telemetry(const core::QppInstance& instance,
   config.telemetry_interval = 20.0;
   sim::simulate(instance, placement, config);
   exec::set_num_threads(0);
-  return snapshotter.to_jsonl();
+  return out.str();
 }
 
-/// Strips each snapshot line down to its deterministic object.
+/// Strips each sample line down to its deterministic object.
 std::vector<std::string> deterministic_parts(const std::string& jsonl) {
   std::vector<std::string> out;
   const std::vector<std::string> lines = lines_of(jsonl);
@@ -389,43 +345,66 @@ TEST(Telemetry, SimulatorSamplesOnTheGridWithFinalSampleAtDuration) {
   ASSERT_TRUE(solved.has_value());
 
   obs::Registry::instance().reset_all();
-  obs::MetricsSnapshotter snapshotter;
+  std::ostringstream out;
+  obs::MetricsSnapshotter snapshotter(out, {});
   sim::SimulationConfig config;
   config.seed = 9;
   config.duration = 100.0;
   config.telemetry = &snapshotter;
   config.telemetry_interval = 25.0;
+  // Mid-run, every sample taken so far is already a complete line.
+  int mid_run_checks = 0;
+  config.progress_interval = 10.0;
+  config.on_progress = [&](const obs::ProgressStats& stats) {
+    if (stats.sim_time >= config.duration) return;
+    const std::string text = out.str();
+    EXPECT_EQ(lines_of(text).size(), 1 + snapshotter.samples());
+    EXPECT_EQ(text.back(), '\n');
+    if (snapshotter.samples() > 0) ++mid_run_checks;
+  };
   const sim::SimulationResult result =
       sim::simulate(instance, solved->placement, config);
+  EXPECT_GT(mid_run_checks, 0);
 
-  const std::vector<obs::MetricsSnapshot> snaps = snapshotter.snapshots();
-  ASSERT_EQ(snaps.size(), 4u);  // t = 25, 50, 75 in-loop + final t = 100
-  EXPECT_EQ(snaps[0].sim_time, 25.0);
-  EXPECT_EQ(snaps[1].sim_time, 50.0);
-  EXPECT_EQ(snaps[2].sim_time, 75.0);
-  EXPECT_EQ(snaps[3].sim_time, 100.0);
+  const std::vector<obs::json::Value> records = records_of(out.str());
+  ASSERT_EQ(records.size(), 4u);  // t = 25, 50, 75 in-loop + final t = 100
+  std::vector<const obs::json::Value*> det;
+  for (const obs::json::Value& record : records) {
+    det.push_back(record.find("deterministic"));
+  }
+  EXPECT_EQ(det[0]->get_number("t", -1.0), 25.0);
+  EXPECT_EQ(det[1]->get_number("t", -1.0), 50.0);
+  EXPECT_EQ(det[2]->get_number("t", -1.0), 75.0);
+  EXPECT_EQ(det[3]->get_number("t", -1.0), 100.0);
 
   // Counters only ever grow along the series, and the counter *set* is
-  // identical in every snapshot (zero-add registration up front -- the set
+  // identical in every sample (zero-add registration up front -- the set
   // must not depend on which events happened to fire).
-  for (std::size_t i = 1; i < snaps.size(); ++i) {
-    ASSERT_EQ(snaps[i].counters.size(), snaps[0].counters.size());
-    for (const auto& [name, value] : snaps[i].counters) {
-      ASSERT_TRUE(snaps[i - 1].counters.count(name)) << name;
-      EXPECT_GE(value, snaps[i - 1].counters.at(name)) << name;
+  for (std::size_t i = 1; i < det.size(); ++i) {
+    const auto& counters = det[i]->find("counters")->object;
+    const auto& previous = det[i - 1]->find("counters")->object;
+    ASSERT_EQ(counters.size(), previous.size());
+    for (const auto& [name, value] : counters) {
+      ASSERT_TRUE(previous.count(name)) << name;
+      EXPECT_GE(value.number, previous.at(name).number) << name;
     }
   }
-  // The final snapshot agrees with the run's result where both report the
+  // The final sample agrees with the run's result where both report the
   // same quantity.
   if (obs::compiled_in()) {
-    EXPECT_EQ(snaps.back().counters.at("sim.completed_accesses"),
-              static_cast<std::uint64_t>(result.completed_accesses));
+    EXPECT_EQ(det.back()->find("counters")->get_number(
+                  "sim.completed_accesses", -1.0),
+              static_cast<double>(result.completed_accesses));
   }
   // The simulator unregisters its watched result histograms before
   // returning; a sample taken now must not touch the (still alive here,
   // but in general destroyed) result.
   snapshotter.sample(101.0);
-  EXPECT_EQ(snapshotter.latest()->histograms.count("sim.access_delay"), 0u);
+  const std::vector<obs::json::Value> after = records_of(out.str());
+  ASSERT_EQ(after.size(), 5u);
+  EXPECT_EQ(after.back().find("deterministic")->find("histograms")->find(
+                "sim.access_delay"),
+            nullptr);
 }
 
 }  // namespace

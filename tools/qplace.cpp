@@ -33,6 +33,7 @@
 #include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <map>
 #include <memory>
 #include <optional>
 #include <random>
@@ -45,7 +46,6 @@
 #include "check/validate.hpp"
 #include "cli/options.hpp"
 #include "exec/thread_pool.hpp"
-#include "net/http_server.hpp"
 #include "obs/access_log.hpp"
 #include "analyze/analyze.hpp"
 #include "analyze/profile_diff.hpp"
@@ -53,7 +53,6 @@
 #include "obs/json.hpp"
 #include "obs/obs.hpp"
 #include "obs/profile.hpp"
-#include "obs/prom.hpp"
 #include "obs/run_report.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
@@ -77,15 +76,13 @@
 #define QPLACE_GIT_SHA "unknown"
 #endif
 
-// Release identity for the Prometheus qplace_build_info gauge; stamped by
-// tools/CMakeLists.txt from the project version.
-#ifndef QPLACE_VERSION
-#define QPLACE_VERSION "0.0.0"
-#endif
-
 namespace {
 
 using namespace qp;
+
+/// Most samples one `simulate --series-out` run may stream: the bound on
+/// duration / --telemetry-interval.
+constexpr double kMaxTelemetrySamples = 4096;
 
 int usage() {
   std::cout <<
@@ -132,14 +129,12 @@ int usage() {
       "                    --access-log-sample R (keep fraction R) and\n"
       "                    --access-log-head N (first N records)\n"
       "live telemetry (docs/OBSERVABILITY.md, \"Live telemetry\"):\n"
-      "  --series-out FILE (simulate) write qplace.timeseries.v1 JSONL:\n"
-      "                    registry snapshots sampled on a deterministic\n"
-      "                    sim-time grid, every --telemetry-interval sim\n"
-      "                    units (default duration/100)\n"
-      "  --metrics-port P  (simulate) serve GET /metrics (Prometheus text),\n"
-      "                    /healthz and /report on 127.0.0.1:P for the life\n"
-      "                    of the run (P=0 picks a free port; the bound\n"
-      "                    port is printed to stderr)\n"
+      "  --series-out FILE (simulate) stream qplace.timeseries.v2 JSONL:\n"
+      "                    one registry snapshot per line, appended as it\n"
+      "                    is sampled on a deterministic sim-time grid\n"
+      "                    (tail -f is the live view), every\n"
+      "                    --telemetry-interval sim units (default\n"
+      "                    duration/100; at most 4096 samples per run)\n"
       "  --progress        (simulate) redraw a live progress line on\n"
       "                    stderr: %% done, accesses/s, availability, p99\n"
       "                    vs the analytic mean-delay bound\n"
@@ -470,11 +465,13 @@ int cmd_analyze_access_log(const cli::ParsedArgs& args) {
   return analysis.ok() ? 0 : 1;
 }
 
-/// --tolerance of the counter-drift gates (--diff, --profile-diff): the
-/// largest relative drift |cand - base| / max(base, 1) that still passes,
-/// default 0 (exact). A negative or non-finite value is a usage error.
-double drift_tolerance(const cli::ParsedArgs& args) {
-  const double tolerance = args.get_double("tolerance", 0.0);
+/// --tolerance of the analyze gates, \p fallback when absent: for the
+/// counter-drift gates (--diff, --profile-diff) the largest relative drift
+/// |cand - base| / max(base, 1) that still passes, default 0 (exact); for
+/// --trace the absolute sim-time slack. A negative or non-finite value is a
+/// usage error.
+double drift_tolerance(const cli::ParsedArgs& args, double fallback = 0.0) {
+  const double tolerance = args.get_double("tolerance", fallback);
   if (!std::isfinite(tolerance) || tolerance < 0.0) {
     throw std::invalid_argument(
         "flag --tolerance expects a finite number >= 0, got '" +
@@ -688,6 +685,9 @@ int cmd_analyze_profile_diff(const cli::ParsedArgs& args) {
 int cmd_analyze_trace(const cli::ParsedArgs& args) {
   const std::string trace_path = args.get("trace", "");
   const std::string log_path = args.require("access-log");
+  obs::TraceCheckOptions options;
+  options.tolerance = drift_tolerance(args, options.tolerance);
+  options.max_findings = args.get_int("max-findings", options.max_findings);
 
   obs::json::Value trace;
   try {
@@ -703,9 +703,6 @@ int cmd_analyze_trace(const cli::ParsedArgs& args) {
   }
   const obs::ParsedAccessLog log = obs::parse_access_log(in);
 
-  obs::TraceCheckOptions options;
-  options.tolerance = args.get_double("tolerance", options.tolerance);
-  options.max_findings = args.get_int("max-findings", options.max_findings);
   obs::TraceCheckResult result;
   try {
     result = obs::check_trace_against_log(trace, log, options);
@@ -1043,25 +1040,44 @@ int cmd_simulate(const cli::ParsedArgs& args) {
     analytic = core::average_total_delay(instance, solved->placement);
   }
 
-  // Live telemetry (docs/OBSERVABILITY.md, "Live telemetry"): periodic
-  // registry snapshots on a deterministic sim-time grid, optionally flushed
-  // to --series-out and/or served live over an embedded HTTP endpoint.
+  // Live telemetry (docs/OBSERVABILITY.md, "Live telemetry"): registry
+  // snapshots on a deterministic sim-time grid, each streamed to
+  // --series-out as one JSONL line the moment it is sampled.
   const std::string series_path = args.get("series-out", "");
-  const int metrics_port = args.get_int("metrics-port", -1);
   const double telemetry_interval =
       args.get_double("telemetry-interval", config.duration / 100.0);
-  obs::MetricsSnapshotter snapshotter;
-  if (!series_path.empty() || metrics_port >= 0 ||
-      !args.get("telemetry-interval", "").empty()) {
-    config.telemetry = &snapshotter;
+  // The grid must be finite and positive, and coarse enough that a tiny
+  // interval cannot turn the run into an unbounded sampling loop.
+  if ((!series_path.empty() || args.has("telemetry-interval")) &&
+      !(std::isfinite(telemetry_interval) && telemetry_interval > 0.0 &&
+        config.duration / telemetry_interval <= kMaxTelemetrySamples)) {
+    std::cerr << "error: --telemetry-interval must be a finite number > 0 "
+                 "with duration / interval <= "
+              << kMaxTelemetrySamples << ", got " << telemetry_interval
+              << " (duration " << config.duration << ")\n";
+    return 2;
+  }
+  std::ofstream series_stream;
+  std::optional<obs::MetricsSnapshotter> snapshotter;
+  if (!series_path.empty()) {
+    // Opened before the run, like the access log: an unwritable path fails
+    // fast instead of after the whole simulation.
+    series_stream.open(series_path);
+    if (!series_stream) {
+      std::cerr << "error: cannot open series '" << series_path
+                << "' for writing\n";
+      return 2;
+    }
+    snapshotter.emplace(
+        series_stream,
+        std::map<std::string, std::string>{
+            {"instance_digest", bundle.digest},
+            {"git_sha", QPLACE_GIT_SHA},
+            {"seed", std::to_string(config.seed)},
+            {"duration", report::Table::num(config.duration, 6)},
+            {"interval", report::Table::num(telemetry_interval, 6)}});
+    config.telemetry = &*snapshotter;
     config.telemetry_interval = telemetry_interval;
-    snapshotter.set_context("instance_digest", bundle.digest);
-    snapshotter.set_context("git_sha", QPLACE_GIT_SHA);
-    snapshotter.set_context("seed", std::to_string(config.seed));
-    snapshotter.set_context("duration",
-                            report::Table::num(config.duration, 6));
-    snapshotter.set_context("interval",
-                            report::Table::num(telemetry_interval, 6));
   }
 
   std::optional<obs::ProgressMeter> meter;
@@ -1075,47 +1091,19 @@ int cmd_simulate(const cli::ParsedArgs& args) {
     };
   }
 
-  // The admin endpoint serves the live registry and the snapshotter's own
-  // latest histogram digests; both are internally synchronized, and the run
-  // report is only mutated again after the server is stopped below.
-  net::HttpServer server;
-  if (metrics_port >= 0) {
-    server.handle("/metrics", [&snapshotter](const net::HttpRequest&) {
-      net::HttpResponse response;
-      response.content_type = "text/plain; version=0.0.4; charset=utf-8";
-      response.body = obs::render_build_info(QPLACE_GIT_SHA, QPLACE_VERSION,
-                                             obs::compiled_in()) +
-                      obs::render_prometheus(obs::Registry::instance()) +
-                      snapshotter.prometheus_summaries();
-      return response;
-    });
-    server.handle("/healthz", [](const net::HttpRequest&) {
-      net::HttpResponse response;
-      response.body = "ok\n";
-      return response;
-    });
-    server.handle("/report", [](const net::HttpRequest&) {
-      net::HttpResponse response;
-      response.content_type = "application/json";
-      response.body = g_obs != nullptr ? g_obs->report().to_json() : "{}\n";
-      return response;
-    });
-    server.start(metrics_port);
-    std::cerr << "serving /metrics /healthz /report on 127.0.0.1:"
-              << server.port() << "\n";
-  }
-
   const sim::SimulationResult result =
       sim::simulate(instance, solved->placement, config);
   if (meter.has_value()) {
     meter->finish();
   }
-  server.stop();  // idempotent no-op when --metrics-port was absent
-  if (!series_path.empty()) {
-    obs::write_file(series_path, snapshotter.to_jsonl());
-    std::cerr << "telemetry: " << snapshotter.size() << " snapshots ("
-              << snapshotter.dropped() << " dropped) -> " << series_path
-              << "\n";
+  if (snapshotter.has_value()) {
+    series_stream.close();
+    if (!series_stream) {
+      std::cerr << "error: failed writing series '" << series_path << "'\n";
+      return 2;
+    }
+    std::cerr << "telemetry: " << snapshotter->samples() << " snapshots -> "
+              << series_path << "\n";
   }
   if (log_writer != nullptr) {
     log_writer->close();  // surface I/O errors here, not in the destructor
