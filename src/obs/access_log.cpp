@@ -92,7 +92,9 @@ bool access_log_sampled(const AccessLogConfig& config, std::int64_t id) {
   return uniform < config.sample_rate;
 }
 
-AccessLogWriter::AccessLogWriter(std::ostream& out, AccessLogConfig config)
+AccessLogWriter::AccessLogWriter(
+    std::ostream& out, AccessLogConfig config,
+    const std::map<std::string, std::string>& context)
     : out_(out), config_(config) {
   if (!(config_.sample_rate >= 0.0) || config_.sample_rate > 1.0) {
     throw std::invalid_argument(
@@ -102,6 +104,7 @@ AccessLogWriter::AccessLogWriter(std::ostream& out, AccessLogConfig config)
     throw std::invalid_argument(
         "AccessLogWriter: head_limit must be non-negative");
   }
+  context_ = context;
 }
 
 AccessLogWriter::~AccessLogWriter() {
@@ -110,11 +113,6 @@ AccessLogWriter::~AccessLogWriter() {
   } catch (...) {
     // Destructors must not throw; an explicit close() surfaces I/O errors.
   }
-}
-
-void AccessLogWriter::set_context(const std::string& key,
-                                  const std::string& value) {
-  context_[key] = value;
 }
 
 void AccessLogWriter::record(AccessRecord record) {

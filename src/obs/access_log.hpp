@@ -117,16 +117,15 @@ bool access_log_sampled(const AccessLogConfig& config, std::int64_t id);
 /// id, so the byte stream is independent of completion order.
 class AccessLogWriter {
  public:
-  /// \p out must outlive the writer. \throws std::invalid_argument when
-  /// sample_rate is outside [0, 1] or head_limit is negative.
-  AccessLogWriter(std::ostream& out, AccessLogConfig config);
+  /// \p out must outlive the writer; \p context is echoed into the header
+  /// line (string-valued, like the run report's context). \throws
+  /// std::invalid_argument when sample_rate is outside [0, 1] or head_limit
+  /// is negative.
+  AccessLogWriter(std::ostream& out, AccessLogConfig config,
+                  const std::map<std::string, std::string>& context = {});
   ~AccessLogWriter();
   AccessLogWriter(const AccessLogWriter&) = delete;
   AccessLogWriter& operator=(const AccessLogWriter&) = delete;
-
-  /// Context echoed into the header line (string-valued, like the run
-  /// report's context). Call before close().
-  void set_context(const std::string& key, const std::string& value);
 
   /// True when the record with this id would be kept by the probabilistic
   /// filter -- callers may skip building the record otherwise.

@@ -21,11 +21,6 @@ Counter& Registry::counter(const std::string& name) {
   return it->second;
 }
 
-Gauge& Registry::gauge(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return gauges_[name];
-}
-
 TimerStat& Registry::timer(const std::string& name) {
   std::lock_guard<std::mutex> lock(mutex_);
   return timers_[name];
@@ -48,13 +43,6 @@ std::vector<std::string> Registry::counter_names() const {
   return counter_names_;
 }
 
-std::map<std::string, double> Registry::gauge_values() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::map<std::string, double> out;
-  for (const auto& [name, gauge] : gauges_) out[name] = gauge.value();
-  return out;
-}
-
 std::map<std::string, std::pair<std::uint64_t, double>>
 Registry::timer_values() const {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -74,7 +62,6 @@ std::map<std::string, std::vector<double>> Registry::series_values() const {
 void Registry::reset_all() {
   std::lock_guard<std::mutex> lock(mutex_);
   for (auto& [name, counter] : counters_) counter.reset();
-  for (auto& [name, gauge] : gauges_) gauge.reset();
   for (auto& [name, timer] : timers_) timer.reset();
   for (auto& [name, series] : series_) series.clear();
 }

@@ -1,7 +1,7 @@
 #pragma once
 
 /// \file obs.hpp
-/// Low-overhead instrumentation: counters, gauges, timers and RAII spans.
+/// Low-overhead instrumentation: counters, timers and RAII spans.
 ///
 /// The subsystem answers "where did the work and the time go?" for a solver
 /// run without perturbing it:
@@ -11,7 +11,6 @@
 ///    integer addition is commutative and every count reflects work whose
 ///    amount is fixed by the determinism contract (docs/PARALLEL.md), final
 ///    counter values are bit-identical for any thread count.
-///  - Gauge: last-write-wins double (configuration echoes, sizes).
 ///  - TimerStat / ScopedTimer: accumulated wall time + activation count per
 ///    named span. Wall times are inherently nondeterministic and are
 ///    therefore segregated from counters in every exported report
@@ -74,17 +73,6 @@ class Counter {
   std::uint32_t id_ = 0;  ///< registry-assigned, index into counter_names()
 };
 
-/// Last-write-wins double value.
-class Gauge {
- public:
-  void set(double value) { value_.store(value, std::memory_order_relaxed); }
-  double value() const { return value_.load(std::memory_order_relaxed); }
-  void reset() { value_.store(0.0, std::memory_order_relaxed); }
-
- private:
-  std::atomic<double> value_{0.0};
-};
-
 /// Accumulated wall time and activation count for one span name.
 class TimerStat {
  public:
@@ -114,7 +102,6 @@ class Registry {
   static Registry& instance();
 
   Counter& counter(const std::string& name);
-  Gauge& gauge(const std::string& name);
   TimerStat& timer(const std::string& name);
   /// Appends to the named series. Sequential-code-only (see file comment).
   void append_series(const std::string& name, double value);
@@ -125,7 +112,6 @@ class Registry {
   /// Counter names indexed by the id stamped into each Counter at
   /// registration; the profiler uses it to turn ids back into names.
   std::vector<std::string> counter_names() const;
-  std::map<std::string, double> gauge_values() const;
   /// name -> (calls, total milliseconds).
   std::map<std::string, std::pair<std::uint64_t, double>> timer_values() const;
   std::map<std::string, std::vector<double>> series_values() const;
@@ -140,7 +126,6 @@ class Registry {
   mutable std::mutex mutex_;
   std::map<std::string, Counter> counters_;
   std::vector<std::string> counter_names_;  ///< index == Counter::id_
-  std::map<std::string, Gauge> gauges_;
   std::map<std::string, TimerStat> timers_;
   std::map<std::string, std::vector<double>> series_;
 };
@@ -187,15 +172,6 @@ constexpr bool compiled_in() { return QPLACE_OBS != 0; }
         .add(static_cast<std::uint64_t>(delta));                       \
   } while (false)
 
-/// Sets the named gauge to `value`.
-#define QP_GAUGE_SET(name, value)                                      \
-  do {                                                                 \
-    static ::qp::obs::Gauge& QP_OBS_CONCAT(qp_obs_gauge_, __LINE__) = \
-        ::qp::obs::Registry::instance().gauge(name);                   \
-    QP_OBS_CONCAT(qp_obs_gauge_, __LINE__)                             \
-        .set(static_cast<double>(value));                              \
-  } while (false)
-
 /// Appends `value` to the named series. Sequential code only.
 #define QP_SERIES_APPEND(name, value)                     \
   ::qp::obs::Registry::instance().append_series(          \
@@ -206,8 +182,6 @@ constexpr bool compiled_in() { return QPLACE_OBS != 0; }
 #define QP_SPAN(name) static_cast<void>(0)
 #define QP_COUNTER_ADD(name, delta) \
   static_cast<void>(sizeof((name), (delta), 0))
-#define QP_GAUGE_SET(name, value) \
-  static_cast<void>(sizeof((name), (value), 0))
 #define QP_SERIES_APPEND(name, value) \
   static_cast<void>(sizeof((name), (value), 0))
 

@@ -93,16 +93,6 @@ std::string RunReport::to_json() const {
     }
     append_object(out, rendered);
   }
-  out += ", \"gauges\": ";
-  {
-    std::map<std::string, std::string> rendered;
-    for (const auto& [name, value] : registry.gauge_values()) {
-      std::string cell;
-      append_double(cell, value);
-      rendered[name] = cell;
-    }
-    append_object(out, rendered);
-  }
 #if defined(__unix__) || defined(__APPLE__)
   // Process-level resource footprint: wall-class data (the RSS peak depends
   // on scheduling, allocator behavior, and thread count), so it lives

@@ -16,7 +16,6 @@
 ///     },
 ///     "nondeterministic": {           // wall clock, scheduling, host
 ///       "timers": {"<name>": {"calls": <uint>, "total_ms": <double>}, ...},
-///       "gauges": {"<name>": <double>, ...},
 ///       "resources": {"max_rss_kb": <uint>,  // getrusage(); POSIX only
 ///                     "page_faults_major": <uint>,
 ///                     "page_faults_minor": <uint>},
@@ -27,7 +26,7 @@
 /// The deterministic/nondeterministic split is load-bearing: tests and CI
 /// compare the "deterministic" subtree byte-for-byte between `--threads 1`
 /// and `--threads 8` runs (the docs/PARALLEL.md contract extended to
-/// observability), while timers/gauges/pool live where no such promise is
+/// observability), while timers/resources/pool live where no such promise is
 /// made. Keys inside each object are emitted in sorted order so equal data
 /// serializes to equal bytes.
 

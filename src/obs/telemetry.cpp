@@ -108,8 +108,6 @@ void MetricsSnapshotter::sample(double sim_time,
                 std::chrono::duration<double, std::milli>(
                     std::chrono::steady_clock::now() - epoch_)
                     .count());
-  line += ", \"gauges\": ";
-  append_object(line, rendered_numbers(registry.gauge_values()));
   line += "}}\n";
   // One write plus a flush per line: a reader tailing the file sees whole
   // samples (at most a trailing partial line while a write is in flight).

@@ -7,7 +7,7 @@
 /// become visible only after a run exits. This file adds the *online* view
 /// (docs/OBSERVABILITY.md §8):
 ///
-///  - MetricsSnapshotter: samples the obs Registry (counters, gauges) plus
+///  - MetricsSnapshotter: samples the obs Registry's counters plus
 ///    caller-registered LogHistograms and caller-provided values, and
 ///    streams each sample as one `qplace.timeseries.v2` JSONL line the
 ///    moment it is taken, so `tail -f` of the series file is the live view.
@@ -42,7 +42,7 @@ namespace qp::obs {
 ///   {"deterministic": {"t": <sim_time>, "counters": {...},
 ///                      "values": {...}, "histograms": {<name>:
 ///                      {"count": N, "sum": S, "p50": q|null, ...}}},
-///    "nondeterministic": {"wall_ms": W, "gauges": {...}}}
+///    "nondeterministic": {"wall_ms": W}}
 /// Histogram quantiles are null while the histogram is empty (there is no
 /// sample to bound; see LogHistogram::quantile).
 class MetricsSnapshotter {
@@ -60,8 +60,8 @@ class MetricsSnapshotter {
   /// returning); re-registering a name replaces the pointer.
   void watch_histogram(const std::string& name, const LogHistogram* histogram);
 
-  /// Takes one sample keyed by \p sim_time -- all Registry counters and
-  /// gauges, every watched histogram, plus the caller-provided deterministic
+  /// Takes one sample keyed by \p sim_time -- all Registry counters, every
+  /// watched histogram, plus the caller-provided deterministic
   /// \p values (e.g. the simulator's current availability) -- and appends
   /// it to the stream as one complete, flushed line.
   void sample(double sim_time,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <istream>
+#include <optional>
 #include <random>
 #include <sstream>
 #include <stdexcept>
@@ -95,6 +96,19 @@ std::vector<int> int_array(const obs::json::Value& value, const char* key,
   }
   return out;
 }
+
+/// Poisson event counts at one rate. std::poisson_distribution requires a
+/// positive mean, so a zero rate builds no distribution and draws 0 without
+/// touching the RNG; a positive rate keeps one distribution for all draws.
+struct PoissonCount {
+  explicit PoissonCount(double mean) {
+    if (mean > 0.0) distribution.emplace(mean);
+  }
+  int operator()(std::mt19937_64& rng) {
+    return distribution ? (*distribution)(rng) : 0;
+  }
+  std::optional<std::poisson_distribution<int>> distribution;
+};
 
 }  // namespace
 
@@ -347,9 +361,9 @@ FaultSchedule random_fault_schedule(int num_nodes, double duration,
   std::vector<PartitionWindow> partitions;
   std::vector<GrayWindow> gray;
 
-  std::poisson_distribution<int> crash_count(options.crash_rate);
+  PoissonCount crash_count(options.crash_rate);
   for (int node = 0; node < num_nodes; ++node) {
-    const int count = options.crash_rate > 0.0 ? crash_count(rng) : 0;
+    const int count = crash_count(rng);
     for (int i = 0; i < count; ++i) {
       CrashWindow w;
       w.node = node;
@@ -359,9 +373,7 @@ FaultSchedule random_fault_schedule(int num_nodes, double duration,
     }
   }
 
-  std::poisson_distribution<int> partition_count(options.partition_rate);
-  const int partitions_drawn =
-      options.partition_rate > 0.0 ? partition_count(rng) : 0;
+  const int partitions_drawn = PoissonCount(options.partition_rate)(rng);
   for (int i = 0; i < partitions_drawn && num_nodes >= 2; ++i) {
     // A random non-trivial cut of a seeded shuffle.
     std::vector<int> order(static_cast<std::size_t>(num_nodes));
@@ -379,9 +391,9 @@ FaultSchedule random_fault_schedule(int num_nodes, double duration,
     partitions.push_back(std::move(w));
   }
 
-  std::poisson_distribution<int> gray_count(options.gray_rate);
+  PoissonCount gray_count(options.gray_rate);
   for (int node = 0; node < num_nodes; ++node) {
-    const int count = options.gray_rate > 0.0 ? gray_count(rng) : 0;
+    const int count = gray_count(rng);
     for (int i = 0; i < count; ++i) {
       GrayWindow w;
       w.node = node;

@@ -77,9 +77,8 @@ std::vector<obs::AccessRecord> sample_records() {
 std::string write_log(const std::vector<obs::AccessRecord>& records,
                       obs::AccessLogConfig config) {
   std::ostringstream out;
-  obs::AccessLogWriter writer(out, config);
-  writer.set_context("mode", "parallel");
-  writer.set_context("seed", "1");
+  obs::AccessLogWriter writer(out, config,
+                              {{"mode", "parallel"}, {"seed", "1"}});
   for (const obs::AccessRecord& record : records) {
     if (writer.sampled(record.id)) writer.record(record);
   }
@@ -612,7 +611,7 @@ obs::json::Value make_report(const std::string& counters,
       "{\"schema\": \"qplace.run_report.v1\", \"context\": " + context +
       ", \"deterministic\": {\"counters\": " + counters +
       ", \"series\": {}, \"histograms\": {}}, "
-      "\"nondeterministic\": {\"timers\": {}, \"gauges\": {}}}");
+      "\"nondeterministic\": {\"timers\": {}}}");
 }
 
 TEST(ReportDiff, ZeroDriftOnIdenticalCounters) {

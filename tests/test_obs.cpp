@@ -1,5 +1,5 @@
 /// Unit tests for the instrumentation layer (src/obs/, docs/OBSERVABILITY.md):
-/// counter/gauge/timer/registry semantics, trace JSON well-formedness,
+/// counter/timer/registry semantics, trace JSON well-formedness,
 /// histogram quantiles against exact sorted-sample quantiles, and the
 /// run-report schema. The whole file also compiles (and the macro tests stay
 /// meaningful) under -DQPLACE_OBS=OFF via obs::compiled_in().
@@ -70,14 +70,6 @@ TEST(Obs, RegistryReturnsStableInstruments) {
   // Addresses survive reset_all(); values are zeroed but stay listed.
   EXPECT_EQ(&registry.counter("test.registry_stable"), &a);
   EXPECT_EQ(registry.counter_values().at("test.registry_stable"), 0u);
-}
-
-TEST(Obs, GaugeIsLastWriteWins) {
-  obs::Registry& registry = obs::Registry::instance();
-  registry.reset_all();
-  registry.gauge("test.gauge").set(1.5);
-  registry.gauge("test.gauge").set(-2.25);
-  EXPECT_EQ(registry.gauge_values().at("test.gauge"), -2.25);
 }
 
 TEST(Obs, SeriesPreservesAppendOrder) {

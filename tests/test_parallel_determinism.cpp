@@ -256,8 +256,8 @@ TEST(ParallelDeterminism, LocalSearchTrajectoryBitIdentical) {
 TEST(ParallelDeterminism, ObsCountersAndSeriesBitIdentical) {
   // The observability extension of the contract (docs/OBSERVABILITY.md):
   // every counter total and every series trajectory in the registry must be
-  // bit-identical whether the pool has 1 thread or 8. Timers/gauges carry
-  // wall time and are deliberately excluded.
+  // bit-identical whether the pool has 1 thread or 8. Timers carry wall
+  // time and are deliberately excluded.
   const std::vector<NamedInstance> instances = make_instances();
   const auto run = [&](int threads) {
     obs::Registry::instance().reset_all();

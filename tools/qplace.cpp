@@ -15,26 +15,27 @@
 /// total (Thm 5.1), grid (Thm 1.3 via Sec 4.1), majority (Thm 1.3 via
 /// Sec 4.2). Capacities are uniform: --cap multiplies the max element load.
 ///
-/// `check` solves like `solve` (algorithms qpp | ssqpp | total | majority),
-/// then re-derives the LP lower bounds and verifies every reported
-/// approximation guarantee (Thm 1.2 / Thm 3.7 / Thm 5.1 / Eq. (19)) with
-/// check::check_certificate. Exit code 0 iff the whole certificate holds.
+/// `check` solves like `solve` (one algorithm table; grid has no
+/// certificate), then re-derives the LP lower bounds and verifies every
+/// reported approximation guarantee (Thm 1.2 / Thm 3.7 / Thm 5.1 / Eq. (19))
+/// with check::check_certificate. Exit code 0 iff the whole certificate holds.
 ///
 /// `analyze --access-log` rebuilds the instance and placement from the same
-/// flags the `simulate` run used (both are deterministic), replays the
-/// logged accesses, and cross-checks empirical Delta_f / Gamma_f and
-/// observed per-node load against the analytic evaluators and the
-/// certificate's (alpha+1)-cap bound. `analyze --diff A --against B`
-/// structurally diffs two run reports (counter deltas gated by
-/// --tolerance; wall times reported but never gated) -- the work-counter
-/// regression gate (ctest cli_counter_gate, docs/OBSERVABILITY.md §7).
+/// flags the `simulate` run used (both place with the qpp entry at its
+/// defaults), replays the logged accesses, and cross-checks empirical
+/// Delta_f / Gamma_f and observed per-node load against the analytic
+/// evaluators and the certificate's (alpha+1)-cap bound.
+/// `analyze --diff A --against B` structurally diffs two run reports
+/// (counter deltas gated by --tolerance; wall times reported but never
+/// gated) -- the work-counter regression gate (ctest cli_counter_gate,
+/// docs/OBSERVABILITY.md §7).
 
 #include <cmath>
 #include <cstdint>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <map>
-#include <memory>
 #include <optional>
 #include <random>
 #include <sstream>
@@ -238,8 +239,13 @@ class ObsSession {
   obs::RunReport report_;
 };
 
-/// Session of the current invocation; commands may add histograms etc.
-ObsSession* g_obs = nullptr;
+/// Dispatch entry: a command name, or the flag selecting an analyze mode.
+/// The handler's \p session collects run-report context and histograms.
+using Handler = int (*)(const cli::ParsedArgs& args, ObsSession& session);
+struct Route {
+  const char* key;
+  Handler run;
+};
 
 /// Uniform capacities: --cap (default 1.2) times the max element load.
 std::vector<double> capacities_for(const cli::ParsedArgs& args,
@@ -264,7 +270,8 @@ struct InstanceBundle {
   std::string digest;  ///< core::instance_digest_hex(instance)
 };
 
-InstanceBundle build_instance(const cli::ParsedArgs& args) {
+InstanceBundle build_instance(const cli::ParsedArgs& args,
+                              ObsSession& session) {
   std::mt19937_64 rng(static_cast<std::uint64_t>(args.get_int("seed", 1)));
   graph::Graph g = cli::make_topology(args, rng);
   const graph::Metric metric = graph::Metric::from_graph(g);
@@ -275,10 +282,147 @@ InstanceBundle build_instance(const cli::ParsedArgs& args) {
       capacities_for(args, system, strategy, g.num_nodes());
   core::QppInstance instance(metric, caps, system, strategy);
   std::string digest = core::instance_digest_hex(instance);
-  if (g_obs != nullptr) {
-    g_obs->report().set_context("instance_digest", digest);
-  }
+  session.report().set_context("instance_digest", digest);
   return InstanceBundle{std::move(g), std::move(instance), std::move(digest)};
+}
+
+/// A placement as `solve` prints it and `check` certifies it.
+struct Solution {
+  core::Placement placement;
+  std::string detail;   ///< `solve`'s note after the algorithm name
+  int relay = -1;       ///< the Thm 1.2 relay v0 (qpp)
+  double alpha = 2.0;   ///< the alpha solved with (qpp, ssqpp)
+  std::string claim{};  ///< `check`'s claim line; empty without a certifier
+  /// Certifies this very result; empty without a certifier.
+  std::function<check::Certificate(const check::CertificateOptions&)>
+      certify{};
+};
+
+/// One --algorithm, declared once for every command that places.
+struct Algorithm {
+  const char* name;
+  const char* infeasible;  ///< printed when no placement exists
+  bool certified;          ///< place() attaches claim + certify
+  /// Places on \p instance, reading only this algorithm's own flags.
+  std::optional<Solution> (*place)(const core::QppInstance& instance,
+                                   const cli::ParsedArgs& args);
+};
+
+const Algorithm kAlgorithms[] = {
+    {"qpp", "infeasible: no capacity-respecting fractional placement", true,
+     [](const auto& instance, const auto& args) -> std::optional<Solution> {
+       core::QppSolveOptions solve_options;
+       solve_options.alpha = args.get_double("alpha", 2.0);
+       const auto result = core::solve_qpp(instance, solve_options);
+       if (!result) return std::nullopt;
+       const std::string relay =
+           "relay v0 = " + std::to_string(result->chosen_source);
+       return Solution{
+           .placement = result->placement,
+           .detail = relay,
+           .relay = result->chosen_source,
+           .alpha = solve_options.alpha,
+           .claim = "Thm 1.2 (5a/(a-1)-approx, load <= (a+1) cap), " + relay,
+           .certify = [&instance, r = *result](const auto& options) {
+             return check::check_certificate(instance, r, options);
+           }};
+     }},
+    {"ssqpp", "infeasible", true,
+     [](const auto& instance, const auto& args) -> std::optional<Solution> {
+       core::SsqppInstance view =
+           core::single_source_view(instance, args.get_int("source", 0));
+       const double alpha = args.get_double("alpha", 2.0);
+       const auto result = core::solve_ssqpp(view, alpha);
+       if (!result) return std::nullopt;
+       return Solution{
+           .placement = result->placement,
+           .detail = "Z* = " + report::Table::num(result->lp_objective, 4),
+           .alpha = alpha,
+           .claim = "Thm 3.7 (a/(a-1)-approx vs Z*, load <= (a+1) cap)",
+           .certify = [view = std::move(view),
+                       r = *result](const auto& options) {
+             return check::check_certificate(view, r, options);
+           }};
+     }},
+    {"total", "infeasible", true,
+     [](const auto& instance, const auto& /*args*/) -> std::optional<Solution> {
+       const auto result = core::solve_total_delay(instance);
+       if (!result) return std::nullopt;
+       return Solution{
+           .placement = result->placement,
+           .detail = "GAP LP = " + report::Table::num(result->lp_objective, 4),
+           .claim = "Thm 5.1 (cost <= GAP LP <= OPT, load <= 2 cap)",
+           .certify = [&instance, r = *result](const auto& options) {
+             return check::check_certificate(instance, r, options);
+           }};
+     }},
+    {"grid", "infeasible: not enough capacity slots", false,
+     [](const auto& instance, const auto& args) -> std::optional<Solution> {
+       const auto result = core::solve_qpp_grid(instance, args.get_int("k", 3));
+       if (!result) return std::nullopt;
+       return Solution{result->placement,
+                       "source = " + std::to_string(result->chosen_source)};
+     }},
+    {"majority", "infeasible: not enough capacity slots", true,
+     [](const auto& instance, const auto& args) -> std::optional<Solution> {
+       const int n = args.get_int("n", 5);
+       const int t = args.get_int("t", n / 2 + 1);
+       const auto result = core::solve_qpp_majority(instance, t);
+       if (!result) return std::nullopt;
+       const std::string source =
+           "source = " + std::to_string(result->chosen_source);
+       return Solution{
+           .placement = result->placement,
+           .detail = source,
+           .claim =
+               "Eq. (19) closed form + exact capacity respect (Thm 1.3), " +
+               source,
+           .certify = [&instance, r = *result, t](const auto& options) {
+             // The Thm 1.3 result is the Sec 4.2 layout at its chosen
+             // source: certify the printed placement there, against that
+             // layout's Eq. (19) value.
+             const core::SsqppInstance view =
+                 core::single_source_view(instance, r.chosen_source);
+             const core::MajorityLayoutResult printed{
+                 r.placement, r.source_delay,
+                 core::majority_layout(view, t).value().formula_delay};
+             return check::check_certificate(view, printed, t, options);
+           }};
+     }},
+};
+
+/// The entry named \p name, or nullptr after a usage error listing the
+/// names (only the certifiable ones when \p certified_only).
+const Algorithm* find_algorithm(const std::string& name,
+                                bool certified_only) {
+  bool known = false;
+  std::string names;
+  for (const Algorithm& algorithm : kAlgorithms) {
+    known = known || name == algorithm.name;
+    if (certified_only && !algorithm.certified) continue;
+    if (name == algorithm.name) return &algorithm;
+    names += (names.empty() ? "" : "|") + std::string(algorithm.name);
+  }
+  std::cerr << (known ? "no certificate for" : "unknown") << " --algorithm '"
+            << name << "' (" << names << ")\n";
+  return nullptr;
+}
+
+/// Runs \p algorithm, printing its infeasible message when it finds no
+/// placement.
+std::optional<Solution> place(const Algorithm& algorithm,
+                              const core::QppInstance& instance,
+                              const cli::ParsedArgs& args) {
+  std::optional<Solution> solution = algorithm.place(instance, args);
+  if (!solution) std::cerr << algorithm.infeasible << "\n";
+  return solution;
+}
+
+/// The placement `simulate` runs and `analyze --access-log` replays: the
+/// qpp entry at its defaults, so both rebuild the same one.
+std::optional<Solution> default_placement(const core::QppInstance& instance) {
+  return place(*find_algorithm("qpp", /*certified_only=*/false), instance,
+               cli::ParsedArgs("qpp", {}));
 }
 
 /// Reads and parses a whole JSON document (run report or bench baseline).
@@ -305,7 +449,7 @@ sim::FaultSchedule load_faults_file(const std::string& path) {
   return sim::load_fault_schedule(in);
 }
 
-int cmd_topology(const cli::ParsedArgs& args) {
+int cmd_topology(const cli::ParsedArgs& args, ObsSession& /*session*/) {
   std::mt19937_64 rng(
       static_cast<std::uint64_t>(args.get_int("seed", 1)));
   const graph::Graph g = cli::make_topology(args, rng);
@@ -319,7 +463,8 @@ int cmd_topology(const cli::ParsedArgs& args) {
 /// the log header, and the empirical Delta/Gamma and observed loads are
 /// cross-checked against the evaluators and the certificate's load bound.
 /// Exit 0 = all checks pass, 1 = a check failed, 2 = wrong instance.
-int cmd_analyze_access_log(const cli::ParsedArgs& args) {
+int cmd_analyze_access_log(const cli::ParsedArgs& args,
+                           ObsSession& session) {
   const std::string path = args.get("access-log", "");
   std::ifstream in(path);
   if (!in) {
@@ -328,7 +473,7 @@ int cmd_analyze_access_log(const cli::ParsedArgs& args) {
   }
   const obs::ParsedAccessLog log = obs::parse_access_log(in);
 
-  const InstanceBundle bundle = build_instance(args);
+  const InstanceBundle bundle = build_instance(args, session);
   const std::string log_digest = log.context_or("instance_digest", "");
   if (!log_digest.empty() && log_digest != bundle.digest) {
     std::cerr << "error: instance digest mismatch: access log has "
@@ -338,14 +483,10 @@ int cmd_analyze_access_log(const cli::ParsedArgs& args) {
     return 2;
   }
 
-  // Same solver invocation `qplace simulate` used, so the placement the
-  // log was recorded for is reproduced exactly.
-  core::QppSolveOptions solve_options;
-  const auto solved = core::solve_qpp(bundle.instance, solve_options);
-  if (!solved) {
-    std::cerr << "infeasible\n";
-    return 1;
-  }
+  // The placement `qplace simulate` ran, so the one the log was recorded
+  // for is reproduced exactly.
+  const auto solved = default_placement(bundle.instance);
+  if (!solved) return 1;
 
   // Optional fault schedule: digest-matched against the log header, then
   // handed to the analyzer for the retry/availability cross-checks.
@@ -365,7 +506,7 @@ int cmd_analyze_access_log(const cli::ParsedArgs& args) {
   }
 
   obs::AnalyzeOptions options;
-  options.alpha = args.get_double("alpha", 2.0);
+  options.alpha = solved->alpha;  // the alpha that placed the log
   options.z = args.get_double("z", 1.96);
   options.min_samples = args.get_int("min-samples", 10);
   options.load_slack = args.get_double("load-slack", 0.05);
@@ -508,7 +649,7 @@ int drift_verdict(double drift, double tolerance,
 /// and never gated. Exit 0 = within tolerance, 1 = drift, 2 = not
 /// comparable (schema or instance digest mismatch, malformed counter,
 /// unreadable file) or a bad --tolerance.
-int cmd_analyze_diff(const cli::ParsedArgs& args) {
+int cmd_analyze_diff(const cli::ParsedArgs& args, ObsSession& /*session*/) {
   const std::string base_path = args.get("diff", "");
   const std::string cand_path = args.require("against");
   const double tolerance = drift_tolerance(args);
@@ -615,7 +756,8 @@ int cmd_analyze_diff(const cli::ParsedArgs& args) {
 /// attribution is deterministic and gated on T (default 0, like --diff);
 /// per-node wall time is nondeterministic and reported, never gated. Exit
 /// codes as for --diff.
-int cmd_analyze_profile_diff(const cli::ParsedArgs& args) {
+int cmd_analyze_profile_diff(const cli::ParsedArgs& args,
+                             ObsSession& /*session*/) {
   const std::string base_path = args.get("profile-diff", "");
   const std::string cand_path = args.require("against");
   const double tolerance = drift_tolerance(args);
@@ -682,7 +824,7 @@ int cmd_analyze_profile_diff(const cli::ParsedArgs& args) {
 /// recorded Chrome trace with the access log of the same run (the rules
 /// live in analyze/trace_check.hpp). Exit 0 = every logged access is
 /// explained by its span tree, 1 = a mismatch, 2 = unreadable input.
-int cmd_analyze_trace(const cli::ParsedArgs& args) {
+int cmd_analyze_trace(const cli::ParsedArgs& args, ObsSession& /*session*/) {
   const std::string trace_path = args.get("trace", "");
   const std::string log_path = args.require("access-log");
   obs::TraceCheckOptions options;
@@ -738,12 +880,8 @@ int cmd_analyze_trace(const cli::ParsedArgs& args) {
   return result.ok() ? 0 : 1;
 }
 
-int cmd_analyze(const cli::ParsedArgs& args) {
-  // --trace first: it also takes --access-log, so it must win the dispatch.
-  if (args.has("trace")) return cmd_analyze_trace(args);
-  if (args.has("profile-diff")) return cmd_analyze_profile_diff(args);
-  if (args.has("diff")) return cmd_analyze_diff(args);
-  if (args.has("access-log")) return cmd_analyze_access_log(args);
+/// `qplace analyze` without a mode flag: quality metrics of the system.
+int cmd_analyze_system(const cli::ParsedArgs& args, ObsSession& /*session*/) {
   const quorum::QuorumSystem system = cli::make_system(args);
   const double p = args.get_double("p", 0.1);
   std::cout << system.describe() << "\n";
@@ -772,165 +910,74 @@ int cmd_analyze(const cli::ParsedArgs& args) {
   return 0;
 }
 
-int cmd_solve(const cli::ParsedArgs& args) {
-  const InstanceBundle bundle = build_instance(args);
-  const core::QppInstance& instance = bundle.instance;
-  const graph::Graph& g = bundle.graph;
-
-  const std::string algorithm = args.get("algorithm", "qpp");
-  core::Placement placement;
-  std::string detail;
-  if (algorithm == "qpp") {
-    core::QppSolveOptions options;
-    options.alpha = args.get_double("alpha", 2.0);
-    const auto result = core::solve_qpp(instance, options);
-    if (!result) {
-      std::cerr << "infeasible: no capacity-respecting fractional placement\n";
-      return 1;
-    }
-    placement = result->placement;
-    detail = "relay v0 = " + std::to_string(result->chosen_source);
-  } else if (algorithm == "ssqpp") {
-    const core::SsqppInstance view(instance.metric(), instance.capacities(),
-                                   instance.system(), instance.strategy(),
-                                   args.get_int("source", 0));
-    const auto result =
-        core::solve_ssqpp(view, args.get_double("alpha", 2.0));
-    if (!result) {
-      std::cerr << "infeasible\n";
-      return 1;
-    }
-    placement = result->placement;
-    detail = "Z* = " + report::Table::num(result->lp_objective, 4);
-  } else if (algorithm == "total") {
-    const auto result = core::solve_total_delay(instance);
-    if (!result) {
-      std::cerr << "infeasible\n";
-      return 1;
-    }
-    placement = result->placement;
-    detail = "GAP LP = " + report::Table::num(result->lp_objective, 4);
-  } else if (algorithm == "grid") {
-    const auto result =
-        core::solve_qpp_grid(instance, args.get_int("k", 3));
-    if (!result) {
-      std::cerr << "infeasible: not enough capacity slots\n";
-      return 1;
-    }
-    placement = result->placement;
-    detail = "source = " + std::to_string(result->chosen_source);
-  } else if (algorithm == "majority") {
-    const int n = args.get_int("n", 5);
-    const auto result =
-        core::solve_qpp_majority(instance, args.get_int("t", n / 2 + 1));
-    if (!result) {
-      std::cerr << "infeasible: not enough capacity slots\n";
-      return 1;
-    }
-    placement = result->placement;
-    detail = "source = " + std::to_string(result->chosen_source);
-  } else {
-    std::cerr << "unknown --algorithm '" << algorithm
-              << "' (qpp|ssqpp|total|grid|majority)\n";
-    return 2;
+int cmd_analyze(const cli::ParsedArgs& args, ObsSession& session) {
+  // The first mode flag present selects: --trace leads because it also
+  // takes --access-log.
+  static const Route kModes[] = {{"trace", cmd_analyze_trace},
+                                 {"profile-diff", cmd_analyze_profile_diff},
+                                 {"diff", cmd_analyze_diff},
+                                 {"access-log", cmd_analyze_access_log}};
+  for (const Route& mode : kModes) {
+    if (args.has(mode.key)) return mode.run(args, session);
   }
+  return cmd_analyze_system(args, session);
+}
 
-  std::cout << "algorithm: " << algorithm << " (" << detail << ")\n"
-            << core::evaluate_placement(instance, placement).to_string();
+int cmd_solve(const cli::ParsedArgs& args, ObsSession& session) {
+  const InstanceBundle bundle = build_instance(args, session);
+  const Algorithm* algorithm =
+      find_algorithm(args.get("algorithm", "qpp"), /*certified_only=*/false);
+  if (algorithm == nullptr) return 2;
+  const auto solution = place(*algorithm, bundle.instance, args);
+  if (!solution) return 1;
+  const core::Placement& placement = solution->placement;
+
+  std::cout << "algorithm: " << algorithm->name << " (" << solution->detail
+            << ")\n"
+            << core::evaluate_placement(bundle.instance, placement).to_string();
   std::cout << "placement:";
   for (std::size_t u = 0; u < placement.size(); ++u) {
     std::cout << " u" << u << "->n" << placement[u];
   }
   std::cout << "\n";
   if (args.has("dot")) {
-    std::cout << report::placement_to_dot(g, placement);
+    std::cout << report::placement_to_dot(bundle.graph, placement);
   }
   return 0;
 }
 
 /// `qplace check`: run a solver, then machine-verify every bound it claims.
-int cmd_check(const cli::ParsedArgs& args) {
-  const InstanceBundle bundle = build_instance(args);
-  const core::QppInstance& instance = bundle.instance;
-
+int cmd_check(const cli::ParsedArgs& args, ObsSession& session) {
+  const InstanceBundle bundle = build_instance(args, session);
   const check::ValidationReport instance_report =
-      check::validate_instance(instance);
+      check::validate_instance(bundle.instance);
   if (!instance_report.ok()) {
     std::cerr << "instance invalid:\n" << instance_report.to_string();
     return 1;
   }
-
   check::CertificateOptions options;
   options.alpha = args.get_double("alpha", 2.0);
-  const std::string algorithm = args.get("algorithm", "qpp");
-  check::Certificate certificate;
-  std::string claim;
-  if (algorithm == "qpp") {
-    core::QppSolveOptions solve_options;
-    solve_options.alpha = options.alpha;
-    const auto result = core::solve_qpp(instance, solve_options);
-    if (!result) {
-      std::cerr << "infeasible: no capacity-respecting fractional placement\n";
-      return 1;
-    }
-    certificate = check::check_certificate(instance, *result, options);
-    claim = "Thm 1.2 (5a/(a-1)-approx, load <= (a+1) cap), relay v0 = " +
-            std::to_string(result->chosen_source);
-  } else if (algorithm == "ssqpp") {
-    const core::SsqppInstance view(instance.metric(), instance.capacities(),
-                                   instance.system(), instance.strategy(),
-                                   args.get_int("source", 0));
-    const auto result = core::solve_ssqpp(view, options.alpha);
-    if (!result) {
-      std::cerr << "infeasible\n";
-      return 1;
-    }
-    certificate = check::check_certificate(view, *result, options);
-    claim = "Thm 3.7 (a/(a-1)-approx vs Z*, load <= (a+1) cap)";
-  } else if (algorithm == "total") {
-    const auto result = core::solve_total_delay(instance);
-    if (!result) {
-      std::cerr << "infeasible\n";
-      return 1;
-    }
-    certificate = check::check_certificate(instance, *result, options);
-    claim = "Thm 5.1 (cost <= GAP LP <= OPT, load <= 2 cap)";
-  } else if (algorithm == "majority") {
-    const int n = args.get_int("n", 5);
-    const int t = args.get_int("t", n / 2 + 1);
-    const core::SsqppInstance view(instance.metric(), instance.capacities(),
-                                   instance.system(), instance.strategy(),
-                                   args.get_int("source", 0));
-    const auto result = core::majority_layout(view, t);
-    if (!result) {
-      std::cerr << "infeasible: not enough capacity slots\n";
-      return 1;
-    }
-    certificate = check::check_certificate(view, *result, t, options);
-    claim = "Eq. (19) closed form + exact capacity respect (Thm 1.3)";
-  } else {
-    std::cerr << "unknown --algorithm '" << algorithm
-              << "' (qpp|ssqpp|total|majority)\n";
-    return 2;
-  }
+  const Algorithm* algorithm =
+      find_algorithm(args.get("algorithm", "qpp"), /*certified_only=*/true);
+  if (algorithm == nullptr) return 2;
+  const auto solution = place(*algorithm, bundle.instance, args);
+  if (!solution) return 1;
+  const check::Certificate certificate = solution->certify(options);
 
-  std::cout << "certificate for " << algorithm << ": " << claim << "\n"
+  std::cout << "certificate for " << algorithm->name << ": "
+            << solution->claim << "\n"
             << certificate.to_string()
             << (certificate.ok() ? "CERTIFIED: all bounds hold\n"
                                  : "FAILED: some bound is violated\n");
   return certificate.ok() ? 0 : 1;
 }
 
-int cmd_simulate(const cli::ParsedArgs& args) {
-  const InstanceBundle bundle = build_instance(args);
+int cmd_simulate(const cli::ParsedArgs& args, ObsSession& session) {
+  const InstanceBundle bundle = build_instance(args, session);
   const core::QppInstance& instance = bundle.instance;
 
-  core::QppSolveOptions options;
-  const auto solved = core::solve_qpp(instance, options);
-  if (!solved) {
-    std::cerr << "infeasible\n";
-    return 1;
-  }
+  const auto solved = default_placement(instance);
+  if (!solved) return 1;
   sim::SimulationConfig config;
   config.duration = args.get_double("duration", 1000.0);
   config.arrival_rate_per_client = args.get_double("rate", 1.0);
@@ -950,7 +997,7 @@ int cmd_simulate(const cli::ParsedArgs& args) {
                    "(Thm 1.2); drop it or use --mode parallel\n";
       return 2;
     }
-    config.relay_node = solved->chosen_source;
+    config.relay_node = solved->relay;
   }
 
   // Fault injection (docs/SIMULATION.md): a deterministic schedule plus the
@@ -972,10 +1019,16 @@ int cmd_simulate(const cli::ParsedArgs& args) {
     config.faults = &faults;
   }
 
+  // Header context of the streamed artifacts; each adds its own keys.
+  const std::map<std::string, std::string> context{
+      {"instance_digest", bundle.digest}, {"git_sha", QPLACE_GIT_SHA},
+      {"seed", std::to_string(config.seed)},
+      {"duration", report::Table::num(config.duration, 6)}};
+
   // Optional per-access event log (schema qplace.access_log.v2).
   const std::string log_path = args.get("access-log", "");
   std::ofstream log_stream;
-  std::unique_ptr<obs::AccessLogWriter> log_writer;
+  std::optional<obs::AccessLogWriter> log_writer;
   if (!log_path.empty()) {
     log_stream.open(log_path);
     if (!log_stream) {
@@ -988,44 +1041,29 @@ int cmd_simulate(const cli::ParsedArgs& args) {
     log_config.head_limit = args.get_int("access-log-head", 0);
     log_config.sample_seed =
         static_cast<std::uint64_t>(args.get_int("access-log-seed", 0));
-    log_writer =
-        std::make_unique<obs::AccessLogWriter>(log_stream, log_config);
     // Everything `qplace analyze --access-log` needs to rebuild the
     // instance/model and to refuse a mismatched one.
-    log_writer->set_context("instance_digest", bundle.digest);
-    log_writer->set_context("git_sha", QPLACE_GIT_SHA);
-    log_writer->set_context(
-        "mode", config.mode == sim::AccessMode::kSequential ? "sequential"
-                                                            : "parallel");
-    log_writer->set_context("relay", std::to_string(config.relay_node));
-    log_writer->set_context("seed", std::to_string(config.seed));
-    log_writer->set_context("duration",
-                            report::Table::num(config.duration, 6));
-    log_writer->set_context("warmup", report::Table::num(config.warmup, 6));
-    log_writer->set_context("jitter",
-                            report::Table::num(config.latency_jitter, 6));
-    log_writer->set_context("service_rate",
-                            report::Table::num(config.service_rate, 6));
-    log_writer->set_context("rate",
-                            report::Table::num(
-                                config.arrival_rate_per_client, 6));
-    log_writer->set_context("sample_rate",
-                            report::Table::num(log_config.sample_rate, 6));
-    log_writer->set_context("head_limit",
-                            std::to_string(log_config.head_limit));
-    log_writer->set_context("sample_seed",
-                            std::to_string(log_config.sample_seed));
+    std::map<std::string, std::string> log_context = context;
+    log_context.insert(
+        {{"mode", config.mode == sim::AccessMode::kSequential ? "sequential"
+                                                               : "parallel"},
+         {"relay", std::to_string(config.relay_node)},
+         {"warmup", report::Table::num(config.warmup, 6)},
+         {"jitter", report::Table::num(config.latency_jitter, 6)},
+         {"service_rate", report::Table::num(config.service_rate, 6)},
+         {"rate", report::Table::num(config.arrival_rate_per_client, 6)},
+         {"sample_rate", report::Table::num(log_config.sample_rate, 6)},
+         {"head_limit", std::to_string(log_config.head_limit)},
+         {"sample_seed", std::to_string(log_config.sample_seed)}});
     if (config.faults != nullptr) {
-      log_writer->set_context("fault_digest",
-                              sim::fault_schedule_digest(*config.faults));
-      log_writer->set_context("timeout",
-                              report::Table::num(config.probe_timeout, 6));
-      log_writer->set_context("retries",
-                              std::to_string(config.max_attempts));
-      log_writer->set_context("backoff",
-                              report::Table::num(config.retry_backoff, 6));
+      log_context.insert(
+          {{"fault_digest", sim::fault_schedule_digest(*config.faults)},
+           {"timeout", report::Table::num(config.probe_timeout, 6)},
+           {"retries", std::to_string(config.max_attempts)},
+           {"backoff", report::Table::num(config.retry_backoff, 6)}});
     }
-    config.access_log = log_writer.get();
+    log_writer.emplace(log_stream, log_config, log_context);
+    config.access_log = &*log_writer;
   }
 
   // Analytic mean delay for this access model -- printed in the summary
@@ -1068,14 +1106,10 @@ int cmd_simulate(const cli::ParsedArgs& args) {
                 << "' for writing\n";
       return 2;
     }
-    snapshotter.emplace(
-        series_stream,
-        std::map<std::string, std::string>{
-            {"instance_digest", bundle.digest},
-            {"git_sha", QPLACE_GIT_SHA},
-            {"seed", std::to_string(config.seed)},
-            {"duration", report::Table::num(config.duration, 6)},
-            {"interval", report::Table::num(telemetry_interval, 6)}});
+    std::map<std::string, std::string> series_context = context;
+    series_context.emplace("interval",
+                           report::Table::num(telemetry_interval, 6));
+    snapshotter.emplace(series_stream, series_context);
     config.telemetry = &*snapshotter;
     config.telemetry_interval = telemetry_interval;
   }
@@ -1105,18 +1139,16 @@ int cmd_simulate(const cli::ParsedArgs& args) {
     std::cerr << "telemetry: " << snapshotter->samples() << " snapshots -> "
               << series_path << "\n";
   }
-  if (log_writer != nullptr) {
+  if (log_writer.has_value()) {
     log_writer->close();  // surface I/O errors here, not in the destructor
     if (!log_stream) {
       std::cerr << "error: failed writing access log '" << log_path << "'\n";
       return 2;
     }
   }
-  if (g_obs != nullptr) {
-    g_obs->report().add_histogram("sim.access_delay", result.access_delay);
-    if (result.queue_wait.count() > 0) {
-      g_obs->report().add_histogram("sim.queue_wait", result.queue_wait);
-    }
+  session.report().add_histogram("sim.access_delay", result.access_delay);
+  if (result.queue_wait.count() > 0) {
+    session.report().add_histogram("sim.queue_wait", result.queue_wait);
   }
 
   report::Table table({"metric", "value"});
@@ -1155,12 +1187,18 @@ int cmd_simulate(const cli::ParsedArgs& args) {
                    result.safety_ok ? "ok" : "VIOLATED"});
   }
   table.print(std::cout);
-  if (log_writer != nullptr) {
+  if (log_writer.has_value()) {
     std::cout << "access log: " << log_writer->recorded() << " records -> "
               << log_path << "\n";
   }
   return 0;
 }
+
+const Route kCommands[] = {{"topology", cmd_topology},
+                           {"analyze", cmd_analyze},
+                           {"solve", cmd_solve},
+                           {"simulate", cmd_simulate},
+                           {"check", cmd_check}};
 
 }  // namespace
 
@@ -1173,27 +1211,17 @@ int main(int argc, char** argv) {
     const cli::ParsedArgs args = cli::parse_args(raw);
     const int threads = cli::configure_threads(args);
     ObsSession session(args, threads);
-    g_obs = &session;
-    int code = 2;
-    if (args.command() == "topology") {
-      code = cmd_topology(args);
-    } else if (args.command() == "analyze") {
-      code = cmd_analyze(args);
-    } else if (args.command() == "solve") {
-      code = cmd_solve(args);
-    } else if (args.command() == "simulate") {
-      code = cmd_simulate(args);
-    } else if (args.command() == "check") {
-      code = cmd_check(args);
-    } else {
-      std::cerr << "unknown command '" << args.command() << "'\n";
-      return usage();
+    for (const Route& command : kCommands) {
+      if (args.command() != command.key) continue;
+      const int code = command.run(args, session);
+      session.finish();
+      for (const std::string& flag : args.unread_flags()) {
+        std::cerr << "warning: unused flag --" << flag << "\n";
+      }
+      return code;
     }
-    session.finish();
-    for (const std::string& flag : args.unread_flags()) {
-      std::cerr << "warning: unused flag --" << flag << "\n";
-    }
-    return code;
+    std::cerr << "unknown command '" << args.command() << "'\n";
+    return usage();
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 2;
