@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "core/evaluators.hpp"
-#include "core/majority_layout.hpp"
+#include "core/specialized.hpp"
 #include "core/total_delay.hpp"
 #include "graph/generators.hpp"
 #include "quorum/constructions.hpp"
@@ -22,7 +22,6 @@ int main() {
   const int num_dcs = 4, dc_size = 4;
   const graph::Graph g = graph::ring_of_cliques(num_dcs, dc_size, 1.0, 25.0);
   const graph::Metric metric = graph::Metric::from_graph(g);
-  const int n_nodes = g.num_nodes();
 
   // Majority voting over 5 replicas, quorum size 3.
   const int replicas = 5, threshold = 3;
@@ -33,7 +32,7 @@ int main() {
 
   // Every machine can host one replica.
   const std::vector<double> capacities(
-      static_cast<std::size_t>(n_nodes), replica_load);
+      static_cast<std::size_t>(g.num_nodes()), replica_load);
   const core::QppInstance qpp(metric, capacities, system, strategy);
 
   std::cout << "Topology: " << num_dcs << " data centers x " << dc_size
@@ -41,19 +40,8 @@ int main() {
             << "System:   Majority, " << replicas << " replicas, quorum "
             << threshold << "\n";
 
-  // --- Strategy A: Sec 4.2 optimal layout per source, best relay.
-  core::Placement best_majority;
-  double best_majority_delay = 1e100;
-  for (int v0 = 0; v0 < n_nodes; ++v0) {
-    core::SsqppInstance view(metric, capacities, system, strategy, v0);
-    const auto layout = core::majority_layout(view, threshold);
-    if (!layout) continue;
-    const double delay = core::average_max_delay(qpp, layout->placement);
-    if (delay < best_majority_delay) {
-      best_majority_delay = delay;
-      best_majority = layout->placement;
-    }
-  }
+  // --- Strategy A: Thm 1.3, the Sec 4.2 optimal layout at the best relay.
+  const auto majority = core::solve_qpp_majority(qpp, threshold);
 
   // --- Strategy B: Thm 5.1 GAP placement for the total-delay measure.
   const auto total = core::solve_total_delay(qpp);
@@ -75,7 +63,7 @@ int main() {
                                           qpp.capacities(), f),
                                       2)});
   };
-  if (!best_majority.empty()) add("majority-layout (Sec 4.2)", best_majority);
+  if (majority) add("majority-layout (Sec 4.2)", majority->placement);
   if (total) add("total-delay GAP (Thm 5.1)", total->placement);
   add("one-per-DC baseline", spread);
   std::cout << '\n';

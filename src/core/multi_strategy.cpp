@@ -140,30 +140,24 @@ std::optional<MultiStrategyQppResult> solve_qpp_multi(
       average_strategy(system, strategies, client_weights);
   const QppInstance averaged(metric, capacities, system, mean, client_weights);
 
-  // Run the standard pipeline under p-bar, then evaluate each candidate
-  // placement with the true multi-strategy objective.
-  std::vector<int> candidates = options.candidate_sources;
-  if (candidates.empty()) {
-    for (int v = 0; v < metric.num_points(); ++v) candidates.push_back(v);
-  }
-  std::optional<MultiStrategyQppResult> best;
-  for (int source : candidates) {
-    const SsqppInstance view = single_source_view(averaged, source);
-    const auto single = solve_ssqpp(view, options.alpha, options.simplex);
-    if (!single) continue;
-    const double delay = average_max_delay_multi(
-        metric, system, strategies, client_weights, single->placement);
-    if (!best || delay < best->average_delay) {
-      MultiStrategyQppResult result;
-      result.placement = single->placement;
-      result.chosen_source = source;
-      result.average_delay = delay;
-      result.load_violation = max_capacity_violation(
-          averaged.element_loads(), capacities, single->placement);
-      best = std::move(result);
-    }
-  }
-  return best;
+  // The Thm 1.2 relay sweep under p-bar, scored by the true objective.
+  const auto sweep = relay_sweep<SsqppResult>(
+      averaged, options,
+      [&](const SsqppInstance& view) {
+        return solve_ssqpp(view, options.alpha, options.simplex);
+      },
+      [&](const SsqppResult& single) {
+        return average_max_delay_multi(metric, system, strategies,
+                                       client_weights, single.placement);
+      });
+  if (!sweep.winner) return std::nullopt;
+  const auto& won = sweep.feasible[*sweep.winner];
+  return MultiStrategyQppResult{
+      .placement = won.solution.placement,
+      .chosen_source = won.source,
+      .average_delay = won.objective,
+      .load_violation = max_capacity_violation(
+          averaged.element_loads(), capacities, won.solution.placement)};
 }
 
 }  // namespace qp::core

@@ -58,9 +58,9 @@ struct MultiStrategyQppResult {
   double load_violation = 0.0;  ///< vs capacities, under p-bar loads
 };
 
-/// Thm 1.2 for per-client strategies: runs the standard solver under the
-/// averaged strategy (whose element loads are the true expected loads) and
-/// evaluates candidates under the true multi-strategy objective.
+/// Thm 1.2 for per-client strategies: solve_qpp's relay sweep (same options)
+/// under the averaged strategy, whose element loads are the true expected
+/// loads, scoring candidates by the true multi-strategy objective.
 /// \throws std::invalid_argument on arity mismatches (weights must have one
 ///         entry per node; they are normalized internally).
 std::optional<MultiStrategyQppResult> solve_qpp_multi(

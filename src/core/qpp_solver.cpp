@@ -1,12 +1,11 @@
 #include "core/qpp_solver.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 #include "check/contracts.hpp"
 #include "check/validate.hpp"
 #include "core/evaluators.hpp"
-#include "exec/parallel.hpp"
-#include "obs/obs.hpp"
 
 namespace qp::core {
 
@@ -15,84 +14,57 @@ SsqppInstance single_source_view(const QppInstance& instance, int source) {
                        instance.system(), instance.strategy(), source);
 }
 
+std::vector<int> relay_candidates(const QppInstance& instance,
+                                  const QppSolveOptions& options) {
+  if (!options.candidate_sources.empty()) return options.candidate_sources;
+  std::vector<int> candidates(static_cast<std::size_t>(instance.num_nodes()));
+  std::iota(candidates.begin(), candidates.end(), 0);
+  if (options.max_candidates <= 0 ||
+      options.max_candidates >= instance.num_nodes()) {
+    return candidates;
+  }
+  std::vector<double> distance_sum;
+  for (int v : candidates) {
+    distance_sum.push_back(instance.metric().distance_sum_from(v));
+  }
+  std::ranges::stable_sort(candidates, {}, [&](int v) {
+    return distance_sum[static_cast<std::size_t>(v)];
+  });
+  candidates.resize(static_cast<std::size_t>(options.max_candidates));
+  return candidates;
+}
+
 std::optional<QppResult> solve_qpp(const QppInstance& instance,
                                    const QppSolveOptions& options) {
   QP_REQUIRE(check::validate_instance(instance).ok(),
              "QPP instance violates its data contracts (metric / strategy / "
              "capacities); see check::validate_instance");
-  std::vector<int> candidates = options.candidate_sources;
-  if (candidates.empty()) {
-    candidates.resize(static_cast<std::size_t>(instance.num_nodes()));
-    for (int v = 0; v < instance.num_nodes(); ++v) {
-      candidates[static_cast<std::size_t>(v)] = v;
-    }
-    if (options.max_candidates > 0 &&
-        options.max_candidates < instance.num_nodes()) {
-      // Keep the nodes with the smallest total distance to all clients
-      // (1-median order): cheap, and empirically where good relays live.
-      std::vector<double> distance_sum(
-          static_cast<std::size_t>(instance.num_nodes()));
-      for (int v = 0; v < instance.num_nodes(); ++v) {
-        distance_sum[static_cast<std::size_t>(v)] =
-            instance.metric().distance_sum_from(v);
-      }
-      std::stable_sort(candidates.begin(), candidates.end(), [&](int a, int b) {
-        return distance_sum[static_cast<std::size_t>(a)] <
-               distance_sum[static_cast<std::size_t>(b)];
+  const auto sweep = relay_sweep<SsqppResult>(
+      instance, options,
+      [&](const SsqppInstance& view) {
+        return solve_ssqpp(view, options.alpha, options.simplex);
+      },
+      [&](const SsqppResult& single) {
+        return average_max_delay(instance, single.placement);
       });
-      candidates.resize(static_cast<std::size_t>(options.max_candidates));
-    }
-  }
-
-  // Relay sweep: every candidate v0 gets an independent SSQPP solve and
-  // delay evaluation (the expensive part), written into its own slot. The
-  // winner is then selected sequentially in candidate order, which keeps the
-  // result bit-identical to the sequential sweep for any thread count.
-  struct CandidateOutcome {
-    std::optional<SsqppResult> single;
-    double average = 0.0;
-  };
-  QP_SPAN("qpp.relay_sweep");
-  QP_COUNTER_ADD("qpp.relay_candidates", candidates.size());
-  std::vector<CandidateOutcome> outcomes(candidates.size());
-  exec::parallel_for(candidates.size(), [&](std::size_t i) {
-    const int source = candidates[i];
-    const SsqppInstance view = single_source_view(instance, source);
-    outcomes[i].single = solve_ssqpp(view, options.alpha, options.simplex);
-    if (outcomes[i].single) {
-      outcomes[i].average =
-          average_max_delay(instance, outcomes[i].single->placement);
-    }
-  });
-
-  std::optional<QppResult> best;
-  double best_lp_bound = 0.0;
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    const std::optional<SsqppResult>& single = outcomes[i].single;
-    if (!single) continue;
-    // Counted in the sequential winner-selection loop (never inside the
-    // parallel sweep callback) so the tally order is fixed.
-    QP_COUNTER_ADD("qpp.relay_feasible", 1);
-    best_lp_bound = std::max(best_lp_bound, single->lp_objective);
-    const double average = outcomes[i].average;
-    if (!best || average < best->average_delay) {
-      QppResult result;
-      result.placement = single->placement;
-      result.chosen_source = candidates[i];
-      result.average_delay = average;
-      result.load_violation = max_capacity_violation(
-          instance.element_loads(), instance.capacities(), single->placement);
-      result.best_lp_bound = best_lp_bound;
-      best = std::move(result);
-    }
-  }
-  if (best) best->best_lp_bound = best_lp_bound;
-  QP_INVARIANT(
-      !best || check::validate_placement(instance, best->placement,
+  if (!sweep.winner) return std::nullopt;
+  const auto& won = sweep.feasible[*sweep.winner];
+  QP_INVARIANT(check::validate_placement(instance, won.solution.placement,
                                          {options.alpha + 1.0, 1e-6})
                    .ok(),
-      "Thm 1.2 load bound load_f(v) <= (alpha + 1) * cap violated");
-  return best;
+               "Thm 1.2 load bound load_f(v) <= (alpha + 1) * cap violated");
+  return QppResult{
+      .placement = won.solution.placement,
+      .chosen_source = won.source,
+      .average_delay = won.objective,
+      .load_violation =
+          max_capacity_violation(instance.element_loads(),
+                                 instance.capacities(), won.solution.placement),
+      .best_lp_bound = std::accumulate(
+          sweep.feasible.begin(), sweep.feasible.end(), 0.0,
+          [](double bound, const auto& outcome) {
+            return std::max(bound, outcome.solution.lp_objective);
+          })};
 }
 
 }  // namespace qp::core

@@ -9,43 +9,35 @@ namespace qp::core {
 
 namespace {
 
-/// Shared Thm 3.3 loop: builds the Sec 4 layout from every candidate source
-/// and keeps the placement minimizing the full QPP objective.
-template <typename LayoutFn>
-std::optional<SpecializedQppResult> best_over_sources(
-    const QppInstance& instance, LayoutFn&& layout_from) {
-  std::optional<SpecializedQppResult> best;
-  for (int source = 0; source < instance.num_nodes(); ++source) {
-    const SsqppInstance view = single_source_view(instance, source);
-    const auto layout = layout_from(view);
-    if (!layout) continue;
-    const double average = average_max_delay(instance, layout->placement);
-    if (!best || average < best->average_delay) {
-      SpecializedQppResult result;
-      result.placement = layout->placement;
-      result.chosen_source = source;
-      result.average_delay = average;
-      result.source_delay = layout->delay;
-      best = std::move(result);
-    }
-  }
-  return best;
+/// Thm 3.3: the Sec 4 layout from every node, scored by the QPP objective.
+template <typename Layout, typename LayoutFn>
+std::optional<SpecializedQppResult> best_layout(const QppInstance& instance,
+                                                LayoutFn&& layout_from) {
+  const auto sweep = relay_sweep<Layout>(
+      instance, {}, layout_from, [&](const Layout& layout) {
+        return average_max_delay(instance, layout.placement);
+      });
+  if (!sweep.winner) return std::nullopt;
+  const auto& won = sweep.feasible[*sweep.winner];
+  return SpecializedQppResult{.placement = won.solution.placement,
+                              .chosen_source = won.source,
+                              .average_delay = won.objective,
+                              .source_delay = won.solution.delay};
 }
 
 }  // namespace
 
 std::optional<SpecializedQppResult> solve_qpp_grid(const QppInstance& instance,
                                                    int k) {
-  return best_over_sources(instance, [k](const SsqppInstance& view) {
-    return optimal_grid_layout(view, k);
+  return best_layout<GridLayoutResult>(instance, [k](const SsqppInstance& v) {
+    return optimal_grid_layout(v, k);
   });
 }
 
 std::optional<SpecializedQppResult> solve_qpp_majority(
     const QppInstance& instance, int t) {
-  return best_over_sources(instance, [t](const SsqppInstance& view) {
-    return majority_layout(view, t);
-  });
+  return best_layout<MajorityLayoutResult>(
+      instance, [t](const SsqppInstance& v) { return majority_layout(v, t); });
 }
 
 }  // namespace qp::core

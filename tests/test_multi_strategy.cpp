@@ -142,5 +142,24 @@ TEST(MultiStrategySolver, WeightsSteerThePlacement) {
   EXPECT_LT(end_delay_for_9, start_delay_for_9 + 1e-9);
 }
 
+TEST(MultiStrategySolver, MaxCandidatesRestrictsToMedianOrder) {
+  // All weight on the far end of a path pulls the best relay there, but
+  // with max_candidates = 2 only the 1-median nodes 4 and 5 are tried.
+  const graph::Metric metric = graph::Metric::from_graph(graph::path_graph(10));
+  const quorum::QuorumSystem system = quorum::majority(3);
+  const PerClientStrategies strategies(
+      10, quorum::AccessStrategy::uniform(system));
+  std::vector<double> weights(10, 0.0);
+  weights[9] = 1.0;
+  QppSolveOptions options;
+  options.max_candidates = 2;
+
+  const auto result = solve_qpp_multi(metric, std::vector<double>(10, 1.0),
+                                      system, strategies, weights, options);
+  ASSERT_TRUE(result.has_value());
+  EXPECT_TRUE(result->chosen_source == 4 || result->chosen_source == 5)
+      << "source " << result->chosen_source;
+}
+
 }  // namespace
 }  // namespace qp::core

@@ -11,6 +11,7 @@
 #include <optional>
 #include <random>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -19,7 +20,9 @@
 #include "core/evaluators.hpp"
 #include "core/local_search.hpp"
 #include "core/majority_layout.hpp"
+#include "core/multi_strategy.hpp"
 #include "core/qpp_solver.hpp"
+#include "core/specialized.hpp"
 #include "core/ssqpp_solver.hpp"
 #include "core/total_delay.hpp"
 #include "exec/thread_pool.hpp"
@@ -87,6 +90,46 @@ std::vector<NamedInstance> make_instances() {
                            strategy)});
   }
   return out;
+}
+
+/// The Thm 1.3 layout sweep matching the instance's system: grid(2) has 4
+/// quorums, majority(5) has C(5, 3) = 10.
+std::optional<core::SpecializedQppResult> solve_layout(
+    const core::QppInstance& instance) {
+  return instance.system().num_quorums() == 4
+             ? core::solve_qpp_grid(instance, 2)
+             : core::solve_qpp_majority(instance, 3);
+}
+
+/// Seeded per-client strategies and weights for the Sec 6 solver, drawn
+/// sequentially outside any timed or pooled code.
+struct MultiInputs {
+  core::PerClientStrategies strategies;
+  std::vector<double> weights;
+};
+
+MultiInputs multi_inputs(const core::QppInstance& instance) {
+  std::mt19937_64 rng(41);
+  std::uniform_real_distribution<double> draw(0.05, 1.0);
+  MultiInputs inputs;
+  for (int v = 0; v < instance.num_nodes(); ++v) {
+    std::vector<double> p(
+        static_cast<std::size_t>(instance.system().num_quorums()));
+    for (double& x : p) x = draw(rng);
+    double total = 0.0;
+    for (double x : p) total += x;
+    for (double& x : p) x /= total;
+    inputs.strategies.emplace_back(instance.system(), std::move(p));
+    inputs.weights.push_back(draw(rng));
+  }
+  return inputs;
+}
+
+std::optional<core::MultiStrategyQppResult> solve_multi(
+    const core::QppInstance& instance, const MultiInputs& inputs) {
+  return core::solve_qpp_multi(instance.metric(), instance.capacities(),
+                               instance.system(), inputs.strategies,
+                               inputs.weights);
 }
 
 TEST(ParallelDeterminism, MetricBuildBitIdentical) {
@@ -228,6 +271,50 @@ TEST(ParallelDeterminism, MajorityModeBitIdentical) {
   EXPECT_EQ(cert_one.to_string(), cert_eight.to_string());
 }
 
+TEST(ParallelDeterminism, LayoutSweepBitIdentical) {
+  // Thm 1.3: the relay sweep over the Sec 4 layouts runs on the pool.
+  for (const NamedInstance& named : make_instances()) {
+    const auto solve = [&named] { return solve_layout(named.instance); };
+    const auto at_one = with_threads(1, solve);
+    const auto at_eight = with_threads(8, solve);
+    ASSERT_EQ(at_one.has_value(), at_eight.has_value()) << named.name;
+    ASSERT_TRUE(at_one.has_value()) << named.name;
+    EXPECT_EQ(at_one->placement, at_eight->placement) << named.name;
+    EXPECT_EQ(at_one->chosen_source, at_eight->chosen_source) << named.name;
+    EXPECT_EQ(at_one->average_delay, at_eight->average_delay) << named.name;
+    EXPECT_EQ(at_one->source_delay, at_eight->source_delay) << named.name;
+  }
+}
+
+TEST(ParallelDeterminism, LayoutSweepThrowsFromThePool) {
+  // A system that is no grid fails inside every pool task; the caller sees
+  // the std::invalid_argument of the lowest-indexed chunk.
+  const quorum::QuorumSystem wrong = quorum::star(4);
+  const core::QppInstance instance(
+      graph::Metric::from_graph(graph::path_graph(6)),
+      std::vector<double>(6, 1.0), wrong,
+      quorum::AccessStrategy::uniform(wrong));
+  exec::set_num_threads(8);
+  EXPECT_THROW(core::solve_qpp_grid(instance, 2), std::invalid_argument);
+  exec::set_num_threads(0);
+}
+
+TEST(ParallelDeterminism, MultiStrategyModeBitIdentical) {
+  // Sec 6: the relay sweep under p-bar, scored by the per-client objective.
+  for (const NamedInstance& named : make_instances()) {
+    const MultiInputs inputs = multi_inputs(named.instance);
+    const auto solve = [&] { return solve_multi(named.instance, inputs); };
+    const auto at_one = with_threads(1, solve);
+    const auto at_eight = with_threads(8, solve);
+    ASSERT_EQ(at_one.has_value(), at_eight.has_value()) << named.name;
+    ASSERT_TRUE(at_one.has_value()) << named.name;
+    EXPECT_EQ(at_one->placement, at_eight->placement) << named.name;
+    EXPECT_EQ(at_one->chosen_source, at_eight->chosen_source) << named.name;
+    EXPECT_EQ(at_one->average_delay, at_eight->average_delay) << named.name;
+    EXPECT_EQ(at_one->load_violation, at_eight->load_violation) << named.name;
+  }
+}
+
 TEST(ParallelDeterminism, LocalSearchTrajectoryBitIdentical) {
   // First-improvement descent applies one canonical move per round; the
   // whole trajectory (not just the final objective) must be thread-count
@@ -266,6 +353,8 @@ TEST(ParallelDeterminism, ObsCountersAndSeriesBitIdentical) {
         core::QppSolveOptions options;
         options.alpha = 2.0;
         core::solve_qpp(named.instance, options);
+        solve_layout(named.instance);
+        solve_multi(named.instance, multi_inputs(named.instance));
         // The QPP placement may violate capacities (the guarantee is
         // bicriteria), so descend from a seeded feasible start instead.
         std::mt19937_64 rng(7);
