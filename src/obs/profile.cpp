@@ -1,5 +1,6 @@
 #include "obs/profile.hpp"
 
+#include <algorithm>
 #include <memory>
 #include <mutex>
 #include <utility>
@@ -14,39 +15,6 @@ std::atomic<bool> g_profile_enabled{false};
 }  // namespace profile_detail
 
 namespace {
-
-struct ProfileEvent {
-  enum class Kind : std::uint8_t {
-    kEnter,         // open a span named `name` under the current frame
-    kExit,          // close it: duration + self counter deltas
-    kAmbientEnter,  // jump attribution to the absolute path `path`
-    kAmbientExit,   // restore; carries the frame's self counter deltas
-  };
-
-  Kind kind = Kind::kEnter;
-  const char* name = nullptr;  ///< string literal; never owned
-  std::int64_t dur_nanos = 0;
-  std::vector<std::pair<std::uint32_t, std::uint64_t>> deltas;
-  std::vector<const char*> path;  ///< kAmbientEnter only
-};
-
-/// One open frame of the live (not-yet-exited) span stack. Counter adds
-/// accrue to the innermost frame's delta map -- self attribution: a nested
-/// span's adds land in the nested frame, never the parent's.
-struct LiveFrame {
-  const char* name = nullptr;
-  std::vector<const char*> ambient_path;
-  bool ambient = false;
-  std::map<std::uint32_t, std::uint64_t> deltas;
-};
-
-std::vector<std::pair<std::uint32_t, std::uint64_t>> flatten(
-    std::map<std::uint32_t, std::uint64_t>&& deltas) {
-  std::vector<std::pair<std::uint32_t, std::uint64_t>> out;
-  out.reserve(deltas.size());
-  for (const auto& [id, delta] : deltas) out.emplace_back(id, delta);
-  return out;
-}
 
 // ------------------------------------------------------------- JSON helpers
 
@@ -116,29 +84,49 @@ void append_folded(std::string& out, const ProfileNode& node,
 
 // ---------------------------------------------------------- per-thread state
 
-/// Per-thread event ring plus the live attribution stack. Only the owning
-/// thread writes; merges happen from sequential code after parallel regions
-/// complete (the pool's job-completion handshake provides the needed
-/// happens-before edge), exactly like TraceRecorder::ThreadBuffer.
+namespace {
+
+/// One node of a recording thread's call tree. Children are keyed by the
+/// span-name literal itself (fold() merges equal names held by distinct
+/// literals); std::map keeps node addresses stable, so live frames point
+/// straight at their nodes.
+struct CallNode {
+  CallNode* parent = nullptr;
+  const char* name = nullptr;  ///< string literal; null at the root
+  std::uint64_t calls = 0;
+  std::int64_t total_nanos = 0;
+  std::map<std::uint32_t, std::uint64_t> counters;  ///< counter id -> delta
+  std::map<const char*, CallNode> children;
+
+  CallNode& child(const char* child_name) {
+    CallNode& node = children[child_name];
+    node.parent = this;
+    node.name = child_name;
+    return node;
+  }
+};
+
+/// One open frame of the live span stack. Counter adds accrue to the
+/// innermost frame's node -- self attribution: a nested span's adds land in
+/// the nested node, never the parent's.
+struct LiveFrame {
+  CallNode* node = nullptr;
+  bool ambient = false;  ///< anchors attribution; bumps no calls
+};
+
+}  // namespace
+
+/// Per-thread call tree plus the live span stack that walks it. Only the
+/// owning thread writes; merges happen from sequential code after parallel
+/// regions complete (the pool's job-completion handshake provides the
+/// needed happens-before edge), exactly like TraceRecorder::ThreadBuffer.
 struct ProfileCollector::ThreadState {
-  explicit ThreadState(int id) : tid(id) { ring.resize(kRingCapacity); }
-
-  std::vector<ProfileEvent> ring;
-  std::size_t size = 0;  ///< valid events, <= kRingCapacity
-  std::size_t next = 0;  ///< next write slot
-  std::uint64_t dropped = 0;
-
-  std::vector<LiveFrame> live;
   /// Increments made with no span open on this thread (top-level glue
-  /// code); folded into the root node's own counters.
-  std::map<std::uint32_t, std::uint64_t> root_deltas;
-  /// Attribution salvaged from evicted exit events -- folded into the
-  /// `<truncated>` node so ring overflow loses placement, not totals.
-  std::map<std::uint32_t, std::uint64_t> truncated_deltas;
-  std::int64_t truncated_nanos = 0;
-  std::uint64_t truncated_calls = 0;
+  /// code) land in the root's own counters.
+  CallNode root;
+  std::vector<LiveFrame> live;
 
-  int tid = 0;
+  CallNode& innermost() { return live.empty() ? root : *live.back().node; }
 };
 
 namespace {
@@ -154,37 +142,26 @@ thread_local ProfileCollector::ThreadState* tl_state = nullptr;
 ProfileCollector::ThreadState& local_state() {
   if (tl_state == nullptr) {
     std::lock_guard<std::mutex> lock(g_profile_mutex);
-    auto state = std::make_unique<ProfileCollector::ThreadState>(
-        static_cast<int>(states().size()));
+    auto state = std::make_unique<ProfileCollector::ThreadState>();
     tl_state = state.get();
     states().push_back(std::move(state));
   }
   return *tl_state;
 }
 
-/// Appends one event, overwriting the oldest when the ring is full. Evicted
-/// exits carry attributed deltas/durations; those are salvaged into the
-/// thread's `<truncated>` accumulator (an event's exit is always newer than
-/// its enter, so by the time an exit is evicted its enter is already gone).
-void push_event(ProfileCollector::ThreadState& state, ProfileEvent&& event) {
-  ProfileEvent& slot = state.ring[state.next];
-  if (state.size == ProfileCollector::kRingCapacity) {
-    ++state.dropped;
-    if (slot.kind == ProfileEvent::Kind::kExit) {
-      ++state.truncated_calls;
-      state.truncated_nanos += slot.dur_nanos;
-      for (const auto& [id, delta] : slot.deltas) {
-        state.truncated_deltas[id] += delta;
-      }
-    } else if (slot.kind == ProfileEvent::Kind::kAmbientExit) {
-      for (const auto& [id, delta] : slot.deltas) {
-        state.truncated_deltas[id] += delta;
-      }
-    }
+/// Adds one thread's tree into the folded profile, naming counters by id.
+void merge(ProfileNode& into, const CallNode& from,
+           const std::vector<std::string>& counter_names) {
+  into.calls += from.calls;
+  into.total_nanos += from.total_nanos;
+  for (const auto& [id, delta] : from.counters) {
+    into.counters[id < counter_names.size()
+                      ? counter_names[id]
+                      : "counter#" + std::to_string(id)] += delta;
   }
-  slot = std::move(event);
-  state.next = (state.next + 1) % ProfileCollector::kRingCapacity;
-  if (state.size < ProfileCollector::kRingCapacity) ++state.size;
+  for (const auto& [name, child] : from.children) {
+    merge(into.children[name], child, counter_names);
+  }
 }
 
 }  // namespace
@@ -192,12 +169,7 @@ void push_event(ProfileCollector::ThreadState& state, ProfileEvent&& event) {
 namespace profile_detail {
 
 void on_counter_add(std::uint32_t id, std::uint64_t delta) {
-  ProfileCollector::ThreadState& state = local_state();
-  if (!state.live.empty()) {
-    state.live.back().deltas[id] += delta;
-  } else {
-    state.root_deltas[id] += delta;
-  }
+  local_state().innermost().counters[id] += delta;
 }
 
 }  // namespace profile_detail
@@ -220,88 +192,47 @@ bool ProfileCollector::enabled() const {
 
 void ProfileCollector::on_span_enter(const char* name) {
   ThreadState& state = local_state();
-  ProfileEvent event;
-  event.kind = ProfileEvent::Kind::kEnter;
-  event.name = name;
-  push_event(state, std::move(event));
-  LiveFrame frame;
-  frame.name = name;
-  state.live.push_back(std::move(frame));
+  state.live.push_back({&state.innermost().child(name), false});
 }
 
-void ProfileCollector::on_span_exit(const char* name,
+void ProfileCollector::on_span_exit(const char* /*name*/,
                                     std::int64_t dur_nanos) {
   ThreadState& state = local_state();
-  ProfileEvent event;
-  event.kind = ProfileEvent::Kind::kExit;
-  event.name = name;
-  event.dur_nanos = dur_nanos;
-  if (!state.live.empty() && !state.live.back().ambient) {
-    event.deltas = flatten(std::move(state.live.back().deltas));
-    state.live.pop_back();
-  }
-  push_event(state, std::move(event));
+  if (state.live.empty() || state.live.back().ambient) return;
+  CallNode& node = *state.live.back().node;
+  node.calls += 1;
+  node.total_nanos += dur_nanos;
+  state.live.pop_back();
 }
 
 std::vector<const char*> ProfileCollector::current_path() const {
-  if (tl_state == nullptr) return {};
-  const ThreadState& state = *tl_state;
+  if (tl_state == nullptr || tl_state->live.empty()) return {};
   std::vector<const char*> path;
-  std::size_t start = 0;
-  for (std::size_t i = state.live.size(); i > 0; --i) {
-    if (state.live[i - 1].ambient) {
-      path = state.live[i - 1].ambient_path;
-      start = i;
-      break;
-    }
+  for (const CallNode* node = tl_state->live.back().node;
+       node->parent != nullptr; node = node->parent) {
+    path.push_back(node->name);
   }
-  for (std::size_t i = start; i < state.live.size(); ++i) {
-    path.push_back(state.live[i].name);
-  }
+  std::reverse(path.begin(), path.end());
   return path;
 }
 
 void ProfileCollector::ambient_enter(const std::vector<const char*>& path) {
   ThreadState& state = local_state();
-  ProfileEvent event;
-  event.kind = ProfileEvent::Kind::kAmbientEnter;
-  event.path = path;
-  push_event(state, std::move(event));
-  LiveFrame frame;
-  frame.ambient = true;
-  frame.ambient_path = path;
-  state.live.push_back(std::move(frame));
+  CallNode* node = &state.root;
+  for (const char* name : path) node = &node->child(name);
+  state.live.push_back({node, true});
 }
 
 void ProfileCollector::ambient_exit() {
   ThreadState& state = local_state();
-  ProfileEvent event;
-  event.kind = ProfileEvent::Kind::kAmbientExit;
-  if (!state.live.empty() && state.live.back().ambient) {
-    event.deltas = flatten(std::move(state.live.back().deltas));
-    state.live.pop_back();
-  }
-  push_event(state, std::move(event));
-}
-
-std::uint64_t ProfileCollector::dropped_count() const {
-  std::lock_guard<std::mutex> lock(g_profile_mutex);
-  std::uint64_t total = 0;
-  for (const auto& state : states()) total += state->dropped;
-  return total;
+  if (!state.live.empty() && state.live.back().ambient) state.live.pop_back();
 }
 
 void ProfileCollector::clear() {
   std::lock_guard<std::mutex> lock(g_profile_mutex);
   for (const auto& state : states()) {
-    state->size = 0;
-    state->next = 0;
-    state->dropped = 0;
     state->live.clear();
-    state->root_deltas.clear();
-    state->truncated_deltas.clear();
-    state->truncated_nanos = 0;
-    state->truncated_calls = 0;
+    state->root = CallNode{};
   }
 }
 
@@ -309,96 +240,11 @@ Profile ProfileCollector::fold(
     const std::vector<std::string>& counter_names) const {
   std::lock_guard<std::mutex> lock(g_profile_mutex);
   Profile profile;
-
-  const auto counter_name = [&counter_names](std::uint32_t id) {
-    return id < counter_names.size() ? counter_names[id]
-                                     : "counter#" + std::to_string(id);
-  };
-
-  for (const auto& state_ptr : states()) {
-    const ThreadState& state = *state_ptr;
-    const bool has_data = state.size > 0 || !state.root_deltas.empty() ||
-                          state.dropped > 0;
-    if (!has_data) continue;
+  for (const auto& state : states()) {
+    const CallNode& root = state->root;
+    if (root.children.empty() && root.counters.empty()) continue;
     ++profile.threads;
-    profile.dropped += state.dropped;
-
-    const std::size_t oldest =
-        (state.next + kRingCapacity - state.size) % kRingCapacity;
-    const auto event_at = [&state, oldest](std::size_t i) -> const
-        ProfileEvent& { return state.ring[(oldest + i) % kRingCapacity]; };
-
-    // Pre-scan: exits beyond the enters still in the ring belong to spans
-    // whose enter was evicted. They must not pop past the root -- replay
-    // starts from that many synthetic frames, all parked on `<truncated>`,
-    // so orphaned children re-parent there explicitly.
-    long depth = 0;
-    long min_depth = 0;
-    for (std::size_t i = 0; i < state.size; ++i) {
-      const ProfileEvent::Kind kind = event_at(i).kind;
-      depth += (kind == ProfileEvent::Kind::kEnter ||
-                kind == ProfileEvent::Kind::kAmbientEnter)
-                   ? 1
-                   : -1;
-      if (depth < min_depth) min_depth = depth;
-    }
-    const std::size_t unmatched =
-        min_depth < 0 ? static_cast<std::size_t>(-min_depth) : 0;
-
-    std::vector<ProfileNode*> stack;
-    stack.push_back(&profile.root);
-    if (unmatched > 0) {
-      ProfileNode& truncated = profile.root.children[kTruncatedName];
-      for (std::size_t i = 0; i < unmatched; ++i) {
-        stack.push_back(&truncated);
-      }
-    }
-
-    for (std::size_t i = 0; i < state.size; ++i) {
-      const ProfileEvent& event = event_at(i);
-      switch (event.kind) {
-        case ProfileEvent::Kind::kEnter:
-          stack.push_back(&stack.back()->children[event.name]);
-          break;
-        case ProfileEvent::Kind::kAmbientEnter: {
-          ProfileNode* node = &profile.root;
-          for (const char* name : event.path) node = &node->children[name];
-          stack.push_back(node);
-          break;
-        }
-        case ProfileEvent::Kind::kExit: {
-          ProfileNode& node = *stack.back();
-          if (stack.size() > 1) stack.pop_back();
-          node.calls += 1;
-          node.total_nanos += event.dur_nanos;
-          for (const auto& [id, delta] : event.deltas) {
-            node.counters[counter_name(id)] += delta;
-          }
-          break;
-        }
-        case ProfileEvent::Kind::kAmbientExit: {
-          ProfileNode& node = *stack.back();
-          if (stack.size() > 1) stack.pop_back();
-          for (const auto& [id, delta] : event.deltas) {
-            node.counters[counter_name(id)] += delta;
-          }
-          break;
-        }
-      }
-    }
-
-    for (const auto& [id, delta] : state.root_deltas) {
-      profile.root.counters[counter_name(id)] += delta;
-    }
-    if (state.truncated_calls > 0 || state.truncated_nanos > 0 ||
-        !state.truncated_deltas.empty()) {
-      ProfileNode& truncated = profile.root.children[kTruncatedName];
-      truncated.calls += state.truncated_calls;
-      truncated.total_nanos += state.truncated_nanos;
-      for (const auto& [id, delta] : state.truncated_deltas) {
-        truncated.counters[counter_name(id)] += delta;
-      }
-    }
+    merge(profile.root, root, counter_names);
   }
 
   // The root's total is the cover of its children; it has no duration of
@@ -438,9 +284,7 @@ std::string Profile::to_json(
   }
   out += "}, \"deterministic\": {\"root\": ";
   append_deterministic(out, root);
-  out += "}, \"nondeterministic\": {\"dropped\": ";
-  append_uint(out, dropped);
-  out += ", \"root\": ";
+  out += "}, \"nondeterministic\": {\"root\": ";
   append_nondeterministic(out, root);
   out += ", \"threads\": ";
   append_uint(out, threads);

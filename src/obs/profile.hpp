@@ -27,21 +27,17 @@
 ///     Ambient frames bump no call counts and no wall time; they only
 ///     anchor attribution.
 ///
-/// Like the TraceRecorder, each recording thread owns a fixed ring of
-/// events; a full ring overwrites the oldest event. An evicted *exit* event
-/// carries attributed data, which is folded into an explicit `<truncated>`
-/// node (child of the root) instead of being dropped, and spans whose enter
-/// was evicted re-parent under the same `<truncated>` node rather than
-/// mis-parenting their children. Rings are sized (2^16 events/thread) so
-/// realistic runs never evict; `Profile::dropped` says when one did, which
-/// also voids the cross-thread-count byte-identity promise for that run
-/// (the CLI warns).
+/// Each recording thread folds as it goes: it keeps its own call tree (one
+/// node per span path) and a stack of live frames pointing into it. A span
+/// enter finds or creates the child node, an exit credits the call and its
+/// duration, and a counter add credits the innermost node. Nothing is
+/// buffered per event, so a profile cannot truncate however long the run.
 ///
-/// Folding happens once, from sequential code, after parallel regions have
-/// completed. No wall clock is read here -- span durations arrive from
-/// ScopedTimer, so the profile itself stays clock-free.
+/// Merging the per-thread trees happens once, from sequential code, after
+/// parallel regions have completed. No wall clock is read here -- span
+/// durations arrive from ScopedTimer, so the profile itself stays
+/// clock-free.
 
-#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -66,9 +62,8 @@ struct ProfileNode {
 /// `qplace.profile.v1` JSON document and/or as folded stacks for
 /// flamegraph renderers.
 struct Profile {
-  ProfileNode root;            ///< synthetic "(root)"; no calls of its own
-  std::uint64_t dropped = 0;   ///< ring-evicted events across all threads
-  std::uint64_t threads = 0;   ///< per-thread rings merged
+  ProfileNode root;           ///< synthetic "(root)"; no calls of its own
+  std::uint64_t threads = 0;  ///< per-thread call trees merged
 
   /// Serializes the `qplace.profile.v1` document: schema, command, context,
   /// a "deterministic" subtree of {counters, children} per node and a
@@ -83,7 +78,7 @@ struct Profile {
   std::string to_folded() const;
 };
 
-/// Process-wide profile event collector. Enabled by `--profile-out`
+/// Process-wide profile collector. Enabled by `--profile-out`
 /// (tools/qplace.cpp); recording costs one relaxed atomic load when off.
 class ProfileCollector {
  public:
@@ -94,7 +89,8 @@ class ProfileCollector {
   bool enabled() const;
 
   /// Span hooks, called by ScopedTimer when enabled. The duration is
-  /// supplied by the timer so the profiler never reads a clock.
+  /// supplied by the timer so the profiler never reads a clock. An exit
+  /// with no span open above the innermost ambient frame is ignored.
   void on_span_enter(const char* name);
   void on_span_exit(const char* name, std::int64_t dur_nanos);
 
@@ -109,23 +105,14 @@ class ProfileCollector {
   void ambient_enter(const std::vector<const char*>& path);
   void ambient_exit();
 
-  /// Events overwritten because some ring was full.
-  std::uint64_t dropped_count() const;
-
-  /// Drops all recorded events and per-thread accumulators. Call from
+  /// Drops every thread's call tree and live frames. Call from
   /// sequential code between runs that must be compared.
   void clear();
 
-  /// Merges every thread's ring into one profile. \p counter_names maps
+  /// Merges every thread's call tree into one profile. \p counter_names maps
   /// counter ids to registry names (Registry::counter_names()). Call from
   /// sequential code after parallel regions have completed.
   Profile fold(const std::vector<std::string>& counter_names) const;
-
-  /// Ring capacity per recording thread.
-  static constexpr std::size_t kRingCapacity = 1 << 16;
-
-  /// Name of the node that absorbs ring-evicted attribution.
-  static constexpr const char* kTruncatedName = "<truncated>";
 
   /// Opaque per-thread state; defined in profile.cpp only.
   struct ThreadState;

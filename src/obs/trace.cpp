@@ -35,6 +35,17 @@ std::atomic<bool> g_trace_enabled{false};
 
 thread_local TraceRecorder::ThreadBuffer* tl_buffer = nullptr;
 
+/// Stores \p event in the next slot, overwriting the oldest when full.
+void write(TraceRecorder::ThreadBuffer& buffer, TraceEvent&& event) {
+  buffer.events[buffer.next] = std::move(event);
+  buffer.next = (buffer.next + 1) % TraceRecorder::kRingCapacity;
+  if (buffer.size < TraceRecorder::kRingCapacity) {
+    ++buffer.size;
+  } else {
+    ++buffer.dropped;  // oldest event was overwritten
+  }
+}
+
 }  // namespace
 
 TraceRecorder::TraceRecorder() : epoch_(std::chrono::steady_clock::now()) {}
@@ -71,37 +82,13 @@ TraceRecorder::ThreadBuffer& TraceRecorder::local_buffer() {
 
 void TraceRecorder::record(const char* name, double ts_us, double dur_us) {
   if (!enabled()) return;
-  ThreadBuffer& buffer = local_buffer();
-  TraceEvent& slot = buffer.events[buffer.next];
-  slot.name = name;
-  slot.ts_us = ts_us;
-  slot.dur_us = dur_us;
-  slot.args.clear();
-  slot.pid = 1;
-  buffer.next = (buffer.next + 1) % kRingCapacity;
-  if (buffer.size < kRingCapacity) {
-    ++buffer.size;
-  } else {
-    ++buffer.dropped;  // oldest event was overwritten
-  }
+  write(local_buffer(), {name, ts_us, dur_us, {}, 1});
 }
 
 void TraceRecorder::record_sim_span(const char* name, double ts_us,
                                     double dur_us, std::string args) {
   if (!enabled()) return;
-  ThreadBuffer& buffer = local_buffer();
-  TraceEvent& slot = buffer.events[buffer.next];
-  slot.name = name;
-  slot.ts_us = ts_us;
-  slot.dur_us = dur_us;
-  slot.args = std::move(args);
-  slot.pid = kSimTimePid;
-  buffer.next = (buffer.next + 1) % kRingCapacity;
-  if (buffer.size < kRingCapacity) {
-    ++buffer.size;
-  } else {
-    ++buffer.dropped;  // oldest event was overwritten
-  }
+  write(local_buffer(), {name, ts_us, dur_us, std::move(args), kSimTimePid});
 }
 
 std::size_t TraceRecorder::event_count() const {

@@ -1,5 +1,5 @@
 /// Work-attribution profiler suite (obs/profile.hpp, analyze/profile_diff.hpp):
-/// span-path folding edge cases (duplicate siblings, ring eviction, empty
+/// span-path folding edge cases (duplicate siblings, long runs, empty
 /// traces), counter self-attribution, ambient frames, the metamorphic
 /// byte-identity of the deterministic subtree across thread counts, the
 /// profile diff the CLI gates on, and the counter-drift comparator table
@@ -9,13 +9,17 @@
 
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analyze/profile_diff.hpp"
+#include "core/multi_strategy.hpp"
 #include "core/qpp_solver.hpp"
+#include "core/specialized.hpp"
 #include "exec/thread_pool.hpp"
 #include "graph/generators.hpp"
 #include "graph/metric.hpp"
@@ -48,23 +52,9 @@ std::vector<std::string> counter_names() {
   return obs::Registry::instance().counter_names();
 }
 
-/// Sum of one counter over the whole tree -- ring eviction may move
-/// attribution to `<truncated>`, but it must never lose any of it.
-std::uint64_t tree_counter_sum(const obs::ProfileNode& node,
-                               const std::string& name) {
-  std::uint64_t total = 0;
-  const auto it = node.counters.find(name);
-  if (it != node.counters.end()) total = it->second;
-  for (const auto& [child_name, child] : node.children) {
-    total += tree_counter_sum(child, name);
-  }
-  return total;
-}
-
 TEST(Profile, EmptyTraceYieldsEmptyButValidProfile) {
   ProfileSession session;
   const obs::Profile profile = collector().fold(counter_names());
-  EXPECT_EQ(profile.dropped, 0u);
   EXPECT_TRUE(profile.root.counters.empty());
   EXPECT_TRUE(profile.root.children.empty());
   EXPECT_EQ(profile.root.calls, 0u);
@@ -168,43 +158,34 @@ TEST(Profile, AmbientScopeAnchorsAttributionWithoutCalls) {
   EXPECT_EQ(submit.children.at("test.profile.nested").calls, 1u);
 }
 
-TEST(Profile, RingEvictionReparentsUnderTruncatedNode) {
+TEST(Profile, LongRunsFoldEverySpanWithoutTruncation) {
   ProfileSession session;
   obs::ProfileCollector& c = collector();
-  obs::Registry& registry = obs::Registry::instance();
-  obs::Counter& work = registry.counter("test.profile.evicted_work");
+  obs::Counter& work = obs::Registry::instance().counter("test.profile.work");
 
-  // 2 * pairs + 2 events overflow the 2^16-event ring: the parent's enter
-  // and the oldest child pairs are evicted.
-  const std::size_t pairs = 40000;
-  c.on_span_enter("test.profile.evicted_parent");
-  for (std::size_t i = 0; i < pairs; ++i) {
-    c.on_span_enter("test.profile.evicted_child");
+  // 2 * 40 000 + 2 span events: more than any fixed per-thread event
+  // buffer of 2^16 would hold. Folding as spans close keeps all of them.
+  const std::uint64_t pairs = 40000;
+  c.on_span_enter("test.profile.long_parent");
+  for (std::uint64_t i = 0; i < pairs; ++i) {
+    c.on_span_enter("test.profile.long_child");
     work.add(1);
-    c.on_span_exit("test.profile.evicted_child", 10);
+    c.on_span_exit("test.profile.long_child", 10);
   }
-  c.on_span_exit("test.profile.evicted_parent", 1000);
+  c.on_span_exit("test.profile.long_parent", 1000);
 
   const obs::Profile profile = c.fold(counter_names());
-  EXPECT_EQ(profile.dropped,
-            2 * pairs + 2 - obs::ProfileCollector::kRingCapacity);
-
-  // The parent's enter is gone, so orphaned children re-parent under the
-  // explicit `<truncated>` node -- never directly under the root, and the
-  // evicted parent never materializes as a node of its own.
+  EXPECT_EQ(profile.root.children.count("<truncated>"), 0u);
   ASSERT_EQ(profile.root.children.size(), 1u);
-  const auto truncated_it =
-      profile.root.children.find(obs::ProfileCollector::kTruncatedName);
-  ASSERT_NE(truncated_it, profile.root.children.end());
-  const obs::ProfileNode& truncated = truncated_it->second;
-  EXPECT_GT(truncated.calls, 0u);  // salvaged evicted exits
-  ASSERT_EQ(truncated.children.size(), 1u);
-  EXPECT_EQ(truncated.children.begin()->first, "test.profile.evicted_child");
-
-  // Eviction loses placement, not totals: every add is somewhere in the
-  // tree (surviving child node, or salvaged into `<truncated>`).
-  EXPECT_EQ(tree_counter_sum(profile.root, "test.profile.evicted_work"),
-            static_cast<std::uint64_t>(pairs));
+  const obs::ProfileNode& parent =
+      profile.root.children.at("test.profile.long_parent");
+  EXPECT_EQ(parent.calls, 1u);
+  EXPECT_TRUE(parent.counters.empty());
+  ASSERT_EQ(parent.children.size(), 1u);
+  const obs::ProfileNode& child = parent.children.at("test.profile.long_child");
+  EXPECT_EQ(child.calls, pairs);
+  EXPECT_EQ(child.total_nanos, static_cast<std::int64_t>(10 * pairs));
+  EXPECT_EQ(child.counters.at("test.profile.work"), pairs);
 }
 
 /// Extracts the deterministic subtree's exact bytes from a rendered
@@ -220,38 +201,66 @@ std::string deterministic_slice(const std::string& json) {
 }
 
 TEST(Profile, DeterministicSubtreeByteIdenticalAcrossThreadCounts) {
-  const quorum::QuorumSystem system = quorum::grid(2);
-  const quorum::AccessStrategy strategy =
-      quorum::AccessStrategy::uniform(system);
   const graph::Metric metric = graph::Metric::from_graph(graph::grid_mesh(4));
-  const core::QppInstance instance(metric, std::vector<double>(16, 1.0),
-                                   system, strategy);
+  const std::vector<double> capacities(16, 1.0);
+  const quorum::QuorumSystem grid = quorum::grid(2);
+  const core::QppInstance grid_instance(
+      metric, capacities, grid, quorum::AccessStrategy::uniform(grid));
+  const quorum::QuorumSystem majority = quorum::majority(5, 3);
+  const core::QppInstance majority_instance(
+      metric, capacities, majority, quorum::AccessStrategy::uniform(majority));
 
-  const auto profiled_solve = [&instance](int threads) {
+  // Sec 6 inputs: client v favours quorum v mod 4, with uneven rates.
+  core::PerClientStrategies strategies;
+  std::vector<double> weights;
+  for (int v = 0; v < 16; ++v) {
+    std::vector<double> p(4, 1.0 / 6.0);
+    p[static_cast<std::size_t>(v % 4)] = 3.0 / 6.0;
+    strategies.emplace_back(grid, std::move(p));
+    weights.push_back(1.0 + v % 3);
+  }
+
+  core::QppSolveOptions options;
+  options.alpha = 2.0;
+  // The relay sweep on the pool, then the Thm 1.3 layouts and the Sec 6
+  // solver, whose per-candidate evaluations run under ambient frames.
+  const std::vector<std::pair<std::string, std::function<void()>>> runs = {
+      {"qpp", [&] { (void)core::solve_qpp(grid_instance, options); }},
+      {"grid", [&] { (void)core::solve_qpp_grid(grid_instance, 2); }},
+      {"majority",
+       [&] { (void)core::solve_qpp_majority(majority_instance, 3); }},
+      {"multi",
+       [&] {
+         (void)core::solve_qpp_multi(metric, capacities, grid, strategies,
+                                     weights, options);
+       }},
+  };
+
+  const auto profiled = [](int threads, const std::function<void()>& run) {
     obs::Registry::instance().reset_all();
     obs::ProfileCollector& c = collector();
     c.clear();
     c.set_enabled(true);
     exec::set_num_threads(threads);
-    core::QppSolveOptions options;
-    options.alpha = 2.0;
-    core::solve_qpp(instance, options);
+    run();
     exec::set_num_threads(0);
     c.set_enabled(false);
     const obs::Profile profile =
         c.fold(obs::Registry::instance().counter_names());
     c.clear();
-    EXPECT_EQ(profile.dropped, 0u) << "ring overflow voids the contract";
-    return profile.to_json("unit-test",
-                           {{"algorithm", "qpp"}, {"seed", "7"}});
+    return profile.to_json("unit-test", {{"seed", "7"}});
   };
 
-  const std::string at_one = profiled_solve(1);
-  const std::string at_eight = profiled_solve(8);
-  // The docs/PARALLEL.md contract extended to attribution: per-span-path
-  // counter sums are byte-identical regardless of how chunks were spread
-  // across worker threads. Wall times and thread counts may differ.
-  EXPECT_EQ(deterministic_slice(at_one), deterministic_slice(at_eight));
+  for (const auto& [name, run] : runs) {
+    SCOPED_TRACE(name);
+    const std::string at_one = profiled(1, run);
+    const std::string at_eight = profiled(8, run);
+    EXPECT_NE(at_one.find("\"qpp.relay_sweep\""), std::string::npos);
+    // The docs/PARALLEL.md contract extended to attribution: per-span-path
+    // counter sums are byte-identical regardless of how chunks were spread
+    // across worker threads. Wall times and thread counts may differ.
+    EXPECT_EQ(deterministic_slice(at_one), deterministic_slice(at_eight));
+  }
 }
 
 // ---------------------------------------------------------------- diffing

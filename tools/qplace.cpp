@@ -119,7 +119,7 @@ int usage() {
       "                    (phase timers, solver counters, histograms)\n"
       "  --trace-out FILE  record phase spans and write Chrome trace_event\n"
       "                    JSON loadable in chrome://tracing or Perfetto\n"
-      "  --profile-out FILE (solve|simulate) fold spans + counter deltas\n"
+      "  --profile-out FILE (any command) fold spans + counter deltas\n"
       "                    into a qplace.profile.v1 call-tree profile; the\n"
       "                    per-node counter attribution is deterministic\n"
       "                    (byte-identical for any --threads)\n"
@@ -209,17 +209,6 @@ class ObsSession {
       collector.set_enabled(false);
       const obs::Profile profile =
           collector.fold(obs::Registry::instance().counter_names());
-      // A full ring folds evicted attribution into the <truncated> node --
-      // totals survive, but *placement* of that work is lost, which also
-      // voids the cross-thread-count byte-identity promise for this run.
-      if (profile.dropped > 0) {
-        std::cerr << "warning: profile ring overflow: " << profile.dropped
-                  << " events folded into '<truncated>' (per-thread "
-                     "capacity "
-                  << obs::ProfileCollector::kRingCapacity
-                  << ") -- per-node attribution is incomplete and no longer "
-                     "thread-count invariant\n";
-      }
       obs::write_file(profile_path_,
                       profile.to_json(command_, report_.context()));
       obs::write_file(folded_path_, profile.to_folded());
