@@ -173,20 +173,27 @@ Certificate check_certificate(const core::QppInstance& instance,
   if (options.derive_opt_lower_bound) {
     // L = min_v0 [Avg_v d(v, v0) + Z*(v0)] over ALL nodes; by Lemma 3.1 and
     // Z*(v0) <= Delta_{f*}(v0), L <= 5 OPT. One LP per node.
+    // Only a proven-infeasible LP (OPT_ssqpp(v0) = inf) may be skipped; any
+    // other unsolved LP leaves the min over v0 unproven.
     double relay_bound = std::numeric_limits<double>::infinity();
+    bool every_node_solved = true;
     for (int v0 = 0; v0 < instance.num_nodes(); ++v0) {
       core::FractionalSsqpp lp =
           v0 == result.chosen_source
               ? chosen_lp
               : core::solve_ssqpp_lp(core::single_source_view(instance, v0),
                                      options.simplex);
-      if (lp.status != lp::SolveStatus::kOptimal) continue;  // OPT_ssqpp = inf
+      if (lp.status == lp::SolveStatus::kInfeasible) continue;
+      if (lp.status != lp::SolveStatus::kOptimal) {
+        every_node_solved = false;
+        break;
+      }
       relay_bound = std::min(relay_bound,
                              average_distance_to(instance, v0) + lp.objective);
     }
-    cert.add("thm1.2/lower-bound-exists",
-             std::isfinite(relay_bound) ? 0.0 : 1.0, 0.0, 0.0);
-    if (std::isfinite(relay_bound)) {
+    const bool bound_exists = every_node_solved && std::isfinite(relay_bound);
+    cert.add("thm1.2/lower-bound-exists", bound_exists ? 0.0 : 1.0, 0.0, 0.0);
+    if (bound_exists) {
       // Thm 1.2: achieved average delay <= 5 beta * (L / 5) = beta * L.
       cert.add("thm1.2/delay", average, beta * relay_bound, tol);
       set_ratio(cert, average, relay_bound / 5.0);

@@ -54,6 +54,7 @@ class Tableau {
         solution.status = SolveStatus::kInfeasible;
         return solution;
       }
+      in_phase1_ = false;
       drive_out_artificials();
     }
     // Phase 2: minimize the true objective, artificials barred from entering.
@@ -74,42 +75,33 @@ class Tableau {
   }
 
  private:
-  double& at(int row, int col) {
-    return a_[static_cast<std::size_t>(row) * static_cast<std::size_t>(cols_) +
-              static_cast<std::size_t>(col)];
+  double* row(int r) {
+    return &a_[static_cast<std::size_t>(r) * static_cast<std::size_t>(cols_)];
   }
-  double at(int row, int col) const {
-    return a_[static_cast<std::size_t>(row) * static_cast<std::size_t>(cols_) +
-              static_cast<std::size_t>(col)];
+  double at(int r, int c) const {
+    return a_[static_cast<std::size_t>(r) * static_cast<std::size_t>(cols_) +
+              static_cast<std::size_t>(c)];
   }
 
   void build(const Model& model) {
     const auto& constraints = model.constraints();
-    // Aggregate each row into a dense vector over structural variables and
-    // normalize to rhs >= 0.
-    std::vector<std::vector<double>> dense(static_cast<std::size_t>(rows_));
+    // First pass: normalize each row to rhs >= 0 and count the slack and
+    // artificial columns, so the tableau can be allocated once.
     std::vector<Relation> relation(static_cast<std::size_t>(rows_));
     b_.assign(static_cast<std::size_t>(rows_), 0.0);
     int num_slack = 0;
     num_artificial_ = 0;
     for (int i = 0; i < rows_; ++i) {
       const Constraint& c = constraints[static_cast<std::size_t>(i)];
-      auto& row = dense[static_cast<std::size_t>(i)];
-      row.assign(static_cast<std::size_t>(num_structural_), 0.0);
-      for (const auto& [var, coeff] : c.terms) {
-        row[static_cast<std::size_t>(var)] += coeff;
-      }
-      double rhs = c.rhs;
       Relation rel = c.relation;
-      if (rhs < 0.0) {
-        for (double& x : row) x = -x;
-        rhs = -rhs;
+      if (c.rhs < 0.0) {
         if (rel == Relation::kLessEqual) {
           rel = Relation::kGreaterEqual;
         } else if (rel == Relation::kGreaterEqual) {
           rel = Relation::kLessEqual;
         }
       }
+      const double rhs = c.rhs < 0.0 ? -c.rhs : c.rhs;
       b_[static_cast<std::size_t>(i)] = rhs;
       relation[static_cast<std::size_t>(i)] = rel;
       rhs_scale_ = std::max(rhs_scale_, rhs);
@@ -121,28 +113,33 @@ class Tableau {
     cols_ = first_artificial_ + num_artificial_;
     a_.assign(static_cast<std::size_t>(rows_) * static_cast<std::size_t>(cols_),
               0.0);
+    nonzero_.resize(static_cast<std::size_t>(cols_));
     basis_.assign(static_cast<std::size_t>(rows_), -1);
 
+    // Second pass: sum each row's terms straight into the tableau (negated
+    // where the rhs was), then add its slack and artificial columns.
     int next_slack = num_structural_;
     int next_artificial = first_artificial_;
     for (int i = 0; i < rows_; ++i) {
-      const auto& row = dense[static_cast<std::size_t>(i)];
-      for (int j = 0; j < num_structural_; ++j) {
-        at(i, j) = row[static_cast<std::size_t>(j)];
+      const Constraint& c = constraints[static_cast<std::size_t>(i)];
+      double* row_data = row(i);
+      for (const auto& [var, coeff] : c.terms) row_data[var] += coeff;
+      if (c.rhs < 0.0) {
+        for (int j = 0; j < num_structural_; ++j) row_data[j] = -row_data[j];
       }
       switch (relation[static_cast<std::size_t>(i)]) {
         case Relation::kLessEqual:
-          at(i, next_slack) = 1.0;
+          row_data[next_slack] = 1.0;
           basis_[static_cast<std::size_t>(i)] = next_slack++;
           break;
         case Relation::kGreaterEqual:
-          at(i, next_slack) = -1.0;
+          row_data[next_slack] = -1.0;
           ++next_slack;
-          at(i, next_artificial) = 1.0;
+          row_data[next_artificial] = 1.0;
           basis_[static_cast<std::size_t>(i)] = next_artificial++;
           break;
         case Relation::kEqual:
-          at(i, next_artificial) = 1.0;
+          row_data[next_artificial] = 1.0;
           basis_[static_cast<std::size_t>(i)] = next_artificial++;
           break;
       }
@@ -170,41 +167,56 @@ class Tableau {
             b_[static_cast<std::size_t>(i)];
       }
     }
+    in_phase1_ = num_artificial_ > 0;
   }
 
-  /// Pivots on (pivot_row, pivot_col), updating both cost rows.
+  /// Pivots on (pivot_row, pivot_col), updating the live cost rows. The
+  /// pivot row is scaled once and its nonzero columns collected; every other
+  /// row and cost row is updated on those columns only. A skipped column
+  /// has a pivot-row entry of exactly 0.0, where x - f * 0.0 == x, so the
+  /// result equals the dense update up to the sign of a zero, which no
+  /// comparison or division reads.
   void pivot(int pivot_row, int pivot_col) {
-    const double pivot_value = at(pivot_row, pivot_col);
-    const double inverse = 1.0 / pivot_value;
-    for (int j = 0; j < cols_; ++j) at(pivot_row, j) *= inverse;
-    at(pivot_row, pivot_col) = 1.0;  // exact
+    double* pivot_row_data = row(pivot_row);
+    const double inverse = 1.0 / pivot_row_data[pivot_col];
+    int* nonzero = nonzero_.data();
+    int num_nonzero = 0;
+    for (int j = 0; j < cols_; ++j) {
+      pivot_row_data[j] *= inverse;
+      nonzero[num_nonzero] = j;
+      num_nonzero += pivot_row_data[j] != 0.0 ? 1 : 0;
+    }
+    pivot_row_data[pivot_col] = 1.0;  // exact
     b_[static_cast<std::size_t>(pivot_row)] *= inverse;
 
     const double pivot_rhs = b_[static_cast<std::size_t>(pivot_row)];
-    double* pivot_row_data =
-        &a_[static_cast<std::size_t>(pivot_row) * static_cast<std::size_t>(cols_)];
+    const auto eliminate = [&](double* data, double factor) {
+      for (int k = 0; k < num_nonzero; ++k) {
+        const int j = nonzero[k];
+        data[j] -= factor * pivot_row_data[j];
+      }
+      data[pivot_col] = 0.0;  // exact
+    };
     for (int i = 0; i < rows_; ++i) {
       if (i == pivot_row) continue;
-      const double factor = at(i, pivot_col);
+      double* row_data = row(i);
+      const double factor = row_data[pivot_col];
       if (factor == 0.0) continue;
-      double* row_data =
-          &a_[static_cast<std::size_t>(i) * static_cast<std::size_t>(cols_)];
-      for (int j = 0; j < cols_; ++j) row_data[j] -= factor * pivot_row_data[j];
-      row_data[pivot_col] = 0.0;  // exact
+      eliminate(row_data, factor);
       b_[static_cast<std::size_t>(i)] -= factor * pivot_rhs;
       if (std::abs(b_[static_cast<std::size_t>(i)]) < options_.epsilon) {
         b_[static_cast<std::size_t>(i)] = 0.0;
       }
     }
-    for (std::vector<double>* cost : {&cost1_, &cost2_}) {
-      const double factor = (*cost)[static_cast<std::size_t>(pivot_col)];
-      if (factor == 0.0) continue;
-      for (int j = 0; j < cols_; ++j) {
-        (*cost)[static_cast<std::size_t>(j)] -= factor * pivot_row_data[j];
-      }
-      (*cost)[static_cast<std::size_t>(pivot_col)] = 0.0;
-      (*cost)[static_cast<std::size_t>(cols_)] -= factor * pivot_rhs;
-    }
+    const auto update_cost = [&](std::vector<double>& cost) {
+      const double factor = cost[static_cast<std::size_t>(pivot_col)];
+      if (factor == 0.0) return;
+      eliminate(cost.data(), factor);
+      cost[static_cast<std::size_t>(cols_)] -= factor * pivot_rhs;
+    };
+    // Nothing reads cost1_ once phase 1 has ended.
+    if (in_phase1_) update_cost(cost1_);
+    update_cost(cost2_);
     basis_[static_cast<std::size_t>(pivot_row)] = pivot_col;
     ++pivots_;
   }
@@ -298,12 +310,14 @@ class Tableau {
   int first_artificial_ = 0;
   int num_artificial_ = 0;
   double rhs_scale_ = 0.0;
+  bool in_phase1_ = false;
   std::int64_t pivots_ = 0;
   std::vector<double> a_;
   std::vector<double> b_;
   std::vector<double> cost1_;
   std::vector<double> cost2_;
   std::vector<int> basis_;
+  std::vector<int> nonzero_;  ///< pivot-row nonzero columns, scratch
 };
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <random>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -258,6 +259,41 @@ TEST(Certificate, QppRejectsTamperedAverageDelay) {
   core::QppResult tampered = *result;
   tampered.average_delay *= 0.1;  // too good to be true
   EXPECT_FALSE(check_certificate(instance, tampered).ok());
+}
+
+TEST(Certificate, IterationLimitedLowerBoundIsNotCertified) {
+  // Thm 1.2's L is a min over every node's LP: a node LP that stops at the
+  // iteration limit leaves L unproven, so it must not be skipped like an
+  // infeasible one. At this limit the winning relay's LP solves but 9 of
+  // the 10 node LPs do not; skipping them would certify L / 5 = 0.1498
+  // where the true L / 5 is 0.0899.
+  std::mt19937_64 rng(1);
+  graph::Metric metric =
+      graph::Metric::from_graph(graph::random_geometric(10, 0.5, rng).graph);
+  std::vector<double> capacities;
+  for (int i = 0; i < metric.num_points(); ++i) {
+    capacities.push_back(0.7 + 0.35 * (i % 4));
+  }
+  quorum::QuorumSystem system = quorum::grid(3);
+  quorum::AccessStrategy strategy = quorum::AccessStrategy::uniform(system);
+  const core::QppInstance instance(std::move(metric), std::move(capacities),
+                                   std::move(system), std::move(strategy));
+  core::QppSolveOptions solve_options;
+  solve_options.simplex.max_iterations = 151;
+  const auto result = core::solve_qpp(instance, solve_options);
+  ASSERT_TRUE(result.has_value());
+  CertificateOptions options;
+  options.simplex.max_iterations = 151;
+  const Certificate cert = check_certificate(instance, *result, options);
+  EXPECT_FALSE(cert.ok()) << cert.to_string();
+  const auto lower_bound = std::find_if(
+      cert.checks.begin(), cert.checks.end(), [](const BoundCheck& check) {
+        return check.name == "thm1.2/lower-bound-exists";
+      });
+  ASSERT_NE(lower_bound, cert.checks.end());
+  EXPECT_FALSE(lower_bound->holds);
+  EXPECT_EQ(cert.opt_lower_bound, 0.0);
+  EXPECT_EQ(cert.certified_ratio, 0.0);
 }
 
 TEST(Certificate, TotalDelayResultIsCertified) {

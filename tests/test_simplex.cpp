@@ -2,10 +2,23 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <optional>
 #include <random>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "core/qpp_solver.hpp"
+#include "core/ssqpp_lp.hpp"
+#include "core/total_delay.hpp"
+#include "graph/generators.hpp"
+#include "graph/metric.hpp"
 #include "lp/model.hpp"
+#include "obs/obs.hpp"
+#include "quorum/constructions.hpp"
 
 namespace qp::lp {
 namespace {
@@ -253,6 +266,88 @@ TEST(SolveStatusToString, AllValues) {
   EXPECT_EQ(to_string(SolveStatus::kInfeasible), "infeasible");
   EXPECT_EQ(to_string(SolveStatus::kUnbounded), "unbounded");
   EXPECT_EQ(to_string(SolveStatus::kIterationLimit), "iteration-limit");
+}
+
+/// lp.iterations and lp.pivots counted while \p call runs.
+struct LpWork {
+  std::uint64_t iterations = 0;
+  std::uint64_t pivots = 0;
+};
+
+template <typename Call>
+LpWork lp_work_of(Call&& call) {
+  const auto count = [](const std::string& name) -> std::uint64_t {
+    const auto counters = obs::Registry::instance().counter_values();
+    const auto it = counters.find(name);
+    return it == counters.end() ? 0 : it->second;
+  };
+  const LpWork before{count("lp.iterations"), count("lp.pivots")};
+  call();
+  return {count("lp.iterations") - before.iterations,
+          count("lp.pivots") - before.pivots};
+}
+
+/// grid(3) on the 16-node random geometric graph of `qplace solve --system
+/// grid --k 3 --topology geometric --nodes 16 --seed 1` (capacity 1.2 x the
+/// largest element load).
+core::QppInstance pinned_instance() {
+  std::mt19937_64 rng(1);
+  graph::Metric metric =
+      graph::Metric::from_graph(graph::random_geometric(16, 0.45, rng).graph);
+  quorum::QuorumSystem system = quorum::grid(3);
+  quorum::AccessStrategy strategy = quorum::AccessStrategy::uniform(system);
+  double max_load = 0.0;
+  for (const double load : quorum::element_loads(system, strategy)) {
+    max_load = std::max(max_load, load);
+  }
+  std::vector<double> capacities(
+      static_cast<std::size_t>(metric.num_points()), 1.2 * max_load);
+  return core::QppInstance(std::move(metric), std::move(capacities),
+                           std::move(system), std::move(strategy));
+}
+
+// Pins the pivot path on the Thm 1.2 relay LPs (9)-(14) and the Thm 5.1 GAP
+// LP: iteration and pivot counts and the objective, bit for bit, as the
+// full dense row update produced them. Any kernel change that moves one
+// pivot, or lands on another degenerate vertex, fails here rather than
+// inside a 10% counter-drift gate.
+TEST(Simplex, PivotPathIsPinned) {
+  const core::QppInstance instance = pinned_instance();
+  struct Pinned {
+    int source;
+    std::uint64_t iterations;
+    std::uint64_t pivots;
+    double objective;
+  };
+  const Pinned relay_lps[] = {
+      {0, 297, 295, 0.23917684864208102},
+      {7, 295, 293, 0.15881189669398874},
+      {13, 297, 295, 0.25695676758072772},
+  };
+  for (const Pinned& pinned : relay_lps) {
+    SCOPED_TRACE(pinned.source);
+    core::FractionalSsqpp relay_lp;
+    const LpWork work = lp_work_of([&] {
+      relay_lp = core::solve_ssqpp_lp(
+          core::single_source_view(instance, pinned.source));
+    });
+    ASSERT_EQ(relay_lp.status, SolveStatus::kOptimal);
+    EXPECT_EQ(relay_lp.objective, pinned.objective);
+    if (obs::compiled_in()) {
+      EXPECT_EQ(work.iterations, pinned.iterations);
+      EXPECT_EQ(work.pivots, pinned.pivots);
+    }
+  }
+
+  std::optional<core::TotalDelayResult> gap;
+  const LpWork work =
+      lp_work_of([&] { gap = core::solve_total_delay(instance); });
+  ASSERT_TRUE(gap.has_value());
+  EXPECT_EQ(gap->lp_objective, 2.0396838676880913);
+  if (obs::compiled_in()) {
+    EXPECT_EQ(work.iterations, 63u);
+    EXPECT_EQ(work.pivots, 61u);
+  }
 }
 
 /// Randomized property check: on random bounded LPs with known feasible box,
