@@ -97,19 +97,17 @@ bool GapInstance::allowed(int machine, int job) const {
   return std::isfinite(p) && p <= capacity(machine) + 1e-12;
 }
 
-FractionalGap solve_gap_lp(const GapInstance& instance) {
-  QP_SPAN("gap.lp");
-  QP_COUNTER_ADD("gap.lp_solves", 1);
+GapLp build_gap_lp(const GapInstance& instance) {
   const int jobs = instance.num_jobs();
   const int machines = instance.num_machines();
-  lp::Model model;
-  // Variable index for allowed (machine, job) pairs; -1 otherwise.
-  std::vector<int> var(static_cast<std::size_t>(jobs) *
-                           static_cast<std::size_t>(machines),
-                       -1);
+  GapLp out;
+  lp::Model& model = out.model;
+  out.var.assign(
+      static_cast<std::size_t>(jobs) * static_cast<std::size_t>(machines), -1);
   const auto vindex = [&](int i, int j) -> int& {
-    return var[static_cast<std::size_t>(i) * static_cast<std::size_t>(jobs) +
-               static_cast<std::size_t>(j)];
+    return out.var[static_cast<std::size_t>(i) *
+                       static_cast<std::size_t>(jobs) +
+                   static_cast<std::size_t>(j)];
   };
   for (int i = 0; i < machines; ++i) {
     for (int j = 0; j < jobs; ++j) {
@@ -137,7 +135,16 @@ FractionalGap solve_gap_lp(const GapInstance& instance) {
                            instance.capacity(i));
     }
   }
-  const lp::Solution lp_solution = lp::solve(model);
+  return out;
+}
+
+FractionalGap solve_gap_lp(const GapInstance& instance) {
+  QP_SPAN("gap.lp");
+  QP_COUNTER_ADD("gap.lp_solves", 1);
+  const int jobs = instance.num_jobs();
+  const int machines = instance.num_machines();
+  const GapLp lp = build_gap_lp(instance);
+  lp::Solution lp_solution = lp::solve(lp.model);
 
   FractionalGap out;
   out.status = lp_solution.status;
@@ -145,12 +152,14 @@ FractionalGap solve_gap_lp(const GapInstance& instance) {
   out.y.assign(static_cast<std::size_t>(jobs) * static_cast<std::size_t>(machines),
                0.0);
   if (lp_solution.status == lp::SolveStatus::kOptimal) {
+    out.duals = std::move(lp_solution.duals);
     for (int i = 0; i < machines; ++i) {
       for (int j = 0; j < jobs; ++j) {
-        if (vindex(i, j) >= 0) {
-          out.y[static_cast<std::size_t>(i) * static_cast<std::size_t>(jobs) +
-                static_cast<std::size_t>(j)] =
-              lp_solution.values[static_cast<std::size_t>(vindex(i, j))];
+        const std::size_t cell =
+            static_cast<std::size_t>(i) * static_cast<std::size_t>(jobs) +
+            static_cast<std::size_t>(j);
+        if (lp.var[cell] >= 0) {
+          out.y[cell] = lp_solution.values[static_cast<std::size_t>(lp.var[cell])];
         }
       }
     }

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "check/contracts.hpp"
+#include "lp/model.hpp"
 #include "lp/simplex.hpp"
 
 namespace qp::assign {
@@ -61,6 +62,7 @@ struct FractionalGap {
   lp::SolveStatus status = lp::SolveStatus::kInfeasible;
   double objective = 0.0;
   std::vector<double> y;
+  std::vector<double> duals;  ///< LP row duals, build_gap_lp's row order
 
   double value(const GapInstance& g, int machine, int job) const {
     return y[static_cast<std::size_t>(machine) *
@@ -68,6 +70,15 @@ struct FractionalGap {
              static_cast<std::size_t>(job)];
   }
 };
+
+/// LP relaxation (15)-(18) as an lp::Model: one variable per allowed
+/// (machine, job) pair, (17) per job, then (16) per machine with an allowed
+/// job. The one builder behind solve_gap_lp and the certificate's bound.
+struct GapLp {
+  lp::Model model;
+  std::vector<int> var;  ///< machine-major model ids; -1 where not allowed
+};
+GapLp build_gap_lp(const GapInstance& instance);
 
 /// Solves the LP relaxation (15)-(18).
 FractionalGap solve_gap_lp(const GapInstance& instance);

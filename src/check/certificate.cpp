@@ -3,12 +3,16 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <functional>
 #include <limits>
+#include <optional>
 #include <utility>
 
+#include "assign/gap.hpp"
 #include "check/contracts.hpp"
-#include "check/validate.hpp"
 #include "core/evaluators.hpp"
+#include "core/ssqpp_lp.hpp"
+#include "lp/model.hpp"
 
 namespace qp::check {
 
@@ -37,9 +41,49 @@ double average_distance_to(const core::QppInstance& instance, int v0) {
   return average;
 }
 
-void set_ratio(Certificate& cert, double value, double lower_bound) {
-  cert.opt_lower_bound = lower_bound;
-  cert.certified_ratio = lower_bound > 0.0 ? value / lower_bound : 0.0;
+/// Records the derived lower bounds on OPT; the largest (the first on ties)
+/// becomes opt_lower_bound and divides the achieved objective \p value.
+void set_ratio(Certificate& cert, double value,
+               std::vector<LowerBound> lower_bounds) {
+  cert.lower_bounds = std::move(lower_bounds);
+  const auto best = std::ranges::max_element(cert.lower_bounds, std::less{},
+                                             &LowerBound::value);
+  cert.opt_lower_bound = best->value;
+  cert.certified_ratio =
+      cert.opt_lower_bound > 0.0 ? value / cert.opt_lower_bound : 0.0;
+}
+
+/// A lower bound on an LP optimum, or the status that left none.
+struct LpBound {
+  lp::SolveStatus status = lp::SolveStatus::kOptimal;
+  double value = 0.0;  ///< lp::dual_bound on the checker's model
+};
+
+/// The one rule behind every LP bound below. The duals y come from the
+/// result when it supplies one finite entry per row of \p model, else from
+/// the checker's own solve; either way the bound is lp::dual_bound on the
+/// model the checker built, so a wrong y can only weaken it. A solve that
+/// ends in any status but kOptimal yields no bound.
+LpBound lp_bound(const lp::Model& model, const std::vector<double>* supplied,
+                 const lp::SimplexOptions& options) {
+  if (supplied != nullptr &&
+      supplied->size() == static_cast<std::size_t>(model.num_constraints()) &&
+      std::ranges::all_of(*supplied,
+                          [](double y) { return std::isfinite(y); })) {
+    return {lp::SolveStatus::kOptimal, lp::dual_bound(model, *supplied)};
+  }
+  const lp::Solution own = lp::solve(model, options);
+  if (own.status != lp::SolveStatus::kOptimal) return {own.status, 0.0};
+  return {lp::SolveStatus::kOptimal, lp::dual_bound(model, own.duals)};
+}
+
+/// lp_bound for LP (9)-(14) of a single-source instance: Z* >= value.
+LpBound ssqpp_bound(const core::SsqppInstance& instance,
+                    const std::vector<double>* supplied,
+                    const lp::SimplexOptions& options) {
+  const core::SsqppLp lp = core::build_ssqpp_lp(instance);
+  if (!lp.element_fits) return {lp::SolveStatus::kInfeasible, 0.0};
+  return lp_bound(lp.model, supplied, options);
 }
 
 /// Placement sanity shared by all certificates; returns false (and records
@@ -72,8 +116,16 @@ std::string Certificate::to_string() const {
            " <= " + num(c.bound) + "\n";
   }
   if (opt_lower_bound > 0.0) {
-    out += "  certified OPT lower bound " + num(opt_lower_bound) +
-           ", ratio " + num(certified_ratio) + "\n";
+    // The winning bound's name, then the bounds it beat.
+    const auto best = std::ranges::max_element(lower_bounds, std::less{},
+                                               &LowerBound::value);
+    std::string names = best->name;
+    for (auto bound = lower_bounds.begin(); bound != lower_bounds.end();
+         ++bound) {
+      if (bound != best) names += "; " + bound->name + " = " + num(bound->value);
+    }
+    out += "  certified OPT lower bound " + num(opt_lower_bound) + " (" +
+           names + "), ratio " + num(certified_ratio) + "\n";
   }
   return out;
 }
@@ -91,15 +143,11 @@ Certificate check_certificate(const core::SsqppInstance& instance,
   const double tol = options.tolerance;
   const double beta = beta_of(options.alpha);
 
-  // Re-derive the LP lower bound Z* (paper eq. (9)) from scratch.
-  const core::FractionalSsqpp lp =
-      core::solve_ssqpp_lp(instance, options.simplex);
+  // A lower bound on Z* (paper eq. (9)) on the checker's own LP model.
+  const LpBound lp = ssqpp_bound(instance, &result.lp_duals, options.simplex);
   cert.add("lp/re-derivable",
            lp.status == lp::SolveStatus::kOptimal ? 0.0 : 1.0, 0.0, 0.0);
   if (lp.status != lp::SolveStatus::kOptimal) return cert;
-  const ValidationReport lp_report = validate_lp_solution(instance, lp);
-  cert.add("lp/primal-feasible",
-           static_cast<double>(lp_report.issues.size()), 0.0, 0.0);
 
   const double delay =
       core::source_expected_max_delay(instance, result.placement);
@@ -108,18 +156,18 @@ Certificate check_certificate(const core::SsqppInstance& instance,
 
   cert.add("consistency/delay", std::abs(delay - result.delay), 0.0, tol);
   cert.add("consistency/lp-objective",
-           std::abs(lp.objective - result.lp_objective), 0.0, tol);
+           std::abs(lp.value - result.lp_objective), 0.0, tol);
   cert.add("consistency/load-violation",
            std::abs(violation - result.load_violation), 0.0, tol);
 
   // Thm 3.7: Delta_f(v0) <= beta * Z*, load <= (alpha + 1) cap.
-  cert.add("thm3.7/delay", delay, beta * lp.objective, tol);
+  cert.add("thm3.7/delay", delay, beta * lp.value, tol);
   cert.add("thm3.7/load", violation, options.alpha + 1.0, tol);
 
   // Z* lower-bounds the *capacity-respecting* OPT; the rounded placement may
   // use up to (alpha + 1) cap, so its delay can legitimately undercut Z* and
   // the certified ratio can fall below 1.
-  set_ratio(cert, delay, lp.objective);
+  set_ratio(cert, delay, {{"Z*", lp.value}});
   return cert;
 }
 
@@ -144,25 +192,63 @@ Certificate check_certificate(const core::QppInstance& instance,
            tol);
   cert.add("consistency/load-violation",
            std::abs(violation - result.load_violation), 0.0, tol);
+
+  // Node v0's bound on Z*(v0), derived once, from the duals of the result's
+  // record for relay v0 when it has one.
+  const int n = instance.num_nodes();
+  const auto valid_node = [n](int v) { return v >= 0 && v < n; };
+  std::vector<const std::vector<double>*> supplied(
+      static_cast<std::size_t>(n), nullptr);
+  for (const core::RelayLp& record : result.relay_lps) {
+    if (valid_node(record.source)) {
+      supplied[static_cast<std::size_t>(record.source)] = &record.duals;
+    }
+  }
+  std::vector<std::optional<LpBound>> bounds(static_cast<std::size_t>(n));
+  const auto node_bound = [&](int v0) -> const LpBound& {
+    std::optional<LpBound>& bound = bounds[static_cast<std::size_t>(v0)];
+    if (!bound) {
+      bound = ssqpp_bound(core::single_source_view(instance, v0),
+                          supplied[static_cast<std::size_t>(v0)],
+                          options.simplex);
+    }
+    return *bound;
+  };
+
+  // Each record's Z*(v0), and best_lp_bound (their max), must match the
+  // bounds derived here.
+  double record_error = 0.0;
+  double best_bound = 0.0;
+  for (const core::RelayLp& record : result.relay_lps) {
+    if (!valid_node(record.source) ||
+        node_bound(record.source).status != lp::SolveStatus::kOptimal) {
+      record_error = std::numeric_limits<double>::infinity();
+      continue;
+    }
+    const LpBound& bound = node_bound(record.source);
+    record_error =
+        std::max(record_error, std::abs(record.objective - bound.value));
+    best_bound = std::max(best_bound, bound.value);
+  }
+  cert.add("consistency/relay-lp-objective", record_error, 0.0, tol);
+  cert.add("consistency/best-lp-bound",
+           std::abs(result.best_lp_bound - best_bound), 0.0, tol);
   cert.add("thm1.2/load", violation, options.alpha + 1.0, tol);
 
-  const bool source_valid =
-      result.chosen_source >= 0 && result.chosen_source < instance.num_nodes();
+  const bool source_valid = valid_node(result.chosen_source);
   cert.add("result/source-valid", source_valid ? 0.0 : 1.0, 0.0, 0.0);
   if (!source_valid) return cert;
 
   // Thm 3.7 at the chosen relay: Delta_f(v0) <= beta * Z*(v0).
-  const core::SsqppInstance chosen_view =
-      core::single_source_view(instance, result.chosen_source);
-  const core::FractionalSsqpp chosen_lp =
-      core::solve_ssqpp_lp(chosen_view, options.simplex);
+  const LpBound& chosen_lp = node_bound(result.chosen_source);
   cert.add("lp/re-derivable",
            chosen_lp.status == lp::SolveStatus::kOptimal ? 0.0 : 1.0, 0.0,
            0.0);
   if (chosen_lp.status != lp::SolveStatus::kOptimal) return cert;
-  const double source_delay =
-      core::source_expected_max_delay(chosen_view, result.placement);
-  cert.add("thm3.7@v0/delay", source_delay, beta * chosen_lp.objective, tol);
+  const double source_delay = core::source_expected_max_delay(
+      core::single_source_view(instance, result.chosen_source),
+      result.placement);
+  cert.add("thm3.7@v0/delay", source_delay, beta * chosen_lp.value, tol);
 
   // Relay inequality (paper eq. (4)/(8)): the average delay is at most the
   // via-v0 delay; holds for any placement by the triangle inequality.
@@ -171,32 +257,40 @@ Certificate check_certificate(const core::QppInstance& instance,
            tol);
 
   if (options.derive_opt_lower_bound) {
-    // L = min_v0 [Avg_v d(v, v0) + Z*(v0)] over ALL nodes; by Lemma 3.1 and
-    // Z*(v0) <= Delta_{f*}(v0), L <= 5 OPT. One LP per node.
-    // Only a proven-infeasible LP (OPT_ssqpp(v0) = inf) may be skipped; any
-    // other unsolved LP leaves the min over v0 unproven.
+    // With D(v0) <= Z*(v0) <= OPT_ssqpp(v0) <= Delta_{f*}(v0) for OPT's
+    // capacity-respecting placement f*, two bounds follow:
+    //  - L = min_v0 [Avg_v d(v, v0) + D(v0)] <= 5 OPT (Lemma 3.1), and
+    //  - direct: sum_v w_v D(v) <= sum_v w_v Delta_{f*}(v) = OPT.
+    // Only a proven-infeasible LP (OPT_ssqpp(v0) = inf) may be left out of
+    // L; any other unsolved LP leaves the min over v0 unproven.
     double relay_bound = std::numeric_limits<double>::infinity();
+    double direct_bound = 0.0;
     bool every_node_solved = true;
-    for (int v0 = 0; v0 < instance.num_nodes(); ++v0) {
-      core::FractionalSsqpp lp =
-          v0 == result.chosen_source
-              ? chosen_lp
-              : core::solve_ssqpp_lp(core::single_source_view(instance, v0),
-                                     options.simplex);
-      if (lp.status == lp::SolveStatus::kInfeasible) continue;
-      if (lp.status != lp::SolveStatus::kOptimal) {
+    bool every_node_bounded = true;
+    for (int v0 = 0; v0 < n; ++v0) {
+      const LpBound& bound = node_bound(v0);
+      if (bound.status == lp::SolveStatus::kInfeasible) {
+        every_node_bounded = false;
+        continue;
+      }
+      if (bound.status != lp::SolveStatus::kOptimal) {
         every_node_solved = false;
         break;
       }
       relay_bound = std::min(relay_bound,
-                             average_distance_to(instance, v0) + lp.objective);
+                             average_distance_to(instance, v0) + bound.value);
+      direct_bound +=
+          instance.client_weights()[static_cast<std::size_t>(v0)] *
+          bound.value;
     }
     const bool bound_exists = every_node_solved && std::isfinite(relay_bound);
     cert.add("thm1.2/lower-bound-exists", bound_exists ? 0.0 : 1.0, 0.0, 0.0);
     if (bound_exists) {
       // Thm 1.2: achieved average delay <= 5 beta * (L / 5) = beta * L.
       cert.add("thm1.2/delay", average, beta * relay_bound, tol);
-      set_ratio(cert, average, relay_bound / 5.0);
+      std::vector<LowerBound> lower_bounds = {{"L/5", relay_bound / 5.0}};
+      if (every_node_bounded) lower_bounds.push_back({"direct", direct_bound});
+      set_ratio(cert, average, std::move(lower_bounds));
     }
   }
   return cert;
@@ -222,18 +316,20 @@ Certificate check_certificate(const core::QppInstance& instance,
   cert.add("consistency/load-violation",
            std::abs(violation - result.load_violation), 0.0, tol);
 
-  // Re-derive the GAP LP optimum; the solve is deterministic.
-  const std::optional<core::TotalDelayResult> rederived =
-      core::solve_total_delay(instance);
-  cert.add("lp/re-derivable", rederived ? 0.0 : 1.0, 0.0, 0.0);
-  if (!rederived) return cert;
+  // A lower bound on the GAP LP optimum G on the checker's own model.
+  const assign::GapLp gap_lp =
+      assign::build_gap_lp(core::total_delay_gap(instance));
+  const LpBound lp = lp_bound(gap_lp.model, &result.lp_duals, options.simplex);
+  cert.add("lp/re-derivable",
+           lp.status == lp::SolveStatus::kOptimal ? 0.0 : 1.0, 0.0, 0.0);
+  if (lp.status != lp::SolveStatus::kOptimal) return cert;
   cert.add("consistency/lp-objective",
-           std::abs(rederived->lp_objective - result.lp_objective), 0.0, tol);
+           std::abs(lp.value - result.lp_objective), 0.0, tol);
 
   // Thm 5.1: cost <= LP optimum <= OPT, load <= 2 cap.
-  cert.add("thm5.1/delay", average, rederived->lp_objective, tol);
+  cert.add("thm5.1/delay", average, lp.value, tol);
   cert.add("thm5.1/load", violation, 2.0, tol);
-  set_ratio(cert, average, rederived->lp_objective);
+  set_ratio(cert, average, {{"G", lp.value}});
   return cert;
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <utility>
 
 #include "check/contracts.hpp"
 #include "check/validate.hpp"
@@ -39,7 +40,7 @@ std::optional<QppResult> solve_qpp(const QppInstance& instance,
   QP_REQUIRE(check::validate_instance(instance).ok(),
              "QPP instance violates its data contracts (metric / strategy / "
              "capacities); see check::validate_instance");
-  const auto sweep = relay_sweep<SsqppResult>(
+  auto sweep = relay_sweep<SsqppResult>(
       instance, options,
       [&](const SsqppInstance& view) {
         return solve_ssqpp(view, options.alpha, options.simplex);
@@ -53,6 +54,12 @@ std::optional<QppResult> solve_qpp(const QppInstance& instance,
                                          {options.alpha + 1.0, 1e-6})
                    .ok(),
                "Thm 1.2 load bound load_f(v) <= (alpha + 1) * cap violated");
+  std::vector<RelayLp> relay_lps;
+  relay_lps.reserve(sweep.feasible.size());
+  for (auto& outcome : sweep.feasible) {
+    relay_lps.push_back({outcome.source, outcome.solution.lp_objective,
+                         std::move(outcome.solution.lp_duals)});
+  }
   return QppResult{
       .placement = won.solution.placement,
       .chosen_source = won.source,
@@ -64,7 +71,8 @@ std::optional<QppResult> solve_qpp(const QppInstance& instance,
           sweep.feasible.begin(), sweep.feasible.end(), 0.0,
           [](double bound, const auto& outcome) {
             return std::max(bound, outcome.solution.lp_objective);
-          })};
+          }),
+      .relay_lps = std::move(relay_lps)};
 }
 
 }  // namespace qp::core

@@ -17,6 +17,15 @@
 
 namespace qp::core {
 
+/// One relay of the sweep: its LP (9)-(14) value and the row duals the
+/// simplex ended with, from which check_certificate derives a bound on
+/// Z*(source) without re-solving.
+struct RelayLp {
+  int source = -1;
+  double objective = 0.0;     ///< Z*(source)
+  std::vector<double> duals;  ///< SsqppResult::lp_duals of that relay
+};
+
 struct QppResult {
   Placement placement;
   int chosen_source = -1;        ///< the v0 whose SSQPP solution won
@@ -24,6 +33,7 @@ struct QppResult {
   double load_violation = 0.0;   ///< max_v load_f(v)/cap(v); bound: alpha + 1
   double best_lp_bound = 0.0;    ///< max over tried v0 of Z*(v0): each Z*(v0)
                                  ///< lower-bounds Delta_{f*}(v0) for that v0
+  std::vector<RelayLp> relay_lps;  ///< per feasible relay, candidate order
 };
 
 struct QppSolveOptions {

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/instance.hpp"
+#include "lp/model.hpp"
 #include "lp/simplex.hpp"
 
 namespace qp::core {
@@ -28,6 +29,9 @@ struct FractionalSsqpp {
   std::vector<double> quorum_probability;  ///< p0(Q), copied from the strategy
   std::vector<double> x_tu;          ///< t-major: x_tu[t * |U| + u]
   std::vector<double> x_tq;          ///< t-major: x_tq[t * |Q| + q]
+  /// Row duals of the optimal LP, in build_ssqpp_lp's row order: with
+  /// lp::dual_bound on that model they certify a lower bound on Z*.
+  std::vector<double> duals;
 
   double xu(int t, int u) const {
     return x_tu[static_cast<std::size_t>(t) *
@@ -45,8 +49,23 @@ struct FractionalSsqpp {
   double quorum_distance(int q) const;
 };
 
-/// Builds and solves LP (9)-(14) for the instance. Constraint (13) is
-/// enforced by omitting variables x_{tu} with load(u) > cap(v_t).
+/// LP (9)-(14) of an instance as an lp::Model. Constraint (13) is enforced
+/// by omitting variables x_{tu} with load(u) > cap(v_t). The one builder
+/// behind solve_ssqpp_lp and the certificate's dual bound.
+struct SsqppLp {
+  lp::Model model;
+  /// False when some element fits on no node: the LP is infeasible and
+  /// `model` stops short of its rows.
+  bool element_fits = true;
+  std::vector<int> node_order;          ///< as in FractionalSsqpp
+  std::vector<double> sorted_distance;  ///< as in FractionalSsqpp
+  std::vector<int> var_tu;  ///< t-major model ids; -1 where (13) fixes 0
+  std::vector<int> var_tq;  ///< t-major model ids
+};
+
+SsqppLp build_ssqpp_lp(const SsqppInstance& instance);
+
+/// Builds and solves LP (9)-(14) for the instance.
 FractionalSsqpp solve_ssqpp_lp(const SsqppInstance& instance,
                                const lp::SimplexOptions& options = {});
 

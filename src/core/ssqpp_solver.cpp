@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "assign/gap.hpp"
 #include "check/contracts.hpp"
@@ -102,11 +103,12 @@ std::optional<SsqppResult> solve_ssqpp(const SsqppInstance& instance,
              "/ capacities); see check::validate_instance");
   QP_SPAN("ssqpp.solve");
   QP_COUNTER_ADD("ssqpp.solves", 1);
-  const FractionalSsqpp fractional = [&] {
+  FractionalSsqpp fractional = [&] {
     QP_SPAN("ssqpp.lp");
     return solve_ssqpp_lp(instance, options);
   }();
   if (fractional.status != lp::SolveStatus::kOptimal) return std::nullopt;
+  std::vector<double> lp_duals = std::move(fractional.duals);
   const FractionalSsqpp filtered = [&] {
     QP_SPAN("ssqpp.filter");
     return filter_fractional(fractional, alpha);
@@ -121,6 +123,7 @@ std::optional<SsqppResult> solve_ssqpp(const SsqppInstance& instance,
   SsqppResult result;
   result.placement = *placement;
   result.lp_objective = fractional.objective;
+  result.lp_duals = std::move(lp_duals);
   result.delay = source_expected_max_delay(instance, *placement);
   result.delay_bound = alpha / (alpha - 1.0) * fractional.objective;
   result.load_violation = max_capacity_violation(

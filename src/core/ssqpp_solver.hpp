@@ -9,6 +9,7 @@
 ///   load_f(v)   <= (alpha + 1) * cap(v).
 
 #include <optional>
+#include <vector>
 
 #include "core/instance.hpp"
 #include "core/ssqpp_lp.hpp"
@@ -18,6 +19,7 @@ namespace qp::core {
 struct SsqppResult {
   Placement placement;
   double lp_objective = 0.0;     ///< Z*, a lower bound on OPT
+  std::vector<double> lp_duals;  ///< LP (9)-(14) row duals (FractionalSsqpp)
   double delay = 0.0;            ///< achieved Delta_f(v0)
   double delay_bound = 0.0;      ///< (alpha/(alpha-1)) * Z*
   double load_violation = 0.0;   ///< max_v load_f(v)/cap(v); bound: alpha + 1

@@ -1,11 +1,13 @@
 #include "core/total_delay.hpp"
 
+#include <utility>
+
 #include "assign/gap.hpp"
 #include "core/evaluators.hpp"
 
 namespace qp::core {
 
-std::optional<TotalDelayResult> solve_total_delay(const QppInstance& instance) {
+assign::GapInstance total_delay_gap(const QppInstance& instance) {
   const int n = instance.num_nodes();
   const int num_elements = instance.system().universe_size();
   const std::vector<double>& loads = instance.element_loads();
@@ -32,8 +34,13 @@ std::optional<TotalDelayResult> solve_total_delay(const QppInstance& instance) {
       gap.set_load(v, u, loads[static_cast<std::size_t>(u)]);
     }
   }
+  return gap;
+}
 
-  const assign::FractionalGap fractional = assign::solve_gap_lp(gap);
+std::optional<TotalDelayResult> solve_total_delay(const QppInstance& instance) {
+  const int num_elements = instance.system().universe_size();
+  const assign::GapInstance gap = total_delay_gap(instance);
+  assign::FractionalGap fractional = assign::solve_gap_lp(gap);
   const std::optional<assign::GapAssignment> rounded =
       assign::shmoys_tardos_round(gap, fractional);
   if (!rounded) return std::nullopt;
@@ -45,6 +52,7 @@ std::optional<TotalDelayResult> solve_total_delay(const QppInstance& instance) {
         rounded->job_to_machine[static_cast<std::size_t>(u)];
   }
   result.lp_objective = fractional.objective;
+  result.lp_duals = std::move(fractional.duals);
   result.average_delay = average_total_delay(instance, result.placement);
   result.load_violation = max_capacity_violation(
       instance.element_loads(), instance.capacities(), result.placement);

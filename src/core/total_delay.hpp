@@ -9,7 +9,9 @@
 /// yields Avg_v Gamma_f(v) <= OPT with load_f(v) <= 2 cap(v).
 
 #include <optional>
+#include <vector>
 
+#include "assign/gap.hpp"
 #include "core/instance.hpp"
 
 namespace qp::core {
@@ -20,7 +22,12 @@ struct TotalDelayResult {
   double lp_objective = 0.0;     ///< GAP LP optimum, lower bound on the
                                  ///< capacity-feasible OPT
   double load_violation = 0.0;   ///< max_v load_f(v)/cap(v); bound: 2
+  std::vector<double> lp_duals;  ///< GAP LP row duals (assign::FractionalGap)
 };
+
+/// The GAP instance of Sec 5 for a QPP instance; solve_total_delay solves
+/// its LP, and the certificate bounds that LP from the result's duals.
+assign::GapInstance total_delay_gap(const QppInstance& instance);
 
 /// Thm 5.1 solver. Returns std::nullopt when even the fractional relaxation
 /// is infeasible (total element load exceeds total capacity, or some element

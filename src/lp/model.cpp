@@ -1,6 +1,8 @@
 #include "lp/model.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace qp::lp {
@@ -38,6 +40,28 @@ void Model::add_constraint(std::vector<std::pair<int, double>> terms,
     }
   }
   constraints_.push_back({std::move(terms), relation, rhs});
+}
+
+double dual_bound(const Model& model, const std::vector<double>& y) {
+  if (y.size() != static_cast<std::size_t>(model.num_constraints())) {
+    throw std::invalid_argument("dual_bound: need one dual per constraint");
+  }
+  std::vector<double> reduced = model.objective();  // c - A^T y
+  double bound = 0.0;                               // b.y
+  for (std::size_t i = 0; i < y.size(); ++i) {
+    const Constraint& row = model.constraints()[i];
+    double dual = std::isfinite(y[i]) ? y[i] : 0.0;
+    if (row.relation == Relation::kLessEqual) dual = std::min(dual, 0.0);
+    if (row.relation == Relation::kGreaterEqual) dual = std::max(dual, 0.0);
+    if (dual == 0.0) continue;
+    bound += row.rhs * dual;
+    for (const auto& [var, coeff] : row.terms) {
+      reduced[static_cast<std::size_t>(var)] -= coeff * dual;
+    }
+  }
+  for (const double r : reduced) bound += std::min(r, 0.0);  // x_j <= 1
+  // Overflowing duals can make the sum inf - inf; no bound is then -inf.
+  return std::isnan(bound) ? -std::numeric_limits<double>::infinity() : bound;
 }
 
 }  // namespace qp::lp

@@ -50,4 +50,16 @@ class Model {
   std::vector<Constraint> constraints_;
 };
 
+/// Weak-duality lower bound on min c.x over the model's rows, 0 <= x <= 1,
+/// for any row duals y (one per constraint): each y_i is first projected
+/// onto the sign its relation needs (<= rows: y_i <= 0, >= rows: y_i >= 0,
+/// non-finite: 0), then the bound is
+///   b.y + sum_j min(0, (c - A^T y)_j).
+/// It is at most the LP optimum whenever every feasible x has x_j <= 1, as
+/// in LP (9)-(14) and the GAP LP (15)-(18), whatever y is; the duals of an
+/// optimal solve make it equal the optimum up to rounding (Neumaier and
+/// Shcherbina, "Safe bounds in linear and mixed-integer programming", 2004).
+/// \throws std::invalid_argument unless y has one entry per constraint.
+double dual_bound(const Model& model, const std::vector<double>& y);
+
 }  // namespace qp::lp

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <stdexcept>
+#include <utility>
 
 #include "check/contracts.hpp"
 #include "obs/obs.hpp"
@@ -70,7 +71,10 @@ class Tableau {
         solution.values[static_cast<std::size_t>(bv)] =
             std::max(0.0, b_[static_cast<std::size_t>(i)]);
       }
+      duals_[static_cast<std::size_t>(i)] *= cost2_[static_cast<std::size_t>(
+          dual_column_[static_cast<std::size_t>(i)])];
     }
+    solution.duals = std::move(duals_);
     return solution;
   }
 
@@ -111,6 +115,11 @@ class Tableau {
 
     first_artificial_ = num_structural_ + num_slack;
     cols_ = first_artificial_ + num_artificial_;
+    // duals_ outlives the tableau (run() moves it out), so it is allocated
+    // before a_: a long-lived block behind a_ would keep a_'s memory from
+    // being reused by the next solve on this thread.
+    duals_.resize(static_cast<std::size_t>(rows_));
+    dual_column_.resize(static_cast<std::size_t>(rows_));
     a_.assign(static_cast<std::size_t>(rows_) * static_cast<std::size_t>(cols_),
               0.0);
     nonzero_.resize(static_cast<std::size_t>(cols_));
@@ -127,22 +136,30 @@ class Tableau {
       if (c.rhs < 0.0) {
         for (int j = 0; j < num_structural_; ++j) row_data[j] = -row_data[j];
       }
+      // With y = c_B B^-1, a column of +1 in row i (a <= slack or an
+      // artificial) ends with reduced cost -y_i, the >= slack's -1 with
+      // +y_i; a negated row's dual changes sign once more.
+      double dual_sign = c.rhs < 0.0 ? 1.0 : -1.0;
       switch (relation[static_cast<std::size_t>(i)]) {
         case Relation::kLessEqual:
           row_data[next_slack] = 1.0;
+          dual_column_[static_cast<std::size_t>(i)] = next_slack;
           basis_[static_cast<std::size_t>(i)] = next_slack++;
           break;
         case Relation::kGreaterEqual:
           row_data[next_slack] = -1.0;
-          ++next_slack;
+          dual_column_[static_cast<std::size_t>(i)] = next_slack++;
+          dual_sign = -dual_sign;
           row_data[next_artificial] = 1.0;
           basis_[static_cast<std::size_t>(i)] = next_artificial++;
           break;
         case Relation::kEqual:
           row_data[next_artificial] = 1.0;
+          dual_column_[static_cast<std::size_t>(i)] = next_artificial;
           basis_[static_cast<std::size_t>(i)] = next_artificial++;
           break;
       }
+      duals_[static_cast<std::size_t>(i)] = dual_sign;
     }
 
     // Phase-2 cost row: reduced costs of the all-slack/artificial basis are
@@ -318,6 +335,10 @@ class Tableau {
   std::vector<double> cost2_;
   std::vector<int> basis_;
   std::vector<int> nonzero_;  ///< pivot-row nonzero columns, scratch
+  std::vector<int> dual_column_;  ///< per row: slack or artificial column
+  /// Per row: the sign that turns dual_column_'s final cost2_ entry into
+  /// the row's dual; run() scales it into the dual itself.
+  std::vector<double> duals_;
 };
 
 }  // namespace

@@ -7,7 +7,9 @@
 /// fallback, centralized tolerances. The tableau is stored dense, but a
 /// pivot updates only the columns where the scaled pivot row is nonzero
 /// (2-4% of them on the SSQPP LPs), which gives bit-for-bit the pivots and
-/// values of the full dense row update.
+/// values of the full dense row update. An optimal solve also returns the
+/// row duals, so a caller can certify its objective with lp::dual_bound
+/// without trusting the solver.
 
 #include <cstdint>
 #include <string>
@@ -33,6 +35,10 @@ struct Solution {
   SolveStatus status = SolveStatus::kInfeasible;
   double objective = 0.0;
   std::vector<double> values;     ///< per-variable values when kOptimal
+  /// Per-row duals y when kOptimal, in the sign convention of dual_bound
+  /// (y_i <= 0 on <= rows, >= 0 on >= rows), read off the final phase-2
+  /// reduced costs of each row's slack or artificial column.
+  std::vector<double> duals;
   std::int64_t iterations = 0;
 };
 

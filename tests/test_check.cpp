@@ -6,8 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <random>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -20,6 +23,7 @@
 #include "core/ssqpp_solver.hpp"
 #include "core/total_delay.hpp"
 #include "graph/generators.hpp"
+#include "obs/obs.hpp"
 #include "quorum/constructions.hpp"
 
 namespace qp::check {
@@ -294,6 +298,178 @@ TEST(Certificate, IterationLimitedLowerBoundIsNotCertified) {
   EXPECT_FALSE(lower_bound->holds);
   EXPECT_EQ(cert.opt_lower_bound, 0.0);
   EXPECT_EQ(cert.certified_ratio, 0.0);
+}
+
+/// The instance of `qplace check --topology geometric --nodes <nodes>
+/// --seed 1 --cap <cap>` for \p system.
+core::QppInstance cli_geometric(quorum::QuorumSystem system, int nodes,
+                                double cap) {
+  std::mt19937_64 rng(1);
+  graph::Metric metric = graph::Metric::from_graph(
+      graph::random_geometric(nodes, 0.45, rng).graph);
+  quorum::AccessStrategy strategy = quorum::AccessStrategy::uniform(system);
+  double max_load = 0.0;
+  for (const double load : quorum::element_loads(system, strategy)) {
+    max_load = std::max(max_load, load);
+  }
+  std::vector<double> capacities(static_cast<std::size_t>(nodes),
+                                 cap * max_load);
+  return core::QppInstance(std::move(metric), std::move(capacities),
+                           std::move(system), std::move(strategy));
+}
+
+/// The certificate's lower bound called \p name (NaN if it has none).
+double lower_bound(const Certificate& cert, const std::string& name) {
+  for (const LowerBound& bound : cert.lower_bounds) {
+    if (bound.name == name) return bound.value;
+  }
+  return std::numeric_limits<double>::quiet_NaN();
+}
+
+std::vector<std::string> failed_checks(const Certificate& cert) {
+  std::vector<std::string> names;
+  for (const BoundCheck& check : cert.checks) {
+    if (!check.holds) names.push_back(check.name);
+  }
+  return names;
+}
+
+/// lp.solves counted while \p call runs.
+template <typename Call>
+std::uint64_t lp_solves_of(Call&& call) {
+  const auto count = [] {
+    const auto counters = obs::Registry::instance().counter_values();
+    const auto it = counters.find("lp.solves");
+    return it == counters.end() ? std::uint64_t{0} : it->second;
+  };
+  const std::uint64_t before = count();
+  call();
+  return count() - before;
+}
+
+TEST(Certificate, DirectLowerBoundWinsOnGrid) {
+  // Thm 1.2 certifies max(L / 5, sum_v w_v D(v)); here the direct bound is
+  // 2.4x tighter and the certified ratio falls from 4.17 to 1.73.
+  const core::QppInstance instance = cli_geometric(quorum::grid(3), 16, 1.2);
+  const auto result = core::solve_qpp(instance);
+  ASSERT_TRUE(result.has_value());
+  const Certificate cert = check_certificate(instance, *result);
+  ASSERT_TRUE(cert.ok()) << cert.to_string();
+  EXPECT_NEAR(lower_bound(cert, "L/5"), 0.10312766657821867, 1e-9);
+  EXPECT_NEAR(lower_bound(cert, "direct"), 0.24778300171988538, 1e-9);
+  EXPECT_EQ(cert.opt_lower_bound, lower_bound(cert, "direct"));
+  EXPECT_NE(cert.to_string().find("(direct; L/5 = 0.103128), ratio 1.73448"),
+            std::string::npos)
+      << cert.to_string();
+}
+
+TEST(Certificate, RelayLowerBoundWinsOnMajorityAtCapTwo) {
+  const core::QppInstance instance =
+      cli_geometric(quorum::majority(5, 3), 24, 2.0);
+  const auto result = core::solve_qpp(instance);
+  ASSERT_TRUE(result.has_value());
+  const Certificate cert = check_certificate(instance, *result);
+  ASSERT_TRUE(cert.ok()) << cert.to_string();
+  EXPECT_NEAR(lower_bound(cert, "L/5"), 0.079523060184376201, 1e-9);
+  EXPECT_NEAR(lower_bound(cert, "direct"), 0.068961535253970863, 1e-9);
+  EXPECT_EQ(cert.opt_lower_bound, lower_bound(cert, "L/5"));
+  EXPECT_NE(cert.to_string().find("(L/5; direct = "), std::string::npos)
+      << cert.to_string();
+}
+
+TEST(Certificate, QppRejectsTamperedRelayLpValues) {
+  const core::QppInstance instance =
+      make_qpp(graph::path_graph(5), quorum::grid(2), 1.0);
+  const auto result = core::solve_qpp(instance);
+  ASSERT_TRUE(result.has_value());
+  ASSERT_TRUE(check_certificate(instance, *result).ok());
+
+  core::QppResult best = *result;
+  best.best_lp_bound += 0.1;
+  EXPECT_EQ(failed_checks(check_certificate(instance, best)),
+            std::vector<std::string>{"consistency/best-lp-bound"});
+
+  core::QppResult relay = *result;
+  relay.relay_lps.back().objective += 0.1;
+  EXPECT_EQ(failed_checks(check_certificate(instance, relay)),
+            std::vector<std::string>{"consistency/relay-lp-objective"});
+}
+
+TEST(Certificate, UnusableRelayDualsGiveTheStrippedVerdict) {
+  // Records whose duals are NaN or of the wrong length are ignored: the
+  // checker solves those LPs itself, exactly as for records without duals.
+  const core::QppInstance instance = cli_geometric(quorum::grid(2), 12, 1.2);
+  const auto result = core::solve_qpp(instance);
+  ASSERT_TRUE(result.has_value());
+  ASSERT_EQ(result->relay_lps.size(),
+            static_cast<std::size_t>(instance.num_nodes()));
+  core::QppResult stripped = *result;
+  core::QppResult with_nan = *result;
+  core::QppResult wrong_length = *result;
+  for (std::size_t i = 0; i < result->relay_lps.size(); ++i) {
+    stripped.relay_lps[i].duals.clear();
+    with_nan.relay_lps[i].duals[i] = std::numeric_limits<double>::quiet_NaN();
+    wrong_length.relay_lps[i].duals.pop_back();
+  }
+
+  Certificate intact_cert;
+  Certificate stripped_cert;
+  const std::uint64_t intact_solves = lp_solves_of(
+      [&] { intact_cert = check_certificate(instance, *result); });
+  const std::uint64_t stripped_solves = lp_solves_of(
+      [&] { stripped_cert = check_certificate(instance, stripped); });
+  if (obs::compiled_in()) {
+    EXPECT_EQ(intact_solves, 0u);
+    EXPECT_EQ(stripped_solves, static_cast<std::uint64_t>(instance.num_nodes()));
+  }
+  ASSERT_TRUE(stripped_cert.ok()) << stripped_cert.to_string();
+  const core::QppResult* const others[] = {&*result, &with_nan,
+                                           &wrong_length};
+  for (const core::QppResult* other : others) {
+    const Certificate cert = check_certificate(instance, *other);
+    EXPECT_EQ(cert.ok(), stripped_cert.ok());
+    ASSERT_EQ(cert.lower_bounds.size(), stripped_cert.lower_bounds.size());
+    for (std::size_t i = 0; i < cert.lower_bounds.size(); ++i) {
+      EXPECT_NEAR(cert.lower_bounds[i].value,
+                  stripped_cert.lower_bounds[i].value, 1e-9);
+    }
+    EXPECT_NEAR(cert.certified_ratio, stripped_cert.certified_ratio, 1e-9);
+  }
+}
+
+TEST(Certificate, SsqppAndTotalDelayDualsAreUntrusted) {
+  // Unusable duals fall back to the checker's own solve; finite but wrong
+  // duals give a weaker, still sound bound that no longer matches the
+  // reported LP value.
+  const core::QppInstance instance = cli_geometric(quorum::grid(2), 12, 1.2);
+  const core::SsqppInstance view = core::single_source_view(instance, 3);
+  const auto single = core::solve_ssqpp(view, 2.0);
+  ASSERT_TRUE(single.has_value());
+  const Certificate single_cert = check_certificate(view, *single);
+  ASSERT_TRUE(single_cert.ok()) << single_cert.to_string();
+  core::SsqppResult single_nan = *single;
+  single_nan.lp_duals.front() = std::numeric_limits<double>::quiet_NaN();
+  const Certificate nan_cert = check_certificate(view, single_nan);
+  EXPECT_TRUE(nan_cert.ok());
+  EXPECT_NEAR(nan_cert.opt_lower_bound, single_cert.opt_lower_bound, 1e-9);
+  core::SsqppResult single_scaled = *single;
+  for (double& y : single_scaled.lp_duals) y *= 1.5;
+  const Certificate scaled_cert = check_certificate(view, single_scaled);
+  EXPECT_FALSE(scaled_cert.ok());
+  EXPECT_LT(scaled_cert.opt_lower_bound, single_cert.opt_lower_bound);
+
+  const auto total = core::solve_total_delay(instance);
+  ASSERT_TRUE(total.has_value());
+  const Certificate total_cert = check_certificate(instance, *total);
+  ASSERT_TRUE(total_cert.ok()) << total_cert.to_string();
+  core::TotalDelayResult total_short = *total;
+  total_short.lp_duals.pop_back();
+  const Certificate short_cert = check_certificate(instance, total_short);
+  EXPECT_TRUE(short_cert.ok());
+  EXPECT_NEAR(short_cert.opt_lower_bound, total_cert.opt_lower_bound, 1e-9);
+  core::TotalDelayResult total_flipped = *total;
+  for (double& y : total_flipped.lp_duals) y = -y;
+  EXPECT_FALSE(check_certificate(instance, total_flipped).ok());
 }
 
 TEST(Certificate, TotalDelayResultIsCertified) {

@@ -171,12 +171,21 @@ TEST(ParallelDeterminism, QppModeBitIdentical) {
     EXPECT_EQ(at_one->average_delay, at_eight->average_delay) << named.name;
     EXPECT_EQ(at_one->best_lp_bound, at_eight->best_lp_bound) << named.name;
     EXPECT_EQ(at_one->load_violation, at_eight->load_violation) << named.name;
+    ASSERT_EQ(at_one->relay_lps.size(), at_eight->relay_lps.size())
+        << named.name;
+    for (std::size_t i = 0; i < at_one->relay_lps.size(); ++i) {
+      const core::RelayLp& one = at_one->relay_lps[i];
+      const core::RelayLp& eight = at_eight->relay_lps[i];
+      EXPECT_EQ(one.source, eight.source) << named.name;
+      EXPECT_EQ(one.objective, eight.objective) << named.name;
+      EXPECT_EQ(one.duals, eight.duals) << named.name << " relay " << i;
+    }
 
     // Certificate verdicts (and every printed bound) must agree too.
     const auto certify = [&](const core::QppResult& result) {
       check::CertificateOptions options;
       options.alpha = 2.0;
-      options.derive_opt_lower_bound = false;  // keep the suite fast
+      options.derive_opt_lower_bound = true;
       return check::check_certificate(named.instance, result, options);
     };
     const check::Certificate cert_one =

@@ -7,10 +7,12 @@
 #include <cstdint>
 #include <optional>
 #include <random>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "assign/gap.hpp"
 #include "core/qpp_solver.hpp"
 #include "core/ssqpp_lp.hpp"
 #include "core/total_delay.hpp"
@@ -347,6 +349,127 @@ TEST(Simplex, PivotPathIsPinned) {
   if (obs::compiled_in()) {
     EXPECT_EQ(work.iterations, 63u);
     EXPECT_EQ(work.pivots, 61u);
+  }
+}
+
+// Weak duality at the optimum: the duals the simplex returns give back its
+// objective, on <=, >= and = rows and on rows build() negates (rhs < 0).
+TEST(Simplex, DualsCertifyTheObjectiveOnHandLps) {
+  {
+    // min -x0 - 2 x1 + x2 on [0,1]^3 with one row of every kind, two of
+    // them given with a negative rhs.
+    Model m;
+    const int x0 = m.add_variable(-1.0);
+    const int x1 = m.add_variable(-2.0);
+    const int x2 = m.add_variable(1.0);
+    for (int x : {x0, x1, x2}) {
+      m.add_constraint({{x, 1.0}}, Relation::kLessEqual, 1.0);
+    }
+    m.add_constraint({{x0, 1.0}, {x1, 1.0}}, Relation::kLessEqual, 1.5);
+    m.add_constraint({{x0, 1.0}, {x2, 1.0}}, Relation::kGreaterEqual, 0.5);
+    m.add_constraint({{x1, 1.0}, {x2, -1.0}}, Relation::kEqual, 0.25);
+    m.add_constraint({{x0, -1.0}, {x1, -1.0}, {x2, -1.0}},
+                     Relation::kLessEqual, -0.5);
+    m.add_constraint({{x0, -1.0}, {x1, -2.0}}, Relation::kGreaterEqual, -2.0);
+    m.add_constraint({{x1, -1.0}, {x2, 1.0}}, Relation::kEqual, -0.25);
+    const Solution s = solve(m);
+    ASSERT_EQ(s.status, SolveStatus::kOptimal);
+    EXPECT_NEAR(dual_bound(m, s.duals), s.objective, 1e-9);
+    // The duals already carry the signs dual_bound projects onto.
+    for (int i = 0; i < m.num_constraints(); ++i) {
+      const double y = s.duals[static_cast<std::size_t>(i)];
+      const Relation relation =
+          m.constraints()[static_cast<std::size_t>(i)].relation;
+      if (relation == Relation::kLessEqual) {
+        EXPECT_LE(y, 1e-12) << i;
+      } else if (relation == Relation::kGreaterEqual) {
+        EXPECT_GE(y, -1e-12) << i;
+      }
+    }
+  }
+  {
+    // min x s.t. -x <= -0.75, x <= 1: the negated row alone binds, y = -1.
+    Model m;
+    const int x = m.add_variable(1.0);
+    m.add_constraint({{x, -1.0}}, Relation::kLessEqual, -0.75);
+    m.add_constraint({{x, 1.0}}, Relation::kLessEqual, 1.0);
+    const Solution s = solve(m);
+    ASSERT_EQ(s.status, SolveStatus::kOptimal);
+    EXPECT_NEAR(s.duals[0], -1.0, 1e-12);
+    EXPECT_NEAR(dual_bound(m, s.duals), 0.75, 1e-9);
+  }
+  {
+    // 2 x 2 transportation problem: every row an equality.
+    Model m;
+    const double cost[] = {4.0, 6.0, 5.0, 3.0};
+    for (double c : cost) m.add_variable(c);
+    m.add_constraint({{0, 1.0}, {1, 1.0}}, Relation::kEqual, 0.6);
+    m.add_constraint({{2, 1.0}, {3, 1.0}}, Relation::kEqual, 0.4);
+    m.add_constraint({{0, 1.0}, {2, 1.0}}, Relation::kEqual, 0.5);
+    m.add_constraint({{1, 1.0}, {3, 1.0}}, Relation::kEqual, 0.5);
+    const Solution s = solve(m);
+    ASSERT_EQ(s.status, SolveStatus::kOptimal);
+    EXPECT_NEAR(s.objective, 0.5 * 4.0 + 0.1 * 6.0 + 0.4 * 3.0, 1e-12);
+    EXPECT_NEAR(dual_bound(m, s.duals), s.objective, 1e-9);
+  }
+}
+
+TEST(Simplex, DualBoundRejectsWrongLength) {
+  Model m;
+  const int x = m.add_variable(1.0);
+  m.add_constraint({{x, 1.0}}, Relation::kLessEqual, 1.0);
+  EXPECT_THROW(dual_bound(m, {}), std::invalid_argument);
+  EXPECT_THROW(dual_bound(m, {0.0, 0.0}), std::invalid_argument);
+}
+
+// The same on every relay LP (9)-(14) of the pinned instance and on its
+// Thm 5.1 GAP LP.
+TEST(Simplex, DualsCertifyEveryRelayLp) {
+  const core::QppInstance instance = pinned_instance();
+  for (int source = 0; source < instance.num_nodes(); ++source) {
+    SCOPED_TRACE(source);
+    const core::SsqppInstance view = core::single_source_view(instance, source);
+    const core::FractionalSsqpp relay_lp = core::solve_ssqpp_lp(view);
+    ASSERT_EQ(relay_lp.status, SolveStatus::kOptimal);
+    EXPECT_NEAR(dual_bound(core::build_ssqpp_lp(view).model, relay_lp.duals),
+                relay_lp.objective, 1e-9);
+  }
+  const std::optional<core::TotalDelayResult> total =
+      core::solve_total_delay(instance);
+  ASSERT_TRUE(total.has_value());
+  EXPECT_NEAR(
+      dual_bound(assign::build_gap_lp(core::total_delay_gap(instance)).model,
+                 total->lp_duals),
+      total->lp_objective, 1e-9);
+}
+
+// Any y gives a sound bound: scaled, sign-flipped or noisy duals stay below
+// Z*, and the corruption shows as a strictly weaker bound.
+TEST(Simplex, CorruptDualsOnlyWeakenTheBound) {
+  const core::QppInstance instance = pinned_instance();
+  std::mt19937_64 rng(3);
+  std::uniform_real_distribution<double> noise(-1e-3, 1e-3);
+  for (int source : {0, 7, 13}) {
+    SCOPED_TRACE(source);
+    const core::SsqppInstance view = core::single_source_view(instance, source);
+    const core::FractionalSsqpp relay_lp = core::solve_ssqpp_lp(view);
+    ASSERT_EQ(relay_lp.status, SolveStatus::kOptimal);
+    const Model model = core::build_ssqpp_lp(view).model;
+    std::vector<double> scaled = relay_lp.duals;
+    std::vector<double> flipped = relay_lp.duals;
+    std::vector<double> noisy = relay_lp.duals;
+    for (std::size_t i = 0; i < scaled.size(); ++i) {
+      scaled[i] *= 1.5;
+      flipped[i] = -flipped[i];
+      noisy[i] += noise(rng);
+    }
+    bool weaker = false;
+    for (const auto* y : {&scaled, &flipped, &noisy}) {
+      const double bound = dual_bound(model, *y);
+      EXPECT_LE(bound, relay_lp.objective + 1e-12);
+      weaker = weaker || bound < relay_lp.objective - 1e-9;
+    }
+    EXPECT_TRUE(weaker);
   }
 }
 

@@ -41,6 +41,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "check/certificate.hpp"
@@ -302,7 +303,7 @@ const Algorithm kAlgorithms[] = {
      [](const auto& instance, const auto& args) -> std::optional<Solution> {
        core::QppSolveOptions solve_options;
        solve_options.alpha = args.get_double("alpha", 2.0);
-       const auto result = core::solve_qpp(instance, solve_options);
+       auto result = core::solve_qpp(instance, solve_options);
        if (!result) return std::nullopt;
        const std::string relay =
            "relay v0 = " + std::to_string(result->chosen_source);
@@ -312,7 +313,8 @@ const Algorithm kAlgorithms[] = {
            .relay = result->chosen_source,
            .alpha = solve_options.alpha,
            .claim = "Thm 1.2 (5a/(a-1)-approx, load <= (a+1) cap), " + relay,
-           .certify = [&instance, r = *result](const auto& options) {
+           .certify = [&instance,
+                       r = std::move(*result)](const auto& options) {
              return check::check_certificate(instance, r, options);
            }};
      }},
@@ -321,7 +323,7 @@ const Algorithm kAlgorithms[] = {
        core::SsqppInstance view =
            core::single_source_view(instance, args.get_int("source", 0));
        const double alpha = args.get_double("alpha", 2.0);
-       const auto result = core::solve_ssqpp(view, alpha);
+       auto result = core::solve_ssqpp(view, alpha);
        if (!result) return std::nullopt;
        return Solution{
            .placement = result->placement,
@@ -329,19 +331,20 @@ const Algorithm kAlgorithms[] = {
            .alpha = alpha,
            .claim = "Thm 3.7 (a/(a-1)-approx vs Z*, load <= (a+1) cap)",
            .certify = [view = std::move(view),
-                       r = *result](const auto& options) {
+                       r = std::move(*result)](const auto& options) {
              return check::check_certificate(view, r, options);
            }};
      }},
     {"total", "infeasible", true,
      [](const auto& instance, const auto& /*args*/) -> std::optional<Solution> {
-       const auto result = core::solve_total_delay(instance);
+       auto result = core::solve_total_delay(instance);
        if (!result) return std::nullopt;
        return Solution{
            .placement = result->placement,
            .detail = "GAP LP = " + report::Table::num(result->lp_objective, 4),
            .claim = "Thm 5.1 (cost <= GAP LP <= OPT, load <= 2 cap)",
-           .certify = [&instance, r = *result](const auto& options) {
+           .certify = [&instance,
+                       r = std::move(*result)](const auto& options) {
              return check::check_certificate(instance, r, options);
            }};
      }},
