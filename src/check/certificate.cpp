@@ -59,11 +59,11 @@ struct LpBound {
   double value = 0.0;  ///< lp::dual_bound on the checker's model
 };
 
-/// The one rule behind every LP bound below. The duals y come from the
-/// result when it supplies one finite entry per row of \p model, else from
-/// the checker's own solve; either way the bound is lp::dual_bound on the
-/// model the checker built, so a wrong y can only weaken it. A solve that
-/// ends in any status but kOptimal yields no bound.
+/// The rule behind every LP bound below. The duals y come from the result
+/// when it supplies one finite entry per row of \p model, else from the
+/// checker's own solve; either way the bound is lp::dual_bound on the model
+/// the checker built, so a wrong y can only weaken it. A solve that ends in
+/// any status but kOptimal yields no bound.
 LpBound lp_bound(const lp::Model& model, const std::vector<double>* supplied,
                  const lp::SimplexOptions& options) {
   if (supplied != nullptr &&
@@ -77,13 +77,31 @@ LpBound lp_bound(const lp::Model& model, const std::vector<double>* supplied,
   return {lp::SolveStatus::kOptimal, lp::dual_bound(model, own.duals)};
 }
 
-/// lp_bound for LP (9)-(14) of a single-source instance: Z* >= value.
+/// The same rule for LP (9)-(14) of a single-source instance: Z* >= value.
+/// The duals name the rows they belong to, so the model is every column
+/// plus only those rows, never the full (14) row set; with the [0, 1] box
+/// any subset of the rows gives a relaxation, so the bound stays sound
+/// whatever the result names. No names, names that are not strictly
+/// increasing full-model rows, or names that do not match finite values one
+/// to one fall back to the checker's own solve_ssqpp_lp.
 LpBound ssqpp_bound(const core::SsqppInstance& instance,
-                    const std::vector<double>* supplied,
+                    const core::SsqppDuals* supplied,
                     const lp::SimplexOptions& options) {
-  const core::SsqppLp lp = core::build_ssqpp_lp(instance);
-  if (!lp.element_fits) return {lp::SolveStatus::kInfeasible, 0.0};
-  return lp_bound(lp.model, supplied, options);
+  if (supplied != nullptr && !supplied->rows.empty() &&
+      supplied->rows.size() == supplied->values.size() &&
+      std::ranges::all_of(supplied->values,
+                          [](double y) { return std::isfinite(y); })) {
+    if (const auto lp = core::build_ssqpp_lp(instance, supplied->rows)) {
+      if (!lp->element_fits) return {lp::SolveStatus::kInfeasible, 0.0};
+      return {lp::SolveStatus::kOptimal,
+              lp::dual_bound(lp->model, supplied->values)};
+    }
+  }
+  const core::FractionalSsqpp own = core::solve_ssqpp_lp(instance, options);
+  if (own.status != lp::SolveStatus::kOptimal) return {own.status, 0.0};
+  const auto lp = core::build_ssqpp_lp(instance, own.duals.rows);
+  return {lp::SolveStatus::kOptimal,
+          lp::dual_bound(lp.value().model, own.duals.values)};
 }
 
 /// Placement sanity shared by all certificates; returns false (and records
@@ -197,7 +215,7 @@ Certificate check_certificate(const core::QppInstance& instance,
   // record for relay v0 when it has one.
   const int n = instance.num_nodes();
   const auto valid_node = [n](int v) { return v >= 0 && v < n; };
-  std::vector<const std::vector<double>*> supplied(
+  std::vector<const core::SsqppDuals*> supplied(
       static_cast<std::size_t>(n), nullptr);
   for (const core::RelayLp& record : result.relay_lps) {
     if (valid_node(record.source)) {

@@ -14,12 +14,15 @@
 /// LPs lies in [0, 1] by (10), (11) and (17), so D is at most the LP
 /// optimum for ANY y (Neumaier-Shcherbina, 2004). The checker takes y from
 /// the result (SsqppResult::lp_duals, QppResult::relay_lps,
-/// TotalDelayResult::lp_duals) when it has one finite entry per row, and
-/// otherwise from its own solve of that model; only a solve that proves
-/// the LP infeasible is skipped, any other unsolved LP fails a row. A wrong
-/// y can thus only weaken a bound, never make it unsound, and no reported
-/// Z*, G or lp_objective is ever used as a bound. With the solver's own
-/// duals D equals the LP value up to rounding and nothing is re-solved.
+/// TotalDelayResult::lp_duals) when it is usable, and otherwise from its
+/// own solve; only a solve that proves the LP infeasible is skipped, any
+/// other unsolved LP fails a row. LP (9)-(14)'s duals name their rows
+/// (core::SsqppDuals), and its model is every column plus only those rows:
+/// any subset of the rows, with the [0, 1] box, is a relaxation, so D stays
+/// sound whatever the result names. A wrong y can thus only weaken a bound,
+/// never make it unsound, and no reported Z*, G or lp_objective is ever
+/// used as a bound. With the solver's own duals D equals the LP value up to
+/// rounding and nothing is re-solved.
 ///
 /// The certified chains (beta = alpha / (alpha - 1)):
 ///  - Thm 3.7 (SSQPP): D <= Z* <= OPT_ssqpp and

@@ -43,13 +43,12 @@ std::vector<double> normalized_weights(std::vector<double> weights, int n) {
 QppInstance::QppInstance(graph::Metric metric, std::vector<double> capacities,
                          quorum::QuorumSystem system,
                          quorum::AccessStrategy strategy)
-    : metric_(std::move(metric)),
+    : metric_(std::make_shared<const graph::Metric>(std::move(metric))),
       capacities_(std::move(capacities)),
       system_(std::move(system)),
       strategy_(std::move(strategy)),
-      client_weights_(static_cast<std::size_t>(metric_.num_points()),
-                      metric_.num_points() > 0 ? 1.0 / metric_.num_points()
-                                               : 0.0) {
+      client_weights_(static_cast<std::size_t>(num_nodes()),
+                      num_nodes() > 0 ? 1.0 / num_nodes() : 0.0) {
   validate();
   element_loads_ = quorum::element_loads(system_, strategy_);
 }
@@ -58,18 +57,18 @@ QppInstance::QppInstance(graph::Metric metric, std::vector<double> capacities,
                          quorum::QuorumSystem system,
                          quorum::AccessStrategy strategy,
                          std::vector<double> client_weights)
-    : metric_(std::move(metric)),
+    : metric_(std::make_shared<const graph::Metric>(std::move(metric))),
       capacities_(std::move(capacities)),
       system_(std::move(system)),
       strategy_(std::move(strategy)),
       client_weights_(
-          normalized_weights(std::move(client_weights), metric_.num_points())) {
+          normalized_weights(std::move(client_weights), num_nodes())) {
   validate();
   element_loads_ = quorum::element_loads(system_, strategy_);
 }
 
 void QppInstance::validate() {
-  check_capacities(capacities_, metric_.num_points());
+  check_capacities(capacities_, num_nodes());
   if (strategy_.num_quorums() != system_.num_quorums()) {
     throw std::invalid_argument("QppInstance: strategy/system mismatch");
   }
@@ -79,16 +78,25 @@ SsqppInstance::SsqppInstance(graph::Metric metric,
                              std::vector<double> capacities,
                              quorum::QuorumSystem system,
                              quorum::AccessStrategy strategy, int source)
+    : SsqppInstance(std::make_shared<const graph::Metric>(std::move(metric)),
+                    std::move(capacities), std::move(system),
+                    std::move(strategy), source) {}
+
+SsqppInstance::SsqppInstance(std::shared_ptr<const graph::Metric> metric,
+                             std::vector<double> capacities,
+                             quorum::QuorumSystem system,
+                             quorum::AccessStrategy strategy, int source)
     : metric_(std::move(metric)),
       capacities_(std::move(capacities)),
       system_(std::move(system)),
       strategy_(std::move(strategy)),
       source_(source) {
-  check_capacities(capacities_, metric_.num_points());
+  if (!metric_) throw std::invalid_argument("SsqppInstance: null metric");
+  check_capacities(capacities_, num_nodes());
   if (strategy_.num_quorums() != system_.num_quorums()) {
     throw std::invalid_argument("SsqppInstance: strategy/system mismatch");
   }
-  if (source_ < 0 || source_ >= metric_.num_points()) {
+  if (source_ < 0 || source_ >= num_nodes()) {
     throw std::invalid_argument("SsqppInstance: source out of range");
   }
   element_loads_ = quorum::element_loads(system_, strategy_);

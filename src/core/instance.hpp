@@ -10,6 +10,7 @@
 /// vector indexed by element id.
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -35,8 +36,12 @@ class QppInstance {
               quorum::QuorumSystem system, quorum::AccessStrategy strategy,
               std::vector<double> client_weights);
 
-  const graph::Metric& metric() const { return metric_; }
-  int num_nodes() const { return metric_.num_points(); }
+  const graph::Metric& metric() const { return *metric_; }
+  /// The metric, shared (immutable) with every single_source_view.
+  const std::shared_ptr<const graph::Metric>& shared_metric() const {
+    return metric_;
+  }
+  int num_nodes() const { return metric_->num_points(); }
   /// Hot path (solver inner loops): unchecked indexing, bounds guarded by
   /// the contract in Debug builds.
   double capacity(int v) const {
@@ -54,7 +59,7 @@ class QppInstance {
  private:
   void validate();
 
-  graph::Metric metric_;
+  std::shared_ptr<const graph::Metric> metric_;
   std::vector<double> capacities_;
   quorum::QuorumSystem system_;
   quorum::AccessStrategy strategy_;
@@ -69,8 +74,13 @@ class SsqppInstance {
                 quorum::QuorumSystem system, quorum::AccessStrategy strategy,
                 int source);
 
-  const graph::Metric& metric() const { return metric_; }
-  int num_nodes() const { return metric_.num_points(); }
+  /// Over a metric shared with other instances (single_source_view).
+  SsqppInstance(std::shared_ptr<const graph::Metric> metric,
+                std::vector<double> capacities, quorum::QuorumSystem system,
+                quorum::AccessStrategy strategy, int source);
+
+  const graph::Metric& metric() const { return *metric_; }
+  int num_nodes() const { return metric_->num_points(); }
   /// Hot path (solver inner loops): unchecked indexing, bounds guarded by
   /// the contract in Debug builds.
   double capacity(int v) const {
@@ -84,7 +94,7 @@ class SsqppInstance {
   const std::vector<double>& element_loads() const { return element_loads_; }
 
  private:
-  graph::Metric metric_;
+  std::shared_ptr<const graph::Metric> metric_;
   std::vector<double> capacities_;
   quorum::QuorumSystem system_;
   quorum::AccessStrategy strategy_;

@@ -11,7 +11,7 @@
 namespace qp::core {
 
 SsqppInstance single_source_view(const QppInstance& instance, int source) {
-  return SsqppInstance(instance.metric(), instance.capacities(),
+  return SsqppInstance(instance.shared_metric(), instance.capacities(),
                        instance.system(), instance.strategy(), source);
 }
 

@@ -18,12 +18,12 @@
 namespace qp::core {
 
 /// One relay of the sweep: its LP (9)-(14) value and the row duals the
-/// simplex ended with, from which check_certificate derives a bound on
-/// Z*(source) without re-solving.
+/// simplex ended with, named by full-model row, from which
+/// check_certificate derives a bound on Z*(source) without re-solving.
 struct RelayLp {
   int source = -1;
   double objective = 0.0;     ///< Z*(source)
-  std::vector<double> duals;  ///< SsqppResult::lp_duals of that relay
+  SsqppDuals duals;       ///< SsqppResult::lp_duals of that relay
 };
 
 struct QppResult {

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <functional>
+#include <numeric>
 #include <stdexcept>
 
 #include "check/contracts.hpp"
@@ -40,25 +43,96 @@ double FractionalSsqpp::quorum_distance(int q) const {
   return dq;
 }
 
-SsqppLp build_ssqpp_lp(const SsqppInstance& instance) {
-  const int n = instance.num_nodes();
-  const int num_elements = instance.system().universe_size();
-  const int num_quorums = instance.system().num_quorums();
-  const std::vector<double>& loads = instance.element_loads();
+namespace {
 
-  SsqppLp out;
-  out.node_order = instance.metric().nodes_by_distance_from(instance.source());
-  out.sorted_distance.resize(static_cast<std::size_t>(n));
-  for (int t = 0; t < n; ++t) {
-    out.sorted_distance[static_cast<std::size_t>(t)] = instance.metric()(
-        instance.source(), out.node_order[static_cast<std::size_t>(t)]);
+/// Where each column and row of the full LP (9)-(14) sits (SsqppLp's
+/// full-model order), computed once per instance.
+struct Layout {
+  int n = 0;
+  int num_elements = 0;
+  int num_quorums = 0;
+  std::vector<int> node_order;
+  std::vector<double> sorted_distance;
+  std::vector<char> fits;  ///< t-major: (13) admits x_{tu}
+  bool element_fits = true;
+  std::vector<int> capacity_rank;            ///< rank of each (12) row
+  std::vector<std::pair<int, int>> members;  ///< (Q, u) of each (14) block
+  int first_prefix_row = 0;  ///< full index of the first (14) row
+  int num_rows = 0;          ///< rows of the full model
+
+  bool fit(int t, int u) const {
+    return fits[static_cast<std::size_t>(t) *
+                    static_cast<std::size_t>(num_elements) +
+                static_cast<std::size_t>(u)] != 0;
   }
+  /// Full index of the (14) row of block k at rank t < n-1.
+  int prefix_row(std::size_t k, int t) const {
+    return first_prefix_row + static_cast<int>(k) * (n - 1) + t;
+  }
+};
+
+Layout layout_of(const SsqppInstance& instance) {
+  Layout layout;
+  layout.n = instance.num_nodes();
+  layout.num_elements = instance.system().universe_size();
+  layout.num_quorums = instance.system().num_quorums();
+  const std::vector<double>& loads = instance.element_loads();
+  layout.node_order =
+      instance.metric().nodes_by_distance_from(instance.source());
+  layout.sorted_distance.resize(static_cast<std::size_t>(layout.n));
+  layout.fits.assign(static_cast<std::size_t>(layout.n) *
+                         static_cast<std::size_t>(layout.num_elements),
+                     0);
+  std::vector<char> element_placed(
+      static_cast<std::size_t>(layout.num_elements), 0);
+  for (int t = 0; t < layout.n; ++t) {
+    const int node = layout.node_order[static_cast<std::size_t>(t)];
+    layout.sorted_distance[static_cast<std::size_t>(t)] =
+        instance.metric()(instance.source(), node);
+    const double cap = instance.capacity(node);
+    bool any_fits = false;
+    for (int u = 0; u < layout.num_elements; ++u) {
+      if (loads[static_cast<std::size_t>(u)] <= cap + 1e-12) {  // (13)
+        layout.fits[static_cast<std::size_t>(t) *
+                        static_cast<std::size_t>(layout.num_elements) +
+                    static_cast<std::size_t>(u)] = 1;
+        element_placed[static_cast<std::size_t>(u)] = 1;
+        any_fits = true;
+      }
+    }
+    if (any_fits) layout.capacity_rank.push_back(t);
+  }
+  layout.element_fits = std::ranges::all_of(
+      element_placed, [](char placed) { return placed != 0; });
+  for (int q = 0; q < layout.num_quorums; ++q) {
+    for (int u : instance.system().quorum(q)) layout.members.emplace_back(q, u);
+  }
+  layout.first_prefix_row = layout.num_elements + layout.num_quorums +
+                            static_cast<int>(layout.capacity_rank.size());
+  layout.num_rows = layout.first_prefix_row +
+                    static_cast<int>(layout.members.size()) * (layout.n - 1);
+  return layout;
+}
+
+/// The columns of ranks t < ranks and the given rows (full-model indices,
+/// strictly increasing, in range) of LP (9)-(14).
+SsqppLp build_part(const SsqppInstance& instance, const Layout& layout,
+                   int ranks, const std::vector<int>& rows) {
+  QP_SPAN("ssqpp_lp.build");
+  const int num_elements = layout.num_elements;
+  const int num_quorums = layout.num_quorums;
+  const std::vector<double>& loads = instance.element_loads();
+  SsqppLp out;
+  out.element_fits = layout.element_fits;
+  if (!out.element_fits) return out;
 
   lp::Model& model = out.model;
-  out.var_tu.assign(
-      static_cast<std::size_t>(n) * static_cast<std::size_t>(num_elements), -1);
-  out.var_tq.assign(
-      static_cast<std::size_t>(n) * static_cast<std::size_t>(num_quorums), -1);
+  out.var_tu.assign(static_cast<std::size_t>(layout.n) *
+                        static_cast<std::size_t>(num_elements),
+                    -1);
+  out.var_tq.assign(static_cast<std::size_t>(layout.n) *
+                        static_cast<std::size_t>(num_quorums),
+                    -1);
   const auto tu = [&](int t, int u) -> int& {
     return out.var_tu[static_cast<std::size_t>(t) *
                           static_cast<std::size_t>(num_elements) +
@@ -69,104 +143,224 @@ SsqppLp build_ssqpp_lp(const SsqppInstance& instance) {
                           static_cast<std::size_t>(num_quorums) +
                       static_cast<std::size_t>(q)];
   };
-  for (int t = 0; t < n; ++t) {
-    const double cap =
-        instance.capacity(out.node_order[static_cast<std::size_t>(t)]);
+  for (int t = 0; t < ranks; ++t) {
     for (int u = 0; u < num_elements; ++u) {
-      if (loads[static_cast<std::size_t>(u)] <= cap + 1e-12) {  // (13)
-        tu(t, u) = model.add_variable(0.0);
-      }
+      if (layout.fit(t, u)) tu(t, u) = model.add_variable(0.0);  // (13)
     }
     for (int q = 0; q < num_quorums; ++q) {
       // Objective (9): sum_Q p0(Q) sum_t d_t x_{tQ}.
       tq(t, q) = model.add_variable(
           instance.strategy().probability(q) *
-          out.sorted_distance[static_cast<std::size_t>(t)]);
+          layout.sorted_distance[static_cast<std::size_t>(t)]);
     }
   }
 
-  // (10): each element placed exactly once.
-  for (int u = 0; u < num_elements; ++u) {
+  const int first_capacity_row = num_elements + num_quorums;
+  const auto sized = [](int size) {
     std::vector<std::pair<int, double>> terms;
-    for (int t = 0; t < n; ++t) {
-      if (tu(t, u) >= 0) terms.emplace_back(tu(t, u), 1.0);
-    }
-    if (terms.empty()) {
-      out.element_fits = false;
-      return out;
-    }
-    model.add_constraint(std::move(terms), lp::Relation::kEqual, 1.0);
-  }
-  // (11): each quorum completes exactly once.
-  for (int q = 0; q < num_quorums; ++q) {
-    std::vector<std::pair<int, double>> terms;
-    for (int t = 0; t < n; ++t) terms.emplace_back(tq(t, q), 1.0);
-    model.add_constraint(std::move(terms), lp::Relation::kEqual, 1.0);
-  }
-  // (12): node capacities.
-  for (int t = 0; t < n; ++t) {
-    std::vector<std::pair<int, double>> terms;
-    for (int u = 0; u < num_elements; ++u) {
-      if (tu(t, u) >= 0) {
-        terms.emplace_back(tu(t, u), loads[static_cast<std::size_t>(u)]);
+    terms.reserve(static_cast<std::size_t>(size));
+    return terms;
+  };
+  for (const int row : rows) {
+    if (row < num_elements) {
+      // (10): each element placed exactly once.
+      auto terms = sized(ranks);
+      for (int t = 0; t < ranks; ++t) {
+        if (tu(t, row) >= 0) terms.emplace_back(tu(t, row), 1.0);
       }
-    }
-    if (!terms.empty()) {
+      model.add_constraint(std::move(terms), lp::Relation::kEqual, 1.0);
+    } else if (row < first_capacity_row) {
+      // (11): each quorum completes exactly once.
+      auto terms = sized(ranks);
+      for (int t = 0; t < ranks; ++t) {
+        terms.emplace_back(tq(t, row - num_elements), 1.0);
+      }
+      model.add_constraint(std::move(terms), lp::Relation::kEqual, 1.0);
+    } else if (row < layout.first_prefix_row) {
+      // (12): node capacities.
+      const int t = layout.capacity_rank[static_cast<std::size_t>(
+          row - first_capacity_row)];
+      auto terms = sized(num_elements);
+      for (int u = 0; t < ranks && u < num_elements; ++u) {
+        if (tu(t, u) >= 0) {
+          terms.emplace_back(tu(t, u), loads[static_cast<std::size_t>(u)]);
+        }
+      }
       model.add_constraint(
           std::move(terms), lp::Relation::kLessEqual,
-          instance.capacity(out.node_order[static_cast<std::size_t>(t)]));
-    }
-  }
-  // (14): prefix of x_{.Q} dominated by prefix of x_{.u} for each u in Q.
-  // The t = n-1 row is implied by (10) and (11), so it is skipped.
-  for (int q = 0; q < num_quorums; ++q) {
-    for (int u : instance.system().quorum(q)) {
-      std::vector<std::pair<int, double>> prefix;
-      for (int t = 0; t + 1 < n; ++t) {
-        prefix.emplace_back(tq(t, q), 1.0);
-        if (tu(t, u) >= 0) prefix.emplace_back(tu(t, u), -1.0);
-        model.add_constraint(prefix, lp::Relation::kLessEqual, 0.0);
+          instance.capacity(layout.node_order[static_cast<std::size_t>(t)]));
+    } else {
+      // (14): prefix of x_{.Q} dominated by prefix of x_{.u} for u in Q.
+      const int block = (row - layout.first_prefix_row) / (layout.n - 1);
+      const int t = (row - layout.first_prefix_row) % (layout.n - 1);
+      const auto [q, u] = layout.members[static_cast<std::size_t>(block)];
+      auto terms = sized(2 * std::min(t + 1, ranks));
+      for (int s = 0; s <= t && s < ranks; ++s) {
+        terms.emplace_back(tq(s, q), 1.0);
+        if (tu(s, u) >= 0) terms.emplace_back(tu(s, u), -1.0);
       }
+      model.add_constraint(std::move(terms), lp::Relation::kLessEqual, 0.0);
     }
   }
-
-  // Model size of LP (9)-(14); a pure function of the instance.
-  QP_COUNTER_ADD("ssqpp_lp.models", 1);
-  QP_COUNTER_ADD("ssqpp_lp.variables", model.num_variables());
-  QP_COUNTER_ADD("ssqpp_lp.constraints", model.num_constraints());
   return out;
+}
+
+}  // namespace
+
+SsqppLp build_ssqpp_lp(const SsqppInstance& instance) {
+  const Layout layout = layout_of(instance);
+  std::vector<int> rows(static_cast<std::size_t>(layout.num_rows));
+  std::iota(rows.begin(), rows.end(), 0);
+  return build_part(instance, layout, layout.n, rows);
+}
+
+std::optional<SsqppLp> build_ssqpp_lp(const SsqppInstance& instance,
+                                      const std::vector<int>& rows) {
+  const Layout layout = layout_of(instance);
+  const bool named = std::ranges::adjacent_find(rows, std::greater_equal{}) ==
+                         rows.end() &&
+                     (rows.empty() ||
+                      (rows.front() >= 0 && rows.back() < layout.num_rows));
+  if (!named) return std::nullopt;
+  return build_part(instance, layout, layout.n, rows);
 }
 
 FractionalSsqpp solve_ssqpp_lp(const SsqppInstance& instance,
                                const lp::SimplexOptions& options) {
-  SsqppLp lp = build_ssqpp_lp(instance);
+  const Layout layout = layout_of(instance);
+  const int n = layout.n;
+  const int num_elements = layout.num_elements;
+  const int num_quorums = layout.num_quorums;
   FractionalSsqpp out;
-  out.num_nodes = instance.num_nodes();
-  out.universe_size = instance.system().universe_size();
-  out.num_quorums = instance.system().num_quorums();
-  out.node_order = std::move(lp.node_order);
-  out.sorted_distance = std::move(lp.sorted_distance);
+  out.num_nodes = n;
+  out.universe_size = num_elements;
+  out.num_quorums = num_quorums;
+  out.node_order = layout.node_order;
+  out.sorted_distance = layout.sorted_distance;
   out.quorum_probability = instance.strategy().probabilities();
-  if (!lp.element_fits) {
+  if (!layout.element_fits) {
     out.status = lp::SolveStatus::kInfeasible;  // element fits nowhere
     return out;
   }
-  lp::Solution solution = lp::solve(lp.model, options);
-  out.status = solution.status;
-  if (solution.status != lp::SolveStatus::kOptimal) return out;
-  out.objective = solution.objective;
-  out.duals = std::move(solution.duals);
-  out.x_tu.assign(lp.var_tu.size(), 0.0);
-  out.x_tq.assign(lp.var_tq.size(), 0.0);
-  for (std::size_t i = 0; i < lp.var_tu.size(); ++i) {
-    if (lp.var_tu[i] >= 0) {
-      out.x_tu[i] = std::max(
-          0.0, solution.values[static_cast<std::size_t>(lp.var_tu[i])]);
+  QP_COUNTER_ADD("ssqpp_lp.models", 1);
+
+  // Rows in the model, by full-model index; (10) and (11) always.
+  std::vector<char> active(static_cast<std::size_t>(layout.num_rows), 0);
+  std::fill_n(active.begin(), num_elements + num_quorums, 1);
+  int ranks = 0;
+  // Adds the columns of ranks [ranks, wanted) and their (12) rows.
+  const auto widen = [&](int wanted) {
+    std::uint64_t columns = 0;
+    for (std::size_t i = 0; i < layout.capacity_rank.size(); ++i) {
+      const int t = layout.capacity_rank[i];
+      if (t >= ranks && t < wanted) {
+        active[static_cast<std::size_t>(num_elements + num_quorums) + i] = 1;
+      }
+    }
+    for (int t = ranks; t < wanted; ++t) {
+      for (int u = 0; u < num_elements; ++u) {
+        columns += layout.fit(t, u) ? 1 : 0;
+      }
+      columns += static_cast<std::uint64_t>(num_quorums);
+    }
+    ranks = wanted;
+    return columns;
+  };
+  // Seed: the ranks t < m whose capacity first covers the total load, and
+  // every (14) row of those ranks.
+  const std::vector<double>& loads = instance.element_loads();
+  const double total_load = std::accumulate(loads.begin(), loads.end(), 0.0);
+  int seed = 0;
+  double capacity = 0.0;
+  while (seed < n && (seed == 0 || capacity < total_load)) {
+    capacity +=
+        instance.capacity(layout.node_order[static_cast<std::size_t>(seed++)]);
+  }
+  widen(seed);
+  for (std::size_t k = 0; k < layout.members.size(); ++k) {
+    for (int t = 0; t < std::min(ranks, n - 1); ++t) {
+      active[static_cast<std::size_t>(layout.prefix_row(k, t))] = 1;
     }
   }
-  for (std::size_t i = 0; i < lp.var_tq.size(); ++i) {
-    out.x_tq[i] =
-        std::max(0.0, solution.values[static_cast<std::size_t>(lp.var_tq[i])]);
+
+  const std::vector<double>& probability = out.quorum_probability;
+  while (true) {
+    std::vector<int> rows;
+    for (int row = 0; row < layout.num_rows; ++row) {
+      if (active[static_cast<std::size_t>(row)] != 0) rows.push_back(row);
+    }
+    const SsqppLp lp = build_part(instance, layout, ranks, rows);
+    QP_COUNTER_ADD("ssqpp_lp.rounds", 1);
+    QP_COUNTER_ADD("ssqpp_lp.variables", lp.model.num_variables());
+    QP_COUNTER_ADD("ssqpp_lp.constraints", lp.model.num_constraints());
+    lp::Solution solution = lp::solve(lp.model, options);
+    if (solution.status == lp::SolveStatus::kInfeasible && ranks < n) {
+      // Infeasible over fewer ranks proves nothing. Over all n ranks the
+      // model is a relaxation of the full LP, so there it proves kInfeasible.
+      QP_COUNTER_ADD("ssqpp_lp.columns_added", widen(n));
+      continue;
+    }
+    out.status = solution.status;
+    if (solution.status != lp::SolveStatus::kOptimal) return out;
+
+    out.x_tu.assign(lp.var_tu.size(), 0.0);
+    out.x_tq.assign(lp.var_tq.size(), 0.0);
+    for (std::size_t i = 0; i < lp.var_tu.size(); ++i) {
+      if (lp.var_tu[i] >= 0) {
+        out.x_tu[i] = std::max(
+            0.0, solution.values[static_cast<std::size_t>(lp.var_tu[i])]);
+      }
+    }
+    for (std::size_t i = 0; i < lp.var_tq.size(); ++i) {
+      if (lp.var_tq[i] >= 0) {
+        out.x_tq[i] = std::max(
+            0.0, solution.values[static_cast<std::size_t>(lp.var_tq[i])]);
+      }
+    }
+
+    // Violated (14) rows, by prefix sums over the ranks in the model (the
+    // rows of later ranks hold by (10) and (11)).
+    std::uint64_t rows_added = 0;
+    for (std::size_t k = 0; k < layout.members.size(); ++k) {
+      const auto [q, u] = layout.members[k];
+      double prefix = 0.0;
+      for (int t = 0; t < std::min(ranks, n - 1); ++t) {
+        prefix += out.xq(t, q) - out.xu(t, u);
+        char& row = active[static_cast<std::size_t>(layout.prefix_row(k, t))];
+        if (row == 0 && prefix > options.epsilon) {
+          row = 1;
+          ++rows_added;
+        }
+      }
+    }
+    // Pricing the missing columns with y = 0 on the missing rows: x_{tQ}
+    // costs p(Q) d_t - y_(11)(Q), x_{tu} costs -y_(10)(u).
+    int wanted = ranks;
+    for (int t = ranks; t < n; ++t) {
+      const double d = layout.sorted_distance[static_cast<std::size_t>(t)];
+      for (int q = 0; q < num_quorums; ++q) {
+        const double y =
+            solution.duals[static_cast<std::size_t>(num_elements + q)];
+        if (probability[static_cast<std::size_t>(q)] * d - y <
+            -options.epsilon) {
+          wanted = t + 1;
+        }
+      }
+      for (int u = 0; u < num_elements; ++u) {
+        if (layout.fit(t, u) &&
+            -solution.duals[static_cast<std::size_t>(u)] < -options.epsilon) {
+          wanted = t + 1;
+        }
+      }
+    }
+    const int previous_ranks = ranks;
+    QP_COUNTER_ADD("ssqpp_lp.rows_added", rows_added);
+    QP_COUNTER_ADD("ssqpp_lp.columns_added", widen(wanted));
+    if (rows_added == 0 && ranks == previous_ranks) {
+      out.objective = solution.objective;
+      out.duals = {std::move(rows), std::move(solution.duals)};
+      break;
+    }
   }
   QP_INVARIANT(check::validate_lp_solution(instance, out).ok(),
                "LP (9)-(14) optimum must be primal-feasible");
@@ -205,7 +399,7 @@ FractionalSsqpp filter_fractional(const FractionalSsqpp& fractional,
     throw std::invalid_argument("filter_fractional: needs an optimal solution");
   }
   FractionalSsqpp out = fractional;
-  out.duals.clear();  // the filtered solution is no longer an LP optimum
+  out.duals = {};  // the filtered solution is no longer an LP optimum
   const auto num_elements = static_cast<std::size_t>(fractional.universe_size);
   const auto num_quorums = static_cast<std::size_t>(fractional.num_quorums);
   for (std::size_t u = 0; u < num_elements; ++u) {

@@ -9,6 +9,7 @@
 /// v_t; x_{tQ} marks quorum Q as fully placed within the prefix
 /// {v_0, ..., v_t}.
 
+#include <optional>
 #include <vector>
 
 #include "core/instance.hpp"
@@ -16,6 +17,17 @@
 #include "lp/simplex.hpp"
 
 namespace qp::core {
+
+/// Row duals of a model built on a subset of LP (9)-(14)'s rows:
+/// values[i] belongs to the row whose index in the full model
+/// (build_ssqpp_lp(instance)'s row order) is rows[i]. With every column and
+/// only the named rows (build_ssqpp_lp(instance, rows)), lp::dual_bound
+/// turns them into a lower bound on Z*.
+struct SsqppDuals {
+  std::vector<int> rows;       ///< strictly increasing full-model row indices
+  std::vector<double> values;  ///< one dual per named row
+  bool operator==(const SsqppDuals&) const = default;
+};
 
 /// A fractional solution of LP (9)-(14), in sorted-node coordinates.
 struct FractionalSsqpp {
@@ -29,9 +41,10 @@ struct FractionalSsqpp {
   std::vector<double> quorum_probability;  ///< p0(Q), copied from the strategy
   std::vector<double> x_tu;          ///< t-major: x_tu[t * |U| + u]
   std::vector<double> x_tq;          ///< t-major: x_tq[t * |Q| + q]
-  /// Row duals of the optimal LP, in build_ssqpp_lp's row order: with
-  /// lp::dual_bound on that model they certify a lower bound on Z*.
-  std::vector<double> duals;
+  /// Row duals of the last model solved, named by full-model row: with
+  /// lp::dual_bound on the model of every column and those rows they
+  /// certify a lower bound on Z*.
+  SsqppDuals duals;
 
   double xu(int t, int u) const {
     return x_tu[static_cast<std::size_t>(t) *
@@ -49,23 +62,41 @@ struct FractionalSsqpp {
   double quorum_distance(int q) const;
 };
 
-/// LP (9)-(14) of an instance as an lp::Model. Constraint (13) is enforced
-/// by omitting variables x_{tu} with load(u) > cap(v_t). The one builder
-/// behind solve_ssqpp_lp and the certificate's dual bound.
+/// LP (9)-(14) of an instance, or a part of it, as an lp::Model.
+/// Constraint (13) is enforced by omitting variables x_{tu} with
+/// load(u) > cap(v_t). Full-model order: columns rank by rank (x_{tu} for
+/// each u, then x_{tQ} for each Q); rows (10) per element, (11) per quorum,
+/// (12) per rank some element fits on, then (14) per (Q, u in Q) and rank
+/// t < n-1 (the t = n-1 row is implied by (10) and (11)).
 struct SsqppLp {
   lp::Model model;
   /// False when some element fits on no node: the LP is infeasible and
-  /// `model` stops short of its rows.
+  /// `model` is empty.
   bool element_fits = true;
-  std::vector<int> node_order;          ///< as in FractionalSsqpp
-  std::vector<double> sorted_distance;  ///< as in FractionalSsqpp
-  std::vector<int> var_tu;  ///< t-major model ids; -1 where (13) fixes 0
-  std::vector<int> var_tq;  ///< t-major model ids
+  std::vector<int> var_tu;  ///< t-major model ids; -1 where not a column
+  std::vector<int> var_tq;  ///< t-major model ids; -1 where not a column
 };
 
+/// The full LP (9)-(14).
 SsqppLp build_ssqpp_lp(const SsqppInstance& instance);
 
-/// Builds and solves LP (9)-(14) for the instance.
+/// Every column of LP (9)-(14) and only the rows named by their full-model
+/// index in `rows`, in full-model order. Any named subset gives a
+/// relaxation (every variable lies in [0, 1]), so its optimum, and
+/// lp::dual_bound for any y, stay at most Z*. std::nullopt unless `rows` is
+/// strictly increasing and names rows of the full model.
+std::optional<SsqppLp> build_ssqpp_lp(const SsqppInstance& instance,
+                                      const std::vector<int>& rows);
+
+/// Solves LP (9)-(14) on the rows and ranks its optimum uses. The first
+/// model holds the columns of ranks t < m, where m is the shortest prefix of
+/// the distance order whose capacity covers sum_u load(u), and the (14) rows
+/// of those ranks. After each cold solve, violated (14) rows are added and
+/// the missing columns are priced with the row duals (0 on missing rows);
+/// the ranks widen to cover those with negative reduced cost. It stops when
+/// nothing is violated and nothing prices out, so x and Z* are an optimum
+/// of the full LP; an infeasible model is widened to all n ranks before
+/// kInfeasible is reported.
 FractionalSsqpp solve_ssqpp_lp(const SsqppInstance& instance,
                                const lp::SimplexOptions& options = {});
 

@@ -108,7 +108,7 @@ std::optional<SsqppResult> solve_ssqpp(const SsqppInstance& instance,
     return solve_ssqpp_lp(instance, options);
   }();
   if (fractional.status != lp::SolveStatus::kOptimal) return std::nullopt;
-  std::vector<double> lp_duals = std::move(fractional.duals);
+  SsqppDuals lp_duals = std::move(fractional.duals);
   const FractionalSsqpp filtered = [&] {
     QP_SPAN("ssqpp.filter");
     return filter_fractional(fractional, alpha);

@@ -2,14 +2,16 @@
 
 /// \file simplex.hpp
 /// Two-phase tableau simplex for qp::lp::Model. Designed for the moderate LP
-/// sizes arising from the paper's formulations (up to a few thousand rows);
-/// robustness over raw speed: Dantzig pricing with a Bland anti-cycling
-/// fallback, centralized tolerances. The tableau is stored dense, but a
-/// pivot updates only the columns where the scaled pivot row is nonzero
-/// (2-4% of them on the SSQPP LPs), which gives bit-for-bit the pivots and
-/// values of the full dense row update. An optimal solve also returns the
-/// row duals, so a caller can certify its objective with lp::dual_bound
-/// without trusting the solver.
+/// sizes arising from the paper's formulations: a few hundred rows per SSQPP
+/// relay LP, which core::solve_ssqpp_lp solves on the rows and ranks its
+/// optimum uses, and up to a few thousand for the GAP LP and the full SSQPP
+/// model. Robustness over raw speed: Dantzig pricing with a Bland
+/// anti-cycling fallback, centralized tolerances. The tableau is stored
+/// dense, but a pivot updates only the columns where the scaled pivot row is
+/// nonzero (2-4% of them on the SSQPP LPs), which gives bit-for-bit the
+/// pivots and values of the full dense row update. An optimal solve also
+/// returns the row duals, so a caller can certify its objective with
+/// lp::dual_bound without trusting the solver.
 
 #include <cstdint>
 #include <string>

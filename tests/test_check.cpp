@@ -396,8 +396,9 @@ TEST(Certificate, QppRejectsTamperedRelayLpValues) {
 }
 
 TEST(Certificate, UnusableRelayDualsGiveTheStrippedVerdict) {
-  // Records whose duals are NaN or of the wrong length are ignored: the
-  // checker solves those LPs itself, exactly as for records without duals.
+  // Records whose duals are NaN, of the wrong length, or name rows out of
+  // range or twice are ignored: the checker solves those LPs itself, exactly
+  // as for records without duals.
   const core::QppInstance instance = cli_geometric(quorum::grid(2), 12, 1.2);
   const auto result = core::solve_qpp(instance);
   ASSERT_TRUE(result.has_value());
@@ -406,10 +407,16 @@ TEST(Certificate, UnusableRelayDualsGiveTheStrippedVerdict) {
   core::QppResult stripped = *result;
   core::QppResult with_nan = *result;
   core::QppResult wrong_length = *result;
+  core::QppResult out_of_range = *result;
+  core::QppResult duplicated = *result;
   for (std::size_t i = 0; i < result->relay_lps.size(); ++i) {
-    stripped.relay_lps[i].duals.clear();
-    with_nan.relay_lps[i].duals[i] = std::numeric_limits<double>::quiet_NaN();
-    wrong_length.relay_lps[i].duals.pop_back();
+    stripped.relay_lps[i].duals = {};
+    with_nan.relay_lps[i].duals.values[i] =
+        std::numeric_limits<double>::quiet_NaN();
+    wrong_length.relay_lps[i].duals.values.pop_back();
+    out_of_range.relay_lps[i].duals.rows.back() = 1 << 30;
+    std::vector<int>& rows = duplicated.relay_lps[i].duals.rows;
+    rows[i + 1] = rows[i];
   }
 
   Certificate intact_cert;
@@ -423,8 +430,8 @@ TEST(Certificate, UnusableRelayDualsGiveTheStrippedVerdict) {
     EXPECT_EQ(stripped_solves, static_cast<std::uint64_t>(instance.num_nodes()));
   }
   ASSERT_TRUE(stripped_cert.ok()) << stripped_cert.to_string();
-  const core::QppResult* const others[] = {&*result, &with_nan,
-                                           &wrong_length};
+  const core::QppResult* const others[] = {
+      &*result, &with_nan, &wrong_length, &out_of_range, &duplicated};
   for (const core::QppResult* other : others) {
     const Certificate cert = check_certificate(instance, *other);
     EXPECT_EQ(cert.ok(), stripped_cert.ok());
@@ -434,6 +441,45 @@ TEST(Certificate, UnusableRelayDualsGiveTheStrippedVerdict) {
                   stripped_cert.lower_bounds[i].value, 1e-9);
     }
     EXPECT_NEAR(cert.certified_ratio, stripped_cert.certified_ratio, 1e-9);
+  }
+}
+
+TEST(Certificate, DroppedRelayRowsOnlyWeakenTheBound) {
+  // Names that drop rows (with their duals) are usable: the checker bounds
+  // the relaxation over the rows still named, which can only lose, never
+  // certify more than Z*.
+  const core::QppInstance instance = cli_geometric(quorum::grid(2), 12, 1.2);
+  const auto result = core::solve_qpp(instance);
+  ASSERT_TRUE(result.has_value());
+  const Certificate intact = check_certificate(instance, *result);
+  ASSERT_TRUE(intact.ok()) << intact.to_string();
+  for (const std::size_t stride : {2U, 3U, 7U}) {
+    SCOPED_TRACE(stride);
+    core::QppResult dropped = *result;
+    for (core::RelayLp& record : dropped.relay_lps) {
+      core::SsqppDuals kept;
+      for (std::size_t i = 0; i < record.duals.rows.size(); ++i) {
+        if (i % stride == 0) continue;
+        kept.rows.push_back(record.duals.rows[i]);
+        kept.values.push_back(record.duals.values[i]);
+      }
+      record.duals = std::move(kept);
+    }
+    Certificate cert;
+    const std::uint64_t solves =
+        lp_solves_of([&] { cert = check_certificate(instance, dropped); });
+    if (obs::compiled_in()) {
+      EXPECT_EQ(solves, 0u);
+    }
+    ASSERT_EQ(cert.lower_bounds.size(), intact.lower_bounds.size());
+    bool weaker = false;
+    for (std::size_t i = 0; i < cert.lower_bounds.size(); ++i) {
+      EXPECT_LE(cert.lower_bounds[i].value,
+                intact.lower_bounds[i].value + 1e-12);
+      weaker = weaker ||
+               cert.lower_bounds[i].value < intact.lower_bounds[i].value - 1e-9;
+    }
+    EXPECT_TRUE(weaker);
   }
 }
 
@@ -448,12 +494,12 @@ TEST(Certificate, SsqppAndTotalDelayDualsAreUntrusted) {
   const Certificate single_cert = check_certificate(view, *single);
   ASSERT_TRUE(single_cert.ok()) << single_cert.to_string();
   core::SsqppResult single_nan = *single;
-  single_nan.lp_duals.front() = std::numeric_limits<double>::quiet_NaN();
+  single_nan.lp_duals.values.front() = std::numeric_limits<double>::quiet_NaN();
   const Certificate nan_cert = check_certificate(view, single_nan);
   EXPECT_TRUE(nan_cert.ok());
   EXPECT_NEAR(nan_cert.opt_lower_bound, single_cert.opt_lower_bound, 1e-9);
   core::SsqppResult single_scaled = *single;
-  for (double& y : single_scaled.lp_duals) y *= 1.5;
+  for (double& y : single_scaled.lp_duals.values) y *= 1.5;
   const Certificate scaled_cert = check_certificate(view, single_scaled);
   EXPECT_FALSE(scaled_cert.ok());
   EXPECT_LT(scaled_cert.opt_lower_bound, single_cert.opt_lower_bound);

@@ -270,6 +270,13 @@ TEST(SolveStatusToString, AllValues) {
   EXPECT_EQ(to_string(SolveStatus::kIterationLimit), "iteration-limit");
 }
 
+/// The current value of the named counter (0 if never incremented).
+std::uint64_t counter(const std::string& name) {
+  const auto counters = obs::Registry::instance().counter_values();
+  const auto it = counters.find(name);
+  return it == counters.end() ? 0 : it->second;
+}
+
 /// lp.iterations and lp.pivots counted while \p call runs.
 struct LpWork {
   std::uint64_t iterations = 0;
@@ -278,15 +285,10 @@ struct LpWork {
 
 template <typename Call>
 LpWork lp_work_of(Call&& call) {
-  const auto count = [](const std::string& name) -> std::uint64_t {
-    const auto counters = obs::Registry::instance().counter_values();
-    const auto it = counters.find(name);
-    return it == counters.end() ? 0 : it->second;
-  };
-  const LpWork before{count("lp.iterations"), count("lp.pivots")};
+  const LpWork before{counter("lp.iterations"), counter("lp.pivots")};
   call();
-  return {count("lp.iterations") - before.iterations,
-          count("lp.pivots") - before.pivots};
+  return {counter("lp.iterations") - before.iterations,
+          counter("lp.pivots") - before.pivots};
 }
 
 /// grid(3) on the 16-node random geometric graph of `qplace solve --system
@@ -308,9 +310,9 @@ core::QppInstance pinned_instance() {
                            std::move(system), std::move(strategy));
 }
 
-// Pins the pivot path on the Thm 1.2 relay LPs (9)-(14) and the Thm 5.1 GAP
-// LP: iteration and pivot counts and the objective, bit for bit, as the
-// full dense row update produced them. Any kernel change that moves one
+// Pins the pivot path on the full Thm 1.2 relay LPs (9)-(14) and the Thm
+// 5.1 GAP LP: iteration and pivot counts and the objective, bit for bit, as
+// the full dense row update produced them. Any kernel change that moves one
 // pivot, or lands on another degenerate vertex, fails here rather than
 // inside a 10% counter-drift gate.
 TEST(Simplex, PivotPathIsPinned) {
@@ -328,10 +330,11 @@ TEST(Simplex, PivotPathIsPinned) {
   };
   for (const Pinned& pinned : relay_lps) {
     SCOPED_TRACE(pinned.source);
-    core::FractionalSsqpp relay_lp;
+    Solution relay_lp;
     const LpWork work = lp_work_of([&] {
-      relay_lp = core::solve_ssqpp_lp(
-          core::single_source_view(instance, pinned.source));
+      relay_lp = solve(core::build_ssqpp_lp(
+                           core::single_source_view(instance, pinned.source))
+                           .model);
     });
     ASSERT_EQ(relay_lp.status, SolveStatus::kOptimal);
     EXPECT_EQ(relay_lp.objective, pinned.objective);
@@ -349,6 +352,41 @@ TEST(Simplex, PivotPathIsPinned) {
   if (obs::compiled_in()) {
     EXPECT_EQ(work.iterations, 63u);
     EXPECT_EQ(work.pivots, 61u);
+  }
+}
+
+// The same relays through solve_ssqpp_lp, which solves only the rows and
+// ranks the optimum uses: one round each here, fewer pivots, and the full
+// pin's objective bit for bit.
+TEST(Simplex, SeededRelayPathIsPinned) {
+  const core::QppInstance instance = pinned_instance();
+  struct Pinned {
+    int source;
+    std::uint64_t rounds;
+    std::uint64_t iterations;
+    std::uint64_t pivots;
+    double objective;
+  };
+  const Pinned relay_lps[] = {
+      {0, 1, 225, 232, 0.23917684864208102},
+      {7, 1, 223, 230, 0.15881189669398874},
+      {13, 1, 225, 232, 0.25695676758072772},
+  };
+  for (const Pinned& pinned : relay_lps) {
+    SCOPED_TRACE(pinned.source);
+    core::FractionalSsqpp relay_lp;
+    const std::uint64_t rounds_before = counter("ssqpp_lp.rounds");
+    const LpWork work = lp_work_of([&] {
+      relay_lp = core::solve_ssqpp_lp(
+          core::single_source_view(instance, pinned.source));
+    });
+    ASSERT_EQ(relay_lp.status, SolveStatus::kOptimal);
+    EXPECT_EQ(relay_lp.objective, pinned.objective);
+    if (obs::compiled_in()) {
+      EXPECT_EQ(counter("ssqpp_lp.rounds") - rounds_before, pinned.rounds);
+      EXPECT_EQ(work.iterations, pinned.iterations);
+      EXPECT_EQ(work.pivots, pinned.pivots);
+    }
   }
 }
 
@@ -431,7 +469,10 @@ TEST(Simplex, DualsCertifyEveryRelayLp) {
     const core::SsqppInstance view = core::single_source_view(instance, source);
     const core::FractionalSsqpp relay_lp = core::solve_ssqpp_lp(view);
     ASSERT_EQ(relay_lp.status, SolveStatus::kOptimal);
-    EXPECT_NEAR(dual_bound(core::build_ssqpp_lp(view).model, relay_lp.duals),
+    const std::optional<core::SsqppLp> named =
+        core::build_ssqpp_lp(view, relay_lp.duals.rows);
+    ASSERT_TRUE(named.has_value());
+    EXPECT_NEAR(dual_bound(named->model, relay_lp.duals.values),
                 relay_lp.objective, 1e-9);
   }
   const std::optional<core::TotalDelayResult> total =
@@ -454,10 +495,11 @@ TEST(Simplex, CorruptDualsOnlyWeakenTheBound) {
     const core::SsqppInstance view = core::single_source_view(instance, source);
     const core::FractionalSsqpp relay_lp = core::solve_ssqpp_lp(view);
     ASSERT_EQ(relay_lp.status, SolveStatus::kOptimal);
-    const Model model = core::build_ssqpp_lp(view).model;
-    std::vector<double> scaled = relay_lp.duals;
-    std::vector<double> flipped = relay_lp.duals;
-    std::vector<double> noisy = relay_lp.duals;
+    const Model model =
+        core::build_ssqpp_lp(view, relay_lp.duals.rows).value().model;
+    std::vector<double> scaled = relay_lp.duals.values;
+    std::vector<double> flipped = relay_lp.duals.values;
+    std::vector<double> noisy = relay_lp.duals.values;
     for (std::size_t i = 0; i < scaled.size(); ++i) {
       scaled[i] *= 1.5;
       flipped[i] = -flipped[i];

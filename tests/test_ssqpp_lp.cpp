@@ -2,10 +2,22 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <numeric>
+#include <optional>
 #include <random>
+#include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include "core/exact.hpp"
+#include "core/qpp_solver.hpp"
 #include "graph/generators.hpp"
+#include "lp/model.hpp"
+#include "obs/obs.hpp"
 #include "quorum/constructions.hpp"
 
 namespace qp::core {
@@ -114,6 +126,162 @@ TEST(SsqppLp, ObjectiveMatchesQuorumDistances) {
              f.quorum_distance(q);
   }
   EXPECT_NEAR(total, f.objective, 1e-7);
+}
+
+// --- Rows and ranks: solve_ssqpp_lp against the full model -----------------
+
+/// The counter's current value (0 if never incremented).
+std::uint64_t counter(const std::string& name) {
+  const auto counters = obs::Registry::instance().counter_values();
+  const auto it = counters.find(name);
+  return it == counters.end() ? 0 : it->second;
+}
+
+/// Solves the full LP (9)-(14) with lp::solve and checks that
+/// solve_ssqpp_lp finds the same Z* and x, and that its named duals certify
+/// Z* on the model of every column plus only the named rows. Returns the
+/// number of named rows and of full-model rows.
+std::pair<int, int> expect_matches_full_model(const SsqppInstance& instance) {
+  const SsqppLp full = build_ssqpp_lp(instance);
+  EXPECT_TRUE(full.element_fits);
+  const lp::Solution reference = lp::solve(full.model);
+  const FractionalSsqpp f = solve_ssqpp_lp(instance);
+  EXPECT_EQ(f.status, reference.status);
+  if (f.status != lp::SolveStatus::kOptimal ||
+      reference.status != lp::SolveStatus::kOptimal) {
+    return {0, 0};
+  }
+  EXPECT_NEAR(f.objective, reference.objective, 1e-9);
+  double max_dx = 0.0;
+  const auto compare = [&](const std::vector<int>& vars,
+                           const std::vector<double>& x) {
+    for (std::size_t i = 0; i < vars.size(); ++i) {
+      const double full_x =
+          vars[i] < 0 ? 0.0
+                      : reference.values[static_cast<std::size_t>(vars[i])];
+      max_dx = std::max(max_dx, std::abs(x[i] - full_x));
+    }
+  };
+  compare(full.var_tu, f.x_tu);
+  compare(full.var_tq, f.x_tq);
+  EXPECT_LE(max_dx, 1e-12);
+  const std::optional<SsqppLp> named = build_ssqpp_lp(instance, f.duals.rows);
+  EXPECT_TRUE(named.has_value());
+  if (!named) return {0, 0};
+  EXPECT_NEAR(lp::dual_bound(named->model, f.duals.values), f.objective,
+              1e-9);
+  return {named->model.num_constraints(), full.model.num_constraints()};
+}
+
+/// (majority(5,3) rather than grid(3), n) of the geometric instances
+/// `qplace solve --topology geometric --seed 1` builds, at several caps.
+class RowsAndRanks : public ::testing::TestWithParam<std::tuple<bool, int>> {
+};
+
+TEST_P(RowsAndRanks, SameOptimumAsTheFullModel) {
+  const auto [majority, n] = GetParam();
+  const quorum::QuorumSystem system =
+      majority ? quorum::majority(5, 3) : quorum::grid(3);
+  std::mt19937_64 rng(1);
+  const graph::Metric metric =
+      graph::Metric::from_graph(graph::random_geometric(n, 0.45, rng).graph);
+  const quorum::AccessStrategy strategy =
+      quorum::AccessStrategy::uniform(system);
+  const std::vector<double> loads = quorum::element_loads(system, strategy);
+  const double max_load = *std::max_element(loads.begin(), loads.end());
+  for (const double factor : {1.0, 1.2, 2.0, 3.0}) {
+    for (const int source : {0, n / 2, n - 1}) {
+      SCOPED_TRACE(testing::Message() << "cap " << factor << " source "
+                                      << source);
+      const auto [named_rows, full_rows] =
+          expect_matches_full_model(SsqppInstance(
+              metric,
+              std::vector<double>(static_cast<std::size_t>(n),
+                                  factor * max_load),
+              system, strategy, source));
+      EXPECT_LT(named_rows, full_rows);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Panel, RowsAndRanks,
+    ::testing::Combine(::testing::Bool(), ::testing::Values(14, 32, 64)),
+    [](const ::testing::TestParamInfo<RowsAndRanks::ParamType>& param) {
+      return std::string(std::get<0>(param.param) ? "majority53" : "grid3") +
+             "_n" + std::to_string(std::get<1>(param.param));
+    });
+
+TEST(SsqppLp, HeterogeneousCapsAndWeightsMatchTheFullModel) {
+  // Every third node holds no element ((13) drops its columns), the others
+  // differ in capacity, and quorums are accessed non-uniformly.
+  std::mt19937_64 rng(1);
+  const int n = 24;
+  const graph::Metric metric =
+      graph::Metric::from_graph(graph::random_geometric(n, 0.45, rng).graph);
+  const quorum::QuorumSystem system = quorum::grid(3);
+  std::vector<double> weights;
+  for (int q = 0; q < system.num_quorums(); ++q) weights.push_back(1.0 + q);
+  const double total = std::accumulate(weights.begin(), weights.end(), 0.0);
+  for (double& weight : weights) weight /= total;
+  const quorum::AccessStrategy strategy(system, weights);
+  const std::vector<double> loads = quorum::element_loads(system, strategy);
+  const double max_load = *std::max_element(loads.begin(), loads.end());
+  std::vector<double> caps;
+  for (int v = 0; v < n; ++v) {
+    caps.push_back((v % 3 == 0 ? 0.5 : 1.0 + 0.25 * (v % 4)) * max_load);
+  }
+  for (const int source : {0, 5, 17}) {
+    SCOPED_TRACE(source);
+    expect_matches_full_model(
+        SsqppInstance(metric, caps, system, strategy, source));
+  }
+
+  // Weighted clients change only the sweep's score: every relay record's
+  // Z* is still the full model's.
+  std::vector<double> client_weights;
+  for (int v = 0; v < n; ++v) client_weights.push_back(1.0 + v % 5);
+  const QppInstance weighted(metric, caps, system, strategy, client_weights);
+  const std::optional<QppResult> result = solve_qpp(weighted);
+  ASSERT_TRUE(result.has_value());
+  for (const RelayLp& record : result->relay_lps) {
+    SCOPED_TRACE(record.source);
+    const lp::Solution reference = lp::solve(
+        build_ssqpp_lp(single_source_view(weighted, record.source)).model);
+    ASSERT_EQ(reference.status, lp::SolveStatus::kOptimal);
+    EXPECT_NEAR(record.objective, reference.objective, 1e-9);
+  }
+}
+
+TEST(SsqppLp, RankRestrictedInfeasibleIsWidenedFirst) {
+  // From node 0 of a path, the five nearest nodes (cap 0.7) cover the total
+  // load 3 but hold no element (load 3/4); only the last three (cap 1.0)
+  // do. The seeded model is infeasible, the full LP is not.
+  const graph::Metric metric =
+      graph::Metric::from_graph(graph::path_graph(8, 1.0));
+  const quorum::QuorumSystem system = quorum::grid(2);
+  const quorum::AccessStrategy strategy =
+      quorum::AccessStrategy::uniform(system);
+  const SsqppInstance instance(
+      metric, {0.7, 0.7, 0.7, 0.7, 0.7, 1.0, 1.0, 1.0}, system, strategy, 0);
+  const std::uint64_t rounds = counter("ssqpp_lp.rounds");
+  const std::uint64_t columns = counter("ssqpp_lp.columns_added");
+  expect_matches_full_model(instance);
+  EXPECT_EQ(solve_ssqpp_lp(instance).status, lp::SolveStatus::kOptimal);
+  if (obs::compiled_in()) {
+    EXPECT_GE(counter("ssqpp_lp.rounds") - rounds, 4u);  // 2 per solve
+    EXPECT_GT(counter("ssqpp_lp.columns_added"), columns);
+  }
+}
+
+TEST(SsqppLp, NamedRowModelRejectsBadNames) {
+  const SsqppInstance instance = line_grid_instance(2, 6, 1.0);
+  const int rows = build_ssqpp_lp(instance).model.num_constraints();
+  EXPECT_TRUE(build_ssqpp_lp(instance, {0, 1, rows - 1}).has_value());
+  EXPECT_FALSE(build_ssqpp_lp(instance, {0, 1, rows}).has_value());
+  EXPECT_FALSE(build_ssqpp_lp(instance, {-1, 1}).has_value());
+  EXPECT_FALSE(build_ssqpp_lp(instance, {1, 1}).has_value());
+  EXPECT_FALSE(build_ssqpp_lp(instance, {2, 1}).has_value());
 }
 
 // --- Filtering (Sec 3.3.1) ---------------------------------------------------
