@@ -130,7 +130,11 @@ bool Certificate::ok() const {
 std::string Certificate::to_string() const {
   std::string out;
   for (const BoundCheck& c : checks) {
-    out += (c.holds ? "  ok   " : "  FAIL ") + c.name + ": " + num(c.value) +
+    // A passing residue below 1e-12 prints as such: its digits are rounding
+    // noise and would change the output under rounding-only changes.
+    const std::string value =
+        c.holds && std::abs(c.value) < 1e-12 ? "<1e-12" : num(c.value);
+    out += (c.holds ? "  ok   " : "  FAIL ") + c.name + ": " + value +
            " <= " + num(c.bound) + "\n";
   }
   if (opt_lower_bound > 0.0) {

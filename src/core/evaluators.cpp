@@ -6,6 +6,7 @@
 #include <string>
 
 #include "exec/parallel.hpp"
+#include "obs/obs.hpp"
 
 namespace qp::core {
 
@@ -92,6 +93,7 @@ double average_max_delay(const QppInstance& instance,
                          const Placement& placement) {
   check_placement(placement, instance.system().universe_size(),
                   instance.num_nodes(), "average_max_delay");
+  QP_SPAN("eval.average_max_delay");
   return weighted_client_average(instance, [&](int v) {
     return expected_max_delay(instance.metric(), instance.system(),
                               instance.strategy(), placement, v);

@@ -141,12 +141,8 @@ std::optional<MultiStrategyQppResult> solve_qpp_multi(
   const QppInstance averaged(metric, capacities, system, mean, client_weights);
 
   // The Thm 1.2 relay sweep under p-bar, scored by the true objective.
-  const auto sweep = relay_sweep<SsqppResult>(
-      averaged, options,
-      [&](const SsqppInstance& view) {
-        return solve_ssqpp(view, options.alpha, options.simplex);
-      },
-      [&](const SsqppResult& single) {
+  const auto sweep = ssqpp_relay_sweep(
+      averaged, options, [&](const SsqppResult& single) {
         return average_max_delay_multi(metric, system, strategies,
                                        client_weights, single.placement);
       });

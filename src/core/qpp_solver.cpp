@@ -40,12 +40,8 @@ std::optional<QppResult> solve_qpp(const QppInstance& instance,
   QP_REQUIRE(check::validate_instance(instance).ok(),
              "QPP instance violates its data contracts (metric / strategy / "
              "capacities); see check::validate_instance");
-  auto sweep = relay_sweep<SsqppResult>(
-      instance, options,
-      [&](const SsqppInstance& view) {
-        return solve_ssqpp(view, options.alpha, options.simplex);
-      },
-      [&](const SsqppResult& single) {
+  auto sweep = ssqpp_relay_sweep(
+      instance, options, [&](const SsqppResult& single) {
         return average_max_delay(instance, single.placement);
       });
   if (!sweep.winner) return std::nullopt;

@@ -6,6 +6,8 @@
 /// placement with the best full-QPP average max-delay. By Thm 3.3 the result
 /// is a 5 * alpha/(alpha-1) approximation with load <= (alpha+1) * cap.
 
+#include <algorithm>
+#include <functional>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -57,8 +59,8 @@ std::optional<QppResult> solve_qpp(const QppInstance& instance,
 /// see paper Sec 6 for the per-client-strategy generalization).
 SsqppInstance single_source_view(const QppInstance& instance, int source);
 
-/// relay_sweep's candidates, in order: options.candidate_sources; else the
-/// options.max_candidates nodes of least total distance to all clients
+/// The relay sweep's candidates, in order: options.candidate_sources; else
+/// the options.max_candidates nodes of least total distance to all clients
 /// (1-median order, ties by node id) when that is below n; else all nodes.
 std::vector<int> relay_candidates(const QppInstance& instance,
                                   const QppSolveOptions& options);
@@ -81,10 +83,9 @@ struct RelaySweep {
 /// sequentially, so the sweep is bit-identical at any thread count.
 template <typename Result, typename Solve, typename Score>
 RelaySweep<Result> relay_sweep(const QppInstance& instance,
-                               const QppSolveOptions& options, Solve&& solve,
-                               Score&& score) {
+                               const std::vector<int>& candidates,
+                               Solve&& solve, Score&& score) {
   using Outcome = typename RelaySweep<Result>::Outcome;
-  const std::vector<int> candidates = relay_candidates(instance, options);
   QP_SPAN("qpp.relay_sweep");
   QP_COUNTER_ADD("qpp.relay_candidates", candidates.size());
   std::vector<std::optional<Outcome>> slots(candidates.size());
@@ -104,6 +105,37 @@ RelaySweep<Result> relay_sweep(const QppInstance& instance,
     sweep.feasible.push_back(std::move(*slot));
   }
   return sweep;
+}
+
+/// relay_sweep of solve_ssqpp (options.alpha, options.simplex) over
+/// relay_candidates(instance, options), as solve_qpp and solve_qpp_multi
+/// run it. On uniform capacities every relay's seeded LP (9)-(14) has the
+/// same rows, so phase 1 of the first candidate's is solved once, on this
+/// thread before the sweep, and every relay starts from it; the start is
+/// freed when the sweep returns. Other capacities solve every relay cold.
+/// Either way the results are those of cold solves, and the work counters
+/// do not depend on the pool size.
+template <typename Score>
+RelaySweep<SsqppResult> ssqpp_relay_sweep(const QppInstance& instance,
+                                          const QppSolveOptions& options,
+                                          Score&& score) {
+  const std::vector<int> candidates = relay_candidates(instance, options);
+  const std::vector<double>& caps = instance.capacities();
+  const bool uniform =
+      std::ranges::adjacent_find(caps, std::ranges::not_equal_to{}) ==
+      caps.end();
+  const std::optional<lp::Phase1> start =
+      uniform && !candidates.empty()
+          ? ssqpp_phase1_start(single_source_view(instance, candidates.front()),
+                               options.simplex)
+          : std::nullopt;
+  return relay_sweep<SsqppResult>(
+      instance, candidates,
+      [&](const SsqppInstance& view) {
+        return solve_ssqpp(view, options.alpha, options.simplex,
+                           start ? &*start : nullptr);
+      },
+      std::forward<Score>(score));
 }
 
 }  // namespace qp::core

@@ -14,7 +14,8 @@ template <typename Layout, typename LayoutFn>
 std::optional<SpecializedQppResult> best_layout(const QppInstance& instance,
                                                 LayoutFn&& layout_from) {
   const auto sweep = relay_sweep<Layout>(
-      instance, {}, layout_from, [&](const Layout& layout) {
+      instance, relay_candidates(instance, {}), layout_from,
+      [&](const Layout& layout) {
         return average_max_delay(instance, layout.placement);
       });
   if (!sweep.winner) return std::nullopt;

@@ -225,8 +225,95 @@ std::optional<SsqppLp> build_ssqpp_lp(const SsqppInstance& instance,
   return build_part(instance, layout, layout.n, rows);
 }
 
+namespace {
+
+/// The ranks and rows of a part of LP (9)-(14) that solve_ssqpp_lp grows.
+struct Part {
+  int ranks = 0;             ///< columns of ranks t < ranks
+  std::vector<char> active;  ///< per full-model row: in the model
+
+  std::vector<int> rows() const {
+    std::vector<int> out;
+    for (std::size_t row = 0; row < active.size(); ++row) {
+      if (active[row] != 0) out.push_back(static_cast<int>(row));
+    }
+    return out;
+  }
+
+  /// Adds the columns of ranks [ranks, wanted) and their (12) rows; returns
+  /// the number of columns added.
+  std::uint64_t widen(const Layout& layout, int wanted) {
+    const int first_capacity_row = layout.num_elements + layout.num_quorums;
+    std::uint64_t columns = 0;
+    for (std::size_t i = 0; i < layout.capacity_rank.size(); ++i) {
+      const int t = layout.capacity_rank[i];
+      if (t >= ranks && t < wanted) {
+        active[static_cast<std::size_t>(first_capacity_row) + i] = 1;
+      }
+    }
+    for (int t = ranks; t < wanted; ++t) {
+      for (int u = 0; u < layout.num_elements; ++u) {
+        columns += layout.fit(t, u) ? 1 : 0;
+      }
+      columns += static_cast<std::uint64_t>(layout.num_quorums);
+    }
+    ranks = wanted;
+    return columns;
+  }
+};
+
+/// The first model of solve_ssqpp_lp: rows (10) and (11), and the ranks
+/// t < m with their (12) and (14) rows. m is the shortest prefix of the
+/// distance order whose capacity covers the total load and that holds each
+/// element's first rank where (13) admits it, so every element has a column.
+Part seed_part(const SsqppInstance& instance, const Layout& layout) {
+  const int n = layout.n;
+  Part part;
+  part.active.assign(static_cast<std::size_t>(layout.num_rows), 0);
+  std::fill_n(part.active.begin(), layout.num_elements + layout.num_quorums,
+              1);
+  const std::vector<double>& loads = instance.element_loads();
+  const double total_load = std::accumulate(loads.begin(), loads.end(), 0.0);
+  int seed = 0;
+  double capacity = 0.0;
+  while (seed < n && (seed == 0 || capacity < total_load)) {
+    capacity +=
+        instance.capacity(layout.node_order[static_cast<std::size_t>(seed++)]);
+  }
+  for (int u = 0; u < layout.num_elements; ++u) {
+    int first_fit = 0;
+    while (!layout.fit(first_fit, u)) ++first_fit;  // element_fits holds
+    seed = std::max(seed, first_fit + 1);
+  }
+  part.widen(layout, seed);
+  for (std::size_t k = 0; k < layout.members.size(); ++k) {
+    for (int t = 0; t < std::min(part.ranks, n - 1); ++t) {
+      part.active[static_cast<std::size_t>(layout.prefix_row(k, t))] = 1;
+    }
+  }
+  return part;
+}
+
+}  // namespace
+
+SsqppLp build_seeded_ssqpp_lp(const SsqppInstance& instance) {
+  const Layout layout = layout_of(instance);
+  if (!layout.element_fits) return build_part(instance, layout, 0, {});
+  const Part seed = seed_part(instance, layout);
+  return build_part(instance, layout, seed.ranks, seed.rows());
+}
+
+std::optional<lp::Phase1> ssqpp_phase1_start(
+    const SsqppInstance& instance, const lp::SimplexOptions& options) {
+  QP_SPAN("ssqpp_lp.start");
+  const SsqppLp seed = build_seeded_ssqpp_lp(instance);
+  if (!seed.element_fits) return std::nullopt;
+  return lp::solve_phase1(seed.model, options);
+}
+
 FractionalSsqpp solve_ssqpp_lp(const SsqppInstance& instance,
-                               const lp::SimplexOptions& options) {
+                               const lp::SimplexOptions& options,
+                               const lp::Phase1* start) {
   const Layout layout = layout_of(instance);
   const int n = layout.n;
   const int num_elements = layout.num_elements;
@@ -244,60 +331,21 @@ FractionalSsqpp solve_ssqpp_lp(const SsqppInstance& instance,
   }
   QP_COUNTER_ADD("ssqpp_lp.models", 1);
 
-  // Rows in the model, by full-model index; (10) and (11) always.
-  std::vector<char> active(static_cast<std::size_t>(layout.num_rows), 0);
-  std::fill_n(active.begin(), num_elements + num_quorums, 1);
-  int ranks = 0;
-  // Adds the columns of ranks [ranks, wanted) and their (12) rows.
-  const auto widen = [&](int wanted) {
-    std::uint64_t columns = 0;
-    for (std::size_t i = 0; i < layout.capacity_rank.size(); ++i) {
-      const int t = layout.capacity_rank[i];
-      if (t >= ranks && t < wanted) {
-        active[static_cast<std::size_t>(num_elements + num_quorums) + i] = 1;
-      }
-    }
-    for (int t = ranks; t < wanted; ++t) {
-      for (int u = 0; u < num_elements; ++u) {
-        columns += layout.fit(t, u) ? 1 : 0;
-      }
-      columns += static_cast<std::uint64_t>(num_quorums);
-    }
-    ranks = wanted;
-    return columns;
-  };
-  // Seed: the ranks t < m whose capacity first covers the total load, and
-  // every (14) row of those ranks.
-  const std::vector<double>& loads = instance.element_loads();
-  const double total_load = std::accumulate(loads.begin(), loads.end(), 0.0);
-  int seed = 0;
-  double capacity = 0.0;
-  while (seed < n && (seed == 0 || capacity < total_load)) {
-    capacity +=
-        instance.capacity(layout.node_order[static_cast<std::size_t>(seed++)]);
-  }
-  widen(seed);
-  for (std::size_t k = 0; k < layout.members.size(); ++k) {
-    for (int t = 0; t < std::min(ranks, n - 1); ++t) {
-      active[static_cast<std::size_t>(layout.prefix_row(k, t))] = 1;
-    }
-  }
-
+  Part part = seed_part(instance, layout);
   const std::vector<double>& probability = out.quorum_probability;
-  while (true) {
-    std::vector<int> rows;
-    for (int row = 0; row < layout.num_rows; ++row) {
-      if (active[static_cast<std::size_t>(row)] != 0) rows.push_back(row);
-    }
-    const SsqppLp lp = build_part(instance, layout, ranks, rows);
+  for (bool first_round = true;; first_round = false) {
+    std::vector<int> rows = part.rows();
+    const SsqppLp lp = build_part(instance, layout, part.ranks, rows);
     QP_COUNTER_ADD("ssqpp_lp.rounds", 1);
     QP_COUNTER_ADD("ssqpp_lp.variables", lp.model.num_variables());
     QP_COUNTER_ADD("ssqpp_lp.constraints", lp.model.num_constraints());
-    lp::Solution solution = lp::solve(lp.model, options);
-    if (solution.status == lp::SolveStatus::kInfeasible && ranks < n) {
+    // Only the seeded model can share its rows with another relay's.
+    lp::Solution solution =
+        lp::solve(lp.model, options, first_round ? start : nullptr);
+    if (solution.status == lp::SolveStatus::kInfeasible && part.ranks < n) {
       // Infeasible over fewer ranks proves nothing. Over all n ranks the
       // model is a relaxation of the full LP, so there it proves kInfeasible.
-      QP_COUNTER_ADD("ssqpp_lp.columns_added", widen(n));
+      QP_COUNTER_ADD("ssqpp_lp.columns_added", part.widen(layout, n));
       continue;
     }
     out.status = solution.status;
@@ -324,9 +372,10 @@ FractionalSsqpp solve_ssqpp_lp(const SsqppInstance& instance,
     for (std::size_t k = 0; k < layout.members.size(); ++k) {
       const auto [q, u] = layout.members[k];
       double prefix = 0.0;
-      for (int t = 0; t < std::min(ranks, n - 1); ++t) {
+      for (int t = 0; t < std::min(part.ranks, n - 1); ++t) {
         prefix += out.xq(t, q) - out.xu(t, u);
-        char& row = active[static_cast<std::size_t>(layout.prefix_row(k, t))];
+        char& row =
+            part.active[static_cast<std::size_t>(layout.prefix_row(k, t))];
         if (row == 0 && prefix > options.epsilon) {
           row = 1;
           ++rows_added;
@@ -335,8 +384,8 @@ FractionalSsqpp solve_ssqpp_lp(const SsqppInstance& instance,
     }
     // Pricing the missing columns with y = 0 on the missing rows: x_{tQ}
     // costs p(Q) d_t - y_(11)(Q), x_{tu} costs -y_(10)(u).
-    int wanted = ranks;
-    for (int t = ranks; t < n; ++t) {
+    int wanted = part.ranks;
+    for (int t = part.ranks; t < n; ++t) {
       const double d = layout.sorted_distance[static_cast<std::size_t>(t)];
       for (int q = 0; q < num_quorums; ++q) {
         const double y =
@@ -353,10 +402,10 @@ FractionalSsqpp solve_ssqpp_lp(const SsqppInstance& instance,
         }
       }
     }
-    const int previous_ranks = ranks;
+    const int previous_ranks = part.ranks;
     QP_COUNTER_ADD("ssqpp_lp.rows_added", rows_added);
-    QP_COUNTER_ADD("ssqpp_lp.columns_added", widen(wanted));
-    if (rows_added == 0 && ranks == previous_ranks) {
+    QP_COUNTER_ADD("ssqpp_lp.columns_added", part.widen(layout, wanted));
+    if (rows_added == 0 && part.ranks == previous_ranks) {
       out.objective = solution.objective;
       out.duals = {std::move(rows), std::move(solution.duals)};
       break;

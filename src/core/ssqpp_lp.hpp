@@ -90,15 +90,28 @@ std::optional<SsqppLp> build_ssqpp_lp(const SsqppInstance& instance,
 
 /// Solves LP (9)-(14) on the rows and ranks its optimum uses. The first
 /// model holds the columns of ranks t < m, where m is the shortest prefix of
-/// the distance order whose capacity covers sum_u load(u), and the (14) rows
-/// of those ranks. After each cold solve, violated (14) rows are added and
+/// the distance order whose capacity covers sum_u load(u) and that holds
+/// each element's first rank where (13) admits it, and the (14) rows of
+/// those ranks. After each cold solve, violated (14) rows are added and
 /// the missing columns are priced with the row duals (0 on missing rows);
 /// the ranks widen to cover those with negative reduced cost. It stops when
 /// nothing is violated and nothing prices out, so x and Z* are an optimum
 /// of the full LP; an infeasible model is widened to all n ranks before
-/// kInfeasible is reported.
+/// kInfeasible is reported. The first model starts from `start` when its
+/// rows are the start's (lp::solve); the result is the same either way.
 FractionalSsqpp solve_ssqpp_lp(const SsqppInstance& instance,
-                               const lp::SimplexOptions& options = {});
+                               const lp::SimplexOptions& options = {},
+                               const lp::Phase1* start = nullptr);
+
+/// The first model solve_ssqpp_lp(instance) solves (its "seed"). Its rows
+/// depend on the capacities in distance order, not on the distances, so on
+/// uniform capacities every relay of a QPP instance has the same rows.
+SsqppLp build_seeded_ssqpp_lp(const SsqppInstance& instance);
+
+/// lp::solve_phase1 of build_seeded_ssqpp_lp(instance); std::nullopt when
+/// some element fits on no node (there is no model).
+std::optional<lp::Phase1> ssqpp_phase1_start(
+    const SsqppInstance& instance, const lp::SimplexOptions& options = {});
 
 /// The alpha-filtering of Sec 3.3.1: x~ is the largest solution with
 /// x~_{tu} <= alpha * x_{tu} and cumulative mass <= 1, taken in increasing t

@@ -94,7 +94,8 @@ std::optional<Placement> round_filtered_ssqpp(const SsqppInstance& instance,
 
 std::optional<SsqppResult> solve_ssqpp(const SsqppInstance& instance,
                                        double alpha,
-                                       const lp::SimplexOptions& options) {
+                                       const lp::SimplexOptions& options,
+                                       const lp::Phase1* start) {
   if (!(alpha > 1.0)) {
     throw std::invalid_argument("solve_ssqpp: alpha > 1 required");
   }
@@ -105,7 +106,7 @@ std::optional<SsqppResult> solve_ssqpp(const SsqppInstance& instance,
   QP_COUNTER_ADD("ssqpp.solves", 1);
   FractionalSsqpp fractional = [&] {
     QP_SPAN("ssqpp.lp");
-    return solve_ssqpp_lp(instance, options);
+    return solve_ssqpp_lp(instance, options, start);
   }();
   if (fractional.status != lp::SolveStatus::kOptimal) return std::nullopt;
   SsqppDuals lp_duals = std::move(fractional.duals);

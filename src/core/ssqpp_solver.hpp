@@ -26,11 +26,13 @@ struct SsqppResult {
 };
 
 /// Runs the Thm 3.7 pipeline. Returns std::nullopt when the LP itself is
-/// infeasible (no capacity-respecting fractional placement exists).
+/// infeasible (no capacity-respecting fractional placement exists). `start`
+/// is passed to solve_ssqpp_lp and changes nothing but the work done.
 /// \throws std::invalid_argument unless alpha > 1.
 std::optional<SsqppResult> solve_ssqpp(const SsqppInstance& instance,
                                        double alpha = 2.0,
-                                       const lp::SimplexOptions& options = {});
+                                       const lp::SimplexOptions& options = {},
+                                       const lp::Phase1* start = nullptr);
 
 /// Rounding stage only: converts an alpha-filtered fractional solution into
 /// a placement via GAP (machines = nodes, jobs = elements, budgets

@@ -1,9 +1,10 @@
 #include "lp/simplex.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
-#include <stdexcept>
+#include <optional>
 #include <utility>
 
 #include "check/contracts.hpp"
@@ -23,6 +24,124 @@ std::string to_string(SolveStatus status) {
 
 namespace {
 
+/// The eta file of phase 1: per pivot (drive-out included) its column, its
+/// rhs after scaling and the nonzeros of the scaled pivot row. That is all a
+/// cost row needs to follow phase 1's pivots. The nonzeros fill blocks that
+/// are each allocated once: one array grown by doubling would leave its old
+/// copies on the heap below the start that outlives them, and on relay-lp
+/// that raised peak RSS by more than the start's own size.
+class Etas {
+ public:
+  void record(int pivot_col, double pivot_rhs, const int* nonzero,
+              int num_nonzero, const double* pivot_row) {
+    const auto count = static_cast<std::size_t>(num_nonzero);
+    if (blocks_.empty() || blocks_.back().index.size() + count >
+                               blocks_.back().index.capacity()) {
+      Block& block = blocks_.emplace_back();
+      block.index.reserve(std::max(kBlockEntries, count));
+      block.value.reserve(std::max(kBlockEntries, count));
+    }
+    Block& block = blocks_.back();
+    pivots_.push_back({pivot_col, pivot_rhs, blocks_.size() - 1,
+                       block.index.size(), block.index.size() + count});
+    for (std::size_t k = 0; k < count; ++k) {
+      block.index.push_back(nonzero[k]);
+      block.value.push_back(pivot_row[nonzero[k]]);
+    }
+  }
+
+  /// Brings a cost row through every recorded pivot: Tableau::pivot's
+  /// update_cost step, operation for operation, factor == 0.0 skip included.
+  void replay(std::vector<double>& cost) const {
+    const std::size_t objective = cost.size() - 1;
+    for (const Pivot& pivot : pivots_) {
+      const auto pivot_col = static_cast<std::size_t>(pivot.column);
+      const double factor = cost[pivot_col];
+      if (factor == 0.0) continue;
+      const Block& block = blocks_[pivot.block];
+      for (std::size_t k = pivot.begin; k < pivot.end; ++k) {
+        cost[static_cast<std::size_t>(block.index[k])] -=
+            factor * block.value[k];
+      }
+      cost[pivot_col] = 0.0;  // exact
+      cost[objective] -= factor * pivot.rhs;
+    }
+  }
+
+ private:
+  static constexpr std::size_t kBlockEntries = 4096;
+  struct Block {
+    std::vector<int> index;
+    std::vector<double> value;
+  };
+  struct Pivot {
+    int column = 0;
+    double rhs = 0.0;
+    std::size_t block = 0;
+    std::size_t begin = 0;  ///< entries [begin, end) of blocks_[block]
+    std::size_t end = 0;
+  };
+  std::vector<Pivot> pivots_;
+  std::vector<Block> blocks_;
+};
+
+}  // namespace
+
+/// Phase 1 depends on the rows, the variable count and the options only;
+/// `rows` keeps them for the equality check. When phase 1 reached a feasible
+/// basis, the rest is the tableau it left (nonzeros only, row by row: about
+/// a tenth of the dense one on the SSQPP relay LPs) and its eta file.
+struct Phase1::State {
+  std::vector<Constraint> rows;
+  int num_variables = 0;
+  SimplexOptions options;
+  SolveStatus status = SolveStatus::kOptimal;
+  std::int64_t iterations = 0;
+
+  int cols = 0;
+  int first_artificial = 0;
+  /// Row i's nonzeros are entries [row_start[i], row_start[i+1]).
+  std::vector<std::size_t> row_start;
+  std::vector<int> column;
+  std::vector<double> value;
+  std::vector<double> b;
+  std::vector<int> basis;
+  std::vector<int> dual_column;
+  std::vector<double> dual_sign;
+  Etas etas;
+
+  /// Whether `model` solved with `model_options` runs exactly this phase 1.
+  bool matches(const Model& model, const SimplexOptions& model_options) const {
+    if (model_options != options || model.num_variables() != num_variables ||
+        model.constraints().size() != rows.size()) {
+      return false;
+    }
+    const auto same = [](double x, double y) {
+      return std::bit_cast<std::uint64_t>(x) == std::bit_cast<std::uint64_t>(y);
+    };
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      const Constraint& mine = rows[i];
+      const Constraint& theirs = model.constraints()[i];
+      if (mine.relation != theirs.relation || !same(mine.rhs, theirs.rhs) ||
+          mine.terms.size() != theirs.terms.size()) {
+        return false;
+      }
+      for (std::size_t k = 0; k < mine.terms.size(); ++k) {
+        if (mine.terms[k].first != theirs.terms[k].first ||
+            !same(mine.terms[k].second, theirs.terms[k].second)) {
+          return false;
+        }
+      }
+    }
+    return true;
+  }
+};
+
+SolveStatus Phase1::status() const { return state_->status; }
+std::int64_t Phase1::iterations() const { return state_->iterations; }
+
+namespace {
+
 /// Dense two-phase tableau. Row-major matrix `a` of size rows x cols, the
 /// right-hand side `b`, and two running cost rows (phase 1 and phase 2),
 /// each of length cols + 1 with the final entry holding -objective.
@@ -35,34 +154,66 @@ class Tableau {
     build(model);
   }
 
+  /// The tableau `start` left after phase 1, with `model`'s phase-2 cost row
+  /// brought through phase 1's pivots by replaying the eta file.
+  Tableau(const Phase1::State& start, const Model& model)
+      : options_(start.options),
+        num_structural_(start.num_variables),
+        rows_(static_cast<int>(start.rows.size())),
+        cols_(start.cols),
+        first_artificial_(start.first_artificial),
+        num_artificial_(start.cols - start.first_artificial) {
+    duals_ = start.dual_sign;  // before a_, as in build()
+    dual_column_ = start.dual_column;
+    b_ = start.b;
+    basis_ = start.basis;
+    a_.assign(static_cast<std::size_t>(rows_) * static_cast<std::size_t>(cols_),
+              0.0);
+    for (int i = 0; i < rows_; ++i) {
+      double* row_data = row(i);
+      for (std::size_t k = start.row_start[static_cast<std::size_t>(i)];
+           k < start.row_start[static_cast<std::size_t>(i) + 1]; ++k) {
+        row_data[start.column[k]] = start.value[k];
+      }
+    }
+    nonzero_.resize(static_cast<std::size_t>(cols_));
+    cost2_ = initial_cost2(model);
+    start.etas.replay(cost2_);
+  }
+
   /// Basis changes performed, including drive_out_artificials() pivots (so
   /// it can exceed the iteration count on degenerate phase-1 exits).
   std::int64_t pivots() const { return pivots_; }
 
-  Solution run() {
-    Solution solution;
-    // Phase 1: minimize the sum of artificial variables.
-    if (num_artificial_ > 0) {
-      const SolveStatus phase1 = iterate(cost1_, /*allow_artificial=*/true,
-                                         solution.iterations);
-      if (phase1 == SolveStatus::kIterationLimit) {
-        solution.status = phase1;
-        return solution;
-      }
-      // Unbounded is impossible in phase 1 (objective bounded below by 0).
-      const double infeasibility = -cost1_[static_cast<std::size_t>(cols_)];
-      if (infeasibility > options_.epsilon * (1.0 + rhs_scale_)) {
-        solution.status = SolveStatus::kInfeasible;
-        return solution;
-      }
-      in_phase1_ = false;
-      drive_out_artificials();
+  /// Phase 1: minimizes the sum of the artificials, then drives them out of
+  /// the basis. kOptimal when that reaches a feasible basis. Given `etas`,
+  /// every later pivot of this tableau appends its eta there (solve_phase1,
+  /// which runs no phase 2 on it).
+  SolveStatus phase1(std::int64_t& iterations, Etas* etas = nullptr) {
+    if (num_artificial_ == 0) return SolveStatus::kOptimal;
+    etas_ = etas;
+    const SolveStatus status =
+        iterate(cost1_, /*allow_artificial=*/true, iterations);
+    if (status == SolveStatus::kIterationLimit) return status;
+    // Unbounded is impossible in phase 1 (objective bounded below by 0).
+    const double infeasibility = -cost1_[static_cast<std::size_t>(cols_)];
+    if (infeasibility > options_.epsilon * (1.0 + rhs_scale_)) {
+      return SolveStatus::kInfeasible;
     }
-    // Phase 2: minimize the true objective, artificials barred from entering.
-    const SolveStatus phase2 = iterate(cost2_, /*allow_artificial=*/false,
-                                       solution.iterations);
-    solution.status = phase2;
-    if (phase2 != SolveStatus::kOptimal) return solution;
+    in_phase1_ = false;
+    drive_out_artificials();
+    return SolveStatus::kOptimal;
+  }
+
+  /// Phase 2 from the feasible basis phase 1 left: minimizes the true
+  /// objective, artificials barred from entering, counting on from
+  /// phase 1's `iterations`.
+  Solution phase2(std::int64_t iterations) {
+    Solution solution;
+    solution.iterations = iterations;
+    solution.status = iterate(cost2_, /*allow_artificial=*/false,
+                              solution.iterations);
+    if (solution.status != SolveStatus::kOptimal) return solution;
     solution.objective = -cost2_[static_cast<std::size_t>(cols_)];
     solution.values.assign(static_cast<std::size_t>(num_structural_), 0.0);
     for (int i = 0; i < rows_; ++i) {
@@ -78,6 +229,32 @@ class Tableau {
     return solution;
   }
 
+  /// Copies what phase 2 starts from into `state`: the tableau's nonzeros,
+  /// the rhs, the basis and the dual columns and signs.
+  void save(Phase1::State& state) const {
+    state.cols = cols_;
+    state.first_artificial = first_artificial_;
+    const auto nonzeros = static_cast<std::size_t>(
+        std::ranges::count_if(a_, [](double x) { return x != 0.0; }));
+    state.column.reserve(nonzeros);
+    state.value.reserve(nonzeros);
+    state.row_start.reserve(static_cast<std::size_t>(rows_) + 1);
+    state.row_start.push_back(0);
+    for (int i = 0; i < rows_; ++i) {
+      for (int j = 0; j < cols_; ++j) {
+        if (at(i, j) != 0.0) {
+          state.column.push_back(j);
+          state.value.push_back(at(i, j));
+        }
+      }
+      state.row_start.push_back(state.column.size());
+    }
+    state.b = b_;
+    state.basis = basis_;
+    state.dual_column = dual_column_;
+    state.dual_sign = duals_;
+  }
+
  private:
   double* row(int r) {
     return &a_[static_cast<std::size_t>(r) * static_cast<std::size_t>(cols_)];
@@ -85,6 +262,17 @@ class Tableau {
   double at(int r, int c) const {
     return a_[static_cast<std::size_t>(r) * static_cast<std::size_t>(cols_) +
               static_cast<std::size_t>(c)];
+  }
+
+  /// Phase-2 cost row: reduced costs of the all-slack/artificial basis are
+  /// just the raw objective (basic variables all have zero true cost).
+  std::vector<double> initial_cost2(const Model& model) const {
+    std::vector<double> cost(static_cast<std::size_t>(cols_) + 1, 0.0);
+    for (int j = 0; j < num_structural_; ++j) {
+      cost[static_cast<std::size_t>(j)] =
+          model.objective()[static_cast<std::size_t>(j)];
+    }
+    return cost;
   }
 
   void build(const Model& model) {
@@ -115,7 +303,7 @@ class Tableau {
 
     first_artificial_ = num_structural_ + num_slack;
     cols_ = first_artificial_ + num_artificial_;
-    // duals_ outlives the tableau (run() moves it out), so it is allocated
+    // duals_ outlives the tableau (phase2() moves it out), so it is allocated
     // before a_: a long-lived block behind a_ would keep a_'s memory from
     // being reused by the next solve on this thread.
     duals_.resize(static_cast<std::size_t>(rows_));
@@ -162,13 +350,7 @@ class Tableau {
       duals_[static_cast<std::size_t>(i)] = dual_sign;
     }
 
-    // Phase-2 cost row: reduced costs of the all-slack/artificial basis are
-    // just the raw objective (basic variables all have zero true cost).
-    cost2_.assign(static_cast<std::size_t>(cols_) + 1, 0.0);
-    for (int j = 0; j < num_structural_; ++j) {
-      cost2_[static_cast<std::size_t>(j)] =
-          model.objective()[static_cast<std::size_t>(j)];
-    }
+    cost2_ = initial_cost2(model);
     // Phase-1 cost row: cost 1 on artificials, reduced by the rows in which
     // an artificial is basic.
     cost1_.assign(static_cast<std::size_t>(cols_) + 1, 0.0);
@@ -207,6 +389,9 @@ class Tableau {
     b_[static_cast<std::size_t>(pivot_row)] *= inverse;
 
     const double pivot_rhs = b_[static_cast<std::size_t>(pivot_row)];
+    if (etas_ != nullptr) {
+      etas_->record(pivot_col, pivot_rhs, nonzero, num_nonzero, pivot_row_data);
+    }
     const auto eliminate = [&](double* data, double factor) {
       for (int k = 0; k < num_nonzero; ++k) {
         const int j = nonzero[k];
@@ -329,6 +514,7 @@ class Tableau {
   double rhs_scale_ = 0.0;
   bool in_phase1_ = false;
   std::int64_t pivots_ = 0;
+  Etas* etas_ = nullptr;  ///< where pivots record their etas, if anywhere
   std::vector<double> a_;
   std::vector<double> b_;
   std::vector<double> cost1_;
@@ -337,13 +523,36 @@ class Tableau {
   std::vector<int> nonzero_;  ///< pivot-row nonzero columns, scratch
   std::vector<int> dual_column_;  ///< per row: slack or artificial column
   /// Per row: the sign that turns dual_column_'s final cost2_ entry into
-  /// the row's dual; run() scales it into the dual itself.
+  /// the row's dual; phase2() scales it into the dual itself.
   std::vector<double> duals_;
 };
 
 }  // namespace
 
-Solution solve(const Model& model, const SimplexOptions& options) {
+Phase1 solve_phase1(const Model& model, const SimplexOptions& options) {
+  QP_SPAN("lp.phase1");
+  auto state = std::make_shared<Phase1::State>();
+  state->rows = model.constraints();
+  state->num_variables = model.num_variables();
+  state->options = options;
+  if (model.num_constraints() > 0) {
+    Tableau tableau(model, options);
+    state->status = tableau.phase1(state->iterations, &state->etas);
+    if (state->status == SolveStatus::kOptimal) {
+      tableau.save(*state);
+    } else {
+      state->etas = {};  // nothing starts from a failed phase 1
+    }
+    QP_COUNTER_ADD("lp.iterations", state->iterations);
+    QP_COUNTER_ADD("lp.pivots", tableau.pivots());
+  }
+  Phase1 start;
+  start.state_ = std::move(state);
+  return start;
+}
+
+Solution solve(const Model& model, const SimplexOptions& options,
+               const Phase1* start) {
   QP_SPAN("lp.solve");
   QP_COUNTER_ADD("lp.solves", 1);
   if (model.num_constraints() == 0) {
@@ -361,12 +570,33 @@ Solution solve(const Model& model, const SimplexOptions& options) {
     solution.values.assign(static_cast<std::size_t>(model.num_variables()), 0.0);
     return solution;
   }
-  Tableau tableau(model, options);
-  Solution solution = tableau.run();
+  const Phase1::State* replayed =
+      start != nullptr && start->state_->matches(model, options)
+          ? start->state_.get()
+          : nullptr;
+  std::optional<Tableau> tableau;
+  Solution solution;
+  if (replayed != nullptr) {
+    QP_COUNTER_ADD("lp.phase1_reused", 1);
+    solution.status = replayed->status;
+    solution.iterations = replayed->iterations;
+    if (solution.status == SolveStatus::kOptimal) {
+      tableau.emplace(*replayed, model);
+    }
+  } else {
+    tableau.emplace(model, options);
+    solution.status = tableau->phase1(solution.iterations);
+  }
+  if (solution.status == SolveStatus::kOptimal) {
+    solution = tableau->phase2(solution.iterations);
+  }
   // Flushed once per solve; pivot selection is deterministic (Dantzig with a
-  // Bland fallback, fixed tie-breaks), so these totals are reproducible.
-  QP_COUNTER_ADD("lp.iterations", solution.iterations);
-  QP_COUNTER_ADD("lp.pivots", tableau.pivots());
+  // Bland fallback, fixed tie-breaks), so these totals are reproducible. A
+  // replayed phase 1 was counted once, by solve_phase1.
+  QP_COUNTER_ADD("lp.iterations",
+                 solution.iterations -
+                     (replayed != nullptr ? replayed->iterations : 0));
+  QP_COUNTER_ADD("lp.pivots", tableau ? tableau->pivots() : 0);
   QP_INVARIANT(
       solution.status != SolveStatus::kOptimal ||
           [&] {

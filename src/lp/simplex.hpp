@@ -12,8 +12,17 @@
 /// pivots and values of the full dense row update. An optimal solve also
 /// returns the row duals, so a caller can certify its objective with
 /// lp::dual_bound without trusting the solver.
+///
+/// Phase 1 reads the rows and never the objective, so models that share
+/// their rows and differ in the objective share phase 1 (the relay LPs of a
+/// Thm 1.2 sweep on uniform capacities do). solve_phase1 runs it once and
+/// keeps the resulting tableau, stored sparse, with the eta file of its
+/// pivots; lp::solve given that start replays the etas on its own cost row
+/// and runs only phase 2. The replay repeats the cold solve's floating-point
+/// operations in order, so the result is the cold solve's bit for bit.
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -31,6 +40,8 @@ struct SimplexOptions {
   /// Switch from Dantzig to Bland's rule after this many consecutive
   /// iterations without objective improvement (anti-cycling).
   int stall_threshold = 64;
+
+  bool operator==(const SimplexOptions&) const = default;
 };
 
 struct Solution {
@@ -44,7 +55,42 @@ struct Solution {
   std::int64_t iterations = 0;
 };
 
-/// Solves min c.x subject to the model's rows and x >= 0.
-Solution solve(const Model& model, const SimplexOptions& options = {});
+class Phase1;
+
+/// Runs phase 1 of `model` (minimize the sum of artificials, then drive the
+/// artificials out of the basis) and keeps what phase 2 of any model with
+/// the same rows starts from.
+Phase1 solve_phase1(const Model& model, const SimplexOptions& options = {});
+
+/// Solves min c.x subject to the model's rows and x >= 0: phase 1, then
+/// phase 2. With a `start` whose rows (terms, relations, rhs, bit for bit),
+/// variable count and options equal the model's, phase 1 is taken from it
+/// instead; the Solution, iterations included, is that of the cold solve.
+/// Any other start is ignored.
+Solution solve(const Model& model, const SimplexOptions& options = {},
+               const Phase1* start = nullptr);
+
+/// The state after phase 1 of a model, as solve_phase1 leaves it: status and
+/// iteration count, the final tableau and basis, the eta file of its pivots
+/// and, for the equality check, the model's rows. Immutable, so any number
+/// of threads may solve from it at once.
+class Phase1 {
+ public:
+  struct State;  ///< defined in simplex.cpp
+
+  /// kOptimal when phase 1 reached a feasible basis; kInfeasible or
+  /// kIterationLimit when it ended there, which a solve from this start
+  /// then returns, as the cold solve would.
+  SolveStatus status() const;
+  /// Iterations of phase 1; a solve from this start continues from them.
+  std::int64_t iterations() const;
+
+ private:
+  Phase1() = default;
+  friend Phase1 solve_phase1(const Model&, const SimplexOptions&);
+  friend Solution solve(const Model&, const SimplexOptions&, const Phase1*);
+
+  std::shared_ptr<const State> state_;
+};
 
 }  // namespace qp::lp

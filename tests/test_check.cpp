@@ -363,6 +363,21 @@ TEST(Certificate, DirectLowerBoundWinsOnGrid) {
       << cert.to_string();
 }
 
+TEST(Certificate, PassingResiduesPrintBelowAThreshold) {
+  Certificate cert;
+  cert.add("consistency/residue", 5.1e-15, 0.0, 1e-6);
+  cert.add("consistency/exact", 0.0, 0.0, 1e-6);
+  cert.add("thm/value", 0.25, 0.5, 1e-6);
+  cert.add("thm/tiny-but-failing", -1e-13, -1.0, 1e-6);
+  ASSERT_FALSE(cert.ok());
+  EXPECT_EQ(cert.checks[0].value, 5.1e-15);  // the raw double is kept
+  EXPECT_EQ(cert.to_string(),
+            "  ok   consistency/residue: <1e-12 <= 0\n"
+            "  ok   consistency/exact: <1e-12 <= 0\n"
+            "  ok   thm/value: 0.25 <= 0.5\n"
+            "  FAIL thm/tiny-but-failing: -1e-13 <= -1\n");
+}
+
 TEST(Certificate, RelayLowerBoundWinsOnMajorityAtCapTwo) {
   const core::QppInstance instance =
       cli_geometric(quorum::majority(5, 3), 24, 2.0);

@@ -274,6 +274,42 @@ TEST(SsqppLp, RankRestrictedInfeasibleIsWidenedFirst) {
   }
 }
 
+TEST(SsqppLp, SeedHoldsEachElementsFirstFittingRank) {
+  // From node 0 of a path, the ten nearest nodes (cap 0.7 x the largest
+  // load) cover the total load, but the heavier elements fit only from node
+  // 10 on. Seeded by capacity alone, the first model gives those elements
+  // no column, so it is infeasible and is widened to all n ranks; a seed
+  // that reaches each element's first fitting rank is optimal at once.
+  const int n = 20;
+  const graph::Metric metric =
+      graph::Metric::from_graph(graph::path_graph(n, 1.0));
+  const quorum::QuorumSystem system = quorum::grid(3);
+  std::vector<double> weights;
+  for (int q = 0; q < system.num_quorums(); ++q) weights.push_back(1.0 + q);
+  const double total = std::accumulate(weights.begin(), weights.end(), 0.0);
+  for (double& weight : weights) weight /= total;
+  const quorum::AccessStrategy strategy(system, weights);
+  const std::vector<double> loads = quorum::element_loads(system, strategy);
+  const double max_load = *std::max_element(loads.begin(), loads.end());
+  std::vector<double> caps;
+  for (int v = 0; v < n; ++v) caps.push_back((v < 10 ? 0.7 : 5.0) * max_load);
+  const SsqppInstance instance(metric, caps, system, strategy, 0);
+  double near_capacity = 0.0;
+  for (int v = 0; v < 10; ++v) {
+    near_capacity += caps[static_cast<std::size_t>(v)];
+  }
+  ASSERT_GE(near_capacity,
+            std::accumulate(loads.begin(), loads.end(), 0.0));
+
+  const std::uint64_t rounds = counter("ssqpp_lp.rounds");
+  const std::uint64_t columns = counter("ssqpp_lp.columns_added");
+  expect_matches_full_model(instance);
+  if (obs::compiled_in()) {
+    EXPECT_EQ(counter("ssqpp_lp.rounds") - rounds, 1u);
+    EXPECT_EQ(counter("ssqpp_lp.columns_added"), columns);
+  }
+}
+
 TEST(SsqppLp, NamedRowModelRejectsBadNames) {
   const SsqppInstance instance = line_grid_instance(2, 6, 1.0);
   const int rows = build_ssqpp_lp(instance).model.num_constraints();
