@@ -1,12 +1,15 @@
 #include "sim/fault_schedule.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <istream>
+#include <limits>
 #include <optional>
 #include <random>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "check/contracts.hpp"
 #include "obs/json.hpp"
@@ -53,6 +56,25 @@ bool contains(const std::vector<int>& sorted, int node) {
   return std::binary_search(sorted.begin(), sorted.end(), node);
 }
 
+/// First window of `node`'s run in a node-sorted window list (or the first
+/// window of a later node, or the end, when `node` has none).
+template <typename Window>
+auto run_of(const std::vector<Window>& by_node, int node) {
+  return std::partition_point(
+      by_node.begin(), by_node.end(),
+      [node](const Window& w) { return w.node < node; });
+}
+
+template <typename Window>
+std::vector<Window> sorted_by_node(const std::vector<Window>& windows) {
+  std::vector<Window> by_node = windows;
+  std::stable_sort(by_node.begin(), by_node.end(),
+                   [](const Window& x, const Window& y) {
+                     return x.node < y.node;
+                   });
+  return by_node;
+}
+
 using obs::json::append_double;
 using obs::json::append_int;
 
@@ -63,6 +85,21 @@ void append_side(std::string& out, const std::vector<int>& side) {
     append_int(out, side[i]);
   }
   out += "]";
+}
+
+/// A parsed node id: an integer in [0, INT_MAX]. A cast would truncate
+/// 2.7 or -0.5 to a node the schedule never named (and is undefined past
+/// INT_MAX), so anything else is rejected.
+int node_id(double value, const char* key, std::int64_t line_hint) {
+  if (!(value >= 0.0 && value <= std::numeric_limits<int>::max() &&
+        value == std::floor(value))) {
+    throw std::runtime_error("fault schedule entry " +
+                             std::to_string(line_hint) + " has a node id in '" +
+                             key + "' that is not an integer in [0, " +
+                             std::to_string(std::numeric_limits<int>::max()) +
+                             "]");
+  }
+  return static_cast<int>(value);
 }
 
 double member(const obs::json::Value& value, const char* key,
@@ -92,7 +129,7 @@ std::vector<int> int_array(const obs::json::Value& value, const char* key,
                                std::to_string(line_hint) +
                                " has a non-numeric node id in '" + key + "'");
     }
-    out.push_back(static_cast<int>(entry.number));
+    out.push_back(node_id(entry.number, key, line_hint));
   }
   return out;
 }
@@ -143,11 +180,31 @@ FaultSchedule::FaultSchedule(std::vector<CrashWindow> crashes,
     }
     max_node_ = std::max(max_node_, w.node);
   }
+
+  crashes_by_node_ = sorted_by_node(crashes_);
+  gray_by_node_ = sorted_by_node(gray_);
+  std::vector<std::pair<double, double>> spans;
+  spans.reserve(crashes_.size() + partitions_.size() + gray_.size());
+  for (const CrashWindow& w : crashes_) spans.emplace_back(w.from, w.until);
+  for (const PartitionWindow& w : partitions_) {
+    spans.emplace_back(w.from, w.until);
+  }
+  for (const GrayWindow& w : gray_) spans.emplace_back(w.from, w.until);
+  std::sort(spans.begin(), spans.end());
+  window_from_.reserve(spans.size());
+  until_prefix_max_.reserve(spans.size());
+  double reach = -std::numeric_limits<double>::infinity();
+  for (const auto& [from, until] : spans) {
+    window_from_.push_back(from);
+    reach = std::max(reach, until);
+    until_prefix_max_.push_back(reach);
+  }
 }
 
 bool FaultSchedule::crashed(int node, double t) const {
-  for (const CrashWindow& w : crashes_) {
-    if (w.node == node && active(w.from, w.until, t)) return true;
+  for (auto w = run_of(crashes_by_node_, node);
+       w != crashes_by_node_.end() && w->node == node; ++w) {
+    if (active(w->from, w->until, t)) return true;
   }
   return false;
 }
@@ -164,28 +221,26 @@ bool FaultSchedule::partitioned(int a, int b, double t) const {
 }
 
 double FaultSchedule::gray_factor(int node, double t) const {
+  // The run keeps schedule order, so the product rounds as a scan of gray_
+  // would.
   double factor = 1.0;
-  for (const GrayWindow& w : gray_) {
-    if (w.node == node && active(w.from, w.until, t)) factor *= w.factor;
+  for (auto w = run_of(gray_by_node_, node);
+       w != gray_by_node_.end() && w->node == node; ++w) {
+    if (active(w->from, w->until, t)) factor *= w->factor;
   }
   return factor;
 }
 
 bool FaultSchedule::any_active(double from, double until) const {
-  const auto overlaps = [&](double wf, double wu) {
-    // Window [wf, wu) vs query [from, until].
-    return wf <= until && from < wu;
-  };
-  for (const CrashWindow& w : crashes_) {
-    if (overlaps(w.from, w.until)) return true;
-  }
-  for (const PartitionWindow& w : partitions_) {
-    if (overlaps(w.from, w.until)) return true;
-  }
-  for (const GrayWindow& w : gray_) {
-    if (overlaps(w.from, w.until)) return true;
-  }
-  return false;
+  // Window [wf, wu) overlaps query [from, until] iff wf <= until and
+  // from < wu. The windows with wf <= until are a prefix of the from-sorted
+  // index (none when until is NaN), and its largest wu decides.
+  const auto prefix = std::partition_point(
+      window_from_.begin(), window_from_.end(),
+      [until](double wf) { return wf <= until; });
+  return prefix != window_from_.begin() &&
+         from < until_prefix_max_[static_cast<std::size_t>(
+                    prefix - window_from_.begin() - 1)];
 }
 
 std::vector<bool> FaultSchedule::failed_elements(
@@ -223,7 +278,7 @@ FaultSchedule parse_fault_schedule(const std::string& text) {
     for (const obs::json::Value& entry : list->array) {
       ++i;
       CrashWindow w;
-      w.node = static_cast<int>(member(entry, "node", i));
+      w.node = node_id(member(entry, "node", i), "node", i);
       w.from = member(entry, "from", i);
       w.until = member(entry, "until", i);
       crashes.push_back(w);
@@ -252,7 +307,7 @@ FaultSchedule parse_fault_schedule(const std::string& text) {
     for (const obs::json::Value& entry : list->array) {
       ++i;
       GrayWindow w;
-      w.node = static_cast<int>(member(entry, "node", i));
+      w.node = node_id(member(entry, "node", i), "node", i);
       w.from = member(entry, "from", i);
       w.until = member(entry, "until", i);
       w.factor = member(entry, "factor", i);

@@ -84,14 +84,15 @@ class FaultSchedule {
   /// Callers validate it against their node count.
   int max_node() const { return max_node_; }
 
-  /// Node down at time t?
+  /// Node down at time t? O(log W + the node's crash windows).
   bool crashed(int node, double t) const;
   /// Nodes a and b unable to exchange messages at time t (symmetric)?
   bool partitioned(int a, int b, double t) const;
-  /// Product of the factors of the gray windows covering (node, t); 1 when
-  /// none does.
+  /// Product of the factors of the gray windows covering (node, t), taken
+  /// in schedule order; 1 when none does. O(log W + the node's gray
+  /// windows).
   double gray_factor(int node, double t) const;
-  /// Does any fault window (of any kind) overlap [from, until]?
+  /// Does any fault window (of any kind) overlap [from, until]? O(log W).
   bool any_active(double from, double until) const;
 
   /// The failure set seen by `client` at time t: element u is failed iff
@@ -102,6 +103,7 @@ class FaultSchedule {
   std::vector<bool> failed_elements(const core::Placement& placement,
                                     int client, double t) const;
 
+  /// The windows in schedule order, as constructed (and as rendered).
   const std::vector<CrashWindow>& crashes() const { return crashes_; }
   const std::vector<PartitionWindow>& partitions() const {
     return partitions_;
@@ -113,6 +115,17 @@ class FaultSchedule {
   std::vector<PartitionWindow> partitions_;
   std::vector<GrayWindow> gray_;
   int max_node_ = -1;
+
+  // Query indexes, built once by the constructor. The crash and gray
+  // windows stably sorted by node: one node's windows form a run, still in
+  // schedule order, found by binary search (no table indexed by node id, so
+  // a schedule naming node 2^31 - 1 costs no more than one naming node 0).
+  std::vector<CrashWindow> crashes_by_node_;
+  std::vector<GrayWindow> gray_by_node_;
+  // The `from` of every window of every kind in ascending order, and the
+  // largest `until` among the windows up to each position.
+  std::vector<double> window_from_;
+  std::vector<double> until_prefix_max_;
 };
 
 /// Parses a `qplace.faults.v1` JSON document:
@@ -124,8 +137,9 @@ class FaultSchedule {
 ///
 /// All three arrays are optional; extra members are rejected nowhere (the
 /// strict JSON reader already rejects malformed syntax).
-/// \throws std::runtime_error on malformed JSON or a missing/foreign
-/// schema tag; std::invalid_argument on invalid windows.
+/// \throws std::runtime_error on malformed JSON, a missing/foreign schema
+/// tag, or a node id that is not an integer in [0, INT_MAX];
+/// std::invalid_argument on invalid windows.
 FaultSchedule parse_fault_schedule(const std::string& text);
 
 /// Stream variant of parse_fault_schedule (reads the stream to its end).

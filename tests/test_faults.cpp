@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -166,6 +167,42 @@ TEST(FaultScheduleTest, ParseRejectsForeignSchemaAndGarbage) {
   EXPECT_THROW(parse_fault_schedule("not json"), std::runtime_error);
 }
 
+TEST(FaultScheduleTest, ParseRejectsNodeIdsThatAreNotIntegersInRange) {
+  const auto crash = [](const std::string& node) {
+    return "{\"schema\": \"qplace.faults.v1\", \"crashes\": [{\"node\": " +
+           node + ", \"from\": 0, \"until\": 1}]}";
+  };
+  const auto gray = [](const std::string& node) {
+    return "{\"schema\": \"qplace.faults.v1\", \"gray\": [{\"node\": " +
+           node + ", \"from\": 0, \"until\": 1, \"factor\": 2}]}";
+  };
+  const auto partition = [](const std::string& side) {
+    return "{\"schema\": \"qplace.faults.v1\", \"partitions\": [{\"a\": " +
+           side + ", \"b\": [5], \"from\": 0, \"until\": 1}]}";
+  };
+  // A cast would turn 2.7 into node 2 and -0.5 into node 0, nodes the
+  // document never named, and is undefined outside int range.
+  for (const char* bad : {"2.7", "-0.5", "1e10", "-1", "2147483648"}) {
+    EXPECT_THROW(parse_fault_schedule(crash(bad)), std::runtime_error) << bad;
+    EXPECT_THROW(parse_fault_schedule(gray(bad)), std::runtime_error) << bad;
+    EXPECT_THROW(parse_fault_schedule(partition(std::string("[") + bad + "]")),
+                 std::runtime_error)
+        << bad;
+  }
+  EXPECT_THROW(parse_fault_schedule(partition("[0.9]")), std::runtime_error);
+  try {
+    parse_fault_schedule(crash("2.7"));
+    ADD_FAILURE() << "node 2.7 accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("entry 1"), std::string::npos)
+        << e.what();
+  }
+  // The integral extremes stay accepted.
+  EXPECT_EQ(parse_fault_schedule(crash("2147483647")).max_node(), 2147483647);
+  EXPECT_EQ(parse_fault_schedule(gray("4.0")).gray().front().node, 4);
+  EXPECT_EQ(parse_fault_schedule(partition("[0, 3]")).max_node(), 5);
+}
+
 TEST(FaultScheduleTest, RandomScheduleIsDeterministicAndBounded) {
   RandomFaultOptions options;
   options.crash_rate = 1.5;
@@ -267,6 +304,61 @@ TEST(FaultSimulatorTest, GoldenRunsReplayExactly) {
   EXPECT_EQ(a.retries, b.retries);
   EXPECT_EQ(a.availability_series, b.availability_series);
   EXPECT_DOUBLE_EQ(a.overall_mean_delay, b.overall_mean_delay);
+}
+
+/// FNV-1a (64-bit) over a byte string, the repo's digest of record.
+std::uint64_t fnv1a(const std::string& text) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const char c : text) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+TEST(FaultSimulatorTest, ManyWindowChurnGoldenCounters) {
+  // The fixtures above hold one or two windows per node; this run holds the
+  // churn benchmark's density -- 10 crash and 10 gray windows per node per
+  // 10^4 time units, plus partitions -- on 64 nodes (8x8 torus, diameter 8)
+  // with majority(5,3), so every node's fault lookup scans many windows,
+  // overlapping gray windows multiply, and jitter plus queueing draw from
+  // the simulation RNG. The counters and the access-log digest pin every
+  // probe's fate, so any change in what a fault query answers shows here.
+  RandomFaultOptions churn;
+  churn.crash_rate = 10.0;
+  churn.gray_rate = 10.0;
+  churn.partition_rate = 0.5;
+  const FaultSchedule schedule = random_fault_schedule(64, 1e4, churn, 11);
+  ASSERT_EQ(schedule.crashes().size() + schedule.gray().size(), 1271u);
+
+  const quorum::QuorumSystem system = quorum::majority(5, 3);
+  const core::QppInstance instance(
+      graph::Metric::from_graph(graph::torus(8)), std::vector<double>(64, 1e9),
+      system, quorum::AccessStrategy::uniform(system));
+  SimulationConfig config;
+  config.duration = 1e4;
+  config.arrival_rate_per_client = 0.005;
+  config.service_rate = 2.0;
+  config.latency_jitter = 0.1;
+  config.warmup = 100.0;
+  config.seed = 5;
+  config.faults = &schedule;
+  config.probe_timeout = 12.0;
+  config.max_attempts = 3;
+  std::ostringstream log_text;
+  obs::AccessLogWriter log(log_text, obs::AccessLogConfig{});
+  config.access_log = &log;
+  const SimulationResult result =
+      simulate(instance, {3, 17, 29, 42, 60}, config);
+  log.close();
+
+  EXPECT_EQ(result.completed_accesses, 3003);
+  EXPECT_EQ(result.failed_accesses, 134);
+  EXPECT_EQ(result.unavailable_accesses, 0);
+  EXPECT_EQ(result.timed_out_attempts, 1390);
+  EXPECT_EQ(result.retries, 1256);
+  EXPECT_TRUE(result.safety_ok);
+  EXPECT_EQ(fnv1a(log_text.str()), 0xb03d479b376d1466ULL);
 }
 
 // --- Engine semantics beyond the golden runs --------------------------------
