@@ -1,5 +1,7 @@
 #include "cli/options.hpp"
 
+#include <algorithm>
+#include <iomanip>
 #include <sstream>
 #include <stdexcept>
 
@@ -161,6 +163,67 @@ graph::Graph make_topology(const ParsedArgs& args, std::mt19937_64& rng) {
                                   args.get_double("inter", 10.0));
   }
   throw std::invalid_argument("unknown --topology '" + kind + "'");
+}
+
+std::optional<std::int64_t> topology_nodes(const ParsedArgs& args) {
+  if (args.has("graph-file")) return std::nullopt;
+  const std::string kind = args.get("topology", "geometric");
+  const auto flag = [&](const std::string& name, int fallback) {
+    return static_cast<std::int64_t>(args.get_int(name, fallback));
+  };
+  if (kind == "mesh" || kind == "broom" || kind == "torus") {
+    return flag("k", 4) * flag("k", 4);
+  }
+  if (kind == "hypercube") {
+    // hypercube() itself refuses more than 20 dimensions.
+    return std::int64_t{1} << std::clamp(flag("dim", 4), std::int64_t{0},
+                                         std::int64_t{20});
+  }
+  if (kind == "fattree") {
+    const std::int64_t leaves = flag("leaves", 4);
+    return flag("spines", 2) + leaves + leaves * flag("hosts", 4);
+  }
+  if (kind == "cliques") return flag("cliques", 4) * flag("clique-size", 4);
+  return flag("nodes", 16);
+}
+
+double metric_bytes(std::int64_t nodes) {
+  const auto n = static_cast<double>(nodes);
+  return 8.0 * n * n;
+}
+
+double gap_tableau_bytes(std::int64_t nodes, std::int64_t universe) {
+  const auto n = static_cast<double>(nodes);
+  const auto u = static_cast<double>(universe);
+  return 8.0 * (n + u) * (n * u + n + u);
+}
+
+namespace {
+
+void require_within_budget(const std::string& what, double bytes) {
+  if (bytes <= kAllocationBudgetBytes) return;
+  const auto gib = [](double b) {
+    std::ostringstream out;
+    out << std::fixed << std::setprecision(1)
+        << b / (1024.0 * 1024.0 * 1024.0) << " GiB";
+    return out.str();
+  };
+  throw std::length_error(what + " would take " + gib(bytes) +
+                          ", over the " + gib(kAllocationBudgetBytes) +
+                          " allocation budget; refusing before allocating");
+}
+
+}  // namespace
+
+void require_instance_fits(std::int64_t nodes, int universe, bool gap_lp) {
+  const std::string n = std::to_string(nodes);
+  require_within_budget("the metric of " + n + " nodes", metric_bytes(nodes));
+  if (gap_lp) {
+    require_within_budget("the Thm 5.1 GAP LP tableau of " + n +
+                              " nodes and " + std::to_string(universe) +
+                              " elements",
+                          gap_tableau_bytes(nodes, universe));
+  }
 }
 
 int configure_threads(const ParsedArgs& args) {

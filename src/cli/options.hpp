@@ -5,7 +5,9 @@
 /// the `qplace` CLI tool (tools/qplace.cpp). Kept in the library so the
 /// parsing and factory logic is unit-testable.
 
+#include <cstdint>
 #include <map>
+#include <optional>
 #include <random>
 #include <string>
 #include <vector>
@@ -67,6 +69,29 @@ quorum::QuorumSystem make_system(const ParsedArgs& args);
 /// --seed; or --graph-file <path> to load an edge list (see graph/io.hpp),
 /// which overrides --topology.
 graph::Graph make_topology(const ParsedArgs& args, std::mt19937_64& rng);
+
+/// Nodes of the graph make_topology builds from these flags, computed from
+/// the flags alone; std::nullopt for --graph-file, whose size is known only
+/// once the file is read.
+std::optional<std::int64_t> topology_nodes(const ParsedArgs& args);
+
+/// The most memory one up-front allocation may take: the n x n metric
+/// (metric_bytes) or the dense tableau of the Thm 5.1 GAP LP
+/// (gap_tableau_bytes). Commands refuse larger instances before allocating.
+inline constexpr double kAllocationBudgetBytes = 2.0 * 1024 * 1024 * 1024;
+
+/// Bytes of the metric on `nodes` nodes: 8 n^2.
+double metric_bytes(std::int64_t nodes);
+
+/// Bytes of the dense simplex tableau of the Thm 5.1 GAP LP (15)-(18) on
+/// `nodes` nodes and `universe` elements: n + |U| rows by n|U| + n + |U|
+/// columns of doubles.
+double gap_tableau_bytes(std::int64_t nodes, std::int64_t universe);
+
+/// \throws std::length_error when the metric on `nodes` nodes, or with
+/// `gap_lp` the Thm 5.1 GAP LP tableau on them and `universe` elements,
+/// would exceed kAllocationBudgetBytes; the message names the size.
+void require_instance_fits(std::int64_t nodes, int universe, bool gap_lp);
 
 /// Applies --threads N to the exec thread pool (docs/PARALLEL.md) and
 /// returns the effective pool size. Absent or N < 1 keeps the default

@@ -4,7 +4,6 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <optional>
 #include <utility>
 
 #include "check/contracts.hpp"
@@ -89,8 +88,11 @@ class Etas {
 
 /// Phase 1 depends on the rows, the variable count and the options only;
 /// `rows` keeps them for the equality check. When phase 1 reached a feasible
-/// basis, the rest is the tableau it left (nonzeros only, row by row: about
-/// a tenth of the dense one on the SSQPP relay LPs) and its eta file.
+/// basis, the rest is the tableau T0 it left, its rhs, basis and dual
+/// bookkeeping, and its eta file. T0 is kept as its nonzeros twice, row by
+/// row and column by column (each about a tenth of the dense tableau on the
+/// SSQPP relay LPs): a phase 2 from this start reads T0's pivot rows and
+/// entering columns there and never copies it.
 struct Phase1::State {
   std::vector<Constraint> rows;
   int num_variables = 0;
@@ -104,6 +106,10 @@ struct Phase1::State {
   std::vector<std::size_t> row_start;
   std::vector<int> column;
   std::vector<double> value;
+  /// Column j's nonzeros, by row, are entries [col_start[j], col_start[j+1]).
+  std::vector<std::size_t> col_start;
+  std::vector<int> col_row;
+  std::vector<double> col_value;
   std::vector<double> b;
   std::vector<int> basis;
   std::vector<int> dual_column;
@@ -142,68 +148,27 @@ std::int64_t Phase1::iterations() const { return state_->iterations; }
 
 namespace {
 
-/// Dense two-phase tableau. Row-major matrix `a` of size rows x cols, the
-/// right-hand side `b`, and two running cost rows (phase 1 and phase 2),
-/// each of length cols + 1 with the final entry holding -objective.
-class Tableau {
+/// One column of a tableau: entry i is data[i * stride].
+struct Column {
+  const double* data;
+  std::size_t stride;
+  double operator[](int i) const {
+    return data[static_cast<std::size_t>(i) * stride];
+  }
+};
+
+/// What the cold Tableau and Phase2FromStart share: the rhs, the basis, the
+/// phase-2 cost row, the dual bookkeeping and the simplex loop itself
+/// (Dantzig pricing, the ratio test, the Bland fallback). `Table` supplies
+/// the tableau: column(e) views column e of the current tableau, and
+/// pivot(r, c), called right after column(c), pivots on (r, c) and updates
+/// b_, basis_ and the live cost rows.
+template <class Table>
+class Simplex {
  public:
-  Tableau(const Model& model, const SimplexOptions& options)
-      : options_(options),
-        num_structural_(model.num_variables()),
-        rows_(model.num_constraints()) {
-    build(model);
-  }
-
-  /// The tableau `start` left after phase 1, with `model`'s phase-2 cost row
-  /// brought through phase 1's pivots by replaying the eta file.
-  Tableau(const Phase1::State& start, const Model& model)
-      : options_(start.options),
-        num_structural_(start.num_variables),
-        rows_(static_cast<int>(start.rows.size())),
-        cols_(start.cols),
-        first_artificial_(start.first_artificial),
-        num_artificial_(start.cols - start.first_artificial) {
-    duals_ = start.dual_sign;  // before a_, as in build()
-    dual_column_ = start.dual_column;
-    b_ = start.b;
-    basis_ = start.basis;
-    a_.assign(static_cast<std::size_t>(rows_) * static_cast<std::size_t>(cols_),
-              0.0);
-    for (int i = 0; i < rows_; ++i) {
-      double* row_data = row(i);
-      for (std::size_t k = start.row_start[static_cast<std::size_t>(i)];
-           k < start.row_start[static_cast<std::size_t>(i) + 1]; ++k) {
-        row_data[start.column[k]] = start.value[k];
-      }
-    }
-    nonzero_.resize(static_cast<std::size_t>(cols_));
-    cost2_ = initial_cost2(model);
-    start.etas.replay(cost2_);
-  }
-
   /// Basis changes performed, including drive_out_artificials() pivots (so
   /// it can exceed the iteration count on degenerate phase-1 exits).
   std::int64_t pivots() const { return pivots_; }
-
-  /// Phase 1: minimizes the sum of the artificials, then drives them out of
-  /// the basis. kOptimal when that reaches a feasible basis. Given `etas`,
-  /// every later pivot of this tableau appends its eta there (solve_phase1,
-  /// which runs no phase 2 on it).
-  SolveStatus phase1(std::int64_t& iterations, Etas* etas = nullptr) {
-    if (num_artificial_ == 0) return SolveStatus::kOptimal;
-    etas_ = etas;
-    const SolveStatus status =
-        iterate(cost1_, /*allow_artificial=*/true, iterations);
-    if (status == SolveStatus::kIterationLimit) return status;
-    // Unbounded is impossible in phase 1 (objective bounded below by 0).
-    const double infeasibility = -cost1_[static_cast<std::size_t>(cols_)];
-    if (infeasibility > options_.epsilon * (1.0 + rhs_scale_)) {
-      return SolveStatus::kInfeasible;
-    }
-    in_phase1_ = false;
-    drive_out_artificials();
-    return SolveStatus::kOptimal;
-  }
 
   /// Phase 2 from the feasible basis phase 1 left: minimizes the true
   /// objective, artificials barred from entering, counting on from
@@ -229,40 +194,9 @@ class Tableau {
     return solution;
   }
 
-  /// Copies what phase 2 starts from into `state`: the tableau's nonzeros,
-  /// the rhs, the basis and the dual columns and signs.
-  void save(Phase1::State& state) const {
-    state.cols = cols_;
-    state.first_artificial = first_artificial_;
-    const auto nonzeros = static_cast<std::size_t>(
-        std::ranges::count_if(a_, [](double x) { return x != 0.0; }));
-    state.column.reserve(nonzeros);
-    state.value.reserve(nonzeros);
-    state.row_start.reserve(static_cast<std::size_t>(rows_) + 1);
-    state.row_start.push_back(0);
-    for (int i = 0; i < rows_; ++i) {
-      for (int j = 0; j < cols_; ++j) {
-        if (at(i, j) != 0.0) {
-          state.column.push_back(j);
-          state.value.push_back(at(i, j));
-        }
-      }
-      state.row_start.push_back(state.column.size());
-    }
-    state.b = b_;
-    state.basis = basis_;
-    state.dual_column = dual_column_;
-    state.dual_sign = duals_;
-  }
-
- private:
-  double* row(int r) {
-    return &a_[static_cast<std::size_t>(r) * static_cast<std::size_t>(cols_)];
-  }
-  double at(int r, int c) const {
-    return a_[static_cast<std::size_t>(r) * static_cast<std::size_t>(cols_) +
-              static_cast<std::size_t>(c)];
-  }
+ protected:
+  Simplex(const SimplexOptions& options, int num_structural, int rows)
+      : options_(options), num_structural_(num_structural), rows_(rows) {}
 
   /// Phase-2 cost row: reduced costs of the all-slack/artificial basis are
   /// just the raw objective (basic variables all have zero true cost).
@@ -273,6 +207,194 @@ class Tableau {
           model.objective()[static_cast<std::size_t>(j)];
     }
     return cost;
+  }
+
+  /// Runs simplex iterations against the given cost row.
+  SolveStatus iterate(std::vector<double>& cost, bool allow_artificial,
+                      std::int64_t& iterations) {
+    Table& table = static_cast<Table&>(*this);
+    const int limit_col = allow_artificial ? cols_ : first_artificial_;
+    int stalled = 0;
+    bool use_bland = false;
+    double last_objective = -cost[static_cast<std::size_t>(cols_)];
+    while (true) {
+      if (iterations++ >= options_.max_iterations) {
+        return SolveStatus::kIterationLimit;
+      }
+      // Entering column.
+      int entering = -1;
+      if (use_bland) {
+        for (int j = 0; j < limit_col; ++j) {
+          if (cost[static_cast<std::size_t>(j)] < -options_.epsilon) {
+            entering = j;
+            break;
+          }
+        }
+      } else {
+        double best = -options_.epsilon;
+        for (int j = 0; j < limit_col; ++j) {
+          if (cost[static_cast<std::size_t>(j)] < best) {
+            best = cost[static_cast<std::size_t>(j)];
+            entering = j;
+          }
+        }
+      }
+      if (entering < 0) return SolveStatus::kOptimal;
+
+      // Ratio test (ties broken by smallest basis index, Bland-compatible).
+      const Column column = table.column(entering);
+      int leaving = -1;
+      double best_ratio = 0.0;
+      for (int i = 0; i < rows_; ++i) {
+        const double coeff = column[i];
+        if (coeff > options_.epsilon) {
+          const double ratio = b_[static_cast<std::size_t>(i)] / coeff;
+          if (leaving < 0 || ratio < best_ratio - options_.epsilon ||
+              (ratio < best_ratio + options_.epsilon &&
+               basis_[static_cast<std::size_t>(i)] <
+                   basis_[static_cast<std::size_t>(leaving)])) {
+            leaving = i;
+            best_ratio = ratio;
+          }
+        }
+      }
+      if (leaving < 0) return SolveStatus::kUnbounded;
+
+      table.pivot(leaving, entering);
+
+      // Anti-cycling: if the objective stops improving, fall back to Bland.
+      const double objective = -cost[static_cast<std::size_t>(cols_)];
+      if (objective < last_objective - options_.epsilon) {
+        stalled = 0;
+        use_bland = false;
+      } else if (++stalled >= options_.stall_threshold) {
+        use_bland = true;
+      }
+      last_objective = objective;
+    }
+  }
+
+  /// Row i's rhs after a pivot whose pivot column holds `factor` != 0.0 in
+  /// row i, with near-zero results snapped to 0.0.
+  void update_rhs(int i, double factor, double pivot_rhs) {
+    double& rhs = b_[static_cast<std::size_t>(i)];
+    rhs -= factor * pivot_rhs;
+    if (std::abs(rhs) < options_.epsilon) rhs = 0.0;
+  }
+
+  SimplexOptions options_;
+  int num_structural_ = 0;
+  int rows_ = 0;
+  int cols_ = 0;
+  int first_artificial_ = 0;
+  std::int64_t pivots_ = 0;
+  std::vector<double> b_;
+  std::vector<double> cost2_;
+  std::vector<int> basis_;
+  std::vector<int> dual_column_;  ///< per row: slack or artificial column
+  /// Per row: the sign that turns dual_column_'s final cost2_ entry into
+  /// the row's dual; phase2() scales it into the dual itself.
+  std::vector<double> duals_;
+};
+
+/// Dense two-phase tableau. Row-major matrix `a` of size rows x cols, the
+/// right-hand side `b`, and two running cost rows (phase 1 and phase 2),
+/// each of length cols + 1 with the final entry holding -objective.
+class Tableau : public Simplex<Tableau> {
+ public:
+  Tableau(const Model& model, const SimplexOptions& options)
+      : Simplex(options, model.num_variables(), model.num_constraints()) {
+    build(model);
+  }
+
+  /// Phase 1: minimizes the sum of the artificials, then drives them out of
+  /// the basis. kOptimal when that reaches a feasible basis. Given `etas`,
+  /// every later pivot of this tableau appends its eta there (solve_phase1,
+  /// which runs no phase 2 on it).
+  SolveStatus phase1(std::int64_t& iterations, Etas* etas = nullptr) {
+    if (num_artificial_ == 0) return SolveStatus::kOptimal;
+    etas_ = etas;
+    const SolveStatus status =
+        iterate(cost1_, /*allow_artificial=*/true, iterations);
+    if (status == SolveStatus::kIterationLimit) return status;
+    // Unbounded is impossible in phase 1 (objective bounded below by 0).
+    const double infeasibility = -cost1_[static_cast<std::size_t>(cols_)];
+    if (infeasibility > options_.epsilon * (1.0 + rhs_scale_)) {
+      return SolveStatus::kInfeasible;
+    }
+    in_phase1_ = false;
+    drive_out_artificials();
+    return SolveStatus::kOptimal;
+  }
+
+  /// Copies what phase 2 starts from into `state`: the tableau's nonzeros
+  /// by row and by column, the rhs, the basis and the dual columns and
+  /// signs.
+  void save(Phase1::State& state) const {
+    state.cols = cols_;
+    state.first_artificial = first_artificial_;
+    // Both scans of the dense tableau run without a branch on the entries
+    // (most are zero, and which is hard to predict), so the copy writes one
+    // past the last nonzero at worst: the arrays get one spare slot.
+    std::size_t nonzeros = 0;
+    for (const double x : a_) nonzeros += x != 0.0 ? 1U : 0U;
+    state.column.resize(nonzeros + 1);
+    state.value.resize(nonzeros + 1);
+    state.row_start.resize(static_cast<std::size_t>(rows_) + 1);
+    std::size_t count = 0;
+    for (int i = 0; i < rows_; ++i) {
+      state.row_start[static_cast<std::size_t>(i)] = count;
+      const double* row_data = &a_[static_cast<std::size_t>(i) *
+                                   static_cast<std::size_t>(cols_)];
+      for (int j = 0; j < cols_; ++j) {
+        state.column[count] = j;
+        state.value[count] = row_data[j];
+        count += row_data[j] != 0.0 ? 1U : 0U;
+      }
+    }
+    state.row_start[static_cast<std::size_t>(rows_)] = count;
+    state.column.resize(nonzeros);
+    state.value.resize(nonzeros);
+    // The column-wise copy, by a counting sort of the row-wise one.
+    state.col_start.assign(static_cast<std::size_t>(cols_) + 1, 0);
+    for (const int j : state.column) {
+      ++state.col_start[static_cast<std::size_t>(j) + 1];
+    }
+    for (int j = 0; j < cols_; ++j) {
+      state.col_start[static_cast<std::size_t>(j) + 1] +=
+          state.col_start[static_cast<std::size_t>(j)];
+    }
+    state.col_row.resize(nonzeros);
+    state.col_value.resize(nonzeros);
+    std::vector<std::size_t> next(state.col_start.begin(),
+                                  state.col_start.end() - 1);
+    for (int i = 0; i < rows_; ++i) {
+      for (std::size_t k = state.row_start[static_cast<std::size_t>(i)];
+           k < state.row_start[static_cast<std::size_t>(i) + 1]; ++k) {
+        const std::size_t slot =
+            next[static_cast<std::size_t>(state.column[k])]++;
+        state.col_row[slot] = i;
+        state.col_value[slot] = state.value[k];
+      }
+    }
+    state.b = b_;
+    state.basis = basis_;
+    state.dual_column = dual_column_;
+    state.dual_sign = duals_;
+  }
+
+ private:
+  friend class Simplex<Tableau>;
+
+  double* row(int r) {
+    return &a_[static_cast<std::size_t>(r) * static_cast<std::size_t>(cols_)];
+  }
+  double at(int r, int c) const {
+    return a_[static_cast<std::size_t>(r) * static_cast<std::size_t>(cols_) +
+              static_cast<std::size_t>(c)];
+  }
+  Column column(int c) const {
+    return {&a_[static_cast<std::size_t>(c)], static_cast<std::size_t>(cols_)};
   }
 
   void build(const Model& model) {
@@ -405,10 +527,7 @@ class Tableau {
       const double factor = row_data[pivot_col];
       if (factor == 0.0) continue;
       eliminate(row_data, factor);
-      b_[static_cast<std::size_t>(i)] -= factor * pivot_rhs;
-      if (std::abs(b_[static_cast<std::size_t>(i)]) < options_.epsilon) {
-        b_[static_cast<std::size_t>(i)] = 0.0;
-      }
+      update_rhs(i, factor, pivot_rhs);
     }
     const auto update_cost = [&](std::vector<double>& cost) {
       const double factor = cost[static_cast<std::size_t>(pivot_col)];
@@ -421,69 +540,6 @@ class Tableau {
     update_cost(cost2_);
     basis_[static_cast<std::size_t>(pivot_row)] = pivot_col;
     ++pivots_;
-  }
-
-  /// Runs simplex iterations against the given cost row.
-  SolveStatus iterate(std::vector<double>& cost, bool allow_artificial,
-                      std::int64_t& iterations) {
-    const int limit_col = allow_artificial ? cols_ : first_artificial_;
-    int stalled = 0;
-    bool use_bland = false;
-    double last_objective = -cost[static_cast<std::size_t>(cols_)];
-    while (true) {
-      if (iterations++ >= options_.max_iterations) {
-        return SolveStatus::kIterationLimit;
-      }
-      // Entering column.
-      int entering = -1;
-      if (use_bland) {
-        for (int j = 0; j < limit_col; ++j) {
-          if (cost[static_cast<std::size_t>(j)] < -options_.epsilon) {
-            entering = j;
-            break;
-          }
-        }
-      } else {
-        double best = -options_.epsilon;
-        for (int j = 0; j < limit_col; ++j) {
-          if (cost[static_cast<std::size_t>(j)] < best) {
-            best = cost[static_cast<std::size_t>(j)];
-            entering = j;
-          }
-        }
-      }
-      if (entering < 0) return SolveStatus::kOptimal;
-
-      // Ratio test (ties broken by smallest basis index, Bland-compatible).
-      int leaving = -1;
-      double best_ratio = 0.0;
-      for (int i = 0; i < rows_; ++i) {
-        const double coeff = at(i, entering);
-        if (coeff > options_.epsilon) {
-          const double ratio = b_[static_cast<std::size_t>(i)] / coeff;
-          if (leaving < 0 || ratio < best_ratio - options_.epsilon ||
-              (ratio < best_ratio + options_.epsilon &&
-               basis_[static_cast<std::size_t>(i)] <
-                   basis_[static_cast<std::size_t>(leaving)])) {
-            leaving = i;
-            best_ratio = ratio;
-          }
-        }
-      }
-      if (leaving < 0) return SolveStatus::kUnbounded;
-
-      pivot(leaving, entering);
-
-      // Anti-cycling: if the objective stops improving, fall back to Bland.
-      const double objective = -cost[static_cast<std::size_t>(cols_)];
-      if (objective < last_objective - options_.epsilon) {
-        stalled = 0;
-        use_bland = false;
-      } else if (++stalled >= options_.stall_threshold) {
-        use_bland = true;
-      }
-      last_objective = objective;
-    }
   }
 
   /// After phase 1, pivot artificial variables out of the basis where
@@ -505,26 +561,194 @@ class Tableau {
     }
   }
 
-  SimplexOptions options_;
-  int num_structural_ = 0;
-  int rows_ = 0;
-  int cols_ = 0;
-  int first_artificial_ = 0;
   int num_artificial_ = 0;
   double rhs_scale_ = 0.0;
   bool in_phase1_ = false;
-  std::int64_t pivots_ = 0;
   Etas* etas_ = nullptr;  ///< where pivots record their etas, if anywhere
   std::vector<double> a_;
-  std::vector<double> b_;
   std::vector<double> cost1_;
-  std::vector<double> cost2_;
-  std::vector<int> basis_;
   std::vector<int> nonzero_;  ///< pivot-row nonzero columns, scratch
-  std::vector<int> dual_column_;  ///< per row: slack or artificial column
-  /// Per row: the sign that turns dual_column_'s final cost2_ entry into
-  /// the row's dual; phase2() scales it into the dual itself.
-  std::vector<double> duals_;
+};
+
+/// Phase 2 from a Phase1::State without a tableau of its own. It owns b, the
+/// basis, the phase-2 cost row (brought through phase 1 by replaying the
+/// start's eta file) and an eta file of its own pivots, and reads the
+/// start's tableau T0 in place. Phase 2 reads only one column per iteration
+/// (the ratio test) and one row per pivot; both are rebuilt from T0 and the
+/// etas by repeating Tableau::pivot's operations on those entries in order,
+/// with its exact 1.0 and 0.0 writes and its skips of exact zeros, so every
+/// entry read equals the cold tableau's. For p phase-2 pivots that costs
+/// O(p * rows + p^2 * nnz), nnz the nonzeros of one eta.
+class Phase2FromStart : public Simplex<Phase2FromStart> {
+ public:
+  Phase2FromStart(const Phase1::State& start, const Model& model)
+      : Simplex(start.options, start.num_variables,
+                static_cast<int>(start.rows.size())),
+        start_(start) {
+    cols_ = start.cols;
+    first_artificial_ = start.first_artificial;
+    duals_ = start.dual_sign;  // first: it outlives the rest (see build())
+    dual_column_ = start.dual_column;
+    b_ = start.b;
+    basis_ = start.basis;
+    cost2_ = initial_cost2(model);
+    start.etas.replay(cost2_);
+    last_eta_.assign(static_cast<std::size_t>(rows_), -1);
+    column_.resize(static_cast<std::size_t>(rows_));
+    row_.resize(static_cast<std::size_t>(cols_));
+    nonzero_.resize(static_cast<std::size_t>(std::max(rows_, cols_)));
+  }
+
+ private:
+  friend class Simplex<Phase2FromStart>;
+
+  /// One pivot: its row and column, the inverse of its pivot element, and
+  /// entries [row_begin, row_end) of row_entries_ (the scaled pivot row's
+  /// nonzeros) and [factor_begin, factor_end) of factors_ (the pivot
+  /// column's nonzeros before the pivot, pivot row excluded, by row).
+  struct Eta {
+    int row = 0;
+    int column = 0;
+    double inverse = 0.0;
+    std::size_t row_begin = 0;
+    std::size_t row_end = 0;
+    std::size_t factor_begin = 0;
+    std::size_t factor_end = 0;
+  };
+  struct Entry {
+    int index = 0;
+    double value = 0.0;
+  };
+
+  /// Column c of the current tableau: T0's column c, brought through every
+  /// eta as Tableau::pivot updates it.
+  Column column(int c) {
+    std::ranges::fill(column_, 0.0);
+    for (std::size_t k = start_.col_start[static_cast<std::size_t>(c)];
+         k < start_.col_start[static_cast<std::size_t>(c) + 1]; ++k) {
+      column_[static_cast<std::size_t>(start_.col_row[k])] =
+          start_.col_value[k];
+    }
+    for (const Eta& eta : etas_) {
+      const bool pivot_column = c == eta.column;
+      double& pivot_entry = column_[static_cast<std::size_t>(eta.row)];
+      pivot_entry = pivot_column ? 1.0 : pivot_entry * eta.inverse;
+      const double scaled = pivot_entry;
+      if (scaled == 0.0) continue;  // not among the pivot row's nonzeros
+      for (std::size_t k = eta.factor_begin; k < eta.factor_end; ++k) {
+        double& entry = column_[static_cast<std::size_t>(factors_[k].index)];
+        entry = pivot_column ? 0.0 : entry - factors_[k].value * scaled;
+      }
+    }
+    column_of_ = c;
+    return {column_.data(), 1};
+  }
+
+  /// Row r of the current tableau, into row_: from r's last scaled pivot
+  /// row if it was a pivot row, else from T0's row r, through every later
+  /// eta whose pivot column is nonzero in row r.
+  void rebuild_row(int r) {
+    std::ranges::fill(row_, 0.0);
+    const int last = last_eta_[static_cast<std::size_t>(r)];
+    if (last >= 0) {
+      const Eta& eta = etas_[static_cast<std::size_t>(last)];
+      for (std::size_t k = eta.row_begin; k < eta.row_end; ++k) {
+        row_[static_cast<std::size_t>(row_entries_[k].index)] =
+            row_entries_[k].value;
+      }
+    } else {
+      for (std::size_t k = start_.row_start[static_cast<std::size_t>(r)];
+           k < start_.row_start[static_cast<std::size_t>(r) + 1]; ++k) {
+        row_[static_cast<std::size_t>(start_.column[k])] = start_.value[k];
+      }
+    }
+    for (std::size_t l = static_cast<std::size_t>(last + 1); l < etas_.size();
+         ++l) {
+      const Eta& eta = etas_[l];
+      const auto first = factors_.begin() +
+                         static_cast<std::ptrdiff_t>(eta.factor_begin);
+      const auto end =
+          factors_.begin() + static_cast<std::ptrdiff_t>(eta.factor_end);
+      const auto factor = std::lower_bound(
+          first, end, r,
+          [](const Entry& entry, int row) { return entry.index < row; });
+      if (factor == end || factor->index != r) continue;
+      for (std::size_t k = eta.row_begin; k < eta.row_end; ++k) {
+        row_[static_cast<std::size_t>(row_entries_[k].index)] -=
+            factor->value * row_entries_[k].value;
+      }
+      row_[static_cast<std::size_t>(eta.column)] = 0.0;  // exact
+    }
+  }
+
+  /// Tableau::pivot on the rebuilt row and column, recording the eta
+  /// instead of updating the other rows.
+  void pivot(int pivot_row, int pivot_col) {
+    QP_INVARIANT(column_of_ == pivot_col,
+                 "a pivot follows the ratio test on its own column");
+    rebuild_row(pivot_row);
+    QP_INVARIANT(row_[static_cast<std::size_t>(pivot_col)] ==
+                     column_[static_cast<std::size_t>(pivot_row)],
+                 "the rebuilt pivot row and column must meet in one value");
+    const double inverse = 1.0 / row_[static_cast<std::size_t>(pivot_col)];
+    Eta eta{pivot_row, pivot_col, inverse, row_entries_.size(), 0,
+            factors_.size(), 0};
+    // Both scans collect their nonzeros without a branch, as Tableau::pivot
+    // does: most entries are zero, and which is hard to predict.
+    int* nonzero = nonzero_.data();
+    int num_nonzero = 0;
+    for (int j = 0; j < cols_; ++j) {
+      row_[static_cast<std::size_t>(j)] *= inverse;
+      nonzero[num_nonzero] = j;
+      num_nonzero += row_[static_cast<std::size_t>(j)] != 0.0 ? 1 : 0;
+    }
+    row_[static_cast<std::size_t>(pivot_col)] = 1.0;  // exact
+    for (int k = 0; k < num_nonzero; ++k) {
+      row_entries_.push_back(
+          {nonzero[k], row_[static_cast<std::size_t>(nonzero[k])]});
+    }
+    eta.row_end = row_entries_.size();
+    b_[static_cast<std::size_t>(pivot_row)] *= inverse;
+
+    const double pivot_rhs = b_[static_cast<std::size_t>(pivot_row)];
+    column_[static_cast<std::size_t>(pivot_row)] = 0.0;  // not a factor
+    num_nonzero = 0;
+    for (int i = 0; i < rows_; ++i) {
+      nonzero[num_nonzero] = i;
+      num_nonzero += column_[static_cast<std::size_t>(i)] != 0.0 ? 1 : 0;
+    }
+    for (int k = 0; k < num_nonzero; ++k) {
+      const double factor = column_[static_cast<std::size_t>(nonzero[k])];
+      factors_.push_back({nonzero[k], factor});
+      update_rhs(nonzero[k], factor, pivot_rhs);
+    }
+    eta.factor_end = factors_.size();
+    const double factor = cost2_[static_cast<std::size_t>(pivot_col)];
+    if (factor != 0.0) {
+      for (std::size_t k = eta.row_begin; k < eta.row_end; ++k) {
+        cost2_[static_cast<std::size_t>(row_entries_[k].index)] -=
+            factor * row_entries_[k].value;
+      }
+      cost2_[static_cast<std::size_t>(pivot_col)] = 0.0;  // exact
+      cost2_[static_cast<std::size_t>(cols_)] -= factor * pivot_rhs;
+    }
+    last_eta_[static_cast<std::size_t>(pivot_row)] =
+        static_cast<int>(etas_.size());
+    etas_.push_back(eta);
+    basis_[static_cast<std::size_t>(pivot_row)] = pivot_col;
+    ++pivots_;
+    column_of_ = -1;  // the pivot changed every column
+  }
+
+  const Phase1::State& start_;
+  std::vector<Eta> etas_;
+  std::vector<Entry> row_entries_;
+  std::vector<Entry> factors_;
+  std::vector<int> last_eta_;  ///< per row: its last eta as pivot row, or -1
+  std::vector<double> column_;  ///< column column_of_, dense, scratch
+  int column_of_ = -1;
+  std::vector<double> row_;  ///< the pivot row, dense, scratch
+  std::vector<int> nonzero_;  ///< nonzero entries of row_ or column_, scratch
 };
 
 }  // namespace
@@ -574,21 +798,24 @@ Solution solve(const Model& model, const SimplexOptions& options,
       start != nullptr && start->state_->matches(model, options)
           ? start->state_.get()
           : nullptr;
-  std::optional<Tableau> tableau;
   Solution solution;
+  std::int64_t pivots = 0;
   if (replayed != nullptr) {
     QP_COUNTER_ADD("lp.phase1_reused", 1);
     solution.status = replayed->status;
     solution.iterations = replayed->iterations;
     if (solution.status == SolveStatus::kOptimal) {
-      tableau.emplace(*replayed, model);
+      Phase2FromStart phase2(*replayed, model);
+      solution = phase2.phase2(solution.iterations);
+      pivots = phase2.pivots();
     }
   } else {
-    tableau.emplace(model, options);
-    solution.status = tableau->phase1(solution.iterations);
-  }
-  if (solution.status == SolveStatus::kOptimal) {
-    solution = tableau->phase2(solution.iterations);
+    Tableau tableau(model, options);
+    solution.status = tableau.phase1(solution.iterations);
+    if (solution.status == SolveStatus::kOptimal) {
+      solution = tableau.phase2(solution.iterations);
+    }
+    pivots = tableau.pivots();
   }
   // Flushed once per solve; pivot selection is deterministic (Dantzig with a
   // Bland fallback, fixed tie-breaks), so these totals are reproducible. A
@@ -596,7 +823,7 @@ Solution solve(const Model& model, const SimplexOptions& options,
   QP_COUNTER_ADD("lp.iterations",
                  solution.iterations -
                      (replayed != nullptr ? replayed->iterations : 0));
-  QP_COUNTER_ADD("lp.pivots", tableau ? tableau->pivots() : 0);
+  QP_COUNTER_ADD("lp.pivots", pivots);
   QP_INVARIANT(
       solution.status != SolveStatus::kOptimal ||
           [&] {

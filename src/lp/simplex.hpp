@@ -18,7 +18,9 @@
 /// Thm 1.2 sweep on uniform capacities do). solve_phase1 runs it once and
 /// keeps the resulting tableau, stored sparse, with the eta file of its
 /// pivots; lp::solve given that start replays the etas on its own cost row
-/// and runs only phase 2. The replay repeats the cold solve's floating-point
+/// and runs only phase 2, without a tableau of its own: it rebuilds the one
+/// column and one row each iteration reads from the start's tableau and the
+/// etas of its own pivots. Both repeat the cold solve's floating-point
 /// operations in order, so the result is the cold solve's bit for bit.
 
 #include <cstdint>
@@ -71,9 +73,10 @@ Solution solve(const Model& model, const SimplexOptions& options = {},
                const Phase1* start = nullptr);
 
 /// The state after phase 1 of a model, as solve_phase1 leaves it: status and
-/// iteration count, the final tableau and basis, the eta file of its pivots
-/// and, for the equality check, the model's rows. Immutable, so any number
-/// of threads may solve from it at once.
+/// iteration count, the final tableau (its nonzeros by row and by column)
+/// and basis, the eta file of its pivots and, for the equality check, the
+/// model's rows. Immutable, so any number of threads may solve from it at
+/// once; a solve from it reads the tableau in place.
 class Phase1 {
  public:
   struct State;  ///< defined in simplex.cpp

@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <fstream>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 namespace qp::cli {
 namespace {
@@ -120,6 +122,54 @@ TEST(MakeTopology, DefaultIsConnectedGeometric) {
   const graph::Graph g = make_topology(parse_args({"x"}), rng);
   EXPECT_EQ(g.num_nodes(), 16);
   EXPECT_TRUE(g.is_connected());
+}
+
+// topology_nodes sizes each topology from the flags alone, as make_topology
+// then builds it.
+TEST(SizeGuard, TopologyNodesMatchTheBuiltGraph) {
+  const std::vector<std::vector<std::string>> flag_sets = {
+      {"x"},
+      {"x", "--topology=path", "--nodes=7"},
+      {"x", "--topology=cycle", "--nodes=7"},
+      {"x", "--topology=star", "--nodes=7"},
+      {"x", "--topology=complete", "--nodes=7"},
+      {"x", "--topology=mesh", "--k=3"},
+      {"x", "--topology=broom", "--k=3"},
+      {"x", "--topology=hypercube", "--dim=3"},
+      {"x", "--topology=torus", "--k=3"},
+      {"x", "--topology=fattree", "--spines=2", "--leaves=3", "--hosts=2"},
+      {"x", "--topology=geometric", "--nodes=9"},
+      {"x", "--topology=erdos-renyi", "--nodes=9"},
+      {"x", "--topology=tree", "--nodes=9"},
+      {"x", "--topology=ba", "--nodes=9"},
+      {"x", "--topology=waxman", "--nodes=9"},
+      {"x", "--topology=cliques", "--cliques=3", "--clique-size=2"}};
+  for (const auto& flags : flag_sets) {
+    SCOPED_TRACE(flags.back());
+    const ParsedArgs args = parse_args(flags);
+    std::mt19937_64 rng(1);
+    EXPECT_EQ(topology_nodes(args), make_topology(args, rng).num_nodes());
+  }
+  EXPECT_FALSE(
+      topology_nodes(parse_args({"x", "--graph-file", "g.txt"})).has_value());
+}
+
+TEST(SizeGuard, RefusesOverTheBudgetOnly) {
+  EXPECT_EQ(metric_bytes(1000), 8.0e6);
+  // grid(5) at n = 4096: 4121 rows by 102400 + 4121 columns.
+  EXPECT_EQ(gap_tableau_bytes(4096, 25), 8.0 * 4121 * (102400 + 4121));
+  // The largest metric that fits is 16384 nodes: exactly 2 GiB.
+  EXPECT_NO_THROW(require_instance_fits(16384, 9, false));
+  EXPECT_THROW(require_instance_fits(16385, 9, false), std::length_error);
+  EXPECT_NO_THROW(require_instance_fits(4096, 25, false));
+  try {
+    require_instance_fits(4096, 25, true);
+    ADD_FAILURE() << "a 3.3 GiB GAP tableau fits a 2 GiB budget";
+  } catch (const std::length_error& e) {
+    EXPECT_NE(std::string(e.what()).find("4096 nodes and 25 elements"),
+              std::string::npos);
+  }
+  EXPECT_NO_THROW(require_instance_fits(512, 25, true));
 }
 
 }  // namespace

@@ -1,18 +1,21 @@
-/// Phase 1 of LP (9)-(14) solved once per relay sweep (lp::solve_phase1,
-/// core::ssqpp_phase1_start): every solve that starts from the shared
-/// phase 1 must equal the cold solve bit for bit, and the sweeps that share
-/// it must return what cold solves return.
+/// Phase 1 solved once and shared (lp::solve_phase1, and per relay sweep
+/// core::ssqpp_phase1_start): every solve that starts from a phase 1 must
+/// equal the cold solve bit for bit, on the relay LPs and on hand-built and
+/// random LPs, and the sweeps that share it must return what cold solves
+/// return.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <iterator>
 #include <numeric>
 #include <optional>
 #include <random>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/evaluators.hpp"
@@ -87,6 +90,257 @@ quorum::QuorumSystem system_named(const std::string& name) {
   return quorum::majority(5, 3);
 }
 
+/// Solves `model` cold and from `start`, which must be a phase 1 of the
+/// same rows; expects the two equal bit for bit and the start used. Returns
+/// the cold solution.
+lp::Solution expect_start_equals_cold(const lp::Model& model,
+                                      const lp::Phase1& start,
+                                      const lp::SimplexOptions& options = {}) {
+  const lp::Solution cold = lp::solve(model, options);
+  const std::uint64_t reused = counter("lp.phase1_reused");
+  const lp::Solution warm = lp::solve(model, options, &start);
+  if (obs::compiled_in()) {
+    EXPECT_EQ(counter("lp.phase1_reused"), reused + 1);
+  }
+  expect_same_solution(cold, warm);
+  return cold;
+}
+
+/// Phase-2 iterations of a solve that ran phase 1 as `start` did.
+std::int64_t phase2_iterations(const lp::Solution& solution,
+                               const lp::Phase1& start) {
+  return solution.iterations - start.iterations();
+}
+
+// >= rows and negative rhs: the >= slack's -1 column, the artificials, and
+// rows negated on the way in, whose duals change sign.
+TEST(SharedPhase1, GreaterEqualRowsAndNegativeRhs) {
+  lp::Model model;
+  for (const double cost : {3.0, 1.0, -4.0, 0.5}) model.add_variable(cost);
+  model.add_constraint({{0, 1.0}, {1, 1.0}, {2, 1.0}},
+                       lp::Relation::kGreaterEqual, 2.0);
+  model.add_constraint({{0, -1.0}, {2, 1.0}}, lp::Relation::kLessEqual, -1.0);
+  model.add_constraint({{1, 1.0}, {2, -1.0}, {3, 1.0}},
+                       lp::Relation::kGreaterEqual, -3.0);
+  model.add_constraint({{0, 1.0}, {1, 1.0}, {2, 1.0}, {3, 1.0}},
+                       lp::Relation::kLessEqual, 10.0);
+  model.add_constraint({{1, 2.0}, {3, -1.0}}, lp::Relation::kGreaterEqual,
+                       -4.0);
+  const lp::Phase1 start = lp::solve_phase1(model);
+  const lp::Solution cold = expect_start_equals_cold(model, start);
+  ASSERT_EQ(cold.status, lp::SolveStatus::kOptimal);
+  EXPECT_GT(phase2_iterations(cold, start), 1);
+  // Both negated rows bind: the <= row (now >=, so a -1 slack) has a dual
+  // <= 0, the >= row (now <=) one >= 0.
+  EXPECT_LT(cold.duals[1], 0.0);
+  EXPECT_GT(cold.duals[2], 0.0);
+}
+
+// Equality rows keep their artificials as dual columns; one has a negative
+// rhs.
+TEST(SharedPhase1, EqualityRows) {
+  lp::Model model;
+  for (const double cost : {-0.5, -1.0, 2.0, -3.0, 0.0}) {
+    model.add_variable(cost);
+  }
+  model.add_constraint({{0, 1.0}, {1, 1.0}, {2, 1.0}}, lp::Relation::kEqual,
+                       4.0);
+  model.add_constraint({{1, -1.0}, {3, -2.0}, {4, 1.0}}, lp::Relation::kEqual,
+                       -2.0);
+  model.add_constraint({{2, 1.0}, {3, 1.0}, {4, 1.0}},
+                       lp::Relation::kLessEqual, 6.0);
+  model.add_constraint({{0, 1.0}, {3, 1.0}}, lp::Relation::kGreaterEqual, 1.0);
+  const lp::Phase1 start = lp::solve_phase1(model);
+  const lp::Solution cold = expect_start_equals_cold(model, start);
+  ASSERT_EQ(cold.status, lp::SolveStatus::kOptimal);
+  EXPECT_GT(phase2_iterations(cold, start), 1);
+  EXPECT_NE(cold.duals[0], 0.0);
+  EXPECT_NE(cold.duals[1], 0.0);
+}
+
+// Phase 2 pivots on row 0 twice: x1 enters there (ratio 2 against 10),
+// then x0 (ratio 4 against 10) drives x1 out again. The second pivot row
+// is rebuilt from the first one's scaled row.
+TEST(SharedPhase1, RowPivotedTwice) {
+  lp::Model model;
+  for (const double cost : {-2.0, -3.0, 0.0}) model.add_variable(cost);
+  model.add_constraint({{0, 1.0}, {1, 2.0}}, lp::Relation::kLessEqual, 4.0);
+  model.add_constraint({{0, 1.0}}, lp::Relation::kLessEqual, 10.0);
+  model.add_constraint({{2, 1.0}}, lp::Relation::kEqual, 1.0);
+  const lp::Phase1 start = lp::solve_phase1(model);
+  const lp::Solution cold = expect_start_equals_cold(model, start);
+  ASSERT_EQ(cold.status, lp::SolveStatus::kOptimal);
+  EXPECT_EQ(cold.values, (std::vector<double>{4.0, 0.0, 1.0}));
+  EXPECT_EQ(cold.objective, -8.0);
+  // Two pivots and the optimality check.
+  EXPECT_EQ(phase2_iterations(cold, start), 3);
+}
+
+TEST(SharedPhase1, UnboundedPhase2) {
+  lp::Model model;
+  for (const double cost : {-1.0, 0.0, 1.0}) model.add_variable(cost);
+  model.add_constraint({{0, 1.0}, {1, -1.0}}, lp::Relation::kGreaterEqual,
+                       1.0);
+  model.add_constraint({{1, 1.0}, {2, 1.0}}, lp::Relation::kLessEqual, 5.0);
+  model.add_constraint({{0, -1.0}, {2, 1.0}}, lp::Relation::kLessEqual, 2.0);
+  const lp::Phase1 start = lp::solve_phase1(model);
+  ASSERT_EQ(start.status(), lp::SolveStatus::kOptimal);
+  EXPECT_EQ(expect_start_equals_cold(model, start).status,
+            lp::SolveStatus::kUnbounded);
+}
+
+/// A random LP on `rows` rows and `vars` variables, feasible at a random
+/// point x0 >= 0: coefficients and costs come from small sets with zeros
+/// and ties, relations are mixed, and about a third of the rhs are
+/// negative. With `bounded`, a last row caps the sum of the variables.
+lp::Model random_model(std::mt19937_64& rng, int rows, int vars,
+                       bool bounded = true) {
+  static constexpr double kCoefficients[] = {-2.0, -1.0, 0.0, 0.0, 0.0,
+                                             0.5,  1.0,  1.0, 2.0, 3.0};
+  static constexpr double kCosts[] = {-3.0, -1.0, -1.0, 0.0, 1.0, 2.0};
+  const auto pick = [&](const auto& set) {
+    return set[std::uniform_int_distribution<std::size_t>(
+        0, std::size(set) - 1)(rng)];
+  };
+  lp::Model model;
+  std::vector<double> x0;
+  for (int j = 0; j < vars; ++j) {
+    model.add_variable(pick(kCosts));
+    x0.push_back(std::uniform_int_distribution<int>(0, 3)(rng));
+  }
+  for (int i = 0; i < rows; ++i) {
+    std::vector<std::pair<int, double>> terms;
+    double at_x0 = 0.0;
+    for (int j = 0; j < vars; ++j) {
+      const double coeff = pick(kCoefficients);
+      if (coeff == 0.0) continue;
+      terms.emplace_back(j, coeff);
+      at_x0 += coeff * x0[static_cast<std::size_t>(j)];
+    }
+    const int kind = std::uniform_int_distribution<int>(0, 2)(rng);
+    const double slack = std::uniform_int_distribution<int>(0, 2)(rng);
+    if (kind == 0) {
+      model.add_constraint(std::move(terms), lp::Relation::kLessEqual,
+                           at_x0 + slack);
+    } else if (kind == 1) {
+      model.add_constraint(std::move(terms), lp::Relation::kGreaterEqual,
+                           at_x0 - slack);
+    } else {
+      model.add_constraint(std::move(terms), lp::Relation::kEqual, at_x0);
+    }
+  }
+  if (bounded) {
+    std::vector<std::pair<int, double>> all;
+    for (int j = 0; j < vars; ++j) all.emplace_back(j, 1.0);
+    model.add_constraint(std::move(all), lp::Relation::kLessEqual,
+                         4.0 * vars);
+  }
+  return model;
+}
+
+/// `model` under another objective: the same rows, so the same phase 1.
+lp::Model with_costs(lp::Model model, std::mt19937_64& rng) {
+  for (int j = 0; j < model.num_variables(); ++j) {
+    model.set_objective_coefficient(
+        j, std::uniform_int_distribution<int>(-3, 2)(rng));
+  }
+  return model;
+}
+
+// Random LPs, each solved under two objectives from one phase 1 (taken
+// under a third), at the default stall threshold and at 1, where every
+// degenerate pivot switches to Bland's rule.
+TEST(SharedPhase1, RandomModelsEqualTheirColdSolves) {
+  std::mt19937_64 rng(20261018);
+  int optimal = 0;
+  int long_enough = 0;
+  int statuses[4] = {};
+  for (int trial = 0; trial < 300; ++trial) {
+    SCOPED_TRACE(trial);
+    const int rows = std::uniform_int_distribution<int>(1, 12)(rng);
+    const int vars = std::uniform_int_distribution<int>(1, 12)(rng);
+    const lp::Model model = random_model(rng, rows, vars, trial % 5 != 0);
+    lp::SimplexOptions options;
+    options.stall_threshold = trial % 2 == 0 ? 1 : 64;
+    const lp::Phase1 start = lp::solve_phase1(model, options);
+    for (int objective = 0; objective < 2; ++objective) {
+      const lp::Solution cold =
+          expect_start_equals_cold(with_costs(model, rng), start, options);
+      ++statuses[static_cast<int>(cold.status)];
+      if (cold.status == lp::SolveStatus::kOptimal) {
+        ++optimal;
+        long_enough += phase2_iterations(cold, start) >= 4 ? 1 : 0;
+      }
+    }
+  }
+  // Not vacuous: most solves reach phase 2's optimum after some pivots, and
+  // phase 2 also ends unbounded.
+  EXPECT_GT(optimal, 300);
+  EXPECT_GT(long_enough, 100);
+  EXPECT_GT(statuses[static_cast<int>(lp::SolveStatus::kUnbounded)], 0);
+}
+
+// Degenerate LPs (every rhs 0 but the bounding row) at stall threshold 1:
+// the Bland fallback is taken after nearly every pivot.
+TEST(SharedPhase1, BlandFallback) {
+  std::mt19937_64 rng(7);
+  lp::SimplexOptions bland;
+  bland.stall_threshold = 1;
+  int pivoted = 0;
+  for (int trial = 0; trial < 100; ++trial) {
+    SCOPED_TRACE(trial);
+    lp::Model model;
+    const int vars = 8;
+    for (int j = 0; j < vars; ++j) {
+      model.add_variable(std::uniform_int_distribution<int>(-3, 1)(rng));
+    }
+    for (int i = 0; i < 8; ++i) {
+      std::vector<std::pair<int, double>> terms;
+      for (int j = 0; j < vars; ++j) {
+        const int coeff = std::uniform_int_distribution<int>(-2, 2)(rng);
+        if (coeff != 0) terms.emplace_back(j, coeff);
+      }
+      model.add_constraint(std::move(terms),
+                           i % 3 == 0 ? lp::Relation::kEqual
+                                      : lp::Relation::kLessEqual,
+                           0.0);
+    }
+    std::vector<std::pair<int, double>> all;
+    for (int j = 0; j < vars; ++j) all.emplace_back(j, 1.0);
+    model.add_constraint(std::move(all), lp::Relation::kLessEqual, 1.0);
+    const lp::Phase1 start = lp::solve_phase1(model, bland);
+    const lp::Solution cold = expect_start_equals_cold(model, start, bland);
+    pivoted += phase2_iterations(cold, start) > 2 ? 1 : 0;
+  }
+  EXPECT_GT(pivoted, 20);
+}
+
+// A phase 2 of well over 100 pivots, so rows are rebuilt through long eta
+// files and pivot rows recur.
+TEST(SharedPhase1, LongPhase2) {
+  std::mt19937_64 rng(11);
+  lp::Model model;
+  const int vars = 120;
+  for (int j = 0; j < vars; ++j) {
+    model.add_variable(-std::uniform_int_distribution<int>(1, 9)(rng));
+  }
+  for (int i = 0; i < 80; ++i) {
+    std::vector<std::pair<int, double>> terms;
+    for (int j = 0; j < vars; ++j) {
+      const int coeff = std::uniform_int_distribution<int>(0, 4)(rng);
+      if (coeff != 0) terms.emplace_back(j, coeff);
+    }
+    model.add_constraint(std::move(terms),
+                         i % 4 == 0 ? lp::Relation::kGreaterEqual
+                                    : lp::Relation::kLessEqual,
+                         i % 4 == 0 ? 5.0 : 100.0 + i);
+  }
+  const lp::Phase1 start = lp::solve_phase1(model);
+  const lp::Solution cold = expect_start_equals_cold(model, start);
+  ASSERT_EQ(cold.status, lp::SolveStatus::kOptimal);
+  EXPECT_GE(phase2_iterations(cold, start), 100);
+}
+
 class SharedPhase1Panel
     : public ::testing::TestWithParam<std::tuple<std::string, int>> {};
 
@@ -139,14 +393,20 @@ core::RelaySweep<core::SsqppResult> cold_sweep(
       score);
 }
 
-TEST(SharedPhase1, SolveQppEqualsColdSweep) {
-  const core::QppInstance instance = uniform_instance(quorum::grid(3), 20);
-  const core::QppSolveOptions options;
+/// solve_qpp, which solves every relay from one shared phase 1, returns
+/// what the sweep of cold solves returns, bit for bit. Sets `warm_pivots`
+/// to the pivots solve_qpp counted.
+void expect_sweep_equals_cold(const core::QppInstance& instance,
+                              const core::QppSolveOptions& options,
+                              std::uint64_t& warm_pivots) {
+  const auto n = core::relay_candidates(instance, options).size();
   const std::uint64_t reused = counter("lp.phase1_reused");
+  const std::uint64_t pivots = counter("lp.pivots");
   const std::optional<core::QppResult> warm =
       core::solve_qpp(instance, options);
+  warm_pivots = counter("lp.pivots") - pivots;
   if (obs::compiled_in()) {
-    EXPECT_EQ(counter("lp.phase1_reused") - reused, 20u);
+    EXPECT_EQ(counter("lp.phase1_reused") - reused, n);
   }
   const auto cold = cold_sweep(instance, options,
                                [&](const core::SsqppResult& single) {
@@ -171,6 +431,28 @@ TEST(SharedPhase1, SolveQppEqualsColdSweep) {
     best_lp_bound = std::max(best_lp_bound, relay.lp_objective);
   }
   EXPECT_TRUE(same_bits(warm->best_lp_bound, best_lp_bound));
+}
+
+TEST(SharedPhase1, SolveQppEqualsColdSweep) {
+  std::uint64_t warm_pivots = 0;
+  expect_sweep_equals_cold(uniform_instance(quorum::grid(3), 20), {},
+                           warm_pivots);
+  // grid(4) at the least n whose relays share a feasible phase 1 (below it
+  // the shared phase 1 is infeasible): there every relay's phase 2 takes
+  // over 100 pivots. Four relays keep the cold sweep short.
+  const core::QppInstance long_phase2 = uniform_instance(quorum::grid(4), 14);
+  core::QppSolveOptions four;
+  four.max_candidates = 4;
+  const std::uint64_t before = counter("lp.pivots");
+  const std::optional<lp::Phase1> start =
+      core::ssqpp_phase1_start(core::single_source_view(long_phase2, 0));
+  ASSERT_TRUE(start.has_value());
+  ASSERT_EQ(start->status(), lp::SolveStatus::kOptimal);
+  const std::uint64_t phase1_pivots = counter("lp.pivots") - before;
+  expect_sweep_equals_cold(long_phase2, four, warm_pivots);
+  if (obs::compiled_in()) {
+    EXPECT_GE(warm_pivots, phase1_pivots + 4 * 100);
+  }
 }
 
 TEST(SharedPhase1, Sec6SweepEqualsColdSweep) {

@@ -260,12 +260,20 @@ struct InstanceBundle {
   std::string digest;  ///< core::instance_digest_hex(instance)
 };
 
-InstanceBundle build_instance(const cli::ParsedArgs& args,
-                              ObsSession& session) {
+/// With `gap_lp`, the command solves the Thm 5.1 GAP LP on the instance, so
+/// its dense tableau must fit the allocation budget too.
+InstanceBundle build_instance(const cli::ParsedArgs& args, ObsSession& session,
+                              bool gap_lp = false) {
   std::mt19937_64 rng(static_cast<std::uint64_t>(args.get_int("seed", 1)));
-  graph::Graph g = cli::make_topology(args, rng);
-  const graph::Metric metric = graph::Metric::from_graph(g);
+  // Sizes are refused (exit 2) before the graph is built where the flags
+  // give its node count, and once a --graph-file is read.
   const quorum::QuorumSystem system = cli::make_system(args);
+  if (const auto nodes = cli::topology_nodes(args)) {
+    cli::require_instance_fits(*nodes, system.universe_size(), gap_lp);
+  }
+  graph::Graph g = cli::make_topology(args, rng);
+  cli::require_instance_fits(g.num_nodes(), system.universe_size(), gap_lp);
+  const graph::Metric metric = graph::Metric::from_graph(g);
   const quorum::AccessStrategy strategy =
       quorum::AccessStrategy::uniform(system);
   const std::vector<double> caps =
@@ -296,6 +304,7 @@ struct Algorithm {
   /// Places on \p instance, reading only this algorithm's own flags.
   std::optional<Solution> (*place)(const core::QppInstance& instance,
                                    const cli::ParsedArgs& args);
+  bool gap_lp = false;  ///< solves the Thm 5.1 GAP LP (see build_instance)
 };
 
 const Algorithm kAlgorithms[] = {
@@ -347,7 +356,8 @@ const Algorithm kAlgorithms[] = {
                        r = std::move(*result)](const auto& options) {
              return check::check_certificate(instance, r, options);
            }};
-     }},
+     },
+     /*gap_lp=*/true},
     {"grid", "infeasible: not enough capacity slots", false,
      [](const auto& instance, const auto& args) -> std::optional<Solution> {
        const auto result = core::solve_qpp_grid(instance, args.get_int("k", 3));
@@ -916,10 +926,11 @@ int cmd_analyze(const cli::ParsedArgs& args, ObsSession& session) {
 }
 
 int cmd_solve(const cli::ParsedArgs& args, ObsSession& session) {
-  const InstanceBundle bundle = build_instance(args, session);
   const Algorithm* algorithm =
       find_algorithm(args.get("algorithm", "qpp"), /*certified_only=*/false);
   if (algorithm == nullptr) return 2;
+  const InstanceBundle bundle =
+      build_instance(args, session, algorithm->gap_lp);
   const auto solution = place(*algorithm, bundle.instance, args);
   if (!solution) return 1;
   const core::Placement& placement = solution->placement;
@@ -940,7 +951,11 @@ int cmd_solve(const cli::ParsedArgs& args, ObsSession& session) {
 
 /// `qplace check`: run a solver, then machine-verify every bound it claims.
 int cmd_check(const cli::ParsedArgs& args, ObsSession& session) {
-  const InstanceBundle bundle = build_instance(args, session);
+  const Algorithm* algorithm =
+      find_algorithm(args.get("algorithm", "qpp"), /*certified_only=*/true);
+  if (algorithm == nullptr) return 2;
+  const InstanceBundle bundle =
+      build_instance(args, session, algorithm->gap_lp);
   const check::ValidationReport instance_report =
       check::validate_instance(bundle.instance);
   if (!instance_report.ok()) {
@@ -949,9 +964,6 @@ int cmd_check(const cli::ParsedArgs& args, ObsSession& session) {
   }
   check::CertificateOptions options;
   options.alpha = args.get_double("alpha", 2.0);
-  const Algorithm* algorithm =
-      find_algorithm(args.get("algorithm", "qpp"), /*certified_only=*/true);
-  if (algorithm == nullptr) return 2;
   const auto solution = place(*algorithm, bundle.instance, args);
   if (!solution) return 1;
   const check::Certificate certificate = solution->certify(options);
