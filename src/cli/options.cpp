@@ -215,11 +215,16 @@ void require_within_budget(const std::string& what, double bytes) {
 
 }  // namespace
 
+void require_metric_fits(std::int64_t nodes) {
+  require_within_budget("the metric of " + std::to_string(nodes) + " nodes",
+                        metric_bytes(nodes));
+}
+
 void require_instance_fits(std::int64_t nodes, int universe, bool gap_lp) {
-  const std::string n = std::to_string(nodes);
-  require_within_budget("the metric of " + n + " nodes", metric_bytes(nodes));
+  require_metric_fits(nodes);
   if (gap_lp) {
-    require_within_budget("the Thm 5.1 GAP LP tableau of " + n +
+    require_within_budget("the Thm 5.1 GAP LP tableau of " +
+                              std::to_string(nodes) +
                               " nodes and " + std::to_string(universe) +
                               " elements",
                           gap_tableau_bytes(nodes, universe));

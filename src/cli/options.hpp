@@ -75,22 +75,30 @@ graph::Graph make_topology(const ParsedArgs& args, std::mt19937_64& rng);
 /// once the file is read.
 std::optional<std::int64_t> topology_nodes(const ParsedArgs& args);
 
-/// The most memory one up-front allocation may take: the n x n metric
-/// (metric_bytes) or the dense tableau of the Thm 5.1 GAP LP
+/// The most address space one up-front allocation may take: the n x n
+/// metric (metric_bytes) or the dense tableau of the Thm 5.1 GAP LP
 /// (gap_tableau_bytes). Commands refuse larger instances before allocating.
+/// This bounds address space, not residency: the tableau's pages become
+/// resident only once they hold a nonzero (lp/simplex.hpp).
 inline constexpr double kAllocationBudgetBytes = 2.0 * 1024 * 1024 * 1024;
 
 /// Bytes of the metric on `nodes` nodes: 8 n^2.
 double metric_bytes(std::int64_t nodes);
 
-/// Bytes of the dense simplex tableau of the Thm 5.1 GAP LP (15)-(18) on
-/// `nodes` nodes and `universe` elements: n + |U| rows by n|U| + n + |U|
-/// columns of doubles.
+/// Bytes of address space of the dense simplex tableau of the Thm 5.1 GAP
+/// LP (15)-(18) on `nodes` nodes and `universe` elements: n + |U| rows by
+/// n|U| + n + |U| columns of doubles. Only the pages that come to hold a
+/// nonzero become resident, which on these LPs is a small part of it.
 double gap_tableau_bytes(std::int64_t nodes, std::int64_t universe);
 
-/// \throws std::length_error when the metric on `nodes` nodes, or with
-/// `gap_lp` the Thm 5.1 GAP LP tableau on them and `universe` elements,
-/// would exceed kAllocationBudgetBytes; the message names the size.
+/// \throws std::length_error when the metric on `nodes` nodes would exceed
+/// kAllocationBudgetBytes; the message names the size. Needs no quorum
+/// system, so a command can refuse before building one.
+void require_metric_fits(std::int64_t nodes);
+
+/// require_metric_fits, and with `gap_lp` the same for the Thm 5.1 GAP LP
+/// tableau on `nodes` nodes and `universe` elements.
+/// \throws std::length_error naming the size that does not fit.
 void require_instance_fits(std::int64_t nodes, int universe, bool gap_lp);
 
 /// Applies --threads N to the exec thread pool (docs/PARALLEL.md) and

@@ -4,6 +4,9 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
+#include <memory>
+#include <new>
 #include <utility>
 
 #include "check/contracts.hpp"
@@ -299,7 +302,10 @@ class Simplex {
 
 /// Dense two-phase tableau. Row-major matrix `a` of size rows x cols, the
 /// right-hand side `b`, and two running cost rows (phase 1 and phase 2),
-/// each of length cols + 1 with the final entry holding -objective.
+/// each of length cols + 1 with the final entry holding -objective. `a`
+/// comes zeroed from std::calloc and is written only where an entry is or
+/// was nonzero, so the OS backs just those pages with memory: a page that
+/// never holds a nonzero is never resident (most of the Thm 5.1 GAP LP's).
 class Tableau : public Simplex<Tableau> {
  public:
   Tableau(const Model& model, const SimplexOptions& options)
@@ -337,7 +343,9 @@ class Tableau : public Simplex<Tableau> {
     // (most are zero, and which is hard to predict), so the copy writes one
     // past the last nonzero at worst: the arrays get one spare slot.
     std::size_t nonzeros = 0;
-    for (const double x : a_) nonzeros += x != 0.0 ? 1U : 0U;
+    const std::size_t size =
+        static_cast<std::size_t>(rows_) * static_cast<std::size_t>(cols_);
+    for (std::size_t k = 0; k < size; ++k) nonzeros += a_[k] != 0.0 ? 1U : 0U;
     state.column.resize(nonzeros + 1);
     state.value.resize(nonzeros + 1);
     state.row_start.resize(static_cast<std::size_t>(rows_) + 1);
@@ -430,26 +438,30 @@ class Tableau : public Simplex<Tableau> {
     // being reused by the next solve on this thread.
     duals_.resize(static_cast<std::size_t>(rows_));
     dual_column_.resize(static_cast<std::size_t>(rows_));
-    a_.assign(static_cast<std::size_t>(rows_) * static_cast<std::size_t>(cols_),
-              0.0);
+    a_.reset(static_cast<double*>(std::calloc(
+        static_cast<std::size_t>(rows_) * static_cast<std::size_t>(cols_),
+        sizeof(double))));
+    if (a_ == nullptr) throw std::bad_alloc();
     nonzero_.resize(static_cast<std::size_t>(cols_));
     basis_.assign(static_cast<std::size_t>(rows_), -1);
 
-    // Second pass: sum each row's terms straight into the tableau (negated
-    // where the rhs was), then add its slack and artificial columns.
+    // Second pass: sum each row's terms straight into the tableau, negated
+    // where the rhs was, then add its slack and artificial columns. Rounding
+    // is symmetric, so summing -coeff gives the negated sum up to the sign
+    // of a zero, and no column the row leaves at zero is written.
     int next_slack = num_structural_;
     int next_artificial = first_artificial_;
     for (int i = 0; i < rows_; ++i) {
       const Constraint& c = constraints[static_cast<std::size_t>(i)];
       double* row_data = row(i);
-      for (const auto& [var, coeff] : c.terms) row_data[var] += coeff;
-      if (c.rhs < 0.0) {
-        for (int j = 0; j < num_structural_; ++j) row_data[j] = -row_data[j];
+      const bool negated = c.rhs < 0.0;
+      for (const auto& [var, coeff] : c.terms) {
+        row_data[var] += negated ? -coeff : coeff;
       }
       // With y = c_B B^-1, a column of +1 in row i (a <= slack or an
       // artificial) ends with reduced cost -y_i, the >= slack's -1 with
       // +y_i; a negated row's dual changes sign once more.
-      double dual_sign = c.rhs < 0.0 ? 1.0 : -1.0;
+      double dual_sign = negated ? 1.0 : -1.0;
       switch (relation[static_cast<std::size_t>(i)]) {
         case Relation::kLessEqual:
           row_data[next_slack] = 1.0;
@@ -491,18 +503,25 @@ class Tableau : public Simplex<Tableau> {
     in_phase1_ = num_artificial_ > 0;
   }
 
-  /// Pivots on (pivot_row, pivot_col), updating the live cost rows. The
-  /// pivot row is scaled once and its nonzero columns collected; every other
-  /// row and cost row is updated on those columns only. A skipped column
-  /// has a pivot-row entry of exactly 0.0, where x - f * 0.0 == x, so the
-  /// result equals the dense update up to the sign of a zero, which no
-  /// comparison or division reads.
+  /// Pivots on (pivot_row, pivot_col), updating the live cost rows. A
+  /// read-only scan collects the pivot row's nonzero columns; only those are
+  /// scaled (any that underflow to zero are dropped), and every other row
+  /// and cost row is updated on them only. A skipped column has a pivot-row
+  /// entry of exactly 0.0, where x - f * 0.0 == x and 0.0 * inverse == 0.0,
+  /// so the result equals the dense update up to the sign of a zero, which
+  /// no comparison or division reads, and no zero is ever written back.
   void pivot(int pivot_row, int pivot_col) {
     double* pivot_row_data = row(pivot_row);
     const double inverse = 1.0 / pivot_row_data[pivot_col];
     int* nonzero = nonzero_.data();
-    int num_nonzero = 0;
+    int num_found = 0;
     for (int j = 0; j < cols_; ++j) {
+      nonzero[num_found] = j;
+      num_found += pivot_row_data[j] != 0.0 ? 1 : 0;
+    }
+    int num_nonzero = 0;
+    for (int k = 0; k < num_found; ++k) {
+      const int j = nonzero[k];
       pivot_row_data[j] *= inverse;
       nonzero[num_nonzero] = j;
       num_nonzero += pivot_row_data[j] != 0.0 ? 1 : 0;
@@ -565,7 +584,10 @@ class Tableau : public Simplex<Tableau> {
   double rhs_scale_ = 0.0;
   bool in_phase1_ = false;
   Etas* etas_ = nullptr;  ///< where pivots record their etas, if anywhere
-  std::vector<double> a_;
+  struct Free {
+    void operator()(double* data) const { std::free(data); }
+  };
+  std::unique_ptr<double[], Free> a_;  ///< rows_ x cols_, from std::calloc
   std::vector<double> cost1_;
   std::vector<int> nonzero_;  ///< pivot-row nonzero columns, scratch
 };

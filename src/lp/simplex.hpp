@@ -9,9 +9,13 @@
 /// anti-cycling fallback, centralized tolerances. The tableau is stored
 /// dense, but a pivot updates only the columns where the scaled pivot row is
 /// nonzero (2-4% of them on the SSQPP LPs), which gives bit-for-bit the
-/// pivots and values of the full dense row update. An optimal solve also
-/// returns the row duals, so a caller can certify its objective with
-/// lp::dual_bound without trusting the solver.
+/// pivots and values of the full dense row update. The tableau is dense in
+/// address space and resident only where it has held a nonzero: it comes
+/// zeroed from std::calloc, and neither building it nor pivoting writes a
+/// zero where the dense update did not need one, so pages that never hold a
+/// nonzero are never backed by memory (most of the Thm 5.1 GAP LP's). An
+/// optimal solve also returns the row duals, so a caller can certify its
+/// objective with lp::dual_bound without trusting the solver.
 ///
 /// Phase 1 reads the rows and never the objective, so models that share
 /// their rows and differ in the objective share phase 1 (the relay LPs of a

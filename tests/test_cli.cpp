@@ -161,6 +161,8 @@ TEST(SizeGuard, RefusesOverTheBudgetOnly) {
   // The largest metric that fits is 16384 nodes: exactly 2 GiB.
   EXPECT_NO_THROW(require_instance_fits(16384, 9, false));
   EXPECT_THROW(require_instance_fits(16385, 9, false), std::length_error);
+  EXPECT_NO_THROW(require_metric_fits(16384));
+  EXPECT_THROW(require_metric_fits(16385), std::length_error);
   EXPECT_NO_THROW(require_instance_fits(4096, 25, false));
   try {
     require_instance_fits(4096, 25, true);

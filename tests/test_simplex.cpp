@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <optional>
@@ -291,14 +292,11 @@ LpWork lp_work_of(Call&& call) {
           counter("lp.pivots") - before.pivots};
 }
 
-/// grid(3) on the 16-node random geometric graph of `qplace solve --system
-/// grid --k 3 --topology geometric --nodes 16 --seed 1` (capacity 1.2 x the
-/// largest element load).
-core::QppInstance pinned_instance() {
-  std::mt19937_64 rng(1);
-  graph::Metric metric =
-      graph::Metric::from_graph(graph::random_geometric(16, 0.45, rng).graph);
-  quorum::QuorumSystem system = quorum::grid(3);
+/// `system` on `graph` as `qplace solve` builds it: uniform strategy,
+/// capacity 1.2 x the largest element load.
+core::QppInstance cli_instance(const graph::Graph& graph,
+                               quorum::QuorumSystem system) {
+  graph::Metric metric = graph::Metric::from_graph(graph);
   quorum::AccessStrategy strategy = quorum::AccessStrategy::uniform(system);
   double max_load = 0.0;
   for (const double load : quorum::element_loads(system, strategy)) {
@@ -308,6 +306,14 @@ core::QppInstance pinned_instance() {
       static_cast<std::size_t>(metric.num_points()), 1.2 * max_load);
   return core::QppInstance(std::move(metric), std::move(capacities),
                            std::move(system), std::move(strategy));
+}
+
+/// grid(3) on the 16-node random geometric graph of `qplace solve --system
+/// grid --k 3 --topology geometric --nodes 16 --seed 1`.
+core::QppInstance pinned_instance() {
+  std::mt19937_64 rng(1);
+  return cli_instance(graph::random_geometric(16, 0.45, rng).graph,
+                      quorum::grid(3));
 }
 
 // Pins the pivot path on the full Thm 1.2 relay LPs (9)-(14) and the Thm
@@ -388,6 +394,83 @@ TEST(Simplex, SeededRelayPathIsPinned) {
       EXPECT_EQ(work.pivots, pinned.pivots);
     }
   }
+}
+
+/// FNV-1a over the bits of every value, then every dual, of a solution.
+std::uint64_t solution_digest(const Solution& solution) {
+  std::uint64_t hash = 14695981039346656037ULL;
+  const auto mix = [&](const std::vector<double>& xs) {
+    for (const double x : xs) {
+      const auto bits = std::bit_cast<std::uint64_t>(x);
+      for (int byte = 0; byte < 8; ++byte) {
+        hash ^= (bits >> (8 * byte)) & 0xffU;
+        hash *= 1099511628211ULL;
+      }
+    }
+  };
+  mix(solution.values);
+  mix(solution.duals);
+  return hash;
+}
+
+/// A cold solve as the dense tableau left it: the objective's bits, the
+/// iterations, the pivots and solution_digest.
+struct ColdSolve {
+  std::uint64_t objective_bits;
+  std::int64_t iterations;
+  std::uint64_t pivots;
+  std::uint64_t digest;
+};
+
+void expect_cold_solve(const Model& model, const ColdSolve& pinned) {
+  Solution solution;
+  const LpWork work = lp_work_of([&] { solution = solve(model); });
+  ASSERT_EQ(solution.status, SolveStatus::kOptimal);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(solution.objective),
+            pinned.objective_bits);
+  EXPECT_EQ(solution.iterations, pinned.iterations);
+  if (obs::compiled_in()) {
+    EXPECT_EQ(work.pivots, pinned.pivots);
+  }
+  EXPECT_EQ(solution_digest(solution), pinned.digest);
+}
+
+// Pins the cold solve of the Thm 5.1 GAP LP (15)-(18) on a Waxman n = 128,
+// grid(4) instance (as `qplace solve --algorithm total --topology waxman
+// --nodes 128 --system grid --k 4` builds it) bit for bit: objective,
+// iterations, pivots and every value and dual. Where the tableau is
+// written, and what is left untouched, may change; none of this may.
+TEST(Simplex, GapLpColdSolveIsPinned) {
+  std::mt19937_64 rng(1);
+  const core::QppInstance instance =
+      cli_instance(graph::waxman(128, 0.9, 0.4, rng).graph, quorum::grid(4));
+  const Model model =
+      assign::build_gap_lp(core::total_delay_gap(instance)).model;
+  // objective 2.5961745598798935
+  expect_cold_solve(model,
+                    {0x4004c4f72aeb2175ULL, 209, 207, 0xbd66d842965437e3ULL});
+}
+
+// The same pins on a hand-built LP with every row build() treats apart: a
+// negative-rhs <= row and a negative-rhs >= row (both negated), a variable
+// repeated in one row with terms that sum to exactly zero, and an equality.
+TEST(Simplex, HandLpColdSolveIsPinned) {
+  Model m;
+  const int x0 = m.add_variable(1.0);
+  const int x1 = m.add_variable(-2.0);
+  const int x2 = m.add_variable(0.5);
+  const int x3 = m.add_variable(-1.0);
+  m.add_constraint({{x0, -1.0}, {x1, -1.0}, {x2, 1.0}}, Relation::kLessEqual,
+                   -1.0);
+  m.add_constraint({{x1, -1.0}, {x2, -0.5}, {x3, -1.0}},
+                   Relation::kGreaterEqual, -4.0);
+  m.add_constraint({{x0, -1.0}, {x3, 0.1}, {x1, -0.25}, {x3, -0.1}},
+                   Relation::kLessEqual, -0.5);
+  m.add_constraint({{x0, 1.0}, {x1, 1.0}, {x2, 1.0}, {x3, 1.0}},
+                   Relation::kEqual, 3.0);
+  m.add_constraint({{x1, 1.0}, {x3, -0.75}}, Relation::kLessEqual, 1.25);
+  // objective -5.0
+  expect_cold_solve(m, {0xc014000000000000ULL, 9, 7, 0x1ef988882899989aULL});
 }
 
 // Weak duality at the optimum: the duals the simplex returns give back its

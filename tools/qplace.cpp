@@ -266,9 +266,13 @@ InstanceBundle build_instance(const cli::ParsedArgs& args, ObsSession& session,
                               bool gap_lp = false) {
   std::mt19937_64 rng(static_cast<std::uint64_t>(args.get_int("seed", 1)));
   // Sizes are refused (exit 2) before the graph is built where the flags
-  // give its node count, and once a --graph-file is read.
+  // give its node count, and once a --graph-file is read. The metric is
+  // checked before the quorum system is built too: --k sizes both the grid
+  // and the mesh, torus and broom topologies.
+  const std::optional<std::int64_t> nodes = cli::topology_nodes(args);
+  if (nodes) cli::require_metric_fits(*nodes);
   const quorum::QuorumSystem system = cli::make_system(args);
-  if (const auto nodes = cli::topology_nodes(args)) {
+  if (nodes) {
     cli::require_instance_fits(*nodes, system.universe_size(), gap_lp);
   }
   graph::Graph g = cli::make_topology(args, rng);
