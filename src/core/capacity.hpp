@@ -19,17 +19,16 @@ struct CapacitySlot {
   double distance = 0.0;  ///< d(source, node)
 };
 
-/// All slots induced by the capacities for a given per-element load, sorted
-/// by non-decreasing distance from \p source (ties by node id). A node with
-/// capacity for more than \p max_copies_per_node elements contributes only
-/// that many slots -- no layout ever needs more than the universe size per
-/// node, and unbounded capacities would otherwise materialize billions of
-/// slots.
-/// \throws std::invalid_argument if per_element_load <= 0 or
-///         max_copies_per_node < 1.
+/// The \p count slots nearest to \p source among those the capacities
+/// induce for a given per-element load, sorted by non-decreasing distance
+/// from \p source (ties by node id); fewer when the capacities induce fewer.
+/// A node contributes at most \p count slots, so unbounded capacities do not
+/// materialize billions of them. The result is the first \p count slots of
+/// the full (distance, node) order.
+/// \throws std::invalid_argument if per_element_load <= 0 or count < 1.
 std::vector<CapacitySlot> capacity_slots(const graph::Metric& metric,
                                          const std::vector<double>& capacities,
                                          double per_element_load, int source,
-                                         int max_copies_per_node);
+                                         int count);
 
 }  // namespace qp::core

@@ -4,6 +4,7 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "exec/parallel.hpp"
 #include "obs/obs.hpp"
@@ -12,23 +13,105 @@ namespace qp::core {
 
 namespace {
 
-/// Weighted per-client averages (Avg_v Delta_f(v) / Gamma_f(v)): chunked
-/// summation with ordered reduction. The chunk structure depends only on the
-/// client count (exec::kReductionGrain), so the result is bit-identical for
-/// any thread count; instances with <= kReductionGrain clients keep the
-/// exact sequential summation order.
-template <typename PerClient>
-double weighted_client_average(const QppInstance& instance,
-                               const PerClient& per_client) {
-  return exec::parallel_map_reduce(
-      static_cast<std::size_t>(instance.num_nodes()), 0.0,
-      [&](std::size_t v) {
-        const double weight = instance.client_weights()[v];
-        if (weight == 0.0) return 0.0;
-        return weight * per_client(static_cast<int>(v));
-      },
-      [](double acc, double term) { return acc + term; },
-      exec::kReductionGrain);
+/// The per-client delays the averages are taken of.
+enum class ClientDelay {
+  kExpectedMax,    ///< Delta_f(v) = sum_Q p(Q) max_{u in Q} d(v, f(u))
+  kExpectedTotal,  ///< Gamma_f(v) = sum_Q p(Q) sum_{u in Q} d(v, f(u))
+  kClosest,        ///< min_Q max_{u in Q} d(v, f(u))
+};
+
+/// The \p kind delay of the clients v in [begin, begin + count), written
+/// to value[v - begin]. For each quorum in order, each placed element's
+/// metric row is read across the block -- row(f(u))[v] == d(v, f(u)) bit
+/// for bit, since every Metric is exactly symmetric -- into an independent
+/// running max or sum per client, which is then folded into that client's
+/// value (p(Q) times it added, or the min taken). Every client sees exactly
+/// the operations, in exactly the order, of a loop over its own quorums, so
+/// its value does not depend on the block it is in. \p quorum_delay is
+/// scratch of \p count doubles; \p strategy may be null for kClosest.
+template <ClientDelay kind>
+void client_delays(const graph::Metric& metric,
+                   const quorum::QuorumSystem& system,
+                   const quorum::AccessStrategy* strategy,
+                   const Placement& placement, std::size_t begin,
+                   std::size_t count, double* quorum_delay, double* value) {
+  const auto n = static_cast<std::size_t>(metric.num_points());
+  QP_REQUIRE(count <= n && begin <= n - count, "client id out of range");
+  std::fill_n(value, count,
+              kind == ClientDelay::kClosest
+                  ? std::numeric_limits<double>::infinity()
+                  : 0.0);
+  for (int qi = 0; qi < system.num_quorums(); ++qi) {
+    std::fill_n(quorum_delay, count, 0.0);
+    for (int u : system.quorum(qi)) {
+      const double* distance =
+          metric.row(placement[static_cast<std::size_t>(u)]) + begin;
+      for (std::size_t c = 0; c < count; ++c) {
+        if constexpr (kind == ClientDelay::kExpectedTotal) {
+          quorum_delay[c] += distance[c];
+        } else {
+          quorum_delay[c] = std::max(quorum_delay[c], distance[c]);
+        }
+      }
+    }
+    if constexpr (kind == ClientDelay::kClosest) {
+      for (std::size_t c = 0; c < count; ++c) {
+        value[c] = std::min(value[c], quorum_delay[c]);
+      }
+    } else {
+      const double probability = strategy->probability(qi);
+      for (std::size_t c = 0; c < count; ++c) {
+        value[c] += probability * quorum_delay[c];
+      }
+    }
+  }
+}
+
+template <ClientDelay kind>
+double client_delay(const graph::Metric& metric,
+                    const quorum::QuorumSystem& system,
+                    const quorum::AccessStrategy* strategy,
+                    const Placement& placement, int client) {
+  double quorum_delay = 0.0;
+  double value = 0.0;
+  client_delays<kind>(metric, system, strategy, placement,
+                      static_cast<std::size_t>(client), 1, &quorum_delay,
+                      &value);
+  return value;
+}
+
+/// Avg_v of the \p kind delay with the instance's client weights: one
+/// client_delays block per chunk of plan_chunks(n, kReductionGrain), then
+/// weight * value folded in client order within the chunk and the chunk
+/// sums in chunk order. The chunk plan depends only on n, so the result is
+/// bit-identical for any thread count; a zero-weight client adds exactly 0.
+template <ClientDelay kind>
+double average_delay(const QppInstance& instance, const Placement& placement) {
+  const auto n = static_cast<std::size_t>(instance.num_nodes());
+  if (n == 0) return 0.0;
+  const exec::ChunkPlan plan = exec::plan_chunks(n, exec::kReductionGrain);
+  std::vector<double> partial(plan.num_chunks, 0.0);
+  exec::for_each_chunk(
+      n, exec::kReductionGrain,
+      [&](std::size_t chunk, std::size_t begin, std::size_t end) {
+        const std::size_t count = end - begin;
+        std::vector<double> scratch(2 * count);
+        double* value = scratch.data() + count;
+        client_delays<kind>(instance.metric(), instance.system(),
+                            &instance.strategy(), placement, begin, count,
+                            scratch.data(), value);
+        double sum = 0.0;
+        for (std::size_t c = 0; c < count; ++c) {
+          const double weight = instance.client_weights()[begin + c];
+          sum += weight == 0.0 ? 0.0 : weight * value[c];
+        }
+        partial[chunk] = sum;
+      });
+  double average = partial[0];
+  for (std::size_t chunk = 1; chunk < plan.num_chunks; ++chunk) {
+    average += partial[chunk];
+  }
+  return average;
 }
 
 }  // namespace
@@ -56,26 +139,17 @@ double expected_max_delay(const graph::Metric& metric,
                           const quorum::QuorumSystem& system,
                           const quorum::AccessStrategy& strategy,
                           const Placement& placement, int client) {
-  double expectation = 0.0;
-  for (int qi = 0; qi < system.num_quorums(); ++qi) {
-    expectation +=
-        strategy.probability(qi) *
-        max_delay(metric, system.quorum(qi), placement, client);
-  }
-  return expectation;
+  return client_delay<ClientDelay::kExpectedMax>(metric, system, &strategy,
+                                                 placement, client);
 }
 
 double expected_total_delay(const graph::Metric& metric,
                             const quorum::QuorumSystem& system,
                             const quorum::AccessStrategy& strategy,
                             const Placement& placement, int client) {
-  double expectation = 0.0;
-  for (int qi = 0; qi < system.num_quorums(); ++qi) {
-    expectation +=
-        strategy.probability(qi) *
-        total_delay(metric, system.quorum(qi), placement, client);
-  }
-  return expectation;
+  return client_delay<ClientDelay::kExpectedTotal>(metric, system,
+                                                   &strategy, placement,
+                                                   client);
 }
 
 namespace {
@@ -94,20 +168,14 @@ double average_max_delay(const QppInstance& instance,
   check_placement(placement, instance.system().universe_size(),
                   instance.num_nodes(), "average_max_delay");
   QP_SPAN("eval.average_max_delay");
-  return weighted_client_average(instance, [&](int v) {
-    return expected_max_delay(instance.metric(), instance.system(),
-                              instance.strategy(), placement, v);
-  });
+  return average_delay<ClientDelay::kExpectedMax>(instance, placement);
 }
 
 double average_total_delay(const QppInstance& instance,
                            const Placement& placement) {
   check_placement(placement, instance.system().universe_size(),
                   instance.num_nodes(), "average_total_delay");
-  return weighted_client_average(instance, [&](int v) {
-    return expected_total_delay(instance.metric(), instance.system(),
-                                instance.strategy(), placement, v);
-  });
+  return average_delay<ClientDelay::kExpectedTotal>(instance, placement);
 }
 
 double source_expected_max_delay(const SsqppInstance& instance,
@@ -179,22 +247,15 @@ double closest_quorum_delay(const graph::Metric& metric,
   if (system.num_quorums() == 0) {
     throw std::invalid_argument("closest_quorum_delay: empty quorum system");
   }
-  double best = std::numeric_limits<double>::infinity();
-  for (int qi = 0; qi < system.num_quorums(); ++qi) {
-    best = std::min(best,
-                    max_delay(metric, system.quorum(qi), placement, client));
-  }
-  return best;
+  return client_delay<ClientDelay::kClosest>(metric, system, nullptr,
+                                             placement, client);
 }
 
 double average_closest_quorum_delay(const QppInstance& instance,
                                     const Placement& placement) {
   check_placement(placement, instance.system().universe_size(),
                   instance.num_nodes(), "average_closest_quorum_delay");
-  return weighted_client_average(instance, [&](int v) {
-    return closest_quorum_delay(instance.metric(), instance.system(),
-                                placement, v);
-  });
+  return average_delay<ClientDelay::kClosest>(instance, placement);
 }
 
 int best_relay_node(const QppInstance& instance, const Placement& placement) {

@@ -70,11 +70,10 @@ std::optional<GridLayoutResult> optimal_grid_layout(
   // element is in 2k - 1 quorums out of k^2.
   const double load = static_cast<double>(2 * k - 1) / (k * k);
 
-  std::vector<CapacitySlot> slots =
+  std::vector<CapacitySlot> slots =  // the k^2 nearest slots
       capacity_slots(instance.metric(), instance.capacities(), load,
                      instance.source(), num_elements);
   if (static_cast<int>(slots.size()) < num_elements) return std::nullopt;
-  slots.resize(static_cast<std::size_t>(num_elements));  // k^2 nearest slots
 
   // tau_1 >= tau_2 >= ... >= tau_{k^2}: slot distances in decreasing order.
   std::reverse(slots.begin(), slots.end());

@@ -82,10 +82,9 @@ std::optional<MajorityLayoutResult> majority_layout(
   // C(n, t) quorums, i.e. load(u) = t / n.
   const double load = static_cast<double>(t) / n;
 
-  std::vector<CapacitySlot> slots = capacity_slots(
+  const std::vector<CapacitySlot> slots = capacity_slots(
       instance.metric(), instance.capacities(), load, instance.source(), n);
   if (static_cast<int>(slots.size()) < n) return std::nullopt;
-  slots.resize(static_cast<std::size_t>(n));
 
   MajorityLayoutResult result;
   result.placement.resize(static_cast<std::size_t>(n));

@@ -30,6 +30,8 @@ Metric::Metric(int num_points, std::vector<double> distances)
       if (d != distances_[j * n + i]) {
         throw std::invalid_argument("Metric: matrix must be symmetric");
       }
+      // -0.0 == +0.0: store one zero so that symmetry holds bit for bit.
+      if (d == 0.0) distances_[i * n + j] = 0.0;
     }
   }
 }

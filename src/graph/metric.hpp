@@ -45,6 +45,16 @@ class Metric {
                       static_cast<std::size_t>(j)];
   }
 
+  /// Row i of the matrix: row(i)[j] == (*this)(i, j) for j in [0, n). Every
+  /// constructor leaves the matrix exactly symmetric, so row(i)[j] is also
+  /// d(j, i) bit for bit: a delay evaluator reads a placed node's row across
+  /// a contiguous block of clients.
+  const double* row(int i) const {
+    QP_REQUIRE(i >= 0 && i < num_points_, "point id out of range");
+    return distances_.data() +
+           static_cast<std::size_t>(i) * static_cast<std::size_t>(num_points_);
+  }
+
   /// True if the triangle inequality holds up to \p tolerance. O(n^3).
   bool satisfies_triangle_inequality(double tolerance = 1e-9) const;
 

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <random>
 #include <stdexcept>
+#include <vector>
 
 #include "graph/generators.hpp"
 
@@ -11,6 +15,41 @@ namespace {
 
 TEST(Metric, ValidatesSymmetry) {
   EXPECT_THROW(Metric(2, {0.0, 1.0, 2.0, 0.0}), std::invalid_argument);
+}
+
+TEST(Metric, RejectsOneUlpAsymmetry) {
+  const double one = 1.0;
+  const double next = std::nextafter(one, 2.0);
+  EXPECT_THROW(Metric(2, {0.0, one, next, 0.0}), std::invalid_argument);
+}
+
+/// row(i)[j] and row(j)[i] hold the same bits for every pair: the delay
+/// evaluators read a placed node's row in place of each client's.
+void expect_rows_bit_symmetric(const Metric& m) {
+  ASSERT_GT(m.num_points(), 0);
+  for (int i = 0; i < m.num_points(); ++i) {
+    for (int j = 0; j < m.num_points(); ++j) {
+      ASSERT_EQ(std::memcmp(&m.row(i)[j], &m.row(j)[i], sizeof(double)), 0)
+          << "d(" << i << ", " << j << ")";
+      const double entry = m(i, j);
+      ASSERT_EQ(std::memcmp(&m.row(i)[j], &entry, sizeof(double)), 0);
+    }
+  }
+}
+
+TEST(Metric, RowsAreBitSymmetric) {
+  std::mt19937_64 rng(17);
+  expect_rows_bit_symmetric(
+      Metric::from_graph(waxman(96, 0.9, 0.4, rng).graph));
+  expect_rows_bit_symmetric(
+      Metric::from_graph(random_geometric(96, 0.3, rng).graph));
+  expect_rows_bit_symmetric(Metric::uniform(7));
+  std::uniform_real_distribution<double> coordinate(-10.0, 10.0);
+  std::vector<double> coordinates(40);
+  for (double& x : coordinates) x = coordinate(rng);
+  expect_rows_bit_symmetric(Metric::line(coordinates));
+  // -0.0 == +0.0 passes validation; the matrix keeps one zero.
+  expect_rows_bit_symmetric(Metric(2, {-0.0, 0.0, -0.0, 0.0}));
 }
 
 TEST(Metric, ValidatesZeroDiagonal) {

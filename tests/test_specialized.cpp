@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <random>
 
 #include "core/evaluators.hpp"
@@ -112,6 +114,37 @@ TEST_P(SpecializedSweep, Theorem13AcrossTopologies) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SpecializedSweep, ::testing::Range(0, 8));
+
+
+// The Thm 1.3 sweep on Waxman graphs, pinned: the winning source, its
+// placement and the bits of Avg_v Delta_f(v). Two-copy capacities give the
+// grid layout repeated nodes among its nearest slots.
+TEST(SolveQppGrid, WaxmanSweepIsPinned) {
+  std::mt19937_64 rng(11);
+  const QppInstance instance =
+      grid_instance(graph::waxman(512, 0.9, 0.4, rng).graph, 5, 2.0);
+  const auto result = solve_qpp_grid(instance, 5);
+  ASSERT_TRUE(result.has_value());
+  EXPECT_EQ(result->chosen_source, 157);
+  EXPECT_EQ(result->placement,
+            (Placement{352, 414, 151, 21, 370, 414, 151, 405, 21,
+                       225, 405, 306, 306, 364, 225, 364, 386, 386,
+                       370, 214, 214, 292, 292, 157, 157}));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(result->average_delay),
+            0x3fdc29ade57daf04u);
+}
+
+TEST(SolveQppMajority, WaxmanSweepIsPinned) {
+  std::mt19937_64 rng(12);
+  const QppInstance instance =
+      majority_instance(graph::waxman(64, 0.9, 0.4, rng).graph, 5, 3, 1.0);
+  const auto result = solve_qpp_majority(instance, 3);
+  ASSERT_TRUE(result.has_value());
+  EXPECT_EQ(result->chosen_source, 11);
+  EXPECT_EQ(result->placement, (Placement{11, 56, 32, 30, 54}));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(result->average_delay),
+            0x3fdc42254160015au);
+}
 
 }  // namespace
 }  // namespace qp::core

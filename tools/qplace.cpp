@@ -277,12 +277,12 @@ InstanceBundle build_instance(const cli::ParsedArgs& args, ObsSession& session,
   }
   graph::Graph g = cli::make_topology(args, rng);
   cli::require_instance_fits(g.num_nodes(), system.universe_size(), gap_lp);
-  const graph::Metric metric = graph::Metric::from_graph(g);
+  graph::Metric metric = graph::Metric::from_graph(g);
   const quorum::AccessStrategy strategy =
       quorum::AccessStrategy::uniform(system);
   const std::vector<double> caps =
       capacities_for(args, system, strategy, g.num_nodes());
-  core::QppInstance instance(metric, caps, system, strategy);
+  core::QppInstance instance(std::move(metric), caps, system, strategy);
   std::string digest = core::instance_digest_hex(instance);
   session.report().set_context("instance_digest", digest);
   return InstanceBundle{std::move(g), std::move(instance), std::move(digest)};
