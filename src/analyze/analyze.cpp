@@ -127,10 +127,15 @@ std::string read_counters(const json::Value* counters, const char* side,
   return "";
 }
 
+/// `report[half][key]`, or nullptr when either level is absent.
+const json::Value* section(const json::Value& report, const char* half,
+                           const char* key) {
+  const json::Value* outer = report.find(half);
+  return outer != nullptr ? outer->find(key) : nullptr;
+}
+
 const json::Value* deterministic_counters(const json::Value& report) {
-  const json::Value* det = report.find("deterministic");
-  const json::Value* counters =
-      det != nullptr ? det->find("counters") : nullptr;
+  const json::Value* counters = section(report, "deterministic", "counters");
   return counters != nullptr && counters->is_object() ? counters : nullptr;
 }
 
@@ -139,6 +144,45 @@ bool report_obs_off(const json::Value& report) {
     return context->get_string("obs_compiled_in", "true") == "false";
   }
   return false;
+}
+
+/// Every key of either object (nullptr reads as empty), sorted.
+std::set<std::string> key_union(const json::Value* base,
+                                const json::Value* cand) {
+  std::set<std::string> keys;
+  for (const json::Value* object : {base, cand}) {
+    if (object == nullptr) continue;
+    for (const auto& [key, value] : object->object) keys.insert(key);
+  }
+  return keys;
+}
+
+/// The label of the profile tree's root in diff paths; other nodes are
+/// their "/"-joined span names.
+constexpr const char* kProfileRoot = "(root)";
+
+using ProfileNodes = std::map<std::string, const json::Value*>;
+
+void flatten_profile(const json::Value& node, const std::string& path,
+                     ProfileNodes& out) {
+  out[path] = &node;
+  const json::Value* children = node.find("children");
+  if (children == nullptr || !children->is_object()) return;
+  for (const auto& [name, child] : children->object) {
+    flatten_profile(child, path == kProfileRoot ? name : path + "/" + name,
+                    out);
+  }
+}
+
+/// One half's profile tree (`report[half].profile`) as path -> node; empty
+/// when the report carries no tree.
+ProfileNodes profile_nodes(const json::Value& report, const char* half) {
+  ProfileNodes out;
+  if (const json::Value* root = section(report, half, "profile");
+      root != nullptr && root->is_object()) {
+    flatten_profile(*root, kProfileRoot, out);
+  }
+  return out;
 }
 
 }  // namespace
@@ -452,6 +496,7 @@ std::string digest_mismatch(const json::Value& base, const json::Value& cand) {
 }
 
 double ReportDiff::max_deterministic_drift() const {
+  if (!structure.empty()) return std::numeric_limits<double>::infinity();
   double drift = 0.0;
   for (const CounterDiff& counter : counters) {
     drift = std::max(drift, counter.rel_drift());
@@ -470,12 +515,20 @@ double ReportDiff::max_deterministic_drift() const {
 }
 
 ReportDiff diff_run_reports(const json::Value& base, const json::Value& cand) {
+  constexpr const char* kSchema = "qplace.run_report.v2";
   ReportDiff diff;
+  const std::string schema_base = base.get_string("schema", "");
+  const std::string schema_cand = cand.get_string("schema", "");
+  if (schema_base != kSchema || schema_cand != kSchema) {
+    diff.error = std::string("not a ") + kSchema + " document (schema \"" +
+                 schema_base + "\" vs \"" + schema_cand + "\")";
+    return diff;
+  }
   const json::Value* base_counters = deterministic_counters(base);
   const json::Value* cand_counters = deterministic_counters(cand);
   if (base_counters == nullptr || cand_counters == nullptr) {
-    diff.error =
-        "not a qplace.run_report.v1 document (no deterministic.counters)";
+    diff.error = std::string(kSchema) + " document without "
+                 "deterministic.counters";
     return diff;
   }
   diff.error = digest_mismatch(base, cand);
@@ -484,29 +537,41 @@ ReportDiff diff_run_reports(const json::Value& base, const json::Value& cand) {
                                   diff.counters);
   }
   if (!diff.error.empty()) return diff;
+
+  // The profile tree, node by node: a path on one side only is structural
+  // drift; the counters of a shared path go through the same comparator as
+  // the flat totals, tagged with the path.
+  const auto base_nodes = profile_nodes(base, "deterministic");
+  const auto cand_nodes = profile_nodes(cand, "deterministic");
+  std::set<std::string> paths;
+  for (const auto& [path, node] : base_nodes) paths.insert(path);
+  for (const auto& [path, node] : cand_nodes) paths.insert(path);
+  for (const std::string& path : paths) {
+    const auto in_base = base_nodes.find(path);
+    const auto in_cand = cand_nodes.find(path);
+    if (in_base == base_nodes.end() || in_cand == cand_nodes.end()) {
+      diff.structure.push_back(
+          {path, in_base != base_nodes.end(), in_cand != cand_nodes.end()});
+      continue;
+    }
+    const std::string error =
+        compare_counters(in_base->second->find("counters"),
+                         in_cand->second->find("counters"), path,
+                         diff.counters);
+    if (!error.empty()) {
+      ReportDiff refused;
+      refused.error = error;
+      return refused;
+    }
+  }
   diff.obs_off_base = report_obs_off(base);
   diff.obs_off_cand = report_obs_off(cand);
 
   // Series: exact element-wise equality, the same contract the metamorphic
   // suite enforces in-process.
-  const json::Value* base_det = base.find("deterministic");
-  const json::Value* cand_det = cand.find("deterministic");
-  const json::Value* base_series =
-      base_det != nullptr ? base_det->find("series") : nullptr;
-  const json::Value* cand_series =
-      cand_det != nullptr ? cand_det->find("series") : nullptr;
-  std::set<std::string> series_names;
-  if (base_series != nullptr) {
-    for (const auto& [name, value] : base_series->object) {
-      series_names.insert(name);
-    }
-  }
-  if (cand_series != nullptr) {
-    for (const auto& [name, value] : cand_series->object) {
-      series_names.insert(name);
-    }
-  }
-  for (const std::string& name : series_names) {
+  const json::Value* base_series = section(base, "deterministic", "series");
+  const json::Value* cand_series = section(cand, "deterministic", "series");
+  for (const std::string& name : key_union(base_series, cand_series)) {
     SeriesDiff entry;
     entry.name = name;
     const json::Value* in_base =
@@ -515,37 +580,21 @@ ReportDiff diff_run_reports(const json::Value& base, const json::Value& cand) {
         cand_series != nullptr ? cand_series->find(name) : nullptr;
     entry.in_base = in_base != nullptr;
     entry.in_cand = in_cand != nullptr;
-    if (in_base != nullptr && in_cand != nullptr) {
-      entry.equal = in_base->array.size() == in_cand->array.size();
-      if (entry.equal) {
-        for (std::size_t i = 0; i < in_base->array.size(); ++i) {
-          if (in_base->array[i].number != in_cand->array[i].number) {
-            entry.equal = false;
-            break;
-          }
-        }
-      }
-    }
+    entry.equal = in_base != nullptr && in_cand != nullptr &&
+                  std::equal(in_base->array.begin(), in_base->array.end(),
+                             in_cand->array.begin(), in_cand->array.end(),
+                             [](const json::Value& a, const json::Value& b) {
+                               return a.number == b.number;
+                             });
     diff.series.push_back(entry);
   }
 
   // Histograms: distribution-shape shift (counts, mean, quantiles).
   const json::Value* base_hists =
-      base_det != nullptr ? base_det->find("histograms") : nullptr;
+      section(base, "deterministic", "histograms");
   const json::Value* cand_hists =
-      cand_det != nullptr ? cand_det->find("histograms") : nullptr;
-  std::set<std::string> hist_names;
-  if (base_hists != nullptr) {
-    for (const auto& [name, value] : base_hists->object) {
-      hist_names.insert(name);
-    }
-  }
-  if (cand_hists != nullptr) {
-    for (const auto& [name, value] : cand_hists->object) {
-      hist_names.insert(name);
-    }
-  }
-  for (const std::string& name : hist_names) {
+      section(cand, "deterministic", "histograms");
+  for (const std::string& name : key_union(base_hists, cand_hists)) {
     HistogramDiff entry;
     entry.name = name;
     // Empty histograms render mean/quantiles as null (histogram.cpp); a
@@ -580,59 +629,25 @@ ReportDiff diff_run_reports(const json::Value& base, const json::Value& cand) {
     diff.histograms.push_back(entry);
   }
 
-  // Timers: wall time, reported but never gated.
-  const json::Value* base_nondet = base.find("nondeterministic");
-  const json::Value* cand_nondet = cand.find("nondeterministic");
-  const json::Value* base_timers =
-      base_nondet != nullptr ? base_nondet->find("timers") : nullptr;
-  const json::Value* cand_timers =
-      cand_nondet != nullptr ? cand_nondet->find("timers") : nullptr;
-  std::set<std::string> timer_names;
-  if (base_timers != nullptr) {
-    for (const auto& [name, value] : base_timers->object) {
-      timer_names.insert(name);
-    }
-  }
-  if (cand_timers != nullptr) {
-    for (const auto& [name, value] : cand_timers->object) {
-      timer_names.insert(name);
-    }
-  }
-  for (const std::string& name : timer_names) {
-    TimerDiff entry;
-    entry.name = name;
-    if (const json::Value* t =
-            base_timers != nullptr ? base_timers->find(name) : nullptr) {
-      entry.calls_base = t->get_number("calls", 0.0);
-      entry.ms_base = t->get_number("total_ms", 0.0);
-    }
-    if (const json::Value* t =
-            cand_timers != nullptr ? cand_timers->find(name) : nullptr) {
-      entry.calls_cand = t->get_number("calls", 0.0);
-      entry.ms_cand = t->get_number("total_ms", 0.0);
-    }
-    diff.timers.push_back(entry);
+  // Per-node wall time: reported for every path on both sides, never
+  // gated (a one-sided path is already structural drift).
+  const auto base_walls = profile_nodes(base, "nondeterministic");
+  const auto cand_walls = profile_nodes(cand, "nondeterministic");
+  for (const auto& [path, node] : base_walls) {
+    const auto other = cand_walls.find(path);
+    if (other == cand_walls.end()) continue;
+    diff.walls.push_back({path, node->get_number("calls", 0.0),
+                          other->second->get_number("calls", 0.0),
+                          node->get_number("total_ms", 0.0),
+                          other->second->get_number("total_ms", 0.0)});
   }
 
-  // Resources (peak RSS, page faults): wall-class like timers -- a report
-  // from a non-POSIX build simply has no "resources" object, and a missing
-  // side is reported as 0 rather than gating anything.
-  const json::Value* base_res =
-      base_nondet != nullptr ? base_nondet->find("resources") : nullptr;
-  const json::Value* cand_res =
-      cand_nondet != nullptr ? cand_nondet->find("resources") : nullptr;
-  std::set<std::string> resource_names;
-  if (base_res != nullptr) {
-    for (const auto& [name, value] : base_res->object) {
-      resource_names.insert(name);
-    }
-  }
-  if (cand_res != nullptr) {
-    for (const auto& [name, value] : cand_res->object) {
-      resource_names.insert(name);
-    }
-  }
-  for (const std::string& name : resource_names) {
+  // Resources (peak RSS, page faults): wall-class -- a report from a
+  // non-POSIX build simply has no "resources" object, and a missing side
+  // is reported as 0 rather than gating anything.
+  const json::Value* base_res = section(base, "nondeterministic", "resources");
+  const json::Value* cand_res = section(cand, "nondeterministic", "resources");
+  for (const std::string& name : key_union(base_res, cand_res)) {
     ResourceDiff entry;
     entry.name = name;
     if (base_res != nullptr) entry.base = base_res->get_number(name, 0.0);

@@ -26,18 +26,19 @@
 ///     respect the configured maximum.
 ///
 ///  2. diff_run_reports(): a structured diff of two
-///     `qplace.run_report.v1` documents: deterministic counter deltas,
-///     series equality, histogram distribution shift, and wall-time ratios
-///     explicitly labelled nondeterministic. The deterministic half doubles
-///     as the work-counter regression gate -- `qplace analyze --diff` exits
-///     non-zero when a counter drifts beyond the tolerance; the ctest
-///     `cli_counter_gate` runs it against the committed fixture
-///     tests/fixtures/counter_gate_report.json (docs/OBSERVABILITY.md §7).
+///     `qplace.run_report.v2` documents: deterministic counter deltas (the
+///     flat totals, then the profile tree node by node), series equality,
+///     histogram distribution shift, and per-node wall time explicitly
+///     labelled nondeterministic. The deterministic half doubles as the
+///     work-counter regression gate -- `qplace analyze --diff` exits
+///     non-zero when a counter drifts beyond the tolerance or a profile
+///     path appears on one side only; the ctest `cli_counter_gate` runs it
+///     against the committed fixture tests/fixtures/counter_gate_report.json
+///     (docs/OBSERVABILITY.md §7).
 ///
 /// compare_counters() and digest_mismatch() are the one counter-drift
-/// comparator and the one digest-refusal policy; diff_run_reports() and
-/// diff_profiles() (profile_diff.hpp) are both built on them, so a counter
-/// gates the same way whichever artifact carries it.
+/// comparator and the one digest-refusal policy, so a counter gates the
+/// same way whether it is a flat total or attributed to a profile node.
 
 #include <cstdint>
 #include <limits>
@@ -170,8 +171,8 @@ AccessLogAnalysis analyze_access_log(const core::QppInstance& instance,
 
 /// One work counter compared across two artifacts.
 struct CounterDiff {
-  /// "/"-joined profile span path the counter is attributed to; "" for
-  /// run-report counters and the profile root.
+  /// "" for the flat `deterministic.counters`; else the profile node the
+  /// counter is attributed to: "(root)" or its "/"-joined span path.
   std::string path;
   std::string name;
   bool in_base = false;
@@ -227,11 +228,20 @@ struct HistogramDiff {
   bool schema_drift() const { return null_base != null_cand; }
 };
 
-/// Wall-time comparison -- informational only, never gated.
-struct TimerDiff {
-  std::string name;
+/// A profile path present in only one report's deterministic tree --
+/// structural drift, gated like an infinite counter drift.
+struct ProfileStructureDiff {
+  std::string path;
+  bool in_base = false;
+  bool in_cand = false;
+};
+
+/// Wall-class comparison of one profile node present in both reports --
+/// informational only, never gated.
+struct ProfileWallDiff {
+  std::string path;
   double calls_base = 0.0, calls_cand = 0.0;
-  double ms_base = 0.0, ms_cand = 0.0;
+  double total_ms_base = 0.0, total_ms_cand = 0.0;
 };
 
 /// Process-resource comparison (nondeterministic "resources" object: peak
@@ -242,9 +252,9 @@ struct ResourceDiff {
 };
 
 struct ReportDiff {
-  /// Non-empty when the documents are not comparable (schema mismatch,
-  /// disagreeing instance digests, a malformed counter value); every other
-  /// field is then unset.
+  /// Non-empty when the documents are not comparable (not both
+  /// `qplace.run_report.v2`, disagreeing instance digests, a malformed
+  /// counter value); every other field is then unset.
   std::string error;
   /// True when the respective report was produced by a -DQPLACE_OBS=OFF
   /// build (context "obs_compiled_in" == "false"): its counter map is
@@ -253,23 +263,26 @@ struct ReportDiff {
   bool obs_off_cand = false;
 
   std::vector<CounterDiff> counters;    // deterministic -- gated
+  std::vector<ProfileStructureDiff> structure;  // deterministic -- gated
   std::vector<SeriesDiff> series;       // deterministic -- gated
   std::vector<HistogramDiff> histograms;  // deterministic -- reported
-  std::vector<TimerDiff> timers;        // nondeterministic -- informational
+  std::vector<ProfileWallDiff> walls;   // nondeterministic -- informational
   std::vector<ResourceDiff> resources;  // nondeterministic -- informational
 
   /// Largest relative counter drift (0 when there are no counters);
-  /// +infinity when a counter or series exists on only one side, a series
-  /// diverged, or a histogram is null-vs-number (HistogramDiff::
-  /// schema_drift).
+  /// +infinity when a counter, series or profile path exists on only one
+  /// side, a series diverged, or a histogram is null-vs-number
+  /// (HistogramDiff::schema_drift).
   double max_deterministic_drift() const;
   bool deterministic_ok(double tolerance) const {
     return error.empty() && max_deterministic_drift() <= tolerance;
   }
 };
 
-/// Diffs two parsed `qplace.run_report.v1` documents. A report trimmed to
-/// `context.instance_digest` + `deterministic.counters` is a valid base.
+/// Diffs two parsed `qplace.run_report.v2` documents. A report trimmed to
+/// `context.instance_digest`, `deterministic.counters` and
+/// `deterministic.profile` is a valid base; a report without a profile tree
+/// compares as an empty tree.
 ReportDiff diff_run_reports(const json::Value& base, const json::Value& cand);
 
 }  // namespace qp::obs

@@ -8,7 +8,7 @@
 /// access_log.hpp, telemetry.hpp, ...) through the append_* helpers below,
 /// so every document escapes strings and prints numbers the same way. The
 /// reader is the matching half used by `qplace analyze` to load access
-/// logs, run reports (`qplace.run_report.v1`), and the committed bench
+/// logs, run reports (`qplace.run_report.v2`), and the committed bench
 /// baseline back into memory for cross-checking and diffing. It is
 /// deliberately small: strict JSON, doubles for all numbers (every value we
 /// emit round-trips through %.17g), objects as sorted maps so iteration

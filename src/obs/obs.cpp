@@ -21,11 +21,6 @@ Counter& Registry::counter(const std::string& name) {
   return it->second;
 }
 
-TimerStat& Registry::timer(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return timers_[name];
-}
-
 void Registry::append_series(const std::string& name, double value) {
   std::lock_guard<std::mutex> lock(mutex_);
   series_[name].push_back(value);
@@ -43,17 +38,6 @@ std::vector<std::string> Registry::counter_names() const {
   return counter_names_;
 }
 
-std::map<std::string, std::pair<std::uint64_t, double>>
-Registry::timer_values() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::map<std::string, std::pair<std::uint64_t, double>> out;
-  for (const auto& [name, timer] : timers_) {
-    out[name] = {timer.calls(),
-                 static_cast<double>(timer.total_nanos()) / 1e6};
-  }
-  return out;
-}
-
 std::map<std::string, std::vector<double>> Registry::series_values() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return series_;
@@ -62,31 +46,29 @@ std::map<std::string, std::vector<double>> Registry::series_values() const {
 void Registry::reset_all() {
   std::lock_guard<std::mutex> lock(mutex_);
   for (auto& [name, counter] : counters_) counter.reset();
-  for (auto& [name, timer] : timers_) timer.reset();
   for (auto& [name, series] : series_) series.clear();
 }
 
 ScopedTimer::ScopedTimer(const char* name)
-    : name_(name), start_(std::chrono::steady_clock::now()) {
-  if (profile_detail::g_profile_enabled.load(std::memory_order_relaxed)) {
-    profiled_ = true;
-    ProfileCollector::instance().on_span_enter(name_);
-  }
+    : name_(name),
+      profiled_(
+          profile_detail::g_profile_enabled.load(std::memory_order_relaxed)),
+      traced_(TraceRecorder::instance().enabled()) {
+  if (profiled_) ProfileCollector::instance().on_span_enter(name_);
+  if (profiled_ || traced_) start_ = std::chrono::steady_clock::now();
 }
 
 ScopedTimer::~ScopedTimer() {
-  const auto end = std::chrono::steady_clock::now();
+  if (!profiled_ && !traced_) return;
   const std::int64_t nanos =
-      std::chrono::duration_cast<std::chrono::nanoseconds>(end - start_)
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - start_)
           .count();
-  // Cache per call site would need the macro layer; a ScopedTimer is placed
-  // at phase granularity, so one map lookup per activation is fine.
-  Registry::instance().timer(name_).add(nanos);
   if (profiled_) {
     ProfileCollector::instance().on_span_exit(name_, nanos);
   }
-  TraceRecorder& recorder = TraceRecorder::instance();
-  if (recorder.enabled()) {
+  if (traced_) {
+    TraceRecorder& recorder = TraceRecorder::instance();
     const double dur_us = static_cast<double>(nanos) / 1e3;
     recorder.record(name_, recorder.now_us() - dur_us, dur_us);
   }

@@ -1,7 +1,7 @@
 #pragma once
 
 /// \file obs.hpp
-/// Low-overhead instrumentation: counters, timers and RAII spans.
+/// Low-overhead instrumentation: counters, series and RAII spans.
 ///
 /// The subsystem answers "where did the work and the time go?" for a solver
 /// run without perturbing it:
@@ -11,10 +11,11 @@
 ///    integer addition is commutative and every count reflects work whose
 ///    amount is fixed by the determinism contract (docs/PARALLEL.md), final
 ///    counter values are bit-identical for any thread count.
-///  - TimerStat / ScopedTimer: accumulated wall time + activation count per
-///    named span. Wall times are inherently nondeterministic and are
-///    therefore segregated from counters in every exported report
-///    (run_report.hpp).
+///  - ScopedTimer: a named span. It feeds the work-attribution profiler
+///    (profile.hpp), which keeps calls and wall time per span path, and the
+///    trace recorder (trace.hpp); with both off it reads no clock. Wall
+///    times are inherently nondeterministic and are therefore segregated
+///    from counters in every exported report (run_report.hpp).
 ///  - Series: an append-only vector of doubles for small deterministic
 ///    trajectories (e.g. the local-search objective after each step).
 ///    Append only from sequential code -- appends from inside a parallel
@@ -73,27 +74,6 @@ class Counter {
   std::uint32_t id_ = 0;  ///< registry-assigned, index into counter_names()
 };
 
-/// Accumulated wall time and activation count for one span name.
-class TimerStat {
- public:
-  void add(std::int64_t nanos) {
-    total_nanos_.fetch_add(nanos, std::memory_order_relaxed);
-    calls_.fetch_add(1, std::memory_order_relaxed);
-  }
-  std::int64_t total_nanos() const {
-    return total_nanos_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t calls() const { return calls_.load(std::memory_order_relaxed); }
-  void reset() {
-    total_nanos_.store(0, std::memory_order_relaxed);
-    calls_.store(0, std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<std::int64_t> total_nanos_{0};
-  std::atomic<std::uint64_t> calls_{0};
-};
-
 /// Process-wide registry of named instruments. Creation takes a mutex;
 /// returned references stay valid for the process lifetime (node-based
 /// containers), so hot paths resolve a name once and cache the reference.
@@ -102,7 +82,6 @@ class Registry {
   static Registry& instance();
 
   Counter& counter(const std::string& name);
-  TimerStat& timer(const std::string& name);
   /// Appends to the named series. Sequential-code-only (see file comment).
   void append_series(const std::string& name, double value);
 
@@ -112,8 +91,6 @@ class Registry {
   /// Counter names indexed by the id stamped into each Counter at
   /// registration; the profiler uses it to turn ids back into names.
   std::vector<std::string> counter_names() const;
-  /// name -> (calls, total milliseconds).
-  std::map<std::string, std::pair<std::uint64_t, double>> timer_values() const;
   std::map<std::string, std::vector<double>> series_values() const;
 
   /// Zeroes every instrument (registrations and addresses survive). Call
@@ -126,13 +103,14 @@ class Registry {
   mutable std::mutex mutex_;
   std::map<std::string, Counter> counters_;
   std::vector<std::string> counter_names_;  ///< index == Counter::id_
-  std::map<std::string, TimerStat> timers_;
   std::map<std::string, std::vector<double>> series_;
 };
 
-/// RAII span: accumulates its lifetime into Registry::timer(name) and, when
-/// tracing is enabled (trace.hpp), records a Chrome trace_event slice.
-/// \p name must outlive the span; pass a string literal.
+/// RAII span: when profiling is enabled (profile.hpp) it opens a node of the
+/// call tree and credits its duration there; when tracing is enabled
+/// (trace.hpp) it records a Chrome trace_event slice. With both off it costs
+/// two relaxed loads and reads no clock. \p name must outlive the span;
+/// pass a string literal.
 class ScopedTimer {
  public:
   explicit ScopedTimer(const char* name);
@@ -143,9 +121,10 @@ class ScopedTimer {
  private:
   const char* name_;
   std::chrono::steady_clock::time_point start_;
-  /// Snapshot of the profiler flag at entry, so enter/exit events stay
-  /// paired even if the profiler is toggled mid-span.
+  /// Snapshots of the profiler and tracer flags at entry, so enter/exit
+  /// events stay paired even if either is toggled mid-span.
   bool profiled_ = false;
+  bool traced_ = false;
 };
 
 /// True when the instrumentation macros are compiled in.

@@ -22,8 +22,7 @@ using json::append_double;
 using json::append_string;
 using json::append_uint;
 
-/// Deterministic subtree of one node: {"counters": {...}, "children": {...}}.
-void append_deterministic(std::string& out, const ProfileNode& node) {
+void append_counters(std::string& out, const ProfileNode& node) {
   out += "{\"counters\": {";
   bool first = true;
   for (const auto& [name, value] : node.counters) {
@@ -40,14 +39,12 @@ void append_deterministic(std::string& out, const ProfileNode& node) {
     first = false;
     append_string(out, name);
     out += ": ";
-    append_deterministic(out, child);
+    append_counters(out, child);
   }
   out += "}}";
 }
 
-/// Wall-class subtree of one node:
-/// {"calls": N, "children": {...}, "self_ms": S, "total_ms": T}.
-void append_nondeterministic(std::string& out, const ProfileNode& node) {
+void append_wall(std::string& out, const ProfileNode& node) {
   out += "{\"calls\": ";
   append_uint(out, node.calls);
   out += ", \"children\": {";
@@ -57,7 +54,7 @@ void append_nondeterministic(std::string& out, const ProfileNode& node) {
     first = false;
     append_string(out, name);
     out += ": ";
-    append_nondeterministic(out, child);
+    append_wall(out, child);
   }
   out += "}, \"self_ms\": ";
   append_double(out, static_cast<double>(node.self_nanos()) / 1e6);
@@ -236,25 +233,20 @@ void ProfileCollector::clear() {
   }
 }
 
-Profile ProfileCollector::fold(
+ProfileNode ProfileCollector::fold(
     const std::vector<std::string>& counter_names) const {
   std::lock_guard<std::mutex> lock(g_profile_mutex);
-  Profile profile;
+  ProfileNode root;
   for (const auto& state : states()) {
-    const CallNode& root = state->root;
-    if (root.children.empty() && root.counters.empty()) continue;
-    ++profile.threads;
-    merge(profile.root, root, counter_names);
+    merge(root, state->root, counter_names);
   }
 
   // The root's total is the cover of its children; it has no duration of
   // its own (self_nanos() == 0 by construction).
-  std::int64_t total = 0;
-  for (const auto& [name, child] : profile.root.children) {
-    total += child.total_nanos;
+  for (const auto& [name, child] : root.children) {
+    root.total_nanos += child.total_nanos;
   }
-  profile.root.total_nanos = total;
-  return profile;
+  return root;
 }
 
 // ---------------------------------------------------------------- profile
@@ -268,33 +260,21 @@ std::int64_t ProfileNode::self_nanos() const {
   return self > 0 ? self : 0;
 }
 
-std::string Profile::to_json(
-    const std::string& command,
-    const std::map<std::string, std::string>& context) const {
-  std::string out = "{\"schema\": \"qplace.profile.v1\", \"command\": ";
-  append_string(out, command);
-  out += ", \"context\": {";
-  bool first = true;
-  for (const auto& [key, value] : context) {
-    if (!first) out += ", ";
-    first = false;
-    append_string(out, key);
-    out += ": ";
-    append_string(out, value);
-  }
-  out += "}, \"deterministic\": {\"root\": ";
-  append_deterministic(out, root);
-  out += "}, \"nondeterministic\": {\"root\": ";
-  append_nondeterministic(out, root);
-  out += ", \"threads\": ";
-  append_uint(out, threads);
-  out += "}}";
+std::string ProfileNode::counters_json() const {
+  std::string out;
+  append_counters(out, *this);
   return out;
 }
 
-std::string Profile::to_folded() const {
+std::string ProfileNode::wall_json() const {
   std::string out;
-  append_folded(out, root, "");
+  append_wall(out, *this);
+  return out;
+}
+
+std::string ProfileNode::folded() const {
+  std::string out;
+  append_folded(out, *this, "");
   return out;
 }
 

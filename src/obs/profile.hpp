@@ -37,6 +37,11 @@
 /// parallel regions have completed. No wall clock is read here -- span
 /// durations arrive from ScopedTimer, so the profile itself stays
 /// clock-free.
+///
+/// The folded tree is part of the run report (run_report.hpp): its counter
+/// half under `deterministic.profile`, its wall half under
+/// `nondeterministic.profile`. `--profile-folded` renders the same tree as
+/// flamegraph input.
 
 #include <cstdint>
 #include <map>
@@ -56,30 +61,25 @@ struct ProfileNode {
   /// Wall time not covered by child spans, clamped at 0 (clock jitter can
   /// make children sum past the parent).
   std::int64_t self_nanos() const;
+
+  /// The deterministic half, {"counters": {...}, "children": {...}} per
+  /// node. Keys are sorted, so equal attribution means equal bytes.
+  std::string counters_json() const;
+
+  /// The wall half, {"calls": N, "children": {...}, "self_ms": S,
+  /// "total_ms": T} per node.
+  std::string wall_json() const;
+
+  /// Folded-stack lines ("a;b;c <self-wall-micros>\n" per node below this
+  /// one), the input format of standard flamegraph renderers
+  /// (flamegraph.pl, inferno, speedscope). Wall-derived and therefore
+  /// nondeterministic.
+  std::string folded() const;
 };
 
-/// A folded profile plus its provenance. Rendered as one
-/// `qplace.profile.v1` JSON document and/or as folded stacks for
-/// flamegraph renderers.
-struct Profile {
-  ProfileNode root;           ///< synthetic "(root)"; no calls of its own
-  std::uint64_t threads = 0;  ///< per-thread call trees merged
-
-  /// Serializes the `qplace.profile.v1` document: schema, command, context,
-  /// a "deterministic" subtree of {counters, children} per node and a
-  /// "nondeterministic" subtree of {calls, self_ms, total_ms, children}.
-  /// Keys are sorted, so equal deterministic data means equal bytes.
-  std::string to_json(const std::string& command,
-                      const std::map<std::string, std::string>& context) const;
-
-  /// Folded-stack lines ("a;b;c <self-wall-micros>\n" per node), the input
-  /// format of standard flamegraph renderers (flamegraph.pl, inferno,
-  /// speedscope). Wall-derived and therefore nondeterministic.
-  std::string to_folded() const;
-};
-
-/// Process-wide profile collector. Enabled by `--profile-out`
-/// (tools/qplace.cpp); recording costs one relaxed atomic load when off.
+/// Process-wide profile collector. Enabled by `--stats-out` and
+/// `--profile-folded` (tools/qplace.cpp); recording costs one relaxed atomic
+/// load when off.
 class ProfileCollector {
  public:
   static ProfileCollector& instance();
@@ -109,10 +109,12 @@ class ProfileCollector {
   /// sequential code between runs that must be compared.
   void clear();
 
-  /// Merges every thread's call tree into one profile. \p counter_names maps
-  /// counter ids to registry names (Registry::counter_names()). Call from
-  /// sequential code after parallel regions have completed.
-  Profile fold(const std::vector<std::string>& counter_names) const;
+  /// Merges every thread's call tree into the synthetic root node ("no
+  /// calls of its own"; its total is the cover of its children). \p
+  /// counter_names maps counter ids to registry names
+  /// (Registry::counter_names()). Call from sequential code after parallel
+  /// regions have completed.
+  ProfileNode fold(const std::vector<std::string>& counter_names) const;
 
   /// Opaque per-thread state; defined in profile.cpp only.
   struct ThreadState;

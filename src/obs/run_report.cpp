@@ -9,6 +9,7 @@
 
 #include "obs/json.hpp"
 #include "obs/obs.hpp"
+#include "obs/profile.hpp"
 
 namespace qp::obs {
 
@@ -38,7 +39,7 @@ void RunReport::add_nondeterministic_json(const std::string& key,
 std::string RunReport::to_json() const {
   const Registry& registry = Registry::instance();
 
-  std::string out = "{\"schema\": \"qplace.run_report.v1\", \"command\": ";
+  std::string out = "{\"schema\": \"qplace.run_report.v2\", \"command\": ";
   append_string(out, command_);
 
   out += ", \"context\": ";
@@ -78,21 +79,14 @@ std::string RunReport::to_json() const {
   }
   out += ", \"histograms\": ";
   append_object(out, histograms_);
+  const ProfileNode profile =
+      ProfileCollector::instance().fold(registry.counter_names());
+  out += ", \"profile\": ";
+  out += profile.counters_json();
   out += "}";
 
-  out += ", \"nondeterministic\": {\"timers\": ";
-  {
-    std::map<std::string, std::string> rendered;
-    for (const auto& [name, stat] : registry.timer_values()) {
-      std::string cell = "{\"calls\": ";
-      append_uint(cell, stat.first);
-      cell += ", \"total_ms\": ";
-      append_double(cell, stat.second);
-      cell += "}";
-      rendered[name] = cell;
-    }
-    append_object(out, rendered);
-  }
+  out += ", \"nondeterministic\": {\"profile\": ";
+  out += profile.wall_json();
 #if defined(__unix__) || defined(__APPLE__)
   // Process-level resource footprint: wall-class data (the RSS peak depends
   // on scheduling, allocator behavior, and thread count), so it lives

@@ -1,21 +1,24 @@
 #pragma once
 
 /// \file run_report.hpp
-/// Structured run report: one JSON document summarizing a solver run.
+/// Structured run report: the one JSON document a run writes about its
+/// work and its time.
 ///
-/// Schema (docs/OBSERVABILITY.md, `qplace.run_report.v1`):
+/// Schema (docs/OBSERVABILITY.md, `qplace.run_report.v2`):
 ///
 ///   {
-///     "schema": "qplace.run_report.v1",
+///     "schema": "qplace.run_report.v2",
 ///     "command": "<cli command or binary name>",
 ///     "context": {"<key>": "<string value>", ...},
 ///     "deterministic": {              // bit-identical across thread counts
 ///       "counters":   {"<name>": <uint>, ...},
 ///       "series":     {"<name>": [<double>, ...], ...},
-///       "histograms": {"<name>": {<histogram.hpp to_json()>}, ...}
+///       "histograms": {"<name>": {<histogram.hpp to_json()>}, ...},
+///       "profile":    {"counters": {...}, "children": {"<span>": {...}}}
 ///     },
 ///     "nondeterministic": {           // wall clock, scheduling, host
-///       "timers": {"<name>": {"calls": <uint>, "total_ms": <double>}, ...},
+///       "profile": {"calls": <uint>, "children": {"<span>": {...}},
+///                   "self_ms": <double>, "total_ms": <double>},
 ///       "resources": {"max_rss_kb": <uint>,  // getrusage(); POSIX only
 ///                     "page_faults_major": <uint>,
 ///                     "page_faults_minor": <uint>},
@@ -23,12 +26,16 @@
 ///     }
 ///   }
 ///
+/// `counters` are the Registry totals; the two `profile` halves are the
+/// ProfileCollector's call tree (profile.hpp), whose per-node counters sum
+/// to those totals when the collector ran for the whole command.
+///
 /// The deterministic/nondeterministic split is load-bearing: tests and CI
 /// compare the "deterministic" subtree byte-for-byte between `--threads 1`
 /// and `--threads 8` runs (the docs/PARALLEL.md contract extended to
-/// observability), while timers/resources/pool live where no such promise is
-/// made. Keys inside each object are emitted in sorted order so equal data
-/// serializes to equal bytes.
+/// observability), while wall times/resources/pool live where no such
+/// promise is made. Keys inside each object are emitted in sorted order so
+/// equal data serializes to equal bytes.
 
 #include <map>
 #include <string>
@@ -44,12 +51,6 @@ class RunReport {
   /// Adds a context key (echoed verbatim; use for flags, algorithm, seed).
   void set_context(const std::string& key, const std::string& value);
 
-  /// The accumulated context map; other artifact writers (the profiler's
-  /// `qplace.profile.v1` document) echo the same provenance block.
-  const std::map<std::string, std::string>& context() const {
-    return context_;
-  }
-
   /// Adds a named histogram to the deterministic section.
   void add_histogram(const std::string& name, const LogHistogram& histogram);
 
@@ -59,7 +60,8 @@ class RunReport {
   void add_nondeterministic_json(const std::string& key,
                                  const std::string& json);
 
-  /// Serializes the report, snapshotting the Registry at call time.
+  /// Serializes the report, snapshotting the Registry and folding the
+  /// ProfileCollector at call time.
   std::string to_json() const;
 
  private:

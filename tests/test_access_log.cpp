@@ -608,10 +608,10 @@ TEST(AnalyzeAccessLog, RejectsOutOfRangeRecords) {
 obs::json::Value make_report(const std::string& counters,
                              const std::string& context = "{}") {
   return obs::json::parse(
-      "{\"schema\": \"qplace.run_report.v1\", \"context\": " + context +
+      "{\"schema\": \"qplace.run_report.v2\", \"context\": " + context +
       ", \"deterministic\": {\"counters\": " + counters +
       ", \"series\": {}, \"histograms\": {}}, "
-      "\"nondeterministic\": {\"timers\": {}}}");
+      "\"nondeterministic\": {}}");
 }
 
 TEST(ReportDiff, ZeroDriftOnIdenticalCounters) {
@@ -666,10 +666,12 @@ TEST(ReportDiff, FlagsObsOffBuilds) {
 
 TEST(ReportDiff, ReportsSeriesDivergenceAsInfiniteDrift) {
   const obs::json::Value base = obs::json::parse(
-      "{\"deterministic\": {\"counters\": {}, "
+      "{\"schema\": \"qplace.run_report.v2\", "
+      "\"deterministic\": {\"counters\": {}, "
       "\"series\": {\"lp.objective\": [1.0, 2.0]}, \"histograms\": {}}}");
   const obs::json::Value cand = obs::json::parse(
-      "{\"deterministic\": {\"counters\": {}, "
+      "{\"schema\": \"qplace.run_report.v2\", "
+      "\"deterministic\": {\"counters\": {}, "
       "\"series\": {\"lp.objective\": [1.0, 2.5]}, \"histograms\": {}}}");
   const obs::ReportDiff diff = obs::diff_run_reports(base, cand);
   EXPECT_TRUE(diff.error.empty());
@@ -687,7 +689,8 @@ obs::json::Value make_histogram_report(bool empty) {
             : "\"count\": 5, \"mean\": 2.0, \"p50\": 2.0, "
               "\"p90\": 3.0, \"p99\": 3.0";
   return obs::json::parse(
-      "{\"deterministic\": {\"counters\": {}, \"series\": {}, "
+      "{\"schema\": \"qplace.run_report.v2\", "
+      "\"deterministic\": {\"counters\": {}, \"series\": {}, "
       "\"histograms\": {\"sim.queue_wait\": {" + stats + "}}}}");
 }
 

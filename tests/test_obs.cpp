@@ -15,7 +15,9 @@
 #include <vector>
 
 #include "obs/histogram.hpp"
+#include "obs/json.hpp"
 #include "obs/obs.hpp"
+#include "obs/profile.hpp"
 #include "obs/run_report.hpp"
 #include "obs/trace.hpp"
 
@@ -98,18 +100,22 @@ TEST(Obs, MacrosRespectCompileTimeSwitch) {
 }
 
 TEST(Obs, ScopedTimerCountsCalls) {
-  obs::Registry& registry = obs::Registry::instance();
-  registry.reset_all();
+  obs::ProfileCollector& profiler = obs::ProfileCollector::instance();
+  profiler.clear();
+  profiler.set_enabled(true);
   for (int i = 0; i < 3; ++i) {
     QP_SPAN("test.span");
   }
-  const auto timers = registry.timer_values();
+  profiler.set_enabled(false);
+  const obs::ProfileNode root =
+      profiler.fold(obs::Registry::instance().counter_names());
+  profiler.clear();
   if (obs::compiled_in()) {
-    ASSERT_EQ(timers.count("test.span"), 1u);
-    EXPECT_EQ(timers.at("test.span").first, 3u);
-    EXPECT_GE(timers.at("test.span").second, 0.0);
+    ASSERT_EQ(root.children.count("test.span"), 1u);
+    EXPECT_EQ(root.children.at("test.span").calls, 3u);
+    EXPECT_GE(root.children.at("test.span").total_nanos, 0);
   } else {
-    EXPECT_EQ(timers.count("test.span"), 0u);
+    EXPECT_EQ(root.children.count("test.span"), 0u);
   }
 }
 
@@ -277,13 +283,27 @@ TEST(RunReport, JsonFollowsSchema) {
 
   const std::string json = report.to_json();
   EXPECT_TRUE(looks_like_json_object(json)) << json;
-  EXPECT_NE(json.find("\"schema\": \"qplace.run_report.v1\""),
+  EXPECT_NE(json.find("\"schema\": \"qplace.run_report.v2\""),
             std::string::npos);
   EXPECT_NE(json.find("\"command\": \"unit-test\""), std::string::npos);
   EXPECT_NE(json.find("\"deterministic\""), std::string::npos);
   EXPECT_NE(json.find("\"nondeterministic\""), std::string::npos);
   EXPECT_NE(json.find("\"test.hist\""), std::string::npos);
   EXPECT_NE(json.find("\"pool\": {\"threads\": 1}"), std::string::npos);
+  // The profile tree rides in both halves: counter attribution under
+  // deterministic, calls and wall time under nondeterministic. The
+  // collector is off here, so both are the empty root.
+  const obs::json::Value doc = obs::json::parse(json);
+  const obs::json::Value& det = *doc.find("deterministic");
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : det.object) keys.push_back(key);
+  EXPECT_EQ(keys, (std::vector<std::string>{"counters", "histograms",
+                                            "profile", "series"}));
+  ASSERT_NE(det.find("profile")->find("children"), nullptr);
+  const obs::json::Value& wall = *doc.find("nondeterministic");
+  ASSERT_NE(wall.find("profile"), nullptr);
+  EXPECT_EQ(wall.find("profile")->get_number("calls", -1.0), 0.0);
+  EXPECT_EQ(wall.find("timers"), nullptr);
   if (obs::compiled_in()) {
     EXPECT_NE(json.find("\"test.report_counter\": 7"), std::string::npos);
     EXPECT_NE(json.find("\"test.report_series\""), std::string::npos);

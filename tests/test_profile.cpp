@@ -1,9 +1,10 @@
-/// Work-attribution profiler suite (obs/profile.hpp, analyze/profile_diff.hpp):
-/// span-path folding edge cases (duplicate siblings, long runs, empty
-/// traces), counter self-attribution, ambient frames, the metamorphic
-/// byte-identity of the deterministic subtree across thread counts, the
-/// profile diff the CLI gates on, and the counter-drift comparator table
-/// shared by the run-report and profile diffs.
+/// Work-attribution profiler suite (obs/profile.hpp and the profile tree of
+/// the run report): span-path folding edge cases (duplicate siblings, long
+/// runs, empty traces), counter self-attribution, ambient frames, the
+/// metamorphic byte-identity of the deterministic subtree across thread
+/// counts, the tree summing to the report's flat counters, the per-node
+/// diff the CLI gates on, and the counter-drift comparator table shared by
+/// the flat counters and the profile nodes.
 
 #include <gtest/gtest.h>
 
@@ -16,8 +17,10 @@
 #include <utility>
 #include <vector>
 
-#include "analyze/profile_diff.hpp"
+#include "analyze/analyze.hpp"
+#include "check/certificate.hpp"
 #include "core/multi_strategy.hpp"
+#include "core/placement_report.hpp"
 #include "core/qpp_solver.hpp"
 #include "core/specialized.hpp"
 #include "exec/thread_pool.hpp"
@@ -26,7 +29,9 @@
 #include "obs/json.hpp"
 #include "obs/obs.hpp"
 #include "obs/profile.hpp"
+#include "obs/run_report.hpp"
 #include "quorum/constructions.hpp"
+#include "sim/simulator.hpp"
 
 namespace qp {
 namespace {
@@ -54,19 +59,20 @@ std::vector<std::string> counter_names() {
 
 TEST(Profile, EmptyTraceYieldsEmptyButValidProfile) {
   ProfileSession session;
-  const obs::Profile profile = collector().fold(counter_names());
-  EXPECT_TRUE(profile.root.counters.empty());
-  EXPECT_TRUE(profile.root.children.empty());
-  EXPECT_EQ(profile.root.calls, 0u);
+  const obs::ProfileNode root = collector().fold(counter_names());
+  EXPECT_TRUE(root.counters.empty());
+  EXPECT_TRUE(root.children.empty());
+  EXPECT_EQ(root.calls, 0u);
 
-  // The document still parses and carries the schema marker...
-  const std::string json = profile.to_json("unit-test", {});
-  const obs::json::Value doc = obs::json::parse(json);
-  EXPECT_EQ(doc.get_string("schema", ""), "qplace.profile.v1");
-  ASSERT_NE(doc.find("deterministic"), nullptr);
-  ASSERT_NE(doc.find("nondeterministic"), nullptr);
+  // Both halves still parse with every key present...
+  const obs::json::Value counters = obs::json::parse(root.counters_json());
+  ASSERT_NE(counters.find("counters"), nullptr);
+  ASSERT_NE(counters.find("children"), nullptr);
+  const obs::json::Value wall = obs::json::parse(root.wall_json());
+  EXPECT_EQ(wall.get_number("calls", -1.0), 0.0);
+  EXPECT_EQ(wall.get_number("total_ms", -1.0), 0.0);
   // ...and the folded-stack rendering is empty, not malformed.
-  EXPECT_EQ(profile.to_folded(), "");
+  EXPECT_EQ(root.folded(), "");
 }
 
 TEST(Profile, DuplicateSiblingSpansMergeIntoOneNode) {
@@ -79,10 +85,9 @@ TEST(Profile, DuplicateSiblingSpansMergeIntoOneNode) {
   c.on_span_exit("test.profile.leaf", 2000);
   c.on_span_exit("test.profile.parent", 5000);
 
-  const obs::Profile profile = c.fold(counter_names());
-  ASSERT_EQ(profile.root.children.size(), 1u);
-  const obs::ProfileNode& parent =
-      profile.root.children.at("test.profile.parent");
+  const obs::ProfileNode root = c.fold(counter_names());
+  ASSERT_EQ(root.children.size(), 1u);
+  const obs::ProfileNode& parent = root.children.at("test.profile.parent");
   EXPECT_EQ(parent.calls, 1u);
   EXPECT_EQ(parent.total_nanos, 5000);
   // Both sibling activations folded into one node, durations summed, and
@@ -93,7 +98,7 @@ TEST(Profile, DuplicateSiblingSpansMergeIntoOneNode) {
   EXPECT_EQ(leaf.total_nanos, 3000);
   EXPECT_EQ(parent.self_nanos(), 2000);
   // Folded stacks use ';'-joined paths with self-time in microseconds.
-  const std::string folded = profile.to_folded();
+  const std::string folded = root.folded();
   EXPECT_NE(folded.find("test.profile.parent;test.profile.leaf 3\n"),
             std::string::npos)
       << folded;
@@ -113,10 +118,9 @@ TEST(Profile, CountersAttributeToInnermostOpenSpan) {
   registry.counter("test.profile.work").add(2);
   c.on_span_exit("test.profile.outer", 400);
 
-  const obs::Profile profile = c.fold(counter_names());
-  EXPECT_EQ(profile.root.counters.at("test.profile.glue"), 7u);
-  const obs::ProfileNode& outer =
-      profile.root.children.at("test.profile.outer");
+  const obs::ProfileNode root = c.fold(counter_names());
+  EXPECT_EQ(root.counters.at("test.profile.glue"), 7u);
+  const obs::ProfileNode& outer = root.children.at("test.profile.outer");
   // Self attribution: the outer span keeps only the adds made while it was
   // innermost (3 + 2); the nested span's 11 never leaks upward.
   EXPECT_EQ(outer.counters.at("test.profile.work"), 5u);
@@ -150,9 +154,8 @@ TEST(Profile, AmbientScopeAnchorsAttributionWithoutCalls) {
   // A null path makes the scope a no-op (the profiling-off case).
   { obs::ProfileAmbientScope noop(nullptr); }
 
-  const obs::Profile profile = c.fold(counter_names());
-  const obs::ProfileNode& submit =
-      profile.root.children.at("test.profile.submit");
+  const obs::ProfileNode root = c.fold(counter_names());
+  const obs::ProfileNode& submit = root.children.at("test.profile.submit");
   EXPECT_EQ(submit.calls, 1u);  // the ambient frame bumped no calls
   EXPECT_EQ(submit.counters.at("test.profile.chunk_work"), 9u);
   EXPECT_EQ(submit.children.at("test.profile.nested").calls, 1u);
@@ -174,11 +177,10 @@ TEST(Profile, LongRunsFoldEverySpanWithoutTruncation) {
   }
   c.on_span_exit("test.profile.long_parent", 1000);
 
-  const obs::Profile profile = c.fold(counter_names());
-  EXPECT_EQ(profile.root.children.count("<truncated>"), 0u);
-  ASSERT_EQ(profile.root.children.size(), 1u);
-  const obs::ProfileNode& parent =
-      profile.root.children.at("test.profile.long_parent");
+  const obs::ProfileNode root = c.fold(counter_names());
+  EXPECT_EQ(root.children.count("<truncated>"), 0u);
+  ASSERT_EQ(root.children.size(), 1u);
+  const obs::ProfileNode& parent = root.children.at("test.profile.long_parent");
   EXPECT_EQ(parent.calls, 1u);
   EXPECT_TRUE(parent.counters.empty());
   ASSERT_EQ(parent.children.size(), 1u);
@@ -186,18 +188,6 @@ TEST(Profile, LongRunsFoldEverySpanWithoutTruncation) {
   EXPECT_EQ(child.calls, pairs);
   EXPECT_EQ(child.total_nanos, static_cast<std::int64_t>(10 * pairs));
   EXPECT_EQ(child.counters.at("test.profile.work"), pairs);
-}
-
-/// Extracts the deterministic subtree's exact bytes from a rendered
-/// `qplace.profile.v1` document.
-std::string deterministic_slice(const std::string& json) {
-  const std::size_t begin = json.find("\"deterministic\"");
-  const std::size_t end = json.find("\"nondeterministic\"");
-  if (begin == std::string::npos || end == std::string::npos || end < begin) {
-    ADD_FAILURE() << "malformed profile document: " << json;
-    return json;
-  }
-  return json.substr(begin, end - begin);
 }
 
 TEST(Profile, DeterministicSubtreeByteIdenticalAcrossThreadCounts) {
@@ -238,17 +228,11 @@ TEST(Profile, DeterministicSubtreeByteIdenticalAcrossThreadCounts) {
 
   const auto profiled = [](int threads, const std::function<void()>& run) {
     obs::Registry::instance().reset_all();
-    obs::ProfileCollector& c = collector();
-    c.clear();
-    c.set_enabled(true);
+    ProfileSession session;
     exec::set_num_threads(threads);
     run();
     exec::set_num_threads(0);
-    c.set_enabled(false);
-    const obs::Profile profile =
-        c.fold(obs::Registry::instance().counter_names());
-    c.clear();
-    return profile.to_json("unit-test", {{"seed", "7"}});
+    return collector().fold(counter_names()).counters_json();
   };
 
   for (const auto& [name, run] : runs) {
@@ -258,21 +242,104 @@ TEST(Profile, DeterministicSubtreeByteIdenticalAcrossThreadCounts) {
     EXPECT_NE(at_one.find("\"qpp.relay_sweep\""), std::string::npos);
     // The docs/PARALLEL.md contract extended to attribution: per-span-path
     // counter sums are byte-identical regardless of how chunks were spread
-    // across worker threads. Wall times and thread counts may differ.
-    EXPECT_EQ(deterministic_slice(at_one), deterministic_slice(at_eight));
+    // across worker threads. Wall times may differ.
+    EXPECT_EQ(at_one, at_eight);
+  }
+}
+
+/// Sums every node's counters of a parsed profile tree into \p out.
+void sum_tree(const obs::json::Value& node,
+              std::map<std::string, double>& out) {
+  for (const auto& [name, value] : node.find("counters")->object) {
+    out[name] += value.number;
+  }
+  for (const auto& [name, child] : node.find("children")->object) {
+    sum_tree(child, out);
+  }
+}
+
+TEST(Profile, TreeSumsToRunReportCounters) {
+  // The pipelines behind `qplace solve`, `check` and `simulate`, from the
+  // metric build on. With the collector on for the whole run, every
+  // increment lands on exactly one node (the root takes those made with no
+  // span open), so the report's tree sums to its flat counters.
+  const graph::Graph topology = graph::grid_mesh(4);
+  const quorum::QuorumSystem grid = quorum::grid(2);
+  const auto instance = [&] {
+    return core::QppInstance(graph::Metric::from_graph(topology),
+                             std::vector<double>(16, 1.0), grid,
+                             quorum::AccessStrategy::uniform(grid));
+  };
+  core::QppSolveOptions options;
+  options.alpha = 2.0;
+  const std::vector<std::pair<std::string, std::function<void()>>> runs = {
+      {"solve",
+       [&] {
+         // As `qplace solve` prints it: the report's evaluations run with
+         // no span open, so they exercise the root node.
+         const core::QppInstance solved = instance();
+         const auto result = core::solve_qpp(solved, options);
+         ASSERT_TRUE(result.has_value());
+         (void)core::evaluate_placement(solved, result->placement);
+       }},
+      {"check",
+       [&] {
+         const core::QppInstance checked = instance();
+         const auto result = core::solve_qpp(checked, options);
+         ASSERT_TRUE(result.has_value());
+         (void)check::check_certificate(checked, *result);
+       }},
+      {"simulate",
+       [&] {
+         const core::QppInstance simulated = instance();
+         const auto result = core::solve_qpp(simulated, options);
+         ASSERT_TRUE(result.has_value());
+         sim::SimulationConfig config;
+         config.duration = 50.0;
+         (void)sim::simulate(simulated, result->placement, config);
+       }},
+  };
+
+  for (const auto& [name, run] : runs) {
+    for (const int threads : {1, 8}) {
+      SCOPED_TRACE(name + " at --threads " + std::to_string(threads));
+      obs::Registry::instance().reset_all();
+      std::string json;
+      {
+        ProfileSession session;
+        exec::set_num_threads(threads);
+        run();
+        exec::set_num_threads(0);
+        collector().set_enabled(false);
+        json = obs::RunReport(name).to_json();
+      }
+      const obs::json::Value report = obs::json::parse(json);
+      const obs::json::Value& det = *report.find("deterministic");
+      std::map<std::string, double> sums;
+      sum_tree(*det.find("profile"), sums);
+      const obs::json::Value& counters = *det.find("counters");
+      if (obs::compiled_in()) {
+        EXPECT_FALSE(sums.empty());
+      }
+      for (const auto& [counter, total] : counters.object) {
+        EXPECT_EQ(sums[counter], total.number) << counter;
+      }
+      // No node credits a counter the registry does not total.
+      EXPECT_EQ(sums.size(), counters.object.size());
+    }
   }
 }
 
 // ---------------------------------------------------------------- diffing
 
-/// Renders a small but realistic profile document through the real emitter,
-/// so the diff tests also round-trip to_json -> json::parse.
-std::string profile_doc(const std::string& digest, std::uint64_t candidates,
-                        std::uint64_t chunks, double sweep_ms,
-                        bool extra_node = false, int extra_feasible = -1) {
-  obs::Profile profile;
-  profile.threads = 1;
-  obs::ProfileNode& sweep = profile.root.children["qpp.relay_sweep"];
+/// A small but realistic run report whose profile tree is rendered through
+/// the real node emitters, so the diff tests also round-trip
+/// counters_json / wall_json -> json::parse.
+std::string report_doc(const std::string& digest, std::uint64_t candidates,
+                       std::uint64_t chunks, double sweep_ms,
+                       bool extra_node = false, int extra_feasible = -1) {
+  obs::ProfileNode root;
+  obs::ProfileNode& sweep = root.children["qpp.relay_sweep"];
   sweep.calls = 1;
   sweep.total_nanos = static_cast<std::int64_t>(sweep_ms * 1e6);
   sweep.counters["qpp.relay_candidates"] = candidates;
@@ -280,45 +347,54 @@ std::string profile_doc(const std::string& digest, std::uint64_t candidates,
     sweep.counters["qpp.relay_feasible"] =
         static_cast<std::uint64_t>(extra_feasible);
   }
-  profile.root.counters["exec.chunks"] = chunks;
+  root.counters["exec.chunks"] = chunks;
   if (extra_node) {
-    obs::ProfileNode& lp = profile.root.children["lp.solve"];
+    obs::ProfileNode& lp = root.children["lp.solve"];
     lp.calls = 2;
     lp.counters["lp.pivots"] = 64;
   }
-  profile.root.total_nanos = sweep.total_nanos;
-  std::map<std::string, std::string> context;
-  if (!digest.empty()) context["instance_digest"] = digest;
-  return profile.to_json("solve", context);
+  root.total_nanos = sweep.total_nanos;
+  const std::string context =
+      digest.empty() ? "{}" : R"({"instance_digest": ")" + digest + "\"}";
+  return R"({"schema": "qplace.run_report.v2", "context": )" + context +
+         R"(, "deterministic": {"counters": {}, "profile": )" +
+         root.counters_json() + R"(}, "nondeterministic": {"profile": )" +
+         root.wall_json() + "}}";
 }
 
-obs::ProfileDiff diff_docs(const std::string& base, const std::string& cand) {
-  return obs::diff_profiles(obs::json::parse(base), obs::json::parse(cand));
+obs::ReportDiff diff_docs(const std::string& base, const std::string& cand) {
+  return obs::diff_run_reports(obs::json::parse(base), obs::json::parse(cand));
 }
 
 TEST(ProfileDiff, IdenticalProfilesShowZeroDrift) {
-  const std::string doc = profile_doc("abc", 100, 4, 10.0);
-  const obs::ProfileDiff diff = diff_docs(doc, doc);
+  const std::string doc = report_doc("abc", 100, 4, 10.0);
+  const obs::ReportDiff diff = diff_docs(doc, doc);
   EXPECT_TRUE(diff.error.empty()) << diff.error;
   EXPECT_TRUE(diff.structure.empty());
   EXPECT_EQ(diff.max_deterministic_drift(), 0.0);
   EXPECT_TRUE(diff.deterministic_ok(0.0));
-  // Wall times are reported only; on identical documents they agree.
+  // Both nodes are compared, and their wall times are reported only; on
+  // identical documents they agree.
+  EXPECT_EQ(diff.walls.size(), 2u);
   for (const obs::ProfileWallDiff& wall : diff.walls) {
     EXPECT_EQ(wall.total_ms_base, wall.total_ms_cand) << wall.path;
   }
 }
 
 TEST(ProfileDiff, CounterValueDriftIsDetectedAndLocated) {
-  const obs::ProfileDiff diff = diff_docs(profile_doc("abc", 100, 4, 10.0),
-                                          profile_doc("abc", 120, 4, 10.0));
+  const obs::ReportDiff diff = diff_docs(report_doc("abc", 100, 4, 10.0),
+                                         report_doc("abc", 120, 4, 10.0));
   EXPECT_TRUE(diff.error.empty()) << diff.error;
   EXPECT_NEAR(diff.max_deterministic_drift(), 0.2, 1e-12);
   EXPECT_FALSE(diff.deterministic_ok(0.1));
   EXPECT_TRUE(diff.deterministic_ok(0.25));
-  // The drifted counter is named at its node path.
+  // The drifted counter is named at its node path; the root's counters are
+  // located at "(root)", never at the flat totals' "".
   bool located = false;
   for (const obs::CounterDiff& counter : diff.counters) {
+    if (counter.name == "exec.chunks") {
+      EXPECT_EQ(counter.path, "(root)");
+    }
     if (counter.path == "qpp.relay_sweep" &&
         counter.name == "qpp.relay_candidates") {
       located = true;
@@ -330,9 +406,9 @@ TEST(ProfileDiff, CounterValueDriftIsDetectedAndLocated) {
 }
 
 TEST(ProfileDiff, OneSidedPathGatesAsStructuralDrift) {
-  const obs::ProfileDiff diff =
-      diff_docs(profile_doc("abc", 100, 4, 10.0),
-                profile_doc("abc", 100, 4, 10.0, /*extra_node=*/true));
+  const obs::ReportDiff diff =
+      diff_docs(report_doc("abc", 100, 4, 10.0),
+                report_doc("abc", 100, 4, 10.0, /*extra_node=*/true));
   EXPECT_TRUE(diff.error.empty()) << diff.error;
   ASSERT_EQ(diff.structure.size(), 1u);
   EXPECT_EQ(diff.structure[0].path, "lp.solve");
@@ -345,38 +421,48 @@ TEST(ProfileDiff, OneSidedPathGatesAsStructuralDrift) {
 TEST(ProfileDiff, OneSidedCounterGatesOnlyWhenNonzero) {
   // A counter present on one side with value 0 is indistinguishable from an
   // absent one (work never happened) -- drift 0, not infinity.
-  const obs::ProfileDiff zero =
-      diff_docs(profile_doc("abc", 100, 4, 10.0),
-                profile_doc("abc", 100, 4, 10.0, false, /*extra_feasible=*/0));
+  const obs::ReportDiff zero =
+      diff_docs(report_doc("abc", 100, 4, 10.0),
+                report_doc("abc", 100, 4, 10.0, false, /*extra_feasible=*/0));
   EXPECT_EQ(zero.max_deterministic_drift(), 0.0);
   // Nonzero one-sided counter: infinite drift, always gated.
-  const obs::ProfileDiff nonzero =
-      diff_docs(profile_doc("abc", 100, 4, 10.0),
-                profile_doc("abc", 100, 4, 10.0, false, /*extra_feasible=*/5));
+  const obs::ReportDiff nonzero =
+      diff_docs(report_doc("abc", 100, 4, 10.0),
+                report_doc("abc", 100, 4, 10.0, false, /*extra_feasible=*/5));
   EXPECT_TRUE(std::isinf(nonzero.max_deterministic_drift()));
 }
 
 TEST(ProfileDiff, DisagreeingInstanceDigestsAreRefused) {
-  const obs::ProfileDiff refused = diff_docs(profile_doc("abc", 100, 4, 10.0),
-                                             profile_doc("xyz", 100, 4, 10.0));
+  const obs::ReportDiff refused = diff_docs(report_doc("abc", 100, 4, 10.0),
+                                            report_doc("xyz", 100, 4, 10.0));
   EXPECT_FALSE(refused.error.empty());
   EXPECT_FALSE(refused.deterministic_ok(1e9));
-  // A missing digest on either side is tolerated (older artifacts).
-  const obs::ProfileDiff tolerated = diff_docs(
-      profile_doc("", 100, 4, 10.0), profile_doc("abc", 100, 4, 10.0));
+  // A missing digest on either side is tolerated (trimmed fixtures).
+  const obs::ReportDiff tolerated = diff_docs(
+      report_doc("", 100, 4, 10.0), report_doc("abc", 100, 4, 10.0));
   EXPECT_TRUE(tolerated.error.empty()) << tolerated.error;
 }
 
 TEST(ProfileDiff, WrongSchemaIsRefused) {
-  const obs::ProfileDiff diff =
-      diff_docs("{\"schema\": \"qplace.run_report.v1\"}",
-                profile_doc("abc", 100, 4, 10.0));
-  EXPECT_FALSE(diff.error.empty());
+  // A v1 run report and a v1 profile document: neither carries the v2
+  // tree in the place the gate reads it, so both are refused outright.
+  for (const char* foreign :
+       {R"({"schema": "qplace.run_report.v1", "deterministic": )"
+        R"({"counters": {"qpp.relay_candidates": 100}}})",
+        R"({"schema": "qplace.profile.v1", "deterministic": )"
+        R"({"root": {"counters": {}, "children": {}}}})"}) {
+    SCOPED_TRACE(foreign);
+    const obs::ReportDiff diff =
+        diff_docs(foreign, report_doc("abc", 100, 4, 10.0));
+    EXPECT_NE(diff.error.find("qplace.run_report.v2"), std::string::npos)
+        << diff.error;
+    EXPECT_FALSE(diff.deterministic_ok(1e9));
+  }
 }
 
 TEST(ProfileDiff, WallDriftIsReportedButSeparateFromDeterministic) {
-  const obs::ProfileDiff diff = diff_docs(profile_doc("abc", 100, 4, 10.0),
-                                          profile_doc("abc", 100, 4, 15.0));
+  const obs::ReportDiff diff = diff_docs(report_doc("abc", 100, 4, 10.0),
+                                         report_doc("abc", 100, 4, 15.0));
   EXPECT_TRUE(diff.error.empty()) << diff.error;
   // Same work, slower wall clock: the deterministic gate passes at
   // tolerance 0, while the wall times are reported side by side.
@@ -393,10 +479,10 @@ TEST(ProfileDiff, WallDriftIsReportedButSeparateFromDeterministic) {
 
 // ------------------------------------------------------- comparator table
 
-/// One counter-drift case, run against both artifact kinds: the two sides'
-/// counter objects and instance digests ("" = none), and either the
-/// expected rows and max deterministic drift or a fragment of the refusal
-/// message.
+/// One counter-drift case, run against both places a counter sits in a run
+/// report (the flat totals and a profile node): the two sides' counter
+/// objects and instance digests ("" = none), and either the expected rows
+/// and max deterministic drift or a fragment of the refusal message.
 struct ComparatorCase {
   const char* name;
   const char* base_counters;
@@ -447,23 +533,22 @@ std::string context_json(const char* digest) {
 
 obs::json::Value case_run_report(const char* counters, const char* digest) {
   return obs::json::parse(
-      R"({"schema": "qplace.run_report.v1", "context": )" +
+      R"({"schema": "qplace.run_report.v2", "context": )" +
       context_json(digest) + R"(, "deterministic": {"counters": )" +
       counters + "}}");
 }
 
-/// The same counters attributed to one span below the root.
+/// The same counters attributed to one span below the profile root.
 obs::json::Value case_profile(const char* counters, const char* digest) {
   return obs::json::parse(
-      R"({"schema": "qplace.profile.v1", "context": )" +
+      R"({"schema": "qplace.run_report.v2", "context": )" +
       context_json(digest) +
-      R"(, "deterministic": {"root": {"counters": {}, "children": )"
-      R"({"qpp.relay_sweep": {"counters": )" +
+      R"(, "deterministic": {"counters": {}, "profile": {"counters": {}, )"
+      R"("children": {"qpp.relay_sweep": {"counters": )" +
       counters + "}}}}}");
 }
 
-template <typename Diff>
-void expect_case(const ComparatorCase& c, const Diff& diff) {
+void expect_case(const ComparatorCase& c, const obs::ReportDiff& diff) {
   SCOPED_TRACE(c.name);
   if (c.refusal != nullptr) {
     EXPECT_NE(diff.error.find(c.refusal), std::string::npos) << diff.error;
@@ -492,9 +577,9 @@ TEST(CounterComparator, TableHoldsForRunReports) {
 
 TEST(CounterComparator, TableHoldsForProfiles) {
   for (const ComparatorCase& c : kComparatorCases) {
-    const obs::ProfileDiff diff =
-        obs::diff_profiles(case_profile(c.base_counters, c.base_digest),
-                           case_profile(c.cand_counters, c.cand_digest));
+    const obs::ReportDiff diff =
+        obs::diff_run_reports(case_profile(c.base_counters, c.base_digest),
+                              case_profile(c.cand_counters, c.cand_digest));
     expect_case(c, diff);
     // Every comparable row is located at the span it was attributed to.
     for (const obs::CounterDiff& counter : diff.counters) {

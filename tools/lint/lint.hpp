@@ -69,7 +69,7 @@ struct LayerConfig {
 
 /// Determinism-rule allowlist (tools/lint/allowlist.conf): blanket
 /// per-directory grants (`dir <prefix> <rule>`) for layers whose job is the
-/// banned construct (src/obs/ timers), plus the manifest of every escape
+/// banned construct (src/obs/ span clocks), plus the manifest of every escape
 /// pragma in the tree (`pragma <file> <rule>`).
 struct Allowlist {
   std::vector<std::pair<std::string, std::string>> dir_grants;

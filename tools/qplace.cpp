@@ -26,9 +26,9 @@
 /// Delta_f / Gamma_f and observed per-node load against the analytic
 /// evaluators and the certificate's (alpha+1)-cap bound.
 /// `analyze --diff A --against B` structurally diffs two run reports
-/// (counter deltas gated by --tolerance; wall times reported but never
-/// gated) -- the work-counter regression gate (ctest cli_counter_gate,
-/// docs/OBSERVABILITY.md §7).
+/// (counter deltas, flat and per profile node, gated by --tolerance; wall
+/// times reported but never gated) -- the work-counter regression gate
+/// (ctest cli_counter_gate, docs/OBSERVABILITY.md §7).
 
 #include <cmath>
 #include <cstdint>
@@ -50,7 +50,6 @@
 #include "exec/thread_pool.hpp"
 #include "obs/access_log.hpp"
 #include "analyze/analyze.hpp"
-#include "analyze/profile_diff.hpp"
 #include "analyze/trace_check.hpp"
 #include "obs/json.hpp"
 #include "obs/obs.hpp"
@@ -97,10 +96,8 @@ int usage() {
       "             add --faults FILE to cross-check retries/availability\n"
       "             against the fault schedule that drove the run);\n"
       "             with --diff A --against B [--tolerance T]: structured\n"
-      "             run-report diff, exit 1 on deterministic counter drift;\n"
-      "             with --profile-diff A --against B [--tolerance T]:\n"
-      "             per-node profile diff (counters gated like --diff,\n"
-      "             wall times reported only)\n"
+      "             run-report diff, exit 1 on deterministic counter drift\n"
+      "             (flat or per profile node; wall times reported only)\n"
       "  solve      place a quorum system on a topology\n"
       "  simulate   message-level simulation of a solved placement\n"
       "             (--warmup W --jitter J --relay route via Thm 1.2 v0);\n"
@@ -116,16 +113,15 @@ int usage() {
       "               QPLACE_THREADS env var, else hardware concurrency;\n"
       "               results are identical for every N -- docs/PARALLEL.md)\n"
       "observability (docs/OBSERVABILITY.md):\n"
-      "  --stats-out FILE  write a qplace.run_report.v1 JSON run report\n"
-      "                    (phase timers, solver counters, histograms)\n"
+      "  --stats-out FILE  write a qplace.run_report.v2 JSON run report\n"
+      "                    (solver counters, series, histograms and the\n"
+      "                    span call tree: per-node counter attribution,\n"
+      "                    byte-identical for any --threads, and per-node\n"
+      "                    wall time)\n"
       "  --trace-out FILE  record phase spans and write Chrome trace_event\n"
       "                    JSON loadable in chrome://tracing or Perfetto\n"
-      "  --profile-out FILE (any command) fold spans + counter deltas\n"
-      "                    into a qplace.profile.v1 call-tree profile; the\n"
-      "                    per-node counter attribution is deterministic\n"
-      "                    (byte-identical for any --threads)\n"
-      "  --profile-folded FILE  folded-stack sidecar for flamegraph\n"
-      "                    renderers (default: <profile-out>.folded)\n"
+      "  --profile-folded FILE  write the span call tree as folded stacks\n"
+      "                    for flamegraph renderers\n"
       "  --access-log FILE (simulate) write one qplace.access_log.v2 JSONL\n"
       "                    record per resolved access; sampling via\n"
       "                    --access-log-sample R (keep fraction R) and\n"
@@ -146,15 +142,15 @@ int usage() {
   return 2;
 }
 
-/// --stats-out / --trace-out plumbing: tracing is switched on before the
-/// command runs; artifacts are written after it returns.
+/// --stats-out / --trace-out / --profile-folded plumbing: tracing and the
+/// profile collector are switched on before the command runs; artifacts are
+/// written after it returns.
 class ObsSession {
  public:
   ObsSession(const cli::ParsedArgs& args, int threads)
       : stats_path_(args.get("stats-out", "")),
         trace_path_(args.get("trace-out", "")),
-        profile_path_(args.get("profile-out", "")),
-        command_(args.command()),
+        folded_path_(args.get("profile-folded", "")),
         report_(args.command()) {
     report_.set_context("threads", std::to_string(threads));
     report_.set_context("git_sha", QPLACE_GIT_SHA);
@@ -168,11 +164,7 @@ class ObsSession {
     if (!trace_path_.empty()) {
       obs::TraceRecorder::instance().set_enabled(true);
     }
-    if (!profile_path_.empty()) {
-      // The sidecar is only meaningful next to a profile, so the flag is
-      // read (and defaulted) only when --profile-out is present; a lone
-      // --profile-folded surfaces as an unused-flag warning.
-      folded_path_ = args.get("profile-folded", profile_path_ + ".folded");
+    if (profiled()) {
       obs::ProfileCollector::instance().clear();
       obs::ProfileCollector::instance().set_enabled(true);
     }
@@ -205,14 +197,12 @@ class ObsSession {
               ", \"dropped\": " + std::to_string(dropped) + "}");
       obs::write_file(trace_path_, recorder.to_chrome_json());
     }
-    if (!profile_path_.empty()) {
-      obs::ProfileCollector& collector = obs::ProfileCollector::instance();
-      collector.set_enabled(false);
-      const obs::Profile profile =
-          collector.fold(obs::Registry::instance().counter_names());
-      obs::write_file(profile_path_,
-                      profile.to_json(command_, report_.context()));
-      obs::write_file(folded_path_, profile.to_folded());
+    if (profiled()) obs::ProfileCollector::instance().set_enabled(false);
+    if (!folded_path_.empty()) {
+      obs::write_file(folded_path_,
+                      obs::ProfileCollector::instance()
+                          .fold(obs::Registry::instance().counter_names())
+                          .folded());
     }
     if (!stats_path_.empty()) {
       report_.add_nondeterministic_json("pool", exec::pool_stats_json());
@@ -221,11 +211,13 @@ class ObsSession {
   }
 
  private:
+  bool profiled() const {
+    return !stats_path_.empty() || !folded_path_.empty();
+  }
+
   std::string stats_path_;
   std::string trace_path_;
-  std::string profile_path_;
   std::string folded_path_;
-  std::string command_;
   obs::RunReport report_;
 };
 
@@ -255,15 +247,17 @@ std::vector<double> capacities_for(const cli::ParsedArgs& args,
 /// --access-log` re-derive the placement a `simulate` run used. Stamps the
 /// instance content digest into the run-report context.
 struct InstanceBundle {
-  graph::Graph graph;
+  std::optional<graph::Graph> graph;  ///< held only when asked for (--dot)
   core::QppInstance instance;
   std::string digest;  ///< core::instance_digest_hex(instance)
 };
 
 /// With `gap_lp`, the command solves the Thm 5.1 GAP LP on the instance, so
-/// its dense tableau must fit the allocation budget too.
+/// its dense tableau must fit the allocation budget too. The graph is freed
+/// once the metric is built unless `keep_graph`: on dense topologies it is
+/// about as large as the metric.
 InstanceBundle build_instance(const cli::ParsedArgs& args, ObsSession& session,
-                              bool gap_lp = false) {
+                              bool gap_lp = false, bool keep_graph = false) {
   std::mt19937_64 rng(static_cast<std::uint64_t>(args.get_int("seed", 1)));
   // Sizes are refused (exit 2) before the graph is built where the flags
   // give its node count, and once a --graph-file is read. The metric is
@@ -285,7 +279,10 @@ InstanceBundle build_instance(const cli::ParsedArgs& args, ObsSession& session,
   core::QppInstance instance(std::move(metric), caps, system, strategy);
   std::string digest = core::instance_digest_hex(instance);
   session.report().set_context("instance_digest", digest);
-  return InstanceBundle{std::move(g), std::move(instance), std::move(digest)};
+  std::optional<graph::Graph> kept;
+  if (keep_graph) kept = std::move(g);
+  return InstanceBundle{std::move(kept), std::move(instance),
+                        std::move(digest)};
 }
 
 /// A placement as `solve` prints it and `check` certifies it.
@@ -613,7 +610,7 @@ int cmd_analyze_access_log(const cli::ParsedArgs& args,
 }
 
 /// --tolerance of the analyze gates, \p fallback when absent: for the
-/// counter-drift gates (--diff, --profile-diff) the largest relative drift
+/// counter-drift gate (--diff) the largest relative drift
 /// |cand - base| / max(base, 1) that still passes, default 0 (exact); for
 /// --trace the absolute sim-time slack. A negative or non-finite value is a
 /// usage error.
@@ -649,12 +646,24 @@ int drift_verdict(double drift, double tolerance,
   return ok ? 0 : 1;
 }
 
+/// A "base/candidate" table cell.
+std::string both(double base, double cand, int digits) {
+  return report::Table::num(base, digits) + "/" +
+         report::Table::num(cand, digits);
+}
+
+/// candidate / base as a table cell; "-" without a base.
+std::string ratio(double base, double cand) {
+  return base > 0.0 ? report::Table::num(cand / base, 3) : "-";
+}
+
 /// `qplace analyze --diff BASE --against CAND [--tolerance T]`: structured
-/// run-report diff. Deterministic counters/series are gated on T (default
-/// 0), histograms are reported, wall times are labelled nondeterministic
-/// and never gated. Exit 0 = within tolerance, 1 = drift, 2 = not
-/// comparable (schema or instance digest mismatch, malformed counter,
-/// unreadable file) or a bad --tolerance.
+/// run-report diff. Deterministic counters (flat and per profile node) and
+/// series are gated on T (default 0), as is a profile path on one side
+/// only; histograms are reported, per-node wall times are labelled
+/// nondeterministic and never gated. Exit 0 = within tolerance, 1 = drift,
+/// 2 = not comparable (schema or instance digest mismatch, malformed
+/// counter, unreadable file) or a bad --tolerance.
 int cmd_analyze_diff(const cli::ParsedArgs& args, ObsSession& /*session*/) {
   const std::string base_path = args.get("diff", "");
   const std::string cand_path = args.require("against");
@@ -678,13 +687,40 @@ int cmd_analyze_diff(const cli::ParsedArgs& args, ObsSession& /*session*/) {
             << " (candidate)\n\ndeterministic counters (gated, tolerance "
             << report::Table::num(tolerance, 4) << "):\n";
   report::Table counters({"counter", "base", "candidate", "drift"});
+  report::Table nodes({"path", "counter", "base", "candidate", "drift"});
+  std::size_t attributions = 0;
   for (const obs::CounterDiff& entry : diff.counters) {
-    counters.add_row(
-        {entry.name, entry.in_base ? std::to_string(entry.base) : "-",
-         entry.in_cand ? std::to_string(entry.cand) : "-",
-         report::Table::num(entry.rel_drift(), 4)});
+    const std::vector<std::string> cells = {
+        entry.name, entry.in_base ? std::to_string(entry.base) : "-",
+        entry.in_cand ? std::to_string(entry.cand) : "-",
+        report::Table::num(entry.rel_drift(), 4)};
+    if (entry.path.empty()) {
+      counters.add_row(cells);
+      continue;
+    }
+    ++attributions;
+    if (entry.rel_drift() == 0.0) continue;
+    std::vector<std::string> row = {entry.path};
+    row.insert(row.end(), cells.begin(), cells.end());
+    nodes.add_row(row);
   }
   counters.print(std::cout);
+
+  if (!diff.structure.empty()) {
+    std::cout << "\nprofile paths on one side only (gated like infinite "
+                 "drift):\n";
+    report::Table structure({"path", "where"});
+    for (const obs::ProfileStructureDiff& entry : diff.structure) {
+      structure.add_row(
+          {entry.path, entry.in_base ? "only in base" : "only in cand"});
+    }
+    structure.print(std::cout);
+  }
+  const int drifted = nodes.num_rows();
+  std::cout << "\ndeterministic per-node counters (gated, tolerance "
+            << report::Table::num(tolerance, 4) << "): " << drifted << " of "
+            << attributions << " attributions drifted\n";
+  if (drifted > 0) nodes.print(std::cout);
 
   if (!diff.series.empty()) {
     std::cout << "\ndeterministic series (gated, exact equality):\n";
@@ -702,50 +738,41 @@ int cmd_analyze_diff(const cli::ParsedArgs& args, ObsSession& /*session*/) {
     std::cout << "\ndeterministic histograms (reported, not gated):\n";
     report::Table hists({"histogram", "count b/c", "mean b/c", "p99 b/c"});
     for (const obs::HistogramDiff& entry : diff.histograms) {
-      hists.add_row({entry.name,
-                     report::Table::num(entry.count_base, 0) + "/" +
-                         report::Table::num(entry.count_cand, 0),
-                     report::Table::num(entry.mean_base, 4) + "/" +
-                         report::Table::num(entry.mean_cand, 4),
-                     report::Table::num(entry.p99_base, 4) + "/" +
-                         report::Table::num(entry.p99_cand, 4)});
+      hists.add_row({entry.name, both(entry.count_base, entry.count_cand, 0),
+                     both(entry.mean_base, entry.mean_cand, 4),
+                     both(entry.p99_base, entry.p99_cand, 4)});
     }
     hists.print(std::cout);
   }
 
-  if (!diff.timers.empty()) {
-    std::cout << "\nwall-time timers (NONDETERMINISTIC, never gated):\n";
-    report::Table timers({"timer", "calls b/c", "ms b/c", "ratio"});
-    for (const obs::TimerDiff& entry : diff.timers) {
-      timers.add_row({entry.name,
-                      report::Table::num(entry.calls_base, 0) + "/" +
-                          report::Table::num(entry.calls_cand, 0),
-                      report::Table::num(entry.ms_base, 3) + "/" +
-                          report::Table::num(entry.ms_cand, 3),
-                      entry.ms_base > 0.0
-                          ? report::Table::num(
-                                entry.ms_cand / entry.ms_base, 3)
-                          : "-"});
+  if (!diff.walls.empty()) {
+    std::cout << "\nper-node wall time (NONDETERMINISTIC, never gated):\n";
+    report::Table walls({"path", "calls b/c", "total ms b/c", "ratio"});
+    for (const obs::ProfileWallDiff& entry : diff.walls) {
+      walls.add_row({entry.path, both(entry.calls_base, entry.calls_cand, 0),
+                     both(entry.total_ms_base, entry.total_ms_cand, 3),
+                     ratio(entry.total_ms_base, entry.total_ms_cand)});
     }
-    timers.print(std::cout);
+    walls.print(std::cout);
   }
 
   if (!diff.resources.empty()) {
     std::cout << "\nprocess resources (NONDETERMINISTIC, never gated):\n";
     report::Table resources({"resource", "base", "candidate", "ratio"});
     for (const obs::ResourceDiff& entry : diff.resources) {
-      resources.add_row(
-          {entry.name, report::Table::num(entry.base, 0),
-           report::Table::num(entry.cand, 0),
-           entry.base > 0.0
-               ? report::Table::num(entry.cand / entry.base, 3)
-               : "-"});
+      resources.add_row({entry.name, report::Table::num(entry.base, 0),
+                         report::Table::num(entry.cand, 0),
+                         ratio(entry.base, entry.cand)});
     }
     resources.print(std::cout);
   }
 
   const int code =
       drift_verdict(diff.max_deterministic_drift(), tolerance, diff.counters);
+  for (const obs::ProfileStructureDiff& entry : diff.structure) {
+    std::cout << "  profile path '" << entry.path
+              << "' present in only one report\n";
+  }
   for (const obs::SeriesDiff& entry : diff.series) {
     if (entry.in_base != entry.in_cand || !entry.equal) {
       std::cout << "  series '" << entry.name
@@ -755,74 +782,6 @@ int cmd_analyze_diff(const cli::ParsedArgs& args, ObsSession& /*session*/) {
     }
   }
   return code;
-}
-
-/// `qplace analyze --profile-diff BASE --against CAND [--tolerance T]`:
-/// structured diff of two qplace.profile.v1 documents. Per-node counter
-/// attribution is deterministic and gated on T (default 0, like --diff);
-/// per-node wall time is nondeterministic and reported, never gated. Exit
-/// codes as for --diff.
-int cmd_analyze_profile_diff(const cli::ParsedArgs& args,
-                             ObsSession& /*session*/) {
-  const std::string base_path = args.get("profile-diff", "");
-  const std::string cand_path = args.require("against");
-  const double tolerance = drift_tolerance(args);
-  const obs::ProfileDiff diff = obs::diff_profiles(
-      load_json_file(base_path), load_json_file(cand_path));
-  if (!diff.error.empty()) {
-    std::cerr << "error: " << diff.error << "\n";
-    return 2;
-  }
-
-  std::cout << "profile diff: " << base_path << " (base) vs " << cand_path
-            << " (candidate)\n";
-
-  if (!diff.structure.empty()) {
-    std::cout << "\nstructural drift (node paths on one side only -- gated "
-                 "like infinite drift):\n";
-    report::Table structure({"path", "where"});
-    for (const obs::ProfileStructureDiff& entry : diff.structure) {
-      structure.add_row({entry.path.empty() ? "(root)" : entry.path,
-                         entry.in_base ? "only in base" : "only in cand"});
-    }
-    structure.print(std::cout);
-  }
-
-  std::size_t drifted = 0;
-  report::Table counters({"path", "counter", "base", "candidate", "drift"});
-  for (const obs::CounterDiff& entry : diff.counters) {
-    if (entry.rel_drift() == 0.0) continue;
-    ++drifted;
-    counters.add_row(
-        {entry.path.empty() ? "(root)" : entry.path, entry.name,
-         entry.in_base ? std::to_string(entry.base) : "-",
-         entry.in_cand ? std::to_string(entry.cand) : "-",
-         report::Table::num(entry.rel_drift(), 4)});
-  }
-  std::cout << "\ndeterministic per-node counters (gated, tolerance "
-            << report::Table::num(tolerance, 4) << "): " << drifted << " of "
-            << diff.counters.size() << " attributions drifted\n";
-  if (drifted > 0) counters.print(std::cout);
-
-  if (!diff.walls.empty()) {
-    std::cout << "\nper-node wall time (NONDETERMINISTIC, never gated):\n";
-    report::Table walls({"path", "calls b/c", "total ms b/c", "ratio"});
-    for (const obs::ProfileWallDiff& entry : diff.walls) {
-      walls.add_row({entry.path.empty() ? "(root)" : entry.path,
-                     report::Table::num(entry.calls_base, 0) + "/" +
-                         report::Table::num(entry.calls_cand, 0),
-                     report::Table::num(entry.total_ms_base, 3) + "/" +
-                         report::Table::num(entry.total_ms_cand, 3),
-                     entry.total_ms_base > 0.0
-                         ? report::Table::num(
-                               entry.total_ms_cand / entry.total_ms_base, 3)
-                         : "-"});
-    }
-    walls.print(std::cout);
-  }
-
-  return drift_verdict(diff.max_deterministic_drift(), tolerance,
-                       diff.counters);
 }
 
 /// `qplace analyze --trace TRACE --access-log LOG [--tolerance T]
@@ -920,7 +879,6 @@ int cmd_analyze(const cli::ParsedArgs& args, ObsSession& session) {
   // The first mode flag present selects: --trace leads because it also
   // takes --access-log.
   static const Route kModes[] = {{"trace", cmd_analyze_trace},
-                                 {"profile-diff", cmd_analyze_profile_diff},
                                  {"diff", cmd_analyze_diff},
                                  {"access-log", cmd_analyze_access_log}};
   for (const Route& mode : kModes) {
@@ -933,8 +891,9 @@ int cmd_solve(const cli::ParsedArgs& args, ObsSession& session) {
   const Algorithm* algorithm =
       find_algorithm(args.get("algorithm", "qpp"), /*certified_only=*/false);
   if (algorithm == nullptr) return 2;
+  const bool dot = args.has("dot");
   const InstanceBundle bundle =
-      build_instance(args, session, algorithm->gap_lp);
+      build_instance(args, session, algorithm->gap_lp, dot);
   const auto solution = place(*algorithm, bundle.instance, args);
   if (!solution) return 1;
   const core::Placement& placement = solution->placement;
@@ -947,9 +906,7 @@ int cmd_solve(const cli::ParsedArgs& args, ObsSession& session) {
     std::cout << " u" << u << "->n" << placement[u];
   }
   std::cout << "\n";
-  if (args.has("dot")) {
-    std::cout << report::placement_to_dot(bundle.graph, placement);
-  }
+  if (dot) std::cout << report::placement_to_dot(*bundle.graph, placement);
   return 0;
 }
 
