@@ -20,6 +20,25 @@ enum class ClientDelay {
   kClosest,        ///< min_Q max_{u in Q} d(v, f(u))
 };
 
+/// Lanes of for_each_lane's fixed-size inner loop.
+constexpr std::size_t kLanes = 8;
+
+/// acc[c] = op(acc[c], x[c]) for every c in [0, count), kLanes at a time,
+/// then one at a time. -O2 vectorizes only a loop whose trip count is known
+/// and whose pointers cannot overlap, so the inner loop has a fixed trip
+/// count and the pointers are restrict; each c still sees one op.
+template <typename Op>
+inline void for_each_lane(double* __restrict acc, const double* __restrict x,
+                          std::size_t count, Op op) {
+  std::size_t c = 0;
+  for (; c + kLanes <= count; c += kLanes) {
+    for (std::size_t lane = 0; lane < kLanes; ++lane) {
+      acc[c + lane] = op(acc[c + lane], x[c + lane]);
+    }
+  }
+  for (; c < count; ++c) acc[c] = op(acc[c], x[c]);
+}
+
 /// The \p kind delay of the clients v in [begin, begin + count), written
 /// to value[v - begin]. For each quorum in order, each placed element's
 /// metric row is read across the block -- row(f(u))[v] == d(v, f(u)) bit
@@ -46,23 +65,27 @@ void client_delays(const graph::Metric& metric,
     for (int u : system.quorum(qi)) {
       const double* distance =
           metric.row(placement[static_cast<std::size_t>(u)]) + begin;
-      for (std::size_t c = 0; c < count; ++c) {
-        if constexpr (kind == ClientDelay::kExpectedTotal) {
-          quorum_delay[c] += distance[c];
-        } else {
-          quorum_delay[c] = std::max(quorum_delay[c], distance[c]);
-        }
+      // std::max and std::min select by reference, which does not
+      // vectorize; these are their value forms, operand order included.
+      if constexpr (kind == ClientDelay::kExpectedTotal) {
+        for_each_lane(quorum_delay, distance, count,
+                      [](double delay, double d) { return delay + d; });
+      } else {
+        for_each_lane(quorum_delay, distance, count, [](double delay, double d) {
+          return delay < d ? d : delay;
+        });
       }
     }
     if constexpr (kind == ClientDelay::kClosest) {
-      for (std::size_t c = 0; c < count; ++c) {
-        value[c] = std::min(value[c], quorum_delay[c]);
-      }
+      for_each_lane(value, quorum_delay, count, [](double best, double delay) {
+        return delay < best ? delay : best;
+      });
     } else {
       const double probability = strategy->probability(qi);
-      for (std::size_t c = 0; c < count; ++c) {
-        value[c] += probability * quorum_delay[c];
-      }
+      for_each_lane(value, quorum_delay, count,
+                    [probability](double sum, double delay) {
+                      return sum + probability * delay;
+                    });
     }
   }
 }

@@ -10,6 +10,7 @@
 #include <utility>
 
 #include "check/contracts.hpp"
+#include "exec/parallel.hpp"
 #include "obs/obs.hpp"
 
 namespace qp::lp {
@@ -443,6 +444,7 @@ class Tableau : public Simplex<Tableau> {
         sizeof(double))));
     if (a_ == nullptr) throw std::bad_alloc();
     nonzero_.resize(static_cast<std::size_t>(cols_));
+    updated_.resize(static_cast<std::size_t>(rows_));
     basis_.assign(static_cast<std::size_t>(rows_), -1);
 
     // Second pass: sum each row's terms straight into the tableau, negated
@@ -509,7 +511,9 @@ class Tableau : public Simplex<Tableau> {
   /// and cost row is updated on them only. A skipped column has a pivot-row
   /// entry of exactly 0.0, where x - f * 0.0 == x and 0.0 * inverse == 0.0,
   /// so the result equals the dense update up to the sign of a zero, which
-  /// no comparison or division reads, and no zero is ever written back.
+  /// no comparison or division reads, and no zero is ever written back. The
+  /// other rows are updated on the exec pool when there are enough entries
+  /// to update (kPooledUpdates), else in a loop, by the same per-row body.
   void pivot(int pivot_row, int pivot_col) {
     double* pivot_row_data = row(pivot_row);
     const double inverse = 1.0 / pivot_row_data[pivot_col];
@@ -540,13 +544,28 @@ class Tableau : public Simplex<Tableau> {
       }
       data[pivot_col] = 0.0;  // exact
     };
+    // The rows to update: every other row whose pivot-column entry is
+    // nonzero. Each reads only the scaled pivot row and writes only itself
+    // and its rhs, so a row sees the same operations in the same order
+    // whether the rows run in a loop or as items of exec::parallel_for.
+    int* updated = updated_.data();
+    int num_updated = 0;
     for (int i = 0; i < rows_; ++i) {
-      if (i == pivot_row) continue;
+      updated[num_updated] = i;
+      num_updated += i != pivot_row && at(i, pivot_col) != 0.0 ? 1 : 0;
+    }
+    const auto update_row = [&](std::size_t k) {
+      const int i = updated[k];
       double* row_data = row(i);
       const double factor = row_data[pivot_col];
-      if (factor == 0.0) continue;
       eliminate(row_data, factor);
       update_rhs(i, factor, pivot_rhs);
+    };
+    const auto count = static_cast<std::size_t>(num_updated);
+    if (count * static_cast<std::size_t>(num_nonzero) >= kPooledUpdates) {
+      exec::parallel_for(count, update_row);
+    } else {
+      for (std::size_t k = 0; k < count; ++k) update_row(k);
     }
     const auto update_cost = [&](std::vector<double>& cost) {
       const double factor = cost[static_cast<std::size_t>(pivot_col)];
@@ -580,6 +599,12 @@ class Tableau : public Simplex<Tableau> {
     }
   }
 
+  /// Entry updates (rows x pivot-row nonzeros) from which a pivot's row
+  /// elimination runs on the exec pool: below it the dispatch costs more
+  /// than it saves, and the small LPs (the SSQPP relay LPs, the GAP LPs of
+  /// small instances) make no exec call at all.
+  static constexpr std::size_t kPooledUpdates = std::size_t{1} << 15;
+
   int num_artificial_ = 0;
   double rhs_scale_ = 0.0;
   bool in_phase1_ = false;
@@ -590,6 +615,7 @@ class Tableau : public Simplex<Tableau> {
   std::unique_ptr<double[], Free> a_;  ///< rows_ x cols_, from std::calloc
   std::vector<double> cost1_;
   std::vector<int> nonzero_;  ///< pivot-row nonzero columns, scratch
+  std::vector<int> updated_;  ///< rows a pivot updates, scratch
 };
 
 /// Phase 2 from a Phase1::State without a tableau of its own. It owns b, the

@@ -13,7 +13,11 @@
 /// address space and resident only where it has held a nonzero: it comes
 /// zeroed from std::calloc, and neither building it nor pivoting writes a
 /// zero where the dense update did not need one, so pages that never hold a
-/// nonzero are never backed by memory (most of the Thm 5.1 GAP LP's). An
+/// nonzero are never backed by memory (most of the Thm 5.1 GAP LP's). A
+/// pivot that updates many entries (the GAP LP's, from a few hundred nodes)
+/// eliminates its rows on the exec pool, one row per item: each row reads
+/// only the scaled pivot row and writes only itself, so the result is bit
+/// for bit the serial loop's at any thread count (docs/PARALLEL.md). An
 /// optimal solve also returns the row duals, so a caller can certify its
 /// objective with lp::dual_bound without trusting the solver.
 ///

@@ -17,6 +17,7 @@
 #include "core/qpp_solver.hpp"
 #include "core/ssqpp_lp.hpp"
 #include "core/total_delay.hpp"
+#include "exec/thread_pool.hpp"
 #include "graph/generators.hpp"
 #include "graph/metric.hpp"
 #include "lp/model.hpp"
@@ -449,6 +450,32 @@ TEST(Simplex, GapLpColdSolveIsPinned) {
   // objective 2.5961745598798935
   expect_cold_solve(model,
                     {0x4004c4f72aeb2175ULL, 209, 207, 0xbd66d842965437e3ULL});
+}
+
+// The GAP LP of `qplace solve --algorithm total --topology waxman --nodes
+// 256 --system grid --k 5`: most of its pivots update enough entries that
+// Tableau::pivot eliminates its rows on the exec pool. The cold solve must
+// be the serial elimination's, bit for bit, at 1 and 8 threads, and the
+// pool must have run. (Named for the determinism suite, which the
+// ThreadSanitizer job selects by name.)
+TEST(ParallelDeterminism, GapLpPivotBitIdentical) {
+  std::mt19937_64 rng(1);
+  const core::QppInstance instance =
+      cli_instance(graph::waxman(256, 0.9, 0.4, rng).graph, quorum::grid(5));
+  const Model model =
+      assign::build_gap_lp(core::total_delay_gap(instance)).model;
+  for (const int threads : {1, 8}) {
+    SCOPED_TRACE(threads);
+    exec::set_num_threads(threads);
+    const std::uint64_t parallel_calls = counter("exec.parallel_calls");
+    // objective 3.3210214638509057
+    expect_cold_solve(model,
+                      {0x400a9173b3846df3ULL, 371, 369, 0x321f4903c39d3e4aULL});
+    if (obs::compiled_in()) {
+      EXPECT_GT(counter("exec.parallel_calls"), parallel_calls);
+    }
+    exec::set_num_threads(0);
+  }
 }
 
 // The same pins on a hand-built LP with every row build() treats apart: a
