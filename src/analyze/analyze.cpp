@@ -16,6 +16,10 @@ namespace qp::obs {
 
 namespace {
 
+/// Absolute + relative floating-point slack of the delay comparisons, and
+/// absolute slack of the load comparison.
+constexpr double kTolerance = 1e-9;
+
 /// Net-only access delay reconstructed from the probe records: the paper's
 /// delta_f(v, Q) (parallel: slowest probe) or gamma_f(v, Q) (sequential:
 /// sum of probe legs). Queue waits are deliberately excluded so the value
@@ -288,8 +292,8 @@ AccessLogAnalysis analyze_access_log(const core::QppInstance& instance,
                                     analysis.sequential, analysis.relay);
     check.checked = estimator_unbiased && stat.count >= min_samples;
     if (check.checked) {
-      const double slack = check.half_width + options.tolerance +
-                           options.tolerance * std::abs(check.analytic);
+      const double slack = check.half_width + kTolerance +
+                           kTolerance * std::abs(check.analytic);
       check.ok = std::abs(check.empirical_mean - check.analytic) <= slack;
       ++analysis.clients_checked;
       if (check.ok) ++analysis.clients_ok;
@@ -317,8 +321,8 @@ AccessLogAnalysis analyze_access_log(const core::QppInstance& instance,
   analysis.overall_checked =
       estimator_unbiased && overall.count >= min_samples;
   if (analysis.overall_checked) {
-    const double slack = analysis.overall_half_width + options.tolerance +
-                         options.tolerance * std::abs(analysis.overall_analytic);
+    const double slack = analysis.overall_half_width + kTolerance +
+                         kTolerance * std::abs(analysis.overall_analytic);
     analysis.overall_ok =
         std::abs(analysis.overall_mean - analysis.overall_analytic) <= slack;
   }
@@ -343,7 +347,7 @@ AccessLogAnalysis analyze_access_log(const core::QppInstance& instance,
     // retries inflate probe counts, so faulty logs report loads without
     // gating them.
     check.ok = analysis.faulty ||
-               check.observed_load <= check.bound + options.tolerance;
+               check.observed_load <= check.bound + kTolerance;
     if (!check.ok) analysis.loads_ok = false;
     analysis.nodes.push_back(check);
   }

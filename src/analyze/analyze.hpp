@@ -66,8 +66,6 @@ struct AnalyzeOptions {
   /// Relative slack on the load bound absorbing sampling noise of the
   /// observed shares.
   double load_slack = 0.05;
-  /// Absolute + relative floating-point slack of the delay comparison.
-  double tolerance = 1e-9;
 };
 
 /// Empirical-vs-analytic delay check for one client.

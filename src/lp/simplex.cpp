@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <span>
 #include <utility>
 
 #include "check/contracts.hpp"
@@ -27,65 +28,80 @@ std::string to_string(SolveStatus status) {
 
 namespace {
 
-/// The eta file of phase 1: per pivot (drive-out included) its column, its
-/// rhs after scaling and the nonzeros of the scaled pivot row. That is all a
-/// cost row needs to follow phase 1's pivots. The nonzeros fill blocks that
-/// are each allocated once: one array grown by doubling would leave its old
-/// copies on the heap below the start that outlives them, and on relay-lp
-/// that raised peak RSS by more than the start's own size.
-class Etas {
- public:
-  void record(int pivot_col, double pivot_rhs, const int* nonzero,
-              int num_nonzero, const double* pivot_row) {
-    const auto count = static_cast<std::size_t>(num_nonzero);
-    if (blocks_.empty() || blocks_.back().index.size() + count >
-                               blocks_.back().index.capacity()) {
-      Block& block = blocks_.emplace_back();
-      block.index.reserve(std::max(kBlockEntries, count));
-      block.value.reserve(std::max(kBlockEntries, count));
-    }
-    Block& block = blocks_.back();
-    pivots_.push_back({pivot_col, pivot_rhs, blocks_.size() - 1,
-                       block.index.size(), block.index.size() + count});
-    for (std::size_t k = 0; k < count; ++k) {
-      block.index.push_back(nonzero[k]);
-      block.value.push_back(pivot_row[nonzero[k]]);
-    }
-  }
+/// One nonzero of a packed row or column: its column or row, and its value.
+struct Entry {
+  int index = 0;
+  double value = 0.0;
+};
 
-  /// Brings a cost row through every recorded pivot: Tableau::pivot's
-  /// update_cost step, operation for operation, factor == 0.0 skip included.
-  void replay(std::vector<double>& cost) const {
-    const std::size_t objective = cost.size() - 1;
-    for (const Pivot& pivot : pivots_) {
-      const auto pivot_col = static_cast<std::size_t>(pivot.column);
-      const double factor = cost[pivot_col];
-      if (factor == 0.0) continue;
-      const Block& block = blocks_[pivot.block];
-      for (std::size_t k = pivot.begin; k < pivot.end; ++k) {
-        cost[static_cast<std::size_t>(block.index[k])] -=
-            factor * block.value[k];
-      }
-      cost[pivot_col] = 0.0;  // exact
-      cost[objective] -= factor * pivot.rhs;
-    }
+/// One pivot on (row, column): the inverse of its pivot element, the pivot
+/// row's rhs after scaling, the scaled pivot row's nonzeros by column
+/// (exactly 1.0 at the pivot column) and, for a phase-2 pivot from a start,
+/// the pivot column's nonzeros before the pivot, pivot row excluded, by row.
+struct Eta {
+  int row = 0;
+  int column = 0;
+  double inverse = 0.0;
+  double rhs = 0.0;
+  std::span<const Entry> pivot_row;
+  std::span<const Entry> factors;
+};
+
+/// Brings a dense row through the pivot `eta`, as every pivot updates its
+/// other rows and its cost rows: with the row's pivot-column entry as the
+/// factor, row -= factor * (scaled pivot row), exactly 0.0 at the pivot
+/// column, and rhs -= factor * eta.rhs, where `rhs` is the row's entry of b
+/// or a cost row's objective entry. A row whose factor is exactly 0.0 is
+/// left as it is.
+void eliminate(const Eta& eta, double* row, double& rhs) {
+  const double factor = row[eta.column];
+  if (factor == 0.0) return;
+  for (const Entry& entry : eta.pivot_row) {
+    row[entry.index] -= factor * entry.value;
   }
+  row[eta.column] = 0.0;  // exact
+  rhs -= factor * eta.rhs;
+}
+
+/// Etas in pivot order. Their entries fill blocks that are each allocated
+/// once: one array grown by doubling would leave its old copies on the heap
+/// below the start that outlives them, and on relay-lp that raised peak RSS
+/// by more than the start's own size. The etas' spans point into the blocks,
+/// so a file can be moved but not copied.
+class EtaFile {
+ public:
+  EtaFile() = default;
+  EtaFile(EtaFile&&) = default;
+  EtaFile& operator=(EtaFile&&) = default;
+
+  /// Appends `eta`, its entries copied into the file, and returns the copy.
+  const Eta& add(Eta eta) {
+    eta.pivot_row = keep(eta.pivot_row);
+    eta.factors = keep(eta.factors);
+    return etas_.emplace_back(eta);
+  }
+  std::size_t size() const { return etas_.size(); }
+  const Eta& operator[](std::size_t k) const { return etas_[k]; }
+  auto begin() const { return etas_.begin(); }
+  auto end() const { return etas_.end(); }
 
  private:
   static constexpr std::size_t kBlockEntries = 4096;
-  struct Block {
-    std::vector<int> index;
-    std::vector<double> value;
-  };
-  struct Pivot {
-    int column = 0;
-    double rhs = 0.0;
-    std::size_t block = 0;
-    std::size_t begin = 0;  ///< entries [begin, end) of blocks_[block]
-    std::size_t end = 0;
-  };
-  std::vector<Pivot> pivots_;
-  std::vector<Block> blocks_;
+
+  std::span<const Entry> keep(std::span<const Entry> entries) {
+    if (entries.empty()) return {};
+    if (blocks_.empty() || blocks_.back().size() + entries.size() >
+                               blocks_.back().capacity()) {
+      blocks_.emplace_back().reserve(std::max(kBlockEntries, entries.size()));
+    }
+    std::vector<Entry>& block = blocks_.back();
+    block.insert(block.end(), entries.begin(), entries.end());
+    return {block.end() - static_cast<std::ptrdiff_t>(entries.size()),
+            block.end()};
+  }
+
+  std::vector<Eta> etas_;
+  std::vector<std::vector<Entry>> blocks_;
 };
 
 }  // namespace
@@ -106,19 +122,31 @@ struct Phase1::State {
 
   int cols = 0;
   int first_artificial = 0;
-  /// Row i's nonzeros are entries [row_start[i], row_start[i+1]).
+  /// Row i's nonzeros, by column, are row_entries[row_start[i] ..
+  /// row_start[i+1]); column j's, by row, col_entries[col_start[j] ..
+  /// col_start[j+1]).
   std::vector<std::size_t> row_start;
-  std::vector<int> column;
-  std::vector<double> value;
-  /// Column j's nonzeros, by row, are entries [col_start[j], col_start[j+1]).
+  std::vector<Entry> row_entries;
   std::vector<std::size_t> col_start;
-  std::vector<int> col_row;
-  std::vector<double> col_value;
+  std::vector<Entry> col_entries;
   std::vector<double> b;
   std::vector<int> basis;
   std::vector<int> dual_column;
   std::vector<double> dual_sign;
-  Etas etas;
+  EtaFile etas;
+
+  std::span<const Entry> row(int i) const {
+    return slice(row_entries, row_start, i);
+  }
+  std::span<const Entry> column(int j) const {
+    return slice(col_entries, col_start, j);
+  }
+  static std::span<const Entry> slice(const std::vector<Entry>& entries,
+                                      const std::vector<std::size_t>& start,
+                                      int k) {
+    const auto at = static_cast<std::size_t>(k);
+    return {entries.data() + start[at], start[at + 1] - start[at]};
+  }
 
   /// Whether `model` solved with `model_options` runs exactly this phase 1.
   bool matches(const Model& model, const SimplexOptions& model_options) const {
@@ -278,11 +306,33 @@ class Simplex {
     }
   }
 
-  /// Row i's rhs after a pivot whose pivot column holds `factor` != 0.0 in
-  /// row i, with near-zero results snapped to 0.0.
-  void update_rhs(int i, double factor, double pivot_rhs) {
-    double& rhs = b_[static_cast<std::size_t>(i)];
-    rhs -= factor * pivot_rhs;
+  /// Scales the pivot row `data` by `inverse` in place, exactly 1.0 at
+  /// `pivot_col`, and packs its nonzeros into packed_row_ (an entry that
+  /// underflows to zero is dropped). Only the nonzeros are scaled: a skipped
+  /// column holds exactly 0.0, where x - f * 0.0 == x, so the eliminations
+  /// the packed row feeds equal the dense update up to the sign of a zero,
+  /// which no comparison or division reads. Both scans run without a branch
+  /// on the entries: most are zero, and which is hard to predict.
+  std::span<const Entry> pack_pivot_row(double* data, int pivot_col,
+                                        double inverse) {
+    Entry* packed = packed_row_.data();
+    int num_found = 0;
+    for (int j = 0; j < cols_; ++j) {
+      packed[num_found].index = j;
+      num_found += data[j] != 0.0 ? 1 : 0;
+    }
+    std::size_t count = 0;
+    for (int k = 0; k < num_found; ++k) {
+      const int j = packed[k].index;
+      data[j] = j == pivot_col ? 1.0 : data[j] * inverse;  // exact 1.0
+      packed[count] = {j, data[j]};
+      count += data[j] != 0.0 ? 1U : 0U;
+    }
+    return {packed, count};
+  }
+
+  /// Snaps a row's rhs that a pivot left within epsilon of 0.0 to 0.0.
+  void snap(double& rhs) const {
     if (std::abs(rhs) < options_.epsilon) rhs = 0.0;
   }
 
@@ -299,6 +349,7 @@ class Simplex {
   /// Per row: the sign that turns dual_column_'s final cost2_ entry into
   /// the row's dual; phase2() scales it into the dual itself.
   std::vector<double> duals_;
+  std::vector<Entry> packed_row_;  ///< the scaled pivot row, packed, scratch
 };
 
 /// Dense two-phase tableau. Row-major matrix `a` of size rows x cols, the
@@ -318,7 +369,7 @@ class Tableau : public Simplex<Tableau> {
   /// the basis. kOptimal when that reaches a feasible basis. Given `etas`,
   /// every later pivot of this tableau appends its eta there (solve_phase1,
   /// which runs no phase 2 on it).
-  SolveStatus phase1(std::int64_t& iterations, Etas* etas = nullptr) {
+  SolveStatus phase1(std::int64_t& iterations, EtaFile* etas = nullptr) {
     if (num_artificial_ == 0) return SolveStatus::kOptimal;
     etas_ = etas;
     const SolveStatus status =
@@ -347,8 +398,7 @@ class Tableau : public Simplex<Tableau> {
     const std::size_t size =
         static_cast<std::size_t>(rows_) * static_cast<std::size_t>(cols_);
     for (std::size_t k = 0; k < size; ++k) nonzeros += a_[k] != 0.0 ? 1U : 0U;
-    state.column.resize(nonzeros + 1);
-    state.value.resize(nonzeros + 1);
+    state.row_entries.resize(nonzeros + 1);
     state.row_start.resize(static_cast<std::size_t>(rows_) + 1);
     std::size_t count = 0;
     for (int i = 0; i < rows_; ++i) {
@@ -356,34 +406,28 @@ class Tableau : public Simplex<Tableau> {
       const double* row_data = &a_[static_cast<std::size_t>(i) *
                                    static_cast<std::size_t>(cols_)];
       for (int j = 0; j < cols_; ++j) {
-        state.column[count] = j;
-        state.value[count] = row_data[j];
+        state.row_entries[count] = {j, row_data[j]};
         count += row_data[j] != 0.0 ? 1U : 0U;
       }
     }
     state.row_start[static_cast<std::size_t>(rows_)] = count;
-    state.column.resize(nonzeros);
-    state.value.resize(nonzeros);
+    state.row_entries.resize(nonzeros);
     // The column-wise copy, by a counting sort of the row-wise one.
     state.col_start.assign(static_cast<std::size_t>(cols_) + 1, 0);
-    for (const int j : state.column) {
-      ++state.col_start[static_cast<std::size_t>(j) + 1];
+    for (const Entry& entry : state.row_entries) {
+      ++state.col_start[static_cast<std::size_t>(entry.index) + 1];
     }
     for (int j = 0; j < cols_; ++j) {
       state.col_start[static_cast<std::size_t>(j) + 1] +=
           state.col_start[static_cast<std::size_t>(j)];
     }
-    state.col_row.resize(nonzeros);
-    state.col_value.resize(nonzeros);
+    state.col_entries.resize(nonzeros);
     std::vector<std::size_t> next(state.col_start.begin(),
                                   state.col_start.end() - 1);
     for (int i = 0; i < rows_; ++i) {
-      for (std::size_t k = state.row_start[static_cast<std::size_t>(i)];
-           k < state.row_start[static_cast<std::size_t>(i) + 1]; ++k) {
-        const std::size_t slot =
-            next[static_cast<std::size_t>(state.column[k])]++;
-        state.col_row[slot] = i;
-        state.col_value[slot] = state.value[k];
+      for (const Entry& entry : state.row(i)) {
+        state.col_entries[next[static_cast<std::size_t>(entry.index)]++] = {
+            i, entry.value};
       }
     }
     state.b = b_;
@@ -443,7 +487,7 @@ class Tableau : public Simplex<Tableau> {
         static_cast<std::size_t>(rows_) * static_cast<std::size_t>(cols_),
         sizeof(double))));
     if (a_ == nullptr) throw std::bad_alloc();
-    nonzero_.resize(static_cast<std::size_t>(cols_));
+    packed_row_.resize(static_cast<std::size_t>(cols_));
     updated_.resize(static_cast<std::size_t>(rows_));
     basis_.assign(static_cast<std::size_t>(rows_), -1);
 
@@ -505,47 +549,21 @@ class Tableau : public Simplex<Tableau> {
     in_phase1_ = num_artificial_ > 0;
   }
 
-  /// Pivots on (pivot_row, pivot_col), updating the live cost rows. A
-  /// read-only scan collects the pivot row's nonzero columns; only those are
-  /// scaled (any that underflow to zero are dropped), and every other row
-  /// and cost row is updated on them only. A skipped column has a pivot-row
-  /// entry of exactly 0.0, where x - f * 0.0 == x and 0.0 * inverse == 0.0,
-  /// so the result equals the dense update up to the sign of a zero, which
-  /// no comparison or division reads, and no zero is ever written back. The
+  /// Pivots on (pivot_row, pivot_col), updating the live cost rows: packs
+  /// the scaled pivot row, records it when phase 1 is being kept, and
+  /// brings every other row and cost row through it by eliminate(). The
   /// other rows are updated on the exec pool when there are enough entries
   /// to update (kPooledUpdates), else in a loop, by the same per-row body.
   void pivot(int pivot_row, int pivot_col) {
     double* pivot_row_data = row(pivot_row);
     const double inverse = 1.0 / pivot_row_data[pivot_col];
-    int* nonzero = nonzero_.data();
-    int num_found = 0;
-    for (int j = 0; j < cols_; ++j) {
-      nonzero[num_found] = j;
-      num_found += pivot_row_data[j] != 0.0 ? 1 : 0;
-    }
-    int num_nonzero = 0;
-    for (int k = 0; k < num_found; ++k) {
-      const int j = nonzero[k];
-      pivot_row_data[j] *= inverse;
-      nonzero[num_nonzero] = j;
-      num_nonzero += pivot_row_data[j] != 0.0 ? 1 : 0;
-    }
-    pivot_row_data[pivot_col] = 1.0;  // exact
-    b_[static_cast<std::size_t>(pivot_row)] *= inverse;
-
-    const double pivot_rhs = b_[static_cast<std::size_t>(pivot_row)];
-    if (etas_ != nullptr) {
-      etas_->record(pivot_col, pivot_rhs, nonzero, num_nonzero, pivot_row_data);
-    }
-    const auto eliminate = [&](double* data, double factor) {
-      for (int k = 0; k < num_nonzero; ++k) {
-        const int j = nonzero[k];
-        data[j] -= factor * pivot_row_data[j];
-      }
-      data[pivot_col] = 0.0;  // exact
-    };
+    double& pivot_rhs = b_[static_cast<std::size_t>(pivot_row)];
+    pivot_rhs *= inverse;
+    const Eta eta{pivot_row, pivot_col, inverse, pivot_rhs,
+                  pack_pivot_row(pivot_row_data, pivot_col, inverse), {}};
+    if (etas_ != nullptr) etas_->add(eta);
     // The rows to update: every other row whose pivot-column entry is
-    // nonzero. Each reads only the scaled pivot row and writes only itself
+    // nonzero. Each reads only the packed pivot row and writes only itself
     // and its rhs, so a row sees the same operations in the same order
     // whether the rows run in a loop or as items of exec::parallel_for.
     int* updated = updated_.data();
@@ -556,26 +574,20 @@ class Tableau : public Simplex<Tableau> {
     }
     const auto update_row = [&](std::size_t k) {
       const int i = updated[k];
-      double* row_data = row(i);
-      const double factor = row_data[pivot_col];
-      eliminate(row_data, factor);
-      update_rhs(i, factor, pivot_rhs);
+      double& rhs = b_[static_cast<std::size_t>(i)];
+      eliminate(eta, row(i), rhs);
+      snap(rhs);
     };
     const auto count = static_cast<std::size_t>(num_updated);
-    if (count * static_cast<std::size_t>(num_nonzero) >= kPooledUpdates) {
+    if (count * eta.pivot_row.size() >= kPooledUpdates) {
       exec::parallel_for(count, update_row);
     } else {
       for (std::size_t k = 0; k < count; ++k) update_row(k);
     }
-    const auto update_cost = [&](std::vector<double>& cost) {
-      const double factor = cost[static_cast<std::size_t>(pivot_col)];
-      if (factor == 0.0) return;
-      eliminate(cost.data(), factor);
-      cost[static_cast<std::size_t>(cols_)] -= factor * pivot_rhs;
-    };
     // Nothing reads cost1_ once phase 1 has ended.
-    if (in_phase1_) update_cost(cost1_);
-    update_cost(cost2_);
+    const auto objective = static_cast<std::size_t>(cols_);
+    if (in_phase1_) eliminate(eta, cost1_.data(), cost1_[objective]);
+    eliminate(eta, cost2_.data(), cost2_[objective]);
     basis_[static_cast<std::size_t>(pivot_row)] = pivot_col;
     ++pivots_;
   }
@@ -608,25 +620,24 @@ class Tableau : public Simplex<Tableau> {
   int num_artificial_ = 0;
   double rhs_scale_ = 0.0;
   bool in_phase1_ = false;
-  Etas* etas_ = nullptr;  ///< where pivots record their etas, if anywhere
+  EtaFile* etas_ = nullptr;  ///< where pivots record their etas, if anywhere
   struct Free {
     void operator()(double* data) const { std::free(data); }
   };
   std::unique_ptr<double[], Free> a_;  ///< rows_ x cols_, from std::calloc
   std::vector<double> cost1_;
-  std::vector<int> nonzero_;  ///< pivot-row nonzero columns, scratch
   std::vector<int> updated_;  ///< rows a pivot updates, scratch
 };
 
 /// Phase 2 from a Phase1::State without a tableau of its own. It owns b, the
-/// basis, the phase-2 cost row (brought through phase 1 by replaying the
-/// start's eta file) and an eta file of its own pivots, and reads the
-/// start's tableau T0 in place. Phase 2 reads only one column per iteration
-/// (the ratio test) and one row per pivot; both are rebuilt from T0 and the
-/// etas by repeating Tableau::pivot's operations on those entries in order,
-/// with its exact 1.0 and 0.0 writes and its skips of exact zeros, so every
-/// entry read equals the cold tableau's. For p phase-2 pivots that costs
-/// O(p * rows + p^2 * nnz), nnz the nonzeros of one eta.
+/// basis, the phase-2 cost row (brought through phase 1 by eliminating it
+/// through the start's eta file) and an eta file of its own pivots, and
+/// reads the start's tableau T0 in place. Phase 2 reads only one column per
+/// iteration (the ratio test) and one row per pivot; both are rebuilt from
+/// T0 and the etas by repeating Tableau::pivot's operations on those entries
+/// in order, with its exact 1.0 and 0.0 writes and its skips of exact zeros,
+/// so every entry read equals the cold tableau's. For p phase-2 pivots that
+/// costs O(p * rows + p^2 * nnz), nnz the nonzeros of one eta.
 class Phase2FromStart : public Simplex<Phase2FromStart> {
  public:
   Phase2FromStart(const Phase1::State& start, const Model& model)
@@ -640,42 +651,25 @@ class Phase2FromStart : public Simplex<Phase2FromStart> {
     b_ = start.b;
     basis_ = start.basis;
     cost2_ = initial_cost2(model);
-    start.etas.replay(cost2_);
+    for (const Eta& eta : start.etas) {
+      eliminate(eta, cost2_.data(), cost2_[static_cast<std::size_t>(cols_)]);
+    }
     last_eta_.assign(static_cast<std::size_t>(rows_), -1);
     column_.resize(static_cast<std::size_t>(rows_));
     row_.resize(static_cast<std::size_t>(cols_));
-    nonzero_.resize(static_cast<std::size_t>(std::max(rows_, cols_)));
+    packed_row_.resize(static_cast<std::size_t>(cols_));
+    packed_column_.resize(static_cast<std::size_t>(rows_));
   }
 
  private:
   friend class Simplex<Phase2FromStart>;
 
-  /// One pivot: its row and column, the inverse of its pivot element, and
-  /// entries [row_begin, row_end) of row_entries_ (the scaled pivot row's
-  /// nonzeros) and [factor_begin, factor_end) of factors_ (the pivot
-  /// column's nonzeros before the pivot, pivot row excluded, by row).
-  struct Eta {
-    int row = 0;
-    int column = 0;
-    double inverse = 0.0;
-    std::size_t row_begin = 0;
-    std::size_t row_end = 0;
-    std::size_t factor_begin = 0;
-    std::size_t factor_end = 0;
-  };
-  struct Entry {
-    int index = 0;
-    double value = 0.0;
-  };
-
   /// Column c of the current tableau: T0's column c, brought through every
   /// eta as Tableau::pivot updates it.
   Column column(int c) {
     std::ranges::fill(column_, 0.0);
-    for (std::size_t k = start_.col_start[static_cast<std::size_t>(c)];
-         k < start_.col_start[static_cast<std::size_t>(c) + 1]; ++k) {
-      column_[static_cast<std::size_t>(start_.col_row[k])] =
-          start_.col_value[k];
+    for (const Entry& entry : start_.column(c)) {
+      column_[static_cast<std::size_t>(entry.index)] = entry.value;
     }
     for (const Eta& eta : etas_) {
       const bool pivot_column = c == eta.column;
@@ -683,9 +677,9 @@ class Phase2FromStart : public Simplex<Phase2FromStart> {
       pivot_entry = pivot_column ? 1.0 : pivot_entry * eta.inverse;
       const double scaled = pivot_entry;
       if (scaled == 0.0) continue;  // not among the pivot row's nonzeros
-      for (std::size_t k = eta.factor_begin; k < eta.factor_end; ++k) {
-        double& entry = column_[static_cast<std::size_t>(factors_[k].index)];
-        entry = pivot_column ? 0.0 : entry - factors_[k].value * scaled;
+      for (const Entry& factor : eta.factors) {
+        double& entry = column_[static_cast<std::size_t>(factor.index)];
+        entry = pivot_column ? 0.0 : entry - factor.value * scaled;
       }
     }
     column_of_ = c;
@@ -694,38 +688,20 @@ class Phase2FromStart : public Simplex<Phase2FromStart> {
 
   /// Row r of the current tableau, into row_: from r's last scaled pivot
   /// row if it was a pivot row, else from T0's row r, through every later
-  /// eta whose pivot column is nonzero in row r.
+  /// eta. A row's entry in an eta's pivot column is that eta's factor for
+  /// the row, so eliminate() skips the etas whose column holds 0.0 in row r.
   void rebuild_row(int r) {
     std::ranges::fill(row_, 0.0);
     const int last = last_eta_[static_cast<std::size_t>(r)];
-    if (last >= 0) {
-      const Eta& eta = etas_[static_cast<std::size_t>(last)];
-      for (std::size_t k = eta.row_begin; k < eta.row_end; ++k) {
-        row_[static_cast<std::size_t>(row_entries_[k].index)] =
-            row_entries_[k].value;
-      }
-    } else {
-      for (std::size_t k = start_.row_start[static_cast<std::size_t>(r)];
-           k < start_.row_start[static_cast<std::size_t>(r) + 1]; ++k) {
-        row_[static_cast<std::size_t>(start_.column[k])] = start_.value[k];
-      }
+    for (const Entry& entry :
+         last >= 0 ? etas_[static_cast<std::size_t>(last)].pivot_row
+                   : start_.row(r)) {
+      row_[static_cast<std::size_t>(entry.index)] = entry.value;
     }
+    double rhs = 0.0;  // unread: b_ holds the rhs
     for (std::size_t l = static_cast<std::size_t>(last + 1); l < etas_.size();
          ++l) {
-      const Eta& eta = etas_[l];
-      const auto first = factors_.begin() +
-                         static_cast<std::ptrdiff_t>(eta.factor_begin);
-      const auto end =
-          factors_.begin() + static_cast<std::ptrdiff_t>(eta.factor_end);
-      const auto factor = std::lower_bound(
-          first, end, r,
-          [](const Entry& entry, int row) { return entry.index < row; });
-      if (factor == end || factor->index != r) continue;
-      for (std::size_t k = eta.row_begin; k < eta.row_end; ++k) {
-        row_[static_cast<std::size_t>(row_entries_[k].index)] -=
-            factor->value * row_entries_[k].value;
-      }
-      row_[static_cast<std::size_t>(eta.column)] = 0.0;  // exact
+      eliminate(etas_[l], row_.data(), rhs);
     }
   }
 
@@ -739,64 +715,40 @@ class Phase2FromStart : public Simplex<Phase2FromStart> {
                      column_[static_cast<std::size_t>(pivot_row)],
                  "the rebuilt pivot row and column must meet in one value");
     const double inverse = 1.0 / row_[static_cast<std::size_t>(pivot_col)];
-    Eta eta{pivot_row, pivot_col, inverse, row_entries_.size(), 0,
-            factors_.size(), 0};
-    // Both scans collect their nonzeros without a branch, as Tableau::pivot
-    // does: most entries are zero, and which is hard to predict.
-    int* nonzero = nonzero_.data();
-    int num_nonzero = 0;
-    for (int j = 0; j < cols_; ++j) {
-      row_[static_cast<std::size_t>(j)] *= inverse;
-      nonzero[num_nonzero] = j;
-      num_nonzero += row_[static_cast<std::size_t>(j)] != 0.0 ? 1 : 0;
-    }
-    row_[static_cast<std::size_t>(pivot_col)] = 1.0;  // exact
-    for (int k = 0; k < num_nonzero; ++k) {
-      row_entries_.push_back(
-          {nonzero[k], row_[static_cast<std::size_t>(nonzero[k])]});
-    }
-    eta.row_end = row_entries_.size();
-    b_[static_cast<std::size_t>(pivot_row)] *= inverse;
-
-    const double pivot_rhs = b_[static_cast<std::size_t>(pivot_row)];
-    column_[static_cast<std::size_t>(pivot_row)] = 0.0;  // not a factor
-    num_nonzero = 0;
+    double& pivot_rhs = b_[static_cast<std::size_t>(pivot_row)];
+    pivot_rhs *= inverse;
+    // The factors: the pivot column's nonzeros off the pivot row, collected
+    // without a branch, as pack_pivot_row() collects the row's.
+    column_[static_cast<std::size_t>(pivot_row)] = 0.0;
+    Entry* factors = packed_column_.data();
+    std::size_t num_factors = 0;
     for (int i = 0; i < rows_; ++i) {
-      nonzero[num_nonzero] = i;
-      num_nonzero += column_[static_cast<std::size_t>(i)] != 0.0 ? 1 : 0;
+      factors[num_factors] = {i, column_[static_cast<std::size_t>(i)]};
+      num_factors += column_[static_cast<std::size_t>(i)] != 0.0 ? 1U : 0U;
     }
-    for (int k = 0; k < num_nonzero; ++k) {
-      const double factor = column_[static_cast<std::size_t>(nonzero[k])];
-      factors_.push_back({nonzero[k], factor});
-      update_rhs(nonzero[k], factor, pivot_rhs);
+    const Eta& eta = etas_.add({pivot_row, pivot_col, inverse, pivot_rhs,
+                                pack_pivot_row(row_.data(), pivot_col, inverse),
+                                {factors, num_factors}});
+    for (const Entry& factor : eta.factors) {
+      double& rhs = b_[static_cast<std::size_t>(factor.index)];
+      rhs -= factor.value * eta.rhs;
+      snap(rhs);
     }
-    eta.factor_end = factors_.size();
-    const double factor = cost2_[static_cast<std::size_t>(pivot_col)];
-    if (factor != 0.0) {
-      for (std::size_t k = eta.row_begin; k < eta.row_end; ++k) {
-        cost2_[static_cast<std::size_t>(row_entries_[k].index)] -=
-            factor * row_entries_[k].value;
-      }
-      cost2_[static_cast<std::size_t>(pivot_col)] = 0.0;  // exact
-      cost2_[static_cast<std::size_t>(cols_)] -= factor * pivot_rhs;
-    }
+    eliminate(eta, cost2_.data(), cost2_[static_cast<std::size_t>(cols_)]);
     last_eta_[static_cast<std::size_t>(pivot_row)] =
-        static_cast<int>(etas_.size());
-    etas_.push_back(eta);
+        static_cast<int>(etas_.size()) - 1;
     basis_[static_cast<std::size_t>(pivot_row)] = pivot_col;
     ++pivots_;
     column_of_ = -1;  // the pivot changed every column
   }
 
   const Phase1::State& start_;
-  std::vector<Eta> etas_;
-  std::vector<Entry> row_entries_;
-  std::vector<Entry> factors_;
+  EtaFile etas_;
   std::vector<int> last_eta_;  ///< per row: its last eta as pivot row, or -1
   std::vector<double> column_;  ///< column column_of_, dense, scratch
   int column_of_ = -1;
   std::vector<double> row_;  ///< the pivot row, dense, scratch
-  std::vector<int> nonzero_;  ///< nonzero entries of row_ or column_, scratch
+  std::vector<Entry> packed_column_;  ///< the pivot's factors, scratch
 };
 
 }  // namespace

@@ -21,15 +21,21 @@
 /// optimal solve also returns the row duals, so a caller can certify its
 /// objective with lp::dual_bound without trusting the solver.
 ///
-/// Phase 1 reads the rows and never the objective, so models that share
-/// their rows and differ in the objective share phase 1 (the relay LPs of a
-/// Thm 1.2 sweep on uniform capacities do). solve_phase1 runs it once and
-/// keeps the resulting tableau, stored sparse, with the eta file of its
-/// pivots; lp::solve given that start replays the etas on its own cost row
-/// and runs only phase 2, without a tableau of its own: it rebuilds the one
-/// column and one row each iteration reads from the start's tableau and the
-/// etas of its own pivots. Both repeat the cold solve's floating-point
-/// operations in order, so the result is the cold solve's bit for bit.
+/// Every pivot is recorded in one eta format: the pivot row and column, the
+/// inverse, the scaled rhs, the scaled pivot row's nonzeros and, for a
+/// phase-2 pivot from a start, the entering column's nonzeros. One routine
+/// brings a dense row through an eta, and every row and cost-row update
+/// goes through it. Phase 1 reads the rows and never the objective, so
+/// models that share their rows and differ in the objective share phase 1
+/// (the relay LPs of a Thm 1.2 sweep on uniform capacities do).
+/// solve_phase1 runs it once and keeps the resulting tableau, stored
+/// sparse, with the eta file of its pivots; lp::solve given that start
+/// brings its own cost row through those etas and runs only phase 2,
+/// without a tableau of its own: it records its pivots in a second eta
+/// file and rebuilds the one column and one row each iteration reads from
+/// the start's tableau and that file. Both repeat the cold solve's
+/// floating-point operations in order, so the result is the cold solve's
+/// bit for bit.
 
 #include <cstdint>
 #include <memory>

@@ -54,12 +54,17 @@ namespace qp::obs {
 /// `calls`/`total_nanos` (and derived self time) are wall-class data.
 struct ProfileNode {
   std::uint64_t calls = 0;
+  /// Summed duration of every call of the span, on whichever thread it ran.
+  /// A span entered on pool workers sums its threads' durations, so under a
+  /// parallel region this is thread time rather than wall time, and a child
+  /// can read longer than its parent.
   std::int64_t total_nanos = 0;
   std::map<std::string, std::uint64_t> counters;  ///< self-attributed deltas
   std::map<std::string, ProfileNode> children;    ///< keyed by span name
 
-  /// Wall time not covered by child spans, clamped at 0 (clock jitter can
-  /// make children sum past the parent).
+  /// Time not covered by child spans, clamped at 0: clock jitter, and
+  /// children run on pool workers (see total_nanos), can make children sum
+  /// past the parent, whose self time then reads 0.
   std::int64_t self_nanos() const;
 
   /// The deterministic half, {"counters": {...}, "children": {...}} per

@@ -341,6 +341,34 @@ TEST(SharedPhase1, LongPhase2) {
   EXPECT_GE(phase2_iterations(cold, start), 100);
 }
 
+// Every row holds all 5000 variables, so each phase-1 and phase-2 pivot row
+// packs over 5000 nonzeros: more than one block of the eta file (4096
+// entries), which then takes a block of its own size.
+TEST(SharedPhase1, EtaLongerThanABlock) {
+  std::mt19937_64 rng(13);
+  lp::Model model;
+  const int vars = 5000;
+  for (int j = 0; j < vars; ++j) {
+    model.add_variable(-std::uniform_int_distribution<int>(1, 9)(rng));
+  }
+  for (int i = 0; i < 6; ++i) {
+    std::vector<std::pair<int, double>> terms;
+    for (int j = 0; j < vars; ++j) {
+      terms.emplace_back(j, std::uniform_int_distribution<int>(1, 9)(rng));
+    }
+    const lp::Relation relation = i == 0   ? lp::Relation::kGreaterEqual
+                                  : i == 1 ? lp::Relation::kEqual
+                                           : lp::Relation::kLessEqual;
+    model.add_constraint(std::move(terms), relation, 100.0 + 10.0 * i);
+  }
+  const lp::Phase1 start = lp::solve_phase1(model);
+  ASSERT_EQ(start.status(), lp::SolveStatus::kOptimal);
+  EXPECT_GE(start.iterations(), 2);  // at least one phase-1 pivot
+  const lp::Solution cold = expect_start_equals_cold(model, start);
+  ASSERT_EQ(cold.status, lp::SolveStatus::kOptimal);
+  EXPECT_GE(phase2_iterations(cold, start), 10);  // rows pivoted on again
+}
+
 class SharedPhase1Panel
     : public ::testing::TestWithParam<std::tuple<std::string, int>> {};
 

@@ -428,7 +428,8 @@ std::optional<Solution> default_placement(const core::QppInstance& instance) {
                cli::ParsedArgs("qpp", {}));
 }
 
-/// Reads and parses a whole JSON document (run report or bench baseline).
+/// Reads and parses a whole JSON document: a run report (--diff) or a
+/// Chrome trace (--trace).
 obs::json::Value load_json_file(const std::string& path) {
   std::ifstream in(path);
   if (!in) {
