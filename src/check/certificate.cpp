@@ -5,14 +5,15 @@
 #include <cstdio>
 #include <functional>
 #include <limits>
-#include <optional>
 #include <utility>
 
 #include "assign/gap.hpp"
 #include "check/contracts.hpp"
 #include "core/evaluators.hpp"
 #include "core/ssqpp_lp.hpp"
+#include "exec/parallel.hpp"
 #include "lp/model.hpp"
+#include "obs/obs.hpp"
 
 namespace qp::check {
 
@@ -31,12 +32,14 @@ bool within(double value, double bound, double tolerance) {
   return value <= bound + tolerance * std::max(1.0, std::abs(bound));
 }
 
-/// Weighted average client distance to a node: Avg_v d(v, v0).
+/// Weighted average client distance to a node: Avg_v d(v, v0), read off
+/// v0's row (the metric is exactly symmetric, so row(v0)[v] is d(v, v0)).
 double average_distance_to(const core::QppInstance& instance, int v0) {
+  const double* distance = instance.metric().row(v0);
   double average = 0.0;
   for (int v = 0; v < instance.num_nodes(); ++v) {
     average += instance.client_weights()[static_cast<std::size_t>(v)] *
-               instance.metric()(v, v0);
+               distance[v];
   }
   return average;
 }
@@ -155,6 +158,7 @@ std::string Certificate::to_string() const {
 Certificate check_certificate(const core::SsqppInstance& instance,
                               const core::SsqppResult& result,
                               const CertificateOptions& options) {
+  QP_SPAN("check.certificate");
   QP_REQUIRE(options.alpha > 1.0, "certificate needs alpha > 1");
   Certificate cert;
   if (!placement_usable(cert, result.placement,
@@ -196,6 +200,7 @@ Certificate check_certificate(const core::SsqppInstance& instance,
 Certificate check_certificate(const core::QppInstance& instance,
                               const core::QppResult& result,
                               const CertificateOptions& options) {
+  QP_SPAN("check.certificate");
   QP_REQUIRE(options.alpha > 1.0, "certificate needs alpha > 1");
   Certificate cert;
   if (!placement_usable(cert, result.placement,
@@ -215,26 +220,42 @@ Certificate check_certificate(const core::QppInstance& instance,
   cert.add("consistency/load-violation",
            std::abs(violation - result.load_violation), 0.0, tol);
 
-  // Node v0's bound on Z*(v0), derived once, from the duals of the result's
-  // record for relay v0 when it has one.
+  // The nodes whose bound the certificate reads: every node for L and the
+  // direct bound, else the records' relays and the chosen one. Each is
+  // derived on the exec pool into its own slot, from the duals of the
+  // result's record for that relay when it has one; the folds below read
+  // the slots serially in node order, so the certificate is bit-identical
+  // at any pool size.
   const int n = instance.num_nodes();
   const auto valid_node = [n](int v) { return v >= 0 && v < n; };
   std::vector<const core::SsqppDuals*> supplied(
       static_cast<std::size_t>(n), nullptr);
+  std::vector<char> wanted(static_cast<std::size_t>(n),
+                           options.derive_opt_lower_bound ? 1 : 0);
   for (const core::RelayLp& record : result.relay_lps) {
     if (valid_node(record.source)) {
       supplied[static_cast<std::size_t>(record.source)] = &record.duals;
+      wanted[static_cast<std::size_t>(record.source)] = 1;
     }
   }
-  std::vector<std::optional<LpBound>> bounds(static_cast<std::size_t>(n));
+  if (valid_node(result.chosen_source)) {
+    wanted[static_cast<std::size_t>(result.chosen_source)] = 1;
+  }
+  std::vector<int> nodes;
+  for (int v0 = 0; v0 < n; ++v0) {
+    if (wanted[static_cast<std::size_t>(v0)] != 0) nodes.push_back(v0);
+  }
+  std::vector<LpBound> bounds(static_cast<std::size_t>(n));
+  std::vector<double> average_distance(static_cast<std::size_t>(n));
+  exec::parallel_for(nodes.size(), [&](std::size_t i) {
+    QP_SPAN("check.node_bound");
+    const auto v0 = static_cast<std::size_t>(nodes[i]);
+    bounds[v0] = ssqpp_bound(core::single_source_view(instance, nodes[i]),
+                             supplied[v0], options.simplex);
+    average_distance[v0] = average_distance_to(instance, nodes[i]);
+  });
   const auto node_bound = [&](int v0) -> const LpBound& {
-    std::optional<LpBound>& bound = bounds[static_cast<std::size_t>(v0)];
-    if (!bound) {
-      bound = ssqpp_bound(core::single_source_view(instance, v0),
-                          supplied[static_cast<std::size_t>(v0)],
-                          options.simplex);
-    }
-    return *bound;
+    return bounds[static_cast<std::size_t>(v0)];
   };
 
   // Each record's Z*(v0), and best_lp_bound (their max), must match the
@@ -275,7 +296,8 @@ Certificate check_certificate(const core::QppInstance& instance,
   // Relay inequality (paper eq. (4)/(8)): the average delay is at most the
   // via-v0 delay; holds for any placement by the triangle inequality.
   cert.add("lemma3.1/relay", average,
-           average_distance_to(instance, result.chosen_source) + source_delay,
+           average_distance[static_cast<std::size_t>(result.chosen_source)] +
+               source_delay,
            tol);
 
   if (options.derive_opt_lower_bound) {
@@ -299,8 +321,9 @@ Certificate check_certificate(const core::QppInstance& instance,
         every_node_solved = false;
         break;
       }
-      relay_bound = std::min(relay_bound,
-                             average_distance_to(instance, v0) + bound.value);
+      relay_bound = std::min(
+          relay_bound,
+          average_distance[static_cast<std::size_t>(v0)] + bound.value);
       direct_bound +=
           instance.client_weights()[static_cast<std::size_t>(v0)] *
           bound.value;
@@ -321,6 +344,7 @@ Certificate check_certificate(const core::QppInstance& instance,
 Certificate check_certificate(const core::QppInstance& instance,
                               const core::TotalDelayResult& result,
                               const CertificateOptions& options) {
+  QP_SPAN("check.certificate");
   Certificate cert;
   if (!placement_usable(cert, result.placement,
                         instance.system().universe_size(),
@@ -358,6 +382,7 @@ Certificate check_certificate(const core::QppInstance& instance,
 Certificate check_certificate(const core::SsqppInstance& instance,
                               const core::MajorityLayoutResult& result, int t,
                               const CertificateOptions& options) {
+  QP_SPAN("check.certificate");
   Certificate cert;
   if (!placement_usable(cert, result.placement,
                         instance.system().universe_size(),

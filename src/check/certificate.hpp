@@ -36,9 +36,13 @@
 ///    The checks Avg_v Delta_f(v) <= beta * L and load <= (alpha+1) cap
 ///    machine-verify the 5 beta approximation, and max(L / 5, direct) is
 ///    the certified lower bound on OPT (direct only when every node's LP
-///    is feasible). CertificateOptions::derive_opt_lower_bound turns the
-///    per-node loop off; the Thm 3.7 chain at the chosen relay and the
-///    relay records' consistency rows are still checked.
+///    is feasible). The per-node bounds run on the exec pool, one task per
+///    node into its own slot, and every fold over them (L's min, the direct
+///    sum, the record rows) runs serially in node order, so the certificate
+///    stays bit-identical at any thread count.
+///    CertificateOptions::derive_opt_lower_bound turns the all-nodes pass
+///    off; the Thm 3.7 chain at the chosen relay and the relay records'
+///    consistency rows are still checked.
 ///  - Thm 5.1 (total delay): D <= G <= OPT and
 ///        Avg_v Gamma_f(v) <= D,   load_f(v) <= 2 cap(v).
 ///  - Eq. (19) (Majority, Thm 1.3): the measured Delta_f(v0) equals the

@@ -25,16 +25,13 @@ bool triangle_violated(const graph::Metric& m, int i, int j, int k,
   return m(i, k) > m(i, j) + m(j, k) + tolerance;
 }
 
-/// Shared core of the two validate_instance overloads.
+/// Shared core of validate_instance and validate_view: everything but the
+/// metric of an instance over \p n nodes.
 ValidationReport validate_instance_parts(
-    const graph::Metric& metric, const std::vector<double>& capacities,
+    int n, const std::vector<double>& capacities,
     const quorum::QuorumSystem& system, const quorum::AccessStrategy& strategy,
-    const std::vector<double>& element_loads,
-    const MetricCheckOptions& options) {
+    const std::vector<double>& element_loads) {
   ValidationReport report;
-  report.merge(validate_metric(metric, options));
-
-  const int n = metric.num_points();
   if (static_cast<int>(capacities.size()) != n) {
     report.add("instance/capacity-count",
                std::to_string(capacities.size()) + " capacities for " +
@@ -169,34 +166,11 @@ std::string ValidationReport::to_string() const {
 
 ValidationReport validate_metric(const graph::Metric& metric,
                                  const MetricCheckOptions& options) {
+  // Finiteness, non-negativity, the zero diagonal and exact symmetry are
+  // thrown on by every Metric constructor; only the triangle inequality is
+  // left to check.
   ValidationReport report;
   const int n = metric.num_points();
-  bool bad_value = false;
-  bool bad_diagonal = false;
-  bool asymmetric = false;
-  for (int i = 0; i < n && !(bad_value && bad_diagonal && asymmetric); ++i) {
-    for (int j = 0; j < n; ++j) {
-      const double d = metric(i, j);
-      if (!bad_value && (!std::isfinite(d) || d < 0.0)) {
-        report.add("metric/bad-value", "d" + idx2(i, j) + " = " + num(d));
-        bad_value = true;
-      }
-      if (!bad_diagonal && i == j && d != 0.0) {
-        report.add("metric/nonzero-diagonal",
-                   "d" + idx2(i, i) + " = " + num(d));
-        bad_diagonal = true;
-      }
-      if (!asymmetric &&
-          std::abs(d - metric(j, i)) > options.tolerance) {
-        report.add("metric/asymmetric",
-                   "d" + idx2(i, j) + " = " + num(d) + " vs d" + idx2(j, i) +
-                       " = " + num(metric(j, i)));
-        asymmetric = true;
-      }
-    }
-  }
-  if (bad_value) return report;  // triangle checks are meaningless
-
   if (n <= options.exhaustive_triangle_limit) {
     for (int i = 0; i < n; ++i) {
       for (int j = 0; j < n; ++j) {
@@ -258,9 +232,10 @@ ValidationReport validate_strategy(const quorum::QuorumSystem& system,
 
 ValidationReport validate_instance(const core::QppInstance& instance,
                                    const MetricCheckOptions& options) {
-  ValidationReport report = validate_instance_parts(
-      instance.metric(), instance.capacities(), instance.system(),
-      instance.strategy(), instance.element_loads(), options);
+  ValidationReport report = validate_metric(instance.metric(), options);
+  report.merge(validate_instance_parts(
+      instance.num_nodes(), instance.capacities(), instance.system(),
+      instance.strategy(), instance.element_loads()));
 
   const std::vector<double>& weights = instance.client_weights();
   if (static_cast<int>(weights.size()) != instance.num_nodes()) {
@@ -286,9 +261,15 @@ ValidationReport validate_instance(const core::QppInstance& instance,
 
 ValidationReport validate_instance(const core::SsqppInstance& instance,
                                    const MetricCheckOptions& options) {
+  ValidationReport report = validate_metric(instance.metric(), options);
+  report.merge(validate_view(instance));
+  return report;
+}
+
+ValidationReport validate_view(const core::SsqppInstance& instance) {
   ValidationReport report = validate_instance_parts(
-      instance.metric(), instance.capacities(), instance.system(),
-      instance.strategy(), instance.element_loads(), options);
+      instance.num_nodes(), instance.capacities(), instance.system(),
+      instance.strategy(), instance.element_loads());
   if (instance.source() < 0 || instance.source() >= instance.num_nodes()) {
     report.add("instance/source-out-of-range",
                "v0 = " + std::to_string(instance.source()));

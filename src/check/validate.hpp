@@ -9,9 +9,9 @@
 /// diagnosis tools used by `qplace check`, tests, and solver entry points.
 ///
 /// Invariant catalogue (see docs/CONTRACTS.md for the paper mapping):
-///  - metric:    symmetry, zero diagonal, non-negativity, finiteness,
-///               triangle inequality (exhaustive for small n, sampled above
-///               MetricCheckOptions::exhaustive_triangle_limit);
+///  - metric:    triangle inequality (exhaustive for small n, sampled above
+///               MetricCheckOptions::exhaustive_triangle_limit); the Metric
+///               constructor throws on the other axioms;
 ///  - instance:  capacities finite and >= 0, strategy a probability
 ///               distribution over the quorums, quorums nonempty subsets of
 ///               U, client weights normalized, element loads consistent
@@ -56,8 +56,9 @@ struct MetricCheckOptions {
   std::uint64_t seed = 7;
 };
 
-/// Symmetry, zero diagonal, non-negativity, finiteness and the triangle
-/// inequality (paper Sec 1.2 assumes a metric).
+/// The triangle inequality (paper Sec 1.2 assumes a metric). Every Metric
+/// constructor already throws on a non-finite or negative entry, a nonzero
+/// diagonal and asymmetry, so those need no check here.
 ValidationReport validate_metric(const graph::Metric& metric,
                                  const MetricCheckOptions& options = {});
 
@@ -77,6 +78,13 @@ ValidationReport validate_instance(const core::QppInstance& instance,
 /// Single-source instance: as above plus source in range.
 ValidationReport validate_instance(const core::SsqppInstance& instance,
                                    const MetricCheckOptions& options = {});
+
+/// validate_instance without the metric: what a single_source_view adds to
+/// the QppInstance whose metric it shares (capacities, system, strategy and
+/// cached loads sized for that metric, and the source in range). O(n) plus
+/// the quorums' size, so the relay sweep checks every relay with it after
+/// validating the shared metric once.
+ValidationReport validate_view(const core::SsqppInstance& instance);
 
 struct PlacementCheckOptions {
   /// Allowed load_f(v) / cap(v). 1.0 demands capacity-respecting; the

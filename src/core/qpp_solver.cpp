@@ -37,9 +37,6 @@ std::vector<int> relay_candidates(const QppInstance& instance,
 
 std::optional<QppResult> solve_qpp(const QppInstance& instance,
                                    const QppSolveOptions& options) {
-  QP_REQUIRE(check::validate_instance(instance).ok(),
-             "QPP instance violates its data contracts (metric / strategy / "
-             "capacities); see check::validate_instance");
   auto sweep = ssqpp_relay_sweep(
       instance, options, [&](const SsqppResult& single) {
         return average_max_delay(instance, single.placement);

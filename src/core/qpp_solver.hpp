@@ -12,6 +12,8 @@
 #include <utility>
 #include <vector>
 
+#include "check/contracts.hpp"
+#include "check/validate.hpp"
 #include "core/instance.hpp"
 #include "core/ssqpp_solver.hpp"
 #include "exec/parallel.hpp"
@@ -109,16 +111,21 @@ RelaySweep<Result> relay_sweep(const QppInstance& instance,
 
 /// relay_sweep of solve_ssqpp (options.alpha, options.simplex) over
 /// relay_candidates(instance, options), as solve_qpp and solve_qpp_multi
-/// run it. On uniform capacities every relay's seeded LP (9)-(14) has the
-/// same rows, so phase 1 of the first candidate's is solved once, on this
-/// thread before the sweep, and every relay starts from it; the start is
-/// freed when the sweep returns. Other capacities solve every relay cold.
+/// run it. The instance, its metric included, is validated once here; each
+/// relay checks only what its view adds (solve_ssqpp_view). On uniform
+/// capacities every relay's seeded LP (9)-(14) has the same rows, so
+/// phase 1 of the first candidate's is solved once, on this thread before
+/// the sweep, and every relay starts from it; the start is freed when the
+/// sweep returns. Other capacities solve every relay cold.
 /// Either way the results are those of cold solves, and the work counters
 /// do not depend on the pool size.
 template <typename Score>
 RelaySweep<SsqppResult> ssqpp_relay_sweep(const QppInstance& instance,
                                           const QppSolveOptions& options,
                                           Score&& score) {
+  QP_REQUIRE(check::validate_instance(instance).ok(),
+             "QPP instance violates its data contracts (metric / strategy / "
+             "capacities); see check::validate_instance");
   const std::vector<int> candidates = relay_candidates(instance, options);
   const std::vector<double>& caps = instance.capacities();
   const bool uniform =
@@ -132,8 +139,8 @@ RelaySweep<SsqppResult> ssqpp_relay_sweep(const QppInstance& instance,
   return relay_sweep<SsqppResult>(
       instance, candidates,
       [&](const SsqppInstance& view) {
-        return solve_ssqpp(view, options.alpha, options.simplex,
-                           start ? &*start : nullptr);
+        return solve_ssqpp_view(view, options.alpha, options.simplex,
+                                start ? &*start : nullptr);
       },
       std::forward<Score>(score));
 }

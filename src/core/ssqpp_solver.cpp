@@ -96,12 +96,22 @@ std::optional<SsqppResult> solve_ssqpp(const SsqppInstance& instance,
                                        double alpha,
                                        const lp::SimplexOptions& options,
                                        const lp::Phase1* start) {
+  QP_REQUIRE(check::validate_metric(instance.metric()).ok(),
+             "SSQPP instance's distances violate the triangle inequality; "
+             "see check::validate_metric");
+  return solve_ssqpp_view(instance, alpha, options, start);
+}
+
+std::optional<SsqppResult> solve_ssqpp_view(const SsqppInstance& instance,
+                                            double alpha,
+                                            const lp::SimplexOptions& options,
+                                            const lp::Phase1* start) {
   if (!(alpha > 1.0)) {
     throw std::invalid_argument("solve_ssqpp: alpha > 1 required");
   }
-  QP_REQUIRE(check::validate_instance(instance).ok(),
-             "SSQPP instance violates its data contracts (metric / strategy "
-             "/ capacities); see check::validate_instance");
+  QP_REQUIRE(check::validate_view(instance).ok(),
+             "SSQPP instance violates its data contracts (strategy / "
+             "capacities / source); see check::validate_view");
   QP_SPAN("ssqpp.solve");
   QP_COUNTER_ADD("ssqpp.solves", 1);
   FractionalSsqpp fractional = [&] {

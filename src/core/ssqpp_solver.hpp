@@ -34,6 +34,15 @@ std::optional<SsqppResult> solve_ssqpp(const SsqppInstance& instance,
                                        const lp::SimplexOptions& options = {},
                                        const lp::Phase1* start = nullptr);
 
+/// solve_ssqpp on a view whose metric the caller has validated: the relay
+/// sweep's per-relay call on a single_source_view of a QppInstance it
+/// checked once. Its contract checks only what the view adds
+/// (check::validate_view), so it costs O(n) per relay instead of the
+/// metric's triangle check.
+std::optional<SsqppResult> solve_ssqpp_view(
+    const SsqppInstance& instance, double alpha = 2.0,
+    const lp::SimplexOptions& options = {}, const lp::Phase1* start = nullptr);
+
 /// Rounding stage only: converts an alpha-filtered fractional solution into
 /// a placement via GAP (machines = nodes, jobs = elements, budgets
 /// T_t = alpha * cap(v_t)). Exposed separately for tests and ablations.

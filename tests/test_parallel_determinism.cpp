@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -195,6 +196,94 @@ TEST(ParallelDeterminism, QppModeBitIdentical) {
     EXPECT_EQ(cert_one.ok(), cert_eight.ok()) << named.name;
     EXPECT_EQ(cert_one.to_string(), cert_eight.to_string()) << named.name;
     EXPECT_TRUE(cert_one.ok()) << named.name << "\n" << cert_one.to_string();
+  }
+}
+
+/// Every number of a certificate as its bit pattern, in order: each
+/// check's value and bound, each lower bound, opt_lower_bound and
+/// certified_ratio.
+std::vector<std::uint64_t> certificate_bits(const check::Certificate& cert) {
+  std::vector<std::uint64_t> bits;
+  for (const check::BoundCheck& c : cert.checks) {
+    bits.push_back(std::bit_cast<std::uint64_t>(c.value));
+    bits.push_back(std::bit_cast<std::uint64_t>(c.bound));
+  }
+  for (const check::LowerBound& bound : cert.lower_bounds) {
+    bits.push_back(std::bit_cast<std::uint64_t>(bound.value));
+  }
+  bits.push_back(std::bit_cast<std::uint64_t>(cert.opt_lower_bound));
+  bits.push_back(std::bit_cast<std::uint64_t>(cert.certified_ratio));
+  return bits;
+}
+
+TEST(ParallelDeterminism, CertificateBitIdentical) {
+  // The Thm 1.2 certificate derives its per-node LP bounds on the pool, one
+  // task per node; every number it reports must match bit for bit at any
+  // pool size, whichever path each node's bound takes.
+  struct Case {
+    std::string name;
+    const core::QppInstance* instance;
+    core::QppResult result;
+    check::CertificateOptions options;
+    bool certified;
+  };
+  std::vector<Case> cases;
+  const std::vector<NamedInstance> instances = make_instances();
+  for (const NamedInstance& named : instances) {
+    const auto solved = core::solve_qpp(named.instance);
+    ASSERT_TRUE(solved.has_value()) << named.name;
+    check::CertificateOptions options;
+    cases.push_back({named.name + "/every-record", &named.instance, *solved,
+                     options, true});
+    // Without duals a node's bound falls back to the checker's own
+    // solve_ssqpp_lp, inside a pool task, so nested and inline.
+    core::QppResult stripped = *solved;
+    for (std::size_t i = 0; i < stripped.relay_lps.size(); i += 2) {
+      stripped.relay_lps[i].duals = {};
+    }
+    cases.push_back({named.name + "/stripped-duals", &named.instance,
+                     std::move(stripped), options, true});
+    options.derive_opt_lower_bound = false;
+    cases.push_back({named.name + "/records-only", &named.instance, *solved,
+                     options, true});
+  }
+  // Node LPs that stop at kIterationLimit: the instance of
+  // Certificate.IterationLimitedLowerBoundIsNotCertified, where 9 of its 10
+  // node LPs have no record and do not solve within the limit.
+  std::mt19937_64 rng(1);
+  graph::Metric metric =
+      graph::Metric::from_graph(graph::random_geometric(10, 0.5, rng).graph);
+  std::vector<double> capacities;
+  for (int i = 0; i < metric.num_points(); ++i) {
+    capacities.push_back(0.7 + 0.35 * (i % 4));
+  }
+  quorum::QuorumSystem system = quorum::grid(3);
+  quorum::AccessStrategy strategy = quorum::AccessStrategy::uniform(system);
+  const core::QppInstance limited(std::move(metric), std::move(capacities),
+                                  std::move(system), std::move(strategy));
+  core::QppSolveOptions solve_options;
+  solve_options.simplex.max_iterations = 151;
+  const auto limited_result = core::solve_qpp(limited, solve_options);
+  ASSERT_TRUE(limited_result.has_value());
+  check::CertificateOptions limited_options;
+  limited_options.simplex.max_iterations = 151;
+  cases.push_back({"grid3/geometric10/iteration-limit", &limited,
+                   *limited_result, limited_options, false});
+
+  for (const Case& c : cases) {
+    const auto certify = [&c] {
+      return check::check_certificate(*c.instance, c.result, c.options);
+    };
+    const check::Certificate at_one = with_threads(1, certify);
+    EXPECT_EQ(at_one.ok(), c.certified) << c.name << "\n"
+                                        << at_one.to_string();
+    for (const int threads : {2, 8}) {
+      const check::Certificate other = with_threads(threads, certify);
+      EXPECT_EQ(certificate_bits(at_one), certificate_bits(other))
+          << c.name << " at " << threads << " threads";
+      EXPECT_EQ(at_one.to_string(), other.to_string())
+          << c.name << " at " << threads << " threads";
+    }
   }
 }
 
