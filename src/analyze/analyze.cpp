@@ -380,26 +380,35 @@ AccessLogAnalysis analyze_access_log(const core::QppInstance& instance,
     const double timeout = context_number(log, "timeout", 0.0);
     const int max_attempts =
         static_cast<int>(context_number(log, "retries", 0.0));
-    // Worst fault-free probe delay across every client/element pair: when
-    // the configured timeout exceeds it, a fault-free attempt can never
-    // time out, so every retry/failure MUST overlap an active fault
-    // window. (With a tighter timeout, jitter alone can cause retries and
-    // the window check would report false positives, so it is skipped.)
-    double worst_net = 0.0;
+    // Worst fault-free attempt across every client/quorum pair: its
+    // slowest probe in parallel mode, its whole probe chain in sequential
+    // mode (the deadline covers the chain). When the configured timeout
+    // exceeds it, a fault-free attempt can never time out, so every
+    // retry/failure MUST overlap an active fault window. (With a tighter
+    // timeout, jitter alone can cause retries and the window check would
+    // report false positives, so it is skipped. So it is at equality: a
+    // reply due exactly at the deadline ties with it, and the engine
+    // orders tied events by its heap, not by kind.)
     const graph::Metric& metric = instance.metric();
+    double worst_attempt = 0.0;
     for (int v = 0; v < n; ++v) {
-      for (int u = 0; u < instance.system().universe_size(); ++u) {
-        const int node = placement[static_cast<std::size_t>(u)];
-        const double path =
-            analysis.relay >= 0
-                ? metric(v, analysis.relay) + metric(analysis.relay, node)
-                : metric(v, node);
-        worst_net = std::max(worst_net, path);
+      for (int q = 0; q < instance.system().num_quorums(); ++q) {
+        double attempt = 0.0;
+        for (const int element : instance.system().quorum(q)) {
+          const int node = placement[static_cast<std::size_t>(element)];
+          const double path =
+              analysis.relay >= 0
+                  ? metric(v, analysis.relay) + metric(analysis.relay, node)
+                  : metric(v, node);
+          attempt = analysis.sequential ? attempt + path
+                                        : std::max(attempt, path);
+        }
+        worst_attempt = std::max(worst_attempt, attempt);
       }
     }
-    worst_net *= 1.0 + analysis.jitter;
+    worst_attempt *= 1.0 + analysis.jitter;
     const bool retries_imply_faults =
-        timeout > 0.0 && timeout >= worst_net &&
+        timeout > 0.0 && timeout > worst_attempt &&
         analysis.service_rate <= 0.0;
     for (const AccessRecord& record : log.records) {
       if (max_attempts > 0 && record.attempts > max_attempts) {
@@ -418,7 +427,7 @@ AccessLogAnalysis analyze_access_log(const core::QppInstance& instance,
           !faults->any_active(record.start, record.finish)) {
         flag(record,
              "retried or failed outside every fault window, yet the "
-             "timeout exceeds the worst fault-free probe delay");
+             "timeout exceeds the worst fault-free attempt");
       }
       if (record.outcome == AccessOutcome::kUnavailable) {
         // The verdict time is record.finish: re-derive the live set there

@@ -20,8 +20,9 @@
 ///     are skipped, and instead every retry or failure is validated
 ///     against the sim::FaultSchedule the run was driven by -- a retried /
 ///     failed access must overlap an active fault window (strict when the
-///     configured timeout provably exceeds the worst fault-free probe
-///     delay), an "unavailable" verdict must be reproducible by
+///     configured timeout provably exceeds the worst fault-free attempt:
+///     its slowest probe, or in sequential mode its probe chain), an
+///     "unavailable" verdict must be reproducible by
 ///     quorum::check_liveness at the verdict time, and attempt counts must
 ///     respect the configured maximum.
 ///

@@ -115,12 +115,29 @@ AccessLogWriter::~AccessLogWriter() {
   }
 }
 
-void AccessLogWriter::record(AccessRecord record) {
+void AccessLogWriter::record(const AccessRecord& record) {
   if (closed_) {
     throw std::logic_error("AccessLogWriter: record() after close()");
   }
   if (!sampled(record.id)) return;
+  ++recorded_;
+  const auto by_id = [](const auto& a, const auto& b) {
+    return a.first < b.first;
+  };
+  const auto limit = static_cast<std::size_t>(config_.head_limit);
+  if (limit == 0) {
+    buffered_.emplace_back(record.id, render_access_record(record));
+    return;
+  }
+  // Head-limited: buffered_ is a max-heap by id holding the `limit`
+  // smallest ids seen so far, so only those are ever rendered and held.
+  if (buffered_.size() == limit) {
+    if (record.id >= buffered_.front().first) return;
+    std::pop_heap(buffered_.begin(), buffered_.end(), by_id);
+    buffered_.pop_back();
+  }
   buffered_.emplace_back(record.id, render_access_record(record));
+  std::push_heap(buffered_.begin(), buffered_.end(), by_id);
 }
 
 void AccessLogWriter::close() {

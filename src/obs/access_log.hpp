@@ -114,7 +114,9 @@ bool access_log_sampled(const AccessLogConfig& config, std::int64_t id);
 /// Collects sampled records during a simulation and writes the JSONL
 /// document to a stream on close(). Records are buffered (only the sampled
 /// ones -- that is what bounds memory on huge runs) and flushed sorted by
-/// id, so the byte stream is independent of completion order.
+/// id, so the byte stream is independent of completion order. With a head
+/// limit only the head_limit smallest ids seen so far are held, so a
+/// head-limited log costs O(head_limit) memory however long the run.
 class AccessLogWriter {
  public:
   /// \p out must outlive the writer; \p context is echoed into the header
@@ -134,21 +136,23 @@ class AccessLogWriter {
   }
 
   /// Buffers the record if sampled. Ids must be unique across the run.
-  void record(AccessRecord record);
+  void record(const AccessRecord& record);
 
   /// Writes header + records (sorted by id, head-truncated) and flushes.
   /// Idempotent; also invoked by the destructor.
   void close();
 
-  std::int64_t recorded() const {
-    return static_cast<std::int64_t>(buffered_.size());
-  }
+  /// Sampled records passed to record(), including those a head limit
+  /// leaves out of the document.
+  std::int64_t recorded() const { return recorded_; }
 
  private:
   std::ostream& out_;
   AccessLogConfig config_;
   std::map<std::string, std::string> context_;
+  /// (id, rendered line); a max-heap by id while head_limit > 0.
   std::vector<std::pair<std::int64_t, std::string>> buffered_;
+  std::int64_t recorded_ = 0;
   bool closed_ = false;
 };
 

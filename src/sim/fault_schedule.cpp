@@ -245,7 +245,15 @@ bool FaultSchedule::any_active(double from, double until) const {
 
 std::vector<bool> FaultSchedule::failed_elements(
     const core::Placement& placement, int client, double t) const {
-  std::vector<bool> failed(placement.size(), false);
+  std::vector<bool> failed;
+  failed_elements(placement, client, t, failed);
+  return failed;
+}
+
+void FaultSchedule::failed_elements(const core::Placement& placement,
+                                    int client, double t,
+                                    std::vector<bool>& failed) const {
+  failed.resize(placement.size());
   for (std::size_t u = 0; u < placement.size(); ++u) {
     const int node = placement[u];
     if (node < 0) {
@@ -254,7 +262,6 @@ std::vector<bool> FaultSchedule::failed_elements(
     }
     failed[u] = crashed(node, t) || partitioned(client, node, t);
   }
-  return failed;
 }
 
 FaultSchedule parse_fault_schedule(const std::string& text) {

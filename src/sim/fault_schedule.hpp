@@ -102,6 +102,10 @@ class FaultSchedule {
   /// full placement validation is the simulator's job.
   std::vector<bool> failed_elements(const core::Placement& placement,
                                     int client, double t) const;
+  /// The same failure set written into `failed` (resized to the
+  /// placement), so a caller that asks often can reuse one buffer.
+  void failed_elements(const core::Placement& placement, int client,
+                       double t, std::vector<bool>& failed) const;
 
   /// The windows in schedule order, as constructed (and as rendered).
   const std::vector<CrashWindow>& crashes() const { return crashes_; }

@@ -60,6 +60,64 @@ struct Access {
   std::vector<int> tried;      ///< quorum indices attempted so far
 };
 
+/// One entry of the access table: the access with id `id`, and its log
+/// record when the access is logged (measured and sampled).
+struct Slot {
+  std::int64_t id = -1;
+  Access access;
+  bool logged = false;
+  obs::AccessRecord record;
+};
+
+/// The accesses a pending event can still reference, keyed by access id.
+/// Id i lives in slot i & (capacity - 1) of a power-of-two ring, which
+/// doubles when a new id's slot still holds an unresolved access; a
+/// resolved access's slot is handed to the next id that maps to it, and
+/// keeps the capacity of its `tried` list and log record. So the table
+/// holds O(accesses in flight), not one entry per access ever issued.
+class AccessTable {
+ public:
+  /// The live access with this id, or nullptr once it resolved (its slot
+  /// may since hold a younger access). Every handler reads nullptr as a
+  /// resolved access.
+  Slot* find(std::int64_t id) {
+    Slot& slot = slot_of(id);
+    return slot.id == id && !slot.access.resolved ? &slot : nullptr;
+  }
+
+  /// The slot for a new id, larger than every id claimed before. The
+  /// caller resets the access in it.
+  Slot& claim(std::int64_t id) {
+    while (live(slot_of(id))) grow();
+    Slot& slot = slot_of(id);
+    slot.id = id;
+    return slot;
+  }
+
+ private:
+  static constexpr std::size_t kInitialCapacity = 64;
+
+  static bool live(const Slot& slot) {
+    return slot.id >= 0 && !slot.access.resolved;
+  }
+  Slot& slot_of(std::int64_t id) {
+    return slots_[static_cast<std::size_t>(id) & (slots_.size() - 1)];
+  }
+  /// Doubles the ring. Live ids in distinct slots differ in their low
+  /// log2(capacity) bits, so they stay in distinct slots.
+  void grow() {
+    std::vector<Slot> bigger(slots_.size() * 2);
+    for (Slot& slot : slots_) {
+      if (!live(slot)) continue;
+      bigger[static_cast<std::size_t>(slot.id) & (bigger.size() - 1)] =
+          std::move(slot);
+    }
+    slots_.swap(bigger);
+  }
+
+  std::vector<Slot> slots_ = std::vector<Slot>(kInitialCapacity);
+};
+
 }  // namespace
 
 SimulationResult simulate(const core::QppInstance& instance,
@@ -195,17 +253,12 @@ SimulationResult simulate(const core::QppInstance& instance,
     queue.push({gap(rng), EventType::kArrival, v, 0});
   }
 
-  std::vector<Access> accesses;
-  // Per-access event log records, parallel to `accesses`. Only populated
-  // for measured (post-warmup) accesses that pass the writer's sampling
-  // filter; an empty probes vector marks "not logged" (quorums are
-  // non-empty by construction).
+  AccessTable table;
+  std::int64_t next_id = 0;
+  // Per-access event log records live in the access's slot. Only measured
+  // (post-warmup) accesses that pass the writer's sampling filter are
+  // logged (Slot::logged).
   obs::AccessLogWriter* logger = config.access_log;
-  std::vector<obs::AccessRecord> records;
-  const auto logged = [&](std::int64_t id) {
-    return logger != nullptr &&
-           !records[static_cast<std::size_t>(id)].probes.empty();
-  };
   std::vector<double> node_free(static_cast<std::size_t>(n), 0.0);
   std::vector<double> node_busy(static_cast<std::size_t>(n), 0.0);
   std::vector<double> node_probe_count(static_cast<std::size_t>(n), 0.0);
@@ -349,9 +402,10 @@ SimulationResult simulate(const core::QppInstance& instance,
   // while the node is down.
   std::uniform_real_distribution<double> jitter(1.0 - config.latency_jitter,
                                                 1.0 + config.latency_jitter);
-  const auto launch_probe =
-      [&](const Access& access, std::int64_t id, int idx,
-          double when) -> std::optional<Event> {
+  const auto launch_probe = [&](Slot& slot, int idx,
+                                double when) -> std::optional<Event> {
+    const Access& access = slot.access;
+    const std::int64_t id = slot.id;
     const quorum::Quorum& q = instance.system().quorum(access.quorum);
     const int element = q[static_cast<std::size_t>(idx)];
     const int node = placement[static_cast<std::size_t>(element)];
@@ -370,10 +424,9 @@ SimulationResult simulate(const core::QppInstance& instance,
       node_probe_count[static_cast<std::size_t>(node)] += 1.0;
       QP_COUNTER_ADD("sim.measured_probes", 1);
     }
-    if (logger != nullptr && logged(id)) {
+    if (slot.logged) {
       obs::AccessProbe& probe =
-          records[static_cast<std::size_t>(id)]
-              .probes[static_cast<std::size_t>(idx)];
+          slot.record.probes[static_cast<std::size_t>(idx)];
       probe.element = element;
       probe.node = node;
       probe.net_delay = delivered ? arrive - when : -1.0;
@@ -395,54 +448,53 @@ SimulationResult simulate(const core::QppInstance& instance,
     return Event{arrive, EventType::kProbeDone, -1, id, idx, access.attempt};
   };
 
-  // Launches the current attempt of `id` at time `now`: resets the log
+  // Launches the slot's current attempt at time `now`: resets the log
   // record to the attempt's quorum, fires the probes (all at once in
   // parallel mode, the first in sequential mode) and arms the deadline.
-  const auto launch_attempt = [&](std::int64_t id, double now) {
-    Access& access = accesses[static_cast<std::size_t>(id)];
+  const auto launch_attempt = [&](Slot& slot, double now) {
+    Access& access = slot.access;
     const quorum::Quorum& q = instance.system().quorum(access.quorum);
     access.attempt_start = now;
     access.outstanding = static_cast<int>(q.size());
-    if (logger != nullptr && logged(id)) {
-      obs::AccessRecord& record = records[static_cast<std::size_t>(id)];
-      record.quorum = access.quorum;
-      record.probes.assign(q.size(), obs::AccessProbe{});
+    if (slot.logged) {
+      slot.record.quorum = access.quorum;
+      slot.record.probes.assign(q.size(), obs::AccessProbe{});
     }
     if (config.mode == AccessMode::kParallel) {
       for (int idx = 0; idx < static_cast<int>(q.size()); ++idx) {
-        if (auto event = launch_probe(access, id, idx, now)) {
+        if (auto event = launch_probe(slot, idx, now)) {
           queue.push(*event);
         }
       }
     } else {
       access.next_element_index = 1;
-      if (auto event = launch_probe(access, id, 0, now)) {
+      if (auto event = launch_probe(slot, 0, now)) {
         queue.push(*event);
       }
     }
     if (timeouts_enabled) {
       queue.push({now + config.probe_timeout, EventType::kTimeout,
-                  access.client, id, -1, access.attempt});
+                  access.client, slot.id, -1, access.attempt});
     }
   };
 
   // Failure-aware re-selection at time `now`: the highest-preference
   // quorum that quorum::check_liveness certifies live from the client's
   // perspective, favoring quorums this access has not tried yet; -1 when
-  // none is live (the access is unavailable).
+  // none is live (the access is unavailable). `failed` and `live` are
+  // scratch, reused across calls; without faults `failed` stays all false.
+  std::vector<bool> failed(
+      static_cast<std::size_t>(instance.system().universe_size()), false);
+  std::vector<bool> live(static_cast<std::size_t>(num_quorums), false);
   const auto select_quorum = [&](const Access& access, double now) -> int {
-    const std::vector<bool> failed =
-        faults != nullptr
-            ? faults->failed_elements(placement, access.client, now)
-            : std::vector<bool>(
-                  static_cast<std::size_t>(
-                      instance.system().universe_size()),
-                  false);
+    if (faults != nullptr) {
+      faults->failed_elements(placement, access.client, now, failed);
+    }
     const quorum::LivenessReport report =
         quorum::check_liveness(instance.system(), failed);
     result.safety_ok = result.safety_ok && report.safe();
     if (!report.available()) return -1;
-    std::vector<bool> live(static_cast<std::size_t>(num_quorums), false);
+    std::fill(live.begin(), live.end(), false);
     for (const int q : report.live_quorums) {
       live[static_cast<std::size_t>(q)] = true;
     }
@@ -462,23 +514,20 @@ SimulationResult simulate(const core::QppInstance& instance,
     return fallback;  // every live quorum tried already: reuse the best
   };
 
-  const auto finish_record = [&](std::int64_t id, double now,
+  const auto finish_record = [&](Slot& slot, double now,
                                  obs::AccessOutcome outcome) {
-    if (logger == nullptr || !logged(id)) return;
-    obs::AccessRecord& record = records[static_cast<std::size_t>(id)];
-    const Access& access = accesses[static_cast<std::size_t>(id)];
-    record.finish = now;
-    record.attempts = static_cast<int>(access.tried.size());
-    record.outcome = outcome;
-    logger->record(std::move(record));
+    if (!slot.logged) return;
+    slot.record.finish = now;
+    slot.record.attempts = static_cast<int>(slot.access.tried.size());
+    slot.record.outcome = outcome;
+    logger->record(slot.record);
     QP_COUNTER_ADD("sim.logged_accesses", 1);
-    // Leave a moved-from empty record behind; logged() is false for it
-    // from now on, which is correct -- the access is resolved.
   };
 
-  const auto fail_access = [&](std::int64_t id, double now,
+  const auto fail_access = [&](Slot& slot, double now,
                                obs::AccessOutcome outcome) {
-    Access& access = accesses[static_cast<std::size_t>(id)];
+    Access& access = slot.access;
+    const std::int64_t id = slot.id;
     access.resolved = true;
     if (access.start >= config.warmup) {
       ++result.failed_accesses;
@@ -499,7 +548,7 @@ SimulationResult simulate(const core::QppInstance& instance,
                     obs::access_outcome_name(outcome).c_str());
       sim_span("sim.access", access.start, now, args);
     }
-    finish_record(id, now, outcome);
+    finish_record(slot, now, outcome);
   };
 
   // Bounded exponential backoff after the k-th timed-out attempt
@@ -524,7 +573,9 @@ SimulationResult simulate(const core::QppInstance& instance,
           rate[static_cast<std::size_t>(event.where)]);
       queue.push({event.time + gap(rng), EventType::kArrival, event.where, 0});
 
-      Access access;
+      const std::int64_t id = next_id++;
+      Slot& slot = table.claim(id);
+      Access& access = slot.access;
       access.client = event.where;
       // The first attempt follows the paper's model (a strategy draw, or
       // the fixed nearest quorum) with no liveness knowledge: the client
@@ -533,33 +584,31 @@ SimulationResult simulate(const core::QppInstance& instance,
                           ? nearest_quorum[static_cast<std::size_t>(event.where)]
                           : quorum_picker(rng);
       access.start = event.time;
+      access.next_element_index = 0;
+      access.attempt = 1;
+      access.resolved = false;
+      access.tried.clear();
       access.tried.push_back(access.quorum);
-      const auto& q = instance.system().quorum(access.quorum);
-      const auto id = static_cast<std::int64_t>(accesses.size());
       if (access.start >= config.warmup) measured_total_accesses += 1.0;
-      if (logger != nullptr) {
-        records.emplace_back();
-        if (access.start >= config.warmup && logger->sampled(id)) {
-          obs::AccessRecord& record = records.back();
-          record.id = id;
-          record.client = access.client;
-          record.quorum = access.quorum;
-          record.relay = relay;
-          record.start = access.start;
-          record.probes.resize(q.size());
-        }
+      slot.logged = logger != nullptr && access.start >= config.warmup &&
+                    logger->sampled(id);
+      if (slot.logged) {
+        slot.record.id = id;
+        slot.record.client = access.client;
+        slot.record.relay = relay;
+        slot.record.start = access.start;
       }
-      accesses.push_back(std::move(access));
-      launch_attempt(id, event.time);
+      launch_attempt(slot, event.time);
       continue;
     }
 
     if (event.type == EventType::kTimeout) {
-      Access& access = accesses[static_cast<std::size_t>(event.access)];
-      if (access.resolved || access.attempt != event.attempt ||
-          access.outstanding == 0) {
+      Slot* slot = table.find(event.access);
+      if (slot == nullptr || slot->access.attempt != event.attempt ||
+          slot->access.outstanding == 0) {
         continue;  // stale: the attempt completed or was superseded
       }
+      Access& access = slot->access;
       if (access.start >= config.warmup) {
         ++result.timed_out_attempts;
         QP_COUNTER_ADD("sim.timeouts", 1);
@@ -574,7 +623,7 @@ SimulationResult simulate(const core::QppInstance& instance,
         sim_span("sim.attempt", access.attempt_start, event.time, args);
       }
       if (access.attempt >= config.max_attempts) {
-        fail_access(event.access, event.time, obs::AccessOutcome::kTimeout);
+        fail_access(*slot, event.time, obs::AccessOutcome::kTimeout);
         continue;
       }
       const double wait = backoff(access.attempt);
@@ -591,8 +640,9 @@ SimulationResult simulate(const core::QppInstance& instance,
     }
 
     if (event.type == EventType::kRetry) {
-      Access& access = accesses[static_cast<std::size_t>(event.access)];
-      if (access.resolved || access.attempt != event.attempt) continue;
+      Slot* slot = table.find(event.access);
+      if (slot == nullptr || slot->access.attempt != event.attempt) continue;
+      Access& access = slot->access;
       const int next = select_quorum(access, event.time);
       if (tracing) {
         char args[120];
@@ -603,8 +653,7 @@ SimulationResult simulate(const core::QppInstance& instance,
         sim_span("sim.reselect", event.time, event.time, args);
       }
       if (next < 0) {
-        fail_access(event.access, event.time,
-                    obs::AccessOutcome::kUnavailable);
+        fail_access(*slot, event.time, obs::AccessOutcome::kUnavailable);
         continue;
       }
       if (access.start >= config.warmup) {
@@ -613,7 +662,7 @@ SimulationResult simulate(const core::QppInstance& instance,
       }
       access.quorum = next;
       access.tried.push_back(next);
-      launch_attempt(event.access, event.time);
+      launch_attempt(*slot, event.time);
       continue;
     }
 
@@ -631,11 +680,10 @@ SimulationResult simulate(const core::QppInstance& instance,
       if (event.time >= config.warmup) {
         result.queue_wait.record(start_service - event.time);
       }
-      const Access& access = accesses[static_cast<std::size_t>(event.access)];
-      if (!access.resolved && access.attempt == event.attempt &&
-          logger != nullptr && logged(event.access)) {
-        records[static_cast<std::size_t>(event.access)]
-            .probes[static_cast<std::size_t>(event.probe)]
+      Slot* slot = table.find(event.access);
+      if (slot != nullptr && slot->access.attempt == event.attempt &&
+          slot->logged) {
+        slot->record.probes[static_cast<std::size_t>(event.probe)]
             .queue_wait = start_service - event.time;
       }
       queue.push({done, EventType::kProbeDone, node, event.access,
@@ -645,17 +693,18 @@ SimulationResult simulate(const core::QppInstance& instance,
 
     // kProbeDone.
     if (queueing) change_depth(event.where, event.time, -1);
-    Access& access = accesses[static_cast<std::size_t>(event.access)];
-    if (access.resolved || access.attempt != event.attempt) {
-      continue;  // a late reply to a superseded attempt
+    Slot* slot = table.find(event.access);
+    if (slot == nullptr || slot->access.attempt != event.attempt) {
+      continue;  // a late reply to a resolved or superseded attempt
     }
+    Access& access = slot->access;
     --access.outstanding;
     if (config.mode == AccessMode::kSequential &&
         access.next_element_index <
             static_cast<int>(
                 instance.system().quorum(access.quorum).size())) {
       const int idx = access.next_element_index++;
-      if (auto next = launch_probe(access, event.access, idx, event.time)) {
+      if (auto next = launch_probe(*slot, idx, event.time)) {
         queue.push(*next);
       }
       continue;
@@ -688,7 +737,7 @@ SimulationResult simulate(const core::QppInstance& instance,
                       access.quorum, static_cast<int>(access.tried.size()));
         sim_span("sim.access", access.start, event.time, args);
       }
-      finish_record(event.access, event.time, obs::AccessOutcome::kOk);
+      finish_record(*slot, event.time, obs::AccessOutcome::kOk);
     }
   }
 

@@ -197,6 +197,11 @@ struct SimulationResult {
 /// Clients are all nodes; client v's arrival rate is scaled by the
 /// instance's (normalized) client weight times num_nodes, so uniform
 /// weights give every client the configured rate.
+/// Memory is O(accesses in flight + pending events), independent of the
+/// horizon: only accesses a pending event can still reference are held
+/// (docs/SIMULATION.md, "Memory"). A node whose probe rate reaches its
+/// service rate grows its queue, and with it the pending events, without
+/// bound; that is the modelled overload, not a leak.
 /// \throws std::invalid_argument on an invalid placement or non-positive
 ///         duration/arrival rate.
 SimulationResult simulate(const core::QppInstance& instance,

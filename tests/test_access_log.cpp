@@ -168,6 +168,49 @@ TEST(AccessLog, HeadLimitedLogIsExactBytePrefix) {
   EXPECT_EQ(obs::parse_access_log(in).records.size(), 3u);
 }
 
+TEST(AccessLog, HeadLimitedWriterMatchesUnlimitedOutOfOrder) {
+  // Records reach the writer out of id order, as completions do. The
+  // head-limited writer holds only the smallest ids seen so far, yet must
+  // write exactly the first head_limit lines of the unlimited document and
+  // still count every sampled record.
+  std::vector<obs::AccessRecord> records;
+  for (int i = 0; i < 64; ++i) {
+    obs::AccessRecord record =
+        sample_records()[static_cast<std::size_t>(i % 5)];
+    record.id = (i * 37) % 64;  // a permutation of 0..63
+    record.start = 0.5 * record.id;
+    records.push_back(record);
+  }
+  for (const double rate : {1.0, 0.5}) {
+    obs::AccessLogConfig unlimited;
+    unlimited.sample_rate = rate;
+    unlimited.sample_seed = 7;
+    const std::string full = write_log(records, unlimited);
+    for (const std::int64_t head : {1, 5, 20, 64, 100}) {
+      obs::AccessLogConfig limited = unlimited;
+      limited.head_limit = head;
+      std::ostringstream out;
+      obs::AccessLogWriter writer(out, limited,
+                                  {{"mode", "parallel"}, {"seed", "1"}});
+      std::int64_t sampled = 0;
+      for (const obs::AccessRecord& record : records) {
+        if (!writer.sampled(record.id)) continue;
+        ++sampled;
+        writer.record(record);
+      }
+      EXPECT_EQ(writer.recorded(), sampled);
+      writer.close();
+      // The header line plus the first `head` record lines of `full`.
+      std::size_t end = 0;
+      for (std::int64_t line = 0; line <= head && end < full.size(); ++line) {
+        end = full.find('\n', end) + 1;
+      }
+      EXPECT_EQ(out.str(), full.substr(0, end))
+          << "rate " << rate << " head " << head;
+    }
+  }
+}
+
 TEST(AccessLog, SamplingDecisionIsDeterministicAndSeedSensitive) {
   obs::AccessLogConfig config;
   config.sample_rate = 0.5;
@@ -570,6 +613,58 @@ TEST(AnalyzeAccessLog, FaultCrossCheckFlagsTamperedLog) {
   EXPECT_FALSE(analysis.faults_ok());
   EXPECT_FALSE(analysis.ok());
   EXPECT_FALSE(analysis.fault_findings.empty());
+}
+
+TEST(AnalyzeAccessLog, SequentialDeadlineCoversTheProbeChain) {
+  // Sequential mode: the deadline covers the whole probe chain. On P5 the
+  // slowest single probe takes 4 but the slowest chain 9 (client 0 to
+  // quorum {2, 3, 4}), so with timeout 6 chains time out after the crash
+  // window too. Judging the timeout against one probe flagged those
+  // retries as faults outside every window.
+  const sim::FaultSchedule schedule = crash_fixture();
+  const auto sequential_run = [&](double timeout) {
+    sim::SimulationConfig config;
+    config.duration = 200.0;
+    config.seed = 99;
+    config.mode = sim::AccessMode::kSequential;
+    config.faults = &schedule;
+    config.probe_timeout = timeout;
+    config.max_attempts = 3;
+    obs::ParsedAccessLog log = simulate_with_log(
+        fault_instance(), {0, 1, 2, 3, 4}, config, nullptr);
+    log.context["mode"] = "sequential";
+    log.context["fault_digest"] = sim::fault_schedule_digest(schedule);
+    log.context["timeout"] = std::to_string(timeout);
+    log.context["retries"] = "3";
+    return log;
+  };
+
+  const obs::ParsedAccessLog tight = sequential_run(6.0);
+  EXPECT_TRUE(std::any_of(tight.records.begin(), tight.records.end(),
+                          [](const obs::AccessRecord& r) {
+                            return r.start >= 100.0 && r.attempts > 1;
+                          }));
+  const obs::AccessLogAnalysis tight_analysis = obs::analyze_access_log(
+      fault_instance(), {0, 1, 2, 3, 4}, tight, {}, &schedule);
+  EXPECT_TRUE(tight_analysis.faults_ok())
+      << (tight_analysis.fault_findings.empty()
+              ? std::string()
+              : tight_analysis.fault_findings.front());
+
+  // Above the slowest chain the window check applies: the run passes it,
+  // and a fault-free access rewritten as retried is caught.
+  obs::ParsedAccessLog loose = sequential_run(10.0);
+  EXPECT_TRUE(obs::analyze_access_log(fault_instance(), {0, 1, 2, 3, 4},
+                                      loose, {}, &schedule)
+                  .faults_ok());
+  const auto late = std::find_if(
+      loose.records.begin(), loose.records.end(),
+      [](const obs::AccessRecord& r) { return r.start >= 110.0; });
+  ASSERT_NE(late, loose.records.end());
+  late->attempts = 2;
+  EXPECT_FALSE(obs::analyze_access_log(fault_instance(), {0, 1, 2, 3, 4},
+                                       loose, {}, &schedule)
+                   .faults_ok());
 }
 
 TEST(AnalyzeAccessLog, FaultRunWithoutScheduleSkipsCIQuietly) {
