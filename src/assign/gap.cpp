@@ -97,45 +97,102 @@ bool GapInstance::allowed(int machine, int job) const {
   return std::isfinite(p) && p <= capacity(machine) + 1e-12;
 }
 
-GapLp build_gap_lp(const GapInstance& instance) {
-  const int jobs = instance.num_jobs();
-  const int machines = instance.num_machines();
-  GapLp out;
-  lp::Model& model = out.model;
-  out.var.assign(
-      static_cast<std::size_t>(jobs) * static_cast<std::size_t>(machines), -1);
-  const auto vindex = [&](int i, int j) -> int& {
-    return out.var[static_cast<std::size_t>(i) *
-                       static_cast<std::size_t>(jobs) +
-                   static_cast<std::size_t>(j)];
-  };
-  for (int i = 0; i < machines; ++i) {
-    for (int j = 0; j < jobs; ++j) {
+namespace {
+
+/// The columns of the GAP LP, numbered in model order: one per allowed
+/// (machine, job) pair, machine-major.
+struct GapColumns {
+  int jobs = 0;
+  std::vector<int> var;  ///< machine-major model ids; -1 where not allowed
+  std::vector<double> objective;  ///< per model id, c_ij
+  std::vector<int> budgeted;  ///< machines with an allowed job, ascending
+
+  std::size_t cell(int machine, int job) const {
+    return static_cast<std::size_t>(machine) *
+               static_cast<std::size_t>(jobs) +
+           static_cast<std::size_t>(job);
+  }
+};
+
+GapColumns gap_columns(const GapInstance& instance) {
+  GapColumns out;
+  out.jobs = instance.num_jobs();
+  out.var.assign(out.cell(instance.num_machines(), 0), -1);
+  for (int i = 0; i < instance.num_machines(); ++i) {
+    const std::size_t size = out.objective.size();
+    for (int j = 0; j < out.jobs; ++j) {
       if (instance.allowed(i, j)) {
-        vindex(i, j) = model.add_variable(instance.cost(i, j));
+        out.var[out.cell(i, j)] = static_cast<int>(out.objective.size());
+        out.objective.push_back(instance.cost(i, j));
       }
     }
-  }
-  // (17): each job fully assigned.
-  for (int j = 0; j < jobs; ++j) {
-    std::vector<std::pair<int, double>> terms;
-    for (int i = 0; i < machines; ++i) {
-      if (vindex(i, j) >= 0) terms.emplace_back(vindex(i, j), 1.0);
-    }
-    model.add_constraint(std::move(terms), lp::Relation::kEqual, 1.0);
-  }
-  // (16): machine budgets.
-  for (int i = 0; i < machines; ++i) {
-    std::vector<std::pair<int, double>> terms;
-    for (int j = 0; j < jobs; ++j) {
-      if (vindex(i, j) >= 0) terms.emplace_back(vindex(i, j), instance.load(i, j));
-    }
-    if (!terms.empty()) {
-      model.add_constraint(std::move(terms), lp::Relation::kLessEqual,
-                           instance.capacity(i));
-    }
+    if (out.objective.size() > size) out.budgeted.push_back(i);
   }
   return out;
+}
+
+/// The one description of the GAP LP's rows: (17) per job, then (16) per
+/// machine with an allowed job. Writes row `row` (in range) into `out`,
+/// reusing its terms' storage.
+void gap_row(const GapInstance& instance, const GapColumns& columns, int row,
+             lp::Constraint& out) {
+  const int jobs = instance.num_jobs();
+  const auto var = [&](int i, int j) {
+    return columns.var[columns.cell(i, j)];
+  };
+  out.terms.clear();
+  if (row < jobs) {
+    // (17): each job fully assigned.
+    for (int i = 0; i < instance.num_machines(); ++i) {
+      if (var(i, row) >= 0) out.terms.emplace_back(var(i, row), 1.0);
+    }
+    out.relation = lp::Relation::kEqual;
+    out.rhs = 1.0;
+    return;
+  }
+  // (16): machine budgets.
+  const int i = columns.budgeted[static_cast<std::size_t>(row - jobs)];
+  for (int j = 0; j < jobs; ++j) {
+    if (var(i, j) >= 0) {
+      out.terms.emplace_back(var(i, j), instance.load(i, j));
+    }
+  }
+  out.relation = lp::Relation::kLessEqual;
+  out.rhs = instance.capacity(i);
+}
+
+int gap_rows(const GapInstance& instance, const GapColumns& columns) {
+  return instance.num_jobs() + static_cast<int>(columns.budgeted.size());
+}
+
+}  // namespace
+
+GapLp build_gap_lp(const GapInstance& instance) {
+  GapColumns columns = gap_columns(instance);
+  GapLp out;
+  for (const double cost : columns.objective) out.model.add_variable(cost);
+  lp::Constraint row;
+  for (int r = 0; r < gap_rows(instance, columns); ++r) {
+    gap_row(instance, columns, r, row);
+    out.model.add_constraint(row.terms, row.relation, row.rhs);
+  }
+  out.var = std::move(columns.var);
+  return out;
+}
+
+std::optional<double> gap_dual_bound(const GapInstance& instance,
+                                     const std::vector<double>& y) {
+  GapColumns columns = gap_columns(instance);
+  const int rows = gap_rows(instance, columns);
+  if (y.size() != static_cast<std::size_t>(rows)) return std::nullopt;
+  lp::DualBound bound(std::move(columns.objective));
+  lp::Constraint row;
+  for (int r = 0; r < rows; ++r) {
+    if (y[static_cast<std::size_t>(r)] == 0.0) continue;  // adds nothing
+    gap_row(instance, columns, r, row);
+    bound.add_row(row, y[static_cast<std::size_t>(r)]);
+  }
+  return bound.value();
 }
 
 FractionalGap solve_gap_lp(const GapInstance& instance) {

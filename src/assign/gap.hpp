@@ -73,12 +73,18 @@ struct FractionalGap {
 
 /// LP relaxation (15)-(18) as an lp::Model: one variable per allowed
 /// (machine, job) pair, (17) per job, then (16) per machine with an allowed
-/// job. The one builder behind solve_gap_lp and the certificate's bound.
+/// job. The one description behind solve_gap_lp and gap_dual_bound.
 struct GapLp {
   lp::Model model;
   std::vector<int> var;  ///< machine-major model ids; -1 where not allowed
 };
 GapLp build_gap_lp(const GapInstance& instance);
+
+/// lp::dual_bound(build_gap_lp(instance).model, y), bit for bit, computed
+/// by streaming the rows from the generator that builds that model,
+/// without building it. std::nullopt unless y has one entry per row.
+std::optional<double> gap_dual_bound(const GapInstance& instance,
+                                     const std::vector<double>& y);
 
 /// Solves the LP relaxation (15)-(18).
 FractionalGap solve_gap_lp(const GapInstance& instance);

@@ -59,29 +59,36 @@ void set_ratio(Certificate& cert, double value,
 /// A lower bound on an LP optimum, or the status that left none.
 struct LpBound {
   lp::SolveStatus status = lp::SolveStatus::kOptimal;
-  double value = 0.0;  ///< lp::dual_bound on the checker's model
+  double value = 0.0;  ///< lp::dual_bound over the checker's rows
 };
 
-/// The rule behind every LP bound below. The duals y come from the result
-/// when it supplies one finite entry per row of \p model, else from the
-/// checker's own solve; either way the bound is lp::dual_bound on the model
-/// the checker built, so a wrong y can only weaken it. A solve that ends in
-/// any status but kOptimal yields no bound.
-LpBound lp_bound(const lp::Model& model, const std::vector<double>* supplied,
-                 const lp::SimplexOptions& options) {
-  if (supplied != nullptr &&
-      supplied->size() == static_cast<std::size_t>(model.num_constraints()) &&
-      std::ranges::all_of(*supplied,
-                          [](double y) { return std::isfinite(y); })) {
-    return {lp::SolveStatus::kOptimal, lp::dual_bound(model, *supplied)};
+bool all_finite(const std::vector<double>& y) {
+  return std::ranges::all_of(y, [](double v) { return std::isfinite(v); });
+}
+
+/// The rule behind every LP bound below, here for the GAP LP (15)-(18):
+/// G >= value. The duals y come from the result when it supplies one finite
+/// entry per row, else from the checker's own solve; either way the bound
+/// is lp::dual_bound over the rows the checker generates itself, streamed
+/// without building a model (one is built only to run the simplex), so a
+/// wrong y can only weaken it. A solve that ends in any status but
+/// kOptimal yields no bound.
+LpBound gap_bound(const assign::GapInstance& gap,
+                  const std::vector<double>& supplied,
+                  const lp::SimplexOptions& options) {
+  if (all_finite(supplied)) {
+    if (const auto value = assign::gap_dual_bound(gap, supplied)) {
+      return {lp::SolveStatus::kOptimal, *value};
+    }
   }
-  const lp::Solution own = lp::solve(model, options);
+  const assign::GapLp lp = assign::build_gap_lp(gap);
+  const lp::Solution own = lp::solve(lp.model, options);
   if (own.status != lp::SolveStatus::kOptimal) return {own.status, 0.0};
-  return {lp::SolveStatus::kOptimal, lp::dual_bound(model, own.duals)};
+  return {lp::SolveStatus::kOptimal, lp::dual_bound(lp.model, own.duals)};
 }
 
 /// The same rule for LP (9)-(14) of a single-source instance: Z* >= value.
-/// The duals name the rows they belong to, so the model is every column
+/// The duals name the rows they belong to, and the bound reads every column
 /// plus only those rows, never the full (14) row set; with the [0, 1] box
 /// any subset of the rows gives a relaxation, so the bound stays sound
 /// whatever the result names. No names, names that are not strictly
@@ -92,19 +99,19 @@ LpBound ssqpp_bound(const core::SsqppInstance& instance,
                     const lp::SimplexOptions& options) {
   if (supplied != nullptr && !supplied->rows.empty() &&
       supplied->rows.size() == supplied->values.size() &&
-      std::ranges::all_of(supplied->values,
-                          [](double y) { return std::isfinite(y); })) {
-    if (const auto lp = core::build_ssqpp_lp(instance, supplied->rows)) {
-      if (!lp->element_fits) return {lp::SolveStatus::kInfeasible, 0.0};
-      return {lp::SolveStatus::kOptimal,
-              lp::dual_bound(lp->model, supplied->values)};
+      all_finite(supplied->values)) {
+    if (const auto bound = core::ssqpp_dual_bound(instance, supplied->rows,
+                                                  supplied->values)) {
+      if (!bound->element_fits) return {lp::SolveStatus::kInfeasible, 0.0};
+      return {lp::SolveStatus::kOptimal, bound->value};
     }
   }
   const core::FractionalSsqpp own = core::solve_ssqpp_lp(instance, options);
   if (own.status != lp::SolveStatus::kOptimal) return {own.status, 0.0};
-  const auto lp = core::build_ssqpp_lp(instance, own.duals.rows);
   return {lp::SolveStatus::kOptimal,
-          lp::dual_bound(lp.value().model, own.duals.values)};
+          core::ssqpp_dual_bound(instance, own.duals.rows, own.duals.values)
+              .value()
+              .value};
 }
 
 /// Placement sanity shared by all certificates; returns false (and records
@@ -362,10 +369,9 @@ Certificate check_certificate(const core::QppInstance& instance,
   cert.add("consistency/load-violation",
            std::abs(violation - result.load_violation), 0.0, tol);
 
-  // A lower bound on the GAP LP optimum G on the checker's own model.
-  const assign::GapLp gap_lp =
-      assign::build_gap_lp(core::total_delay_gap(instance));
-  const LpBound lp = lp_bound(gap_lp.model, &result.lp_duals, options.simplex);
+  // A lower bound on the GAP LP optimum G on the checker's own rows.
+  const LpBound lp = gap_bound(core::total_delay_gap(instance),
+                               result.lp_duals, options.simplex);
   cert.add("lp/re-derivable",
            lp.status == lp::SolveStatus::kOptimal ? 0.0 : 1.0, 0.0, 0.0);
   if (lp.status != lp::SolveStatus::kOptimal) return cert;

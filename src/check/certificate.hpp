@@ -7,17 +7,20 @@
 /// them.
 ///
 /// LP bounds. Every LP value a chain needs (Z* of LP (9)-(14), G of the
-/// GAP LP (15)-(18)) is replaced by a weak-duality bound D <= Z* computed
-/// by lp::dual_bound on the model the checker builds itself:
+/// GAP LP (15)-(18)) is replaced by a weak-duality bound D <= Z*,
 ///        D = b.y + sum_j min(0, (c - A^T y)_j),
-/// with y projected onto the signs its rows need. Every variable of these
-/// LPs lies in [0, 1] by (10), (11) and (17), so D is at most the LP
-/// optimum for ANY y (Neumaier-Shcherbina, 2004). The checker takes y from
+/// with y projected onto the signs its rows need, over the rows the checker
+/// generates itself. The rows stream from the one generator that also
+/// builds each LP's model (core::ssqpp_dual_bound, assign::gap_dual_bound)
+/// into lp::DualBound, so no model is built unless the checker must run
+/// the simplex. Every variable of these LPs lies in [0, 1] by (10), (11)
+/// and (17), so D is at most the LP optimum for ANY y
+/// (Neumaier-Shcherbina, 2004). The checker takes y from
 /// the result (SsqppResult::lp_duals, QppResult::relay_lps,
 /// TotalDelayResult::lp_duals) when it is usable, and otherwise from its
 /// own solve; only a solve that proves the LP infeasible is skipped, any
 /// other unsolved LP fails a row. LP (9)-(14)'s duals name their rows
-/// (core::SsqppDuals), and its model is every column plus only those rows:
+/// (core::SsqppDuals), and its bound reads every column and only those rows:
 /// any subset of the rows, with the [0, 1] box, is a relaxation, so D stays
 /// sound whatever the result names. A wrong y can thus only weaken a bound,
 /// never make it unsound, and no reported Z*, G or lp_objective is ever

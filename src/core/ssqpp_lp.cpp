@@ -60,11 +60,19 @@ struct Layout {
   int first_prefix_row = 0;  ///< full index of the first (14) row
   int num_rows = 0;          ///< rows of the full model
 
-  bool fit(int t, int u) const {
-    return fits[static_cast<std::size_t>(t) *
-                    static_cast<std::size_t>(num_elements) +
-                static_cast<std::size_t>(u)] != 0;
+  /// Index of (t, u) in a t-major n x |U| array, and of (t, Q) in a
+  /// t-major n x |Q| array.
+  std::size_t tu(int t, int u) const {
+    return static_cast<std::size_t>(t) *
+               static_cast<std::size_t>(num_elements) +
+           static_cast<std::size_t>(u);
   }
+  std::size_t tq(int t, int q) const {
+    return static_cast<std::size_t>(t) *
+               static_cast<std::size_t>(num_quorums) +
+           static_cast<std::size_t>(q);
+  }
+  bool fit(int t, int u) const { return fits[tu(t, u)] != 0; }
   /// Full index of the (14) row of block k at rank t < n-1.
   int prefix_row(std::size_t k, int t) const {
     return first_prefix_row + static_cast<int>(k) * (n - 1) + t;
@@ -80,9 +88,7 @@ Layout layout_of(const SsqppInstance& instance) {
   layout.node_order =
       instance.metric().nodes_by_distance_from(instance.source());
   layout.sorted_distance.resize(static_cast<std::size_t>(layout.n));
-  layout.fits.assign(static_cast<std::size_t>(layout.n) *
-                         static_cast<std::size_t>(layout.num_elements),
-                     0);
+  layout.fits.assign(layout.tu(layout.n, 0), 0);
   std::vector<char> element_placed(
       static_cast<std::size_t>(layout.num_elements), 0);
   for (int t = 0; t < layout.n; ++t) {
@@ -93,9 +99,7 @@ Layout layout_of(const SsqppInstance& instance) {
     bool any_fits = false;
     for (int u = 0; u < layout.num_elements; ++u) {
       if (loads[static_cast<std::size_t>(u)] <= cap + 1e-12) {  // (13)
-        layout.fits[static_cast<std::size_t>(t) *
-                        static_cast<std::size_t>(layout.num_elements) +
-                    static_cast<std::size_t>(u)] = 1;
+        layout.fits[layout.tu(t, u)] = 1;
         element_placed[static_cast<std::size_t>(u)] = 1;
         any_fits = true;
       }
@@ -114,95 +118,123 @@ Layout layout_of(const SsqppInstance& instance) {
   return layout;
 }
 
+/// The columns of ranks t < ranks of LP (9)-(14), numbered in full-model
+/// order: rank by rank, x_{tu} for each u that (13) admits, then x_{tQ} for
+/// each Q.
+struct Columns {
+  std::vector<int> var_tu;  ///< Layout::tu-indexed ids; -1 where no column
+  std::vector<int> var_tq;  ///< Layout::tq-indexed ids; -1 where no column
+  std::vector<double> objective;  ///< per model id, objective (9)
+};
+
+Columns columns_of(const SsqppInstance& instance, const Layout& layout,
+                   int ranks) {
+  Columns out;
+  out.var_tu.assign(layout.tu(layout.n, 0), -1);
+  out.var_tq.assign(layout.tq(layout.n, 0), -1);
+  out.objective.reserve(layout.tu(ranks, 0) + layout.tq(ranks, 0));
+  for (int t = 0; t < ranks; ++t) {
+    for (int u = 0; u < layout.num_elements; ++u) {
+      if (layout.fit(t, u)) {  // (13)
+        out.var_tu[layout.tu(t, u)] = static_cast<int>(out.objective.size());
+        out.objective.push_back(0.0);
+      }
+    }
+    for (int q = 0; q < layout.num_quorums; ++q) {
+      out.var_tq[layout.tq(t, q)] = static_cast<int>(out.objective.size());
+      // Objective (9): sum_Q p0(Q) sum_t d_t x_{tQ}.
+      out.objective.push_back(
+          instance.strategy().probability(q) *
+          layout.sorted_distance[static_cast<std::size_t>(t)]);
+    }
+  }
+  return out;
+}
+
+/// The one description of LP (9)-(14)'s rows: writes the row with
+/// full-model index `row` (in range), over the columns of ranks t < ranks,
+/// into `out`, reusing its terms' storage.
+void part_row(const SsqppInstance& instance, const Layout& layout, int ranks,
+              const Columns& columns, int row, lp::Constraint& out) {
+  const int num_elements = layout.num_elements;
+  const int first_capacity_row = num_elements + layout.num_quorums;
+  std::vector<std::pair<int, double>>& terms = out.terms;
+  terms.clear();
+  if (row < num_elements) {
+    // (10): each element placed exactly once.
+    for (int t = 0; t < ranks; ++t) {
+      const int var = columns.var_tu[layout.tu(t, row)];
+      if (var >= 0) terms.emplace_back(var, 1.0);
+    }
+    out.relation = lp::Relation::kEqual;
+    out.rhs = 1.0;
+    return;
+  }
+  if (row < first_capacity_row) {
+    // (11): each quorum completes exactly once.
+    for (int t = 0; t < ranks; ++t) {
+      terms.emplace_back(columns.var_tq[layout.tq(t, row - num_elements)],
+                         1.0);
+    }
+    out.relation = lp::Relation::kEqual;
+    out.rhs = 1.0;
+    return;
+  }
+  if (row < layout.first_prefix_row) {
+    // (12): node capacities.
+    const int t = layout.capacity_rank[static_cast<std::size_t>(
+        row - first_capacity_row)];
+    const std::vector<double>& loads = instance.element_loads();
+    for (int u = 0; t < ranks && u < num_elements; ++u) {
+      const int var = columns.var_tu[layout.tu(t, u)];
+      if (var >= 0) {
+        terms.emplace_back(var, loads[static_cast<std::size_t>(u)]);
+      }
+    }
+    out.relation = lp::Relation::kLessEqual;
+    out.rhs = instance.capacity(layout.node_order[static_cast<std::size_t>(t)]);
+    return;
+  }
+  // (14): prefix of x_{.Q} dominated by prefix of x_{.u} for u in Q.
+  const int block = (row - layout.first_prefix_row) / (layout.n - 1);
+  const int t = (row - layout.first_prefix_row) % (layout.n - 1);
+  const auto [q, u] = layout.members[static_cast<std::size_t>(block)];
+  for (int s = 0; s <= t && s < ranks; ++s) {
+    terms.emplace_back(columns.var_tq[layout.tq(s, q)], 1.0);
+    const int var = columns.var_tu[layout.tu(s, u)];
+    if (var >= 0) terms.emplace_back(var, -1.0);
+  }
+  out.relation = lp::Relation::kLessEqual;
+  out.rhs = 0.0;
+}
+
 /// The columns of ranks t < ranks and the given rows (full-model indices,
 /// strictly increasing, in range) of LP (9)-(14).
 SsqppLp build_part(const SsqppInstance& instance, const Layout& layout,
                    int ranks, const std::vector<int>& rows) {
   QP_SPAN("ssqpp_lp.build");
-  const int num_elements = layout.num_elements;
-  const int num_quorums = layout.num_quorums;
-  const std::vector<double>& loads = instance.element_loads();
   SsqppLp out;
   out.element_fits = layout.element_fits;
   if (!out.element_fits) return out;
-
-  lp::Model& model = out.model;
-  out.var_tu.assign(static_cast<std::size_t>(layout.n) *
-                        static_cast<std::size_t>(num_elements),
-                    -1);
-  out.var_tq.assign(static_cast<std::size_t>(layout.n) *
-                        static_cast<std::size_t>(num_quorums),
-                    -1);
-  const auto tu = [&](int t, int u) -> int& {
-    return out.var_tu[static_cast<std::size_t>(t) *
-                          static_cast<std::size_t>(num_elements) +
-                      static_cast<std::size_t>(u)];
-  };
-  const auto tq = [&](int t, int q) -> int& {
-    return out.var_tq[static_cast<std::size_t>(t) *
-                          static_cast<std::size_t>(num_quorums) +
-                      static_cast<std::size_t>(q)];
-  };
-  for (int t = 0; t < ranks; ++t) {
-    for (int u = 0; u < num_elements; ++u) {
-      if (layout.fit(t, u)) tu(t, u) = model.add_variable(0.0);  // (13)
-    }
-    for (int q = 0; q < num_quorums; ++q) {
-      // Objective (9): sum_Q p0(Q) sum_t d_t x_{tQ}.
-      tq(t, q) = model.add_variable(
-          instance.strategy().probability(q) *
-          layout.sorted_distance[static_cast<std::size_t>(t)]);
-    }
-  }
-
-  const int first_capacity_row = num_elements + num_quorums;
-  const auto sized = [](int size) {
-    std::vector<std::pair<int, double>> terms;
-    terms.reserve(static_cast<std::size_t>(size));
-    return terms;
-  };
+  Columns columns = columns_of(instance, layout, ranks);
+  for (const double cost : columns.objective) out.model.add_variable(cost);
+  lp::Constraint constraint;
   for (const int row : rows) {
-    if (row < num_elements) {
-      // (10): each element placed exactly once.
-      auto terms = sized(ranks);
-      for (int t = 0; t < ranks; ++t) {
-        if (tu(t, row) >= 0) terms.emplace_back(tu(t, row), 1.0);
-      }
-      model.add_constraint(std::move(terms), lp::Relation::kEqual, 1.0);
-    } else if (row < first_capacity_row) {
-      // (11): each quorum completes exactly once.
-      auto terms = sized(ranks);
-      for (int t = 0; t < ranks; ++t) {
-        terms.emplace_back(tq(t, row - num_elements), 1.0);
-      }
-      model.add_constraint(std::move(terms), lp::Relation::kEqual, 1.0);
-    } else if (row < layout.first_prefix_row) {
-      // (12): node capacities.
-      const int t = layout.capacity_rank[static_cast<std::size_t>(
-          row - first_capacity_row)];
-      auto terms = sized(num_elements);
-      for (int u = 0; t < ranks && u < num_elements; ++u) {
-        if (tu(t, u) >= 0) {
-          terms.emplace_back(tu(t, u), loads[static_cast<std::size_t>(u)]);
-        }
-      }
-      model.add_constraint(
-          std::move(terms), lp::Relation::kLessEqual,
-          instance.capacity(layout.node_order[static_cast<std::size_t>(t)]));
-    } else {
-      // (14): prefix of x_{.Q} dominated by prefix of x_{.u} for u in Q.
-      const int block = (row - layout.first_prefix_row) / (layout.n - 1);
-      const int t = (row - layout.first_prefix_row) % (layout.n - 1);
-      const auto [q, u] = layout.members[static_cast<std::size_t>(block)];
-      auto terms = sized(2 * std::min(t + 1, ranks));
-      for (int s = 0; s <= t && s < ranks; ++s) {
-        terms.emplace_back(tq(s, q), 1.0);
-        if (tu(s, u) >= 0) terms.emplace_back(tu(s, u), -1.0);
-      }
-      model.add_constraint(std::move(terms), lp::Relation::kLessEqual, 0.0);
-    }
+    part_row(instance, layout, ranks, columns, row, constraint);
+    out.model.add_constraint(constraint.terms, constraint.relation,
+                             constraint.rhs);
   }
+  out.var_tu = std::move(columns.var_tu);
+  out.var_tq = std::move(columns.var_tq);
   return out;
+}
+
+/// `rows` is strictly increasing and names rows of the full model.
+bool names_rows(const Layout& layout, const std::vector<int>& rows) {
+  return std::ranges::adjacent_find(rows, std::greater_equal{}) ==
+             rows.end() &&
+         (rows.empty() ||
+          (rows.front() >= 0 && rows.back() < layout.num_rows));
 }
 
 }  // namespace
@@ -217,12 +249,28 @@ SsqppLp build_ssqpp_lp(const SsqppInstance& instance) {
 std::optional<SsqppLp> build_ssqpp_lp(const SsqppInstance& instance,
                                       const std::vector<int>& rows) {
   const Layout layout = layout_of(instance);
-  const bool named = std::ranges::adjacent_find(rows, std::greater_equal{}) ==
-                         rows.end() &&
-                     (rows.empty() ||
-                      (rows.front() >= 0 && rows.back() < layout.num_rows));
-  if (!named) return std::nullopt;
+  if (!names_rows(layout, rows)) return std::nullopt;
   return build_part(instance, layout, layout.n, rows);
+}
+
+std::optional<SsqppBound> ssqpp_dual_bound(const SsqppInstance& instance,
+                                           const std::vector<int>& rows,
+                                           const std::vector<double>& y) {
+  if (y.size() != rows.size()) {
+    throw std::invalid_argument("ssqpp_dual_bound: need one dual per row");
+  }
+  const Layout layout = layout_of(instance);
+  if (!names_rows(layout, rows)) return std::nullopt;
+  if (!layout.element_fits) return SsqppBound{false, 0.0};
+  Columns columns = columns_of(instance, layout, layout.n);
+  lp::DualBound bound(std::move(columns.objective));
+  lp::Constraint row;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    if (y[i] == 0.0) continue;  // adds nothing, whatever the row
+    part_row(instance, layout, layout.n, columns, rows[i], row);
+    bound.add_row(row, y[i]);
+  }
+  return SsqppBound{true, bound.value()};
 }
 
 namespace {

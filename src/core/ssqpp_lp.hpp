@@ -21,8 +21,8 @@ namespace qp::core {
 /// Row duals of a model built on a subset of LP (9)-(14)'s rows:
 /// values[i] belongs to the row whose index in the full model
 /// (build_ssqpp_lp(instance)'s row order) is rows[i]. With every column and
-/// only the named rows (build_ssqpp_lp(instance, rows)), lp::dual_bound
-/// turns them into a lower bound on Z*.
+/// only the named rows, ssqpp_dual_bound turns them into a lower bound on
+/// Z*.
 struct SsqppDuals {
   std::vector<int> rows;       ///< strictly increasing full-model row indices
   std::vector<double> values;  ///< one dual per named row
@@ -42,8 +42,8 @@ struct FractionalSsqpp {
   std::vector<double> x_tu;          ///< t-major: x_tu[t * |U| + u]
   std::vector<double> x_tq;          ///< t-major: x_tq[t * |Q| + q]
   /// Row duals of the last model solved, named by full-model row: with
-  /// lp::dual_bound on the model of every column and those rows they
-  /// certify a lower bound on Z*.
+  /// ssqpp_dual_bound (every column and those rows) they certify a lower
+  /// bound on Z*.
   SsqppDuals duals;
 
   double xu(int t, int u) const {
@@ -87,6 +87,23 @@ SsqppLp build_ssqpp_lp(const SsqppInstance& instance);
 /// strictly increasing and names rows of the full model.
 std::optional<SsqppLp> build_ssqpp_lp(const SsqppInstance& instance,
                                       const std::vector<int>& rows);
+
+/// A lower bound on Z* from row duals, or the LP's infeasibility.
+struct SsqppBound {
+  /// False when some element fits on no node: the LP is infeasible and
+  /// `value` is 0.
+  bool element_fits = true;
+  double value = 0.0;
+};
+
+/// lp::dual_bound(build_ssqpp_lp(instance, rows)->model, y), bit for bit,
+/// computed by streaming the named rows from the generator that builds
+/// that model, without building it. std::nullopt where that
+/// build_ssqpp_lp is; element_fits is false where that model's is.
+/// \throws std::invalid_argument unless y has one entry per named row.
+std::optional<SsqppBound> ssqpp_dual_bound(const SsqppInstance& instance,
+                                           const std::vector<int>& rows,
+                                           const std::vector<double>& y);
 
 /// Solves LP (9)-(14) on the rows and ranks its optimum uses. The first
 /// model holds the columns of ranks t < m, where m is the shortest prefix of

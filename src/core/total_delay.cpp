@@ -12,13 +12,16 @@ assign::GapInstance total_delay_gap(const QppInstance& instance) {
   const int num_elements = instance.system().universe_size();
   const std::vector<double>& loads = instance.element_loads();
 
-  // Weighted average distance from all clients to each node v.
+  // Weighted average distance from all clients to each node v, read off
+  // v's row (the metric is exactly symmetric, so row(v)[client] is
+  // d(client, v)).
   std::vector<double> average_distance(static_cast<std::size_t>(n), 0.0);
   for (int v = 0; v < n; ++v) {
+    const double* distance = instance.metric().row(v);
     double total = 0.0;
     for (int client = 0; client < n; ++client) {
       total += instance.client_weights()[static_cast<std::size_t>(client)] *
-               instance.metric()(client, v);
+               distance[client];
     }
     average_distance[static_cast<std::size_t>(v)] = total;
   }

@@ -7,12 +7,11 @@
 
 namespace qp::lp {
 
-int Model::add_variable(double objective_coefficient, std::string name) {
+int Model::add_variable(double objective_coefficient) {
   if (!std::isfinite(objective_coefficient)) {
     throw std::invalid_argument("Model: objective coefficient must be finite");
   }
   objective_.push_back(objective_coefficient);
-  names_.push_back(std::move(name));
   return static_cast<int>(objective_.size()) - 1;
 }
 
@@ -46,20 +45,27 @@ double dual_bound(const Model& model, const std::vector<double>& y) {
   if (y.size() != static_cast<std::size_t>(model.num_constraints())) {
     throw std::invalid_argument("dual_bound: need one dual per constraint");
   }
-  std::vector<double> reduced = model.objective();  // c - A^T y
-  double bound = 0.0;                               // b.y
+  DualBound bound(model.objective());
   for (std::size_t i = 0; i < y.size(); ++i) {
-    const Constraint& row = model.constraints()[i];
-    double dual = std::isfinite(y[i]) ? y[i] : 0.0;
-    if (row.relation == Relation::kLessEqual) dual = std::min(dual, 0.0);
-    if (row.relation == Relation::kGreaterEqual) dual = std::max(dual, 0.0);
-    if (dual == 0.0) continue;
-    bound += row.rhs * dual;
-    for (const auto& [var, coeff] : row.terms) {
-      reduced[static_cast<std::size_t>(var)] -= coeff * dual;
-    }
+    bound.add_row(model.constraints()[i], y[i]);
   }
-  for (const double r : reduced) bound += std::min(r, 0.0);  // x_j <= 1
+  return bound.value();
+}
+
+void DualBound::add_row(const Constraint& row, double y) {
+  double dual = std::isfinite(y) ? y : 0.0;
+  if (row.relation == Relation::kLessEqual) dual = std::min(dual, 0.0);
+  if (row.relation == Relation::kGreaterEqual) dual = std::max(dual, 0.0);
+  if (dual == 0.0) return;
+  bound_ += row.rhs * dual;
+  for (const auto& [var, coeff] : row.terms) {
+    reduced_[static_cast<std::size_t>(var)] -= coeff * dual;
+  }
+}
+
+double DualBound::value() const {
+  double bound = bound_;
+  for (const double r : reduced_) bound += std::min(r, 0.0);  // x_j <= 1
   // Overflowing duals can make the sum inf - inf; no bound is then -inf.
   return std::isnan(bound) ? -std::numeric_limits<double>::infinity() : bound;
 }

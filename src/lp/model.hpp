@@ -6,7 +6,6 @@
 /// by the SSQPP LP builder (paper eqs. (9)-(14)) and the GAP LP relaxation
 /// (paper eqs. (15)-(18)).
 
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -25,7 +24,7 @@ struct Constraint {
 class Model {
  public:
   /// Adds a variable with the given objective coefficient; returns its index.
-  int add_variable(double objective_coefficient = 0.0, std::string name = "");
+  int add_variable(double objective_coefficient = 0.0);
 
   /// Overwrites the objective coefficient of an existing variable.
   void set_objective_coefficient(int variable, double coefficient);
@@ -40,13 +39,9 @@ class Model {
   int num_constraints() const { return static_cast<int>(constraints_.size()); }
   const std::vector<double>& objective() const { return objective_; }
   const std::vector<Constraint>& constraints() const { return constraints_; }
-  const std::string& variable_name(int variable) const {
-    return names_.at(static_cast<std::size_t>(variable));
-  }
 
  private:
   std::vector<double> objective_;
-  std::vector<std::string> names_;
   std::vector<Constraint> constraints_;
 };
 
@@ -61,5 +56,27 @@ class Model {
 /// Shcherbina, "Safe bounds in linear and mixed-integer programming", 2004).
 /// \throws std::invalid_argument unless y has one entry per constraint.
 double dual_bound(const Model& model, const std::vector<double>& y);
+
+/// dual_bound's arithmetic, one row at a time, so a bound can be taken over
+/// rows streamed from their generator without building a Model: start from
+/// the objective c, add each row with its dual in model order, then read
+/// value(). Rows added in a Model's order give dual_bound bit for bit.
+class DualBound {
+ public:
+  explicit DualBound(std::vector<double> objective)
+      : reduced_(std::move(objective)) {}
+
+  /// Projects y onto the sign the row's relation needs and, unless that
+  /// leaves 0, adds rhs * y to b.y and subtracts coeff * y from each term's
+  /// reduced cost. Term variables must index the objective.
+  void add_row(const Constraint& row, double y);
+
+  /// b.y + sum_j min(0, (c - A^T y)_j); -inf where that sum is NaN.
+  double value() const;
+
+ private:
+  std::vector<double> reduced_;  ///< c - A^T y over the rows added so far
+  double bound_ = 0.0;           ///< b.y over the rows added so far
+};
 
 }  // namespace qp::lp

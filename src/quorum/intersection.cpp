@@ -17,11 +17,12 @@ LivenessReport check_liveness(const QuorumSystem& system,
   LivenessReport report;
 
   // A quorum is live iff none of its elements failed. Represent each live
-  // quorum as a bitmask over the universe so the pairwise intersection
-  // check below is a word-wise AND.
+  // quorum as a bitmask over the universe, `words` words of one flat buffer
+  // (live quorum i at masks[i * words]), so the pairwise intersection check
+  // below is a word-wise AND.
   const std::size_t words =
       (static_cast<std::size_t>(system.universe_size()) + 63U) / 64U;
-  std::vector<std::vector<std::uint64_t>> masks;
+  std::vector<std::uint64_t> masks;
   for (int q = 0; q < system.num_quorums(); ++q) {
     const Quorum& quorum = system.quorum(q);
     bool live = true;
@@ -33,22 +34,22 @@ LivenessReport check_liveness(const QuorumSystem& system,
     }
     if (!live) continue;
     report.live_quorums.push_back(q);
-    std::vector<std::uint64_t> mask(words, 0U);
+    const std::size_t first = masks.size();
+    masks.resize(first + words, 0U);
     for (const int u : quorum) {
-      mask[static_cast<std::size_t>(u) / 64U] |=
+      masks[first + static_cast<std::size_t>(u) / 64U] |=
           std::uint64_t{1} << (static_cast<std::size_t>(u) % 64U);
     }
-    masks.push_back(std::move(mask));
   }
 
   // Safety: certify pairwise intersection of the live sub-family, keeping
   // the first violating pair as a witness.
-  for (std::size_t i = 0;
-       i < masks.size() && report.pairwise_intersecting; ++i) {
-    for (std::size_t j = i + 1; j < masks.size(); ++j) {
+  const std::size_t live = report.live_quorums.size();
+  for (std::size_t i = 0; i < live && report.pairwise_intersecting; ++i) {
+    for (std::size_t j = i + 1; j < live; ++j) {
       bool intersects = false;
       for (std::size_t w = 0; w < words; ++w) {
-        if ((masks[i][w] & masks[j][w]) != 0U) {
+        if ((masks[i * words + w] & masks[j * words + w]) != 0U) {
           intersects = true;
           break;
         }

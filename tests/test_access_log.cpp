@@ -178,7 +178,7 @@ TEST(AccessLog, HeadLimitedWriterMatchesUnlimitedOutOfOrder) {
     obs::AccessRecord record =
         sample_records()[static_cast<std::size_t>(i % 5)];
     record.id = (i * 37) % 64;  // a permutation of 0..63
-    record.start = 0.5 * record.id;
+    record.start = 0.5 * static_cast<double>(record.id);
     records.push_back(record);
   }
   for (const double rate : {1.0, 0.5}) {

@@ -3,7 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <optional>
 #include <random>
+#include <vector>
+
+#include "assign/hungarian.hpp"
 
 namespace qp::assign {
 namespace {
@@ -117,6 +124,115 @@ TEST(GreedyGap, FailsWhenOrderBlocks) {
   EXPECT_FALSE(result.has_value());
   // The LP-based solver handles it.
   EXPECT_TRUE(solve_gap(g).has_value());
+}
+
+/// The weak-duality bound b.y + sum_j min(0, (c - A^T y)_j) over the GAP
+/// LP's rows, read straight from (16)-(17) with y projected onto each row's
+/// sign by hand: a second description of the rows, independent of the
+/// library's generator. Rows: (17) per job, then (16) per machine that
+/// allows some job.
+double reference_gap_bound(const GapInstance& g, const std::vector<double>& y) {
+  const auto cell = [&](int i, int j) {
+    return static_cast<std::size_t>(i) *
+               static_cast<std::size_t>(g.num_jobs()) +
+           static_cast<std::size_t>(j);
+  };
+  std::vector<double> reduced(cell(g.num_machines(), 0), 0.0);
+  for (int i = 0; i < g.num_machines(); ++i) {
+    for (int j = 0; j < g.num_jobs(); ++j) reduced[cell(i, j)] = g.cost(i, j);
+  }
+  double bound = 0.0;
+  std::size_t row = 0;
+  for (int j = 0; j < g.num_jobs(); ++j, ++row) {  // (17) sum_i y_ij = 1
+    const double dual = std::isfinite(y[row]) ? y[row] : 0.0;
+    bound += dual;
+    for (int i = 0; i < g.num_machines(); ++i) reduced[cell(i, j)] -= dual;
+  }
+  for (int i = 0; i < g.num_machines(); ++i) {  // (16) sum_j p_ij y_ij <= T_i
+    bool any = false;
+    for (int j = 0; j < g.num_jobs(); ++j) any = any || g.allowed(i, j);
+    if (!any) continue;
+    const double dual = std::min(std::isfinite(y[row]) ? y[row] : 0.0, 0.0);
+    ++row;
+    bound += g.capacity(i) * dual;
+    for (int j = 0; j < g.num_jobs(); ++j) {
+      if (g.allowed(i, j)) reduced[cell(i, j)] -= g.load(i, j) * dual;
+    }
+  }
+  for (int i = 0; i < g.num_machines(); ++i) {
+    for (int j = 0; j < g.num_jobs(); ++j) {
+      if (g.allowed(i, j)) bound += std::min(reduced[cell(i, j)], 0.0);
+    }
+  }
+  return bound;
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+// The streamed bound is lp::dual_bound on build_gap_lp's model bit for bit,
+// and both agree with the rows read independently, on random instances
+// with forbidden and over-budget pairs, jobs that fit nowhere and machines
+// that allow no job, for solver duals, random duals of either sign on every
+// row, and duals with +-inf and NaN entries; a wrong-length y gives none.
+TEST(Gap, StreamedBoundEqualsModelBound) {
+  std::mt19937_64 rng(13);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  std::uniform_real_distribution<double> dual_dist(-3.0, 3.0);
+  int compared = 0;
+  for (int trial = 0; trial < 40; ++trial) {
+    const int jobs = 1 + trial % 6;
+    const int machines = 1 + trial % 5;
+    GapInstance g(jobs, machines);
+    for (int i = 0; i < machines; ++i) {
+      g.set_capacity(i, 0.5 + 2.0 * unit(rng));
+      for (int j = 0; j < jobs; ++j) {
+        g.set_cost(i, j, 10.0 * unit(rng));
+        // Some pairs are forbidden outright, some exceed the budget.
+        if (unit(rng) < 0.8) g.set_load(i, j, 0.2 + 2.0 * unit(rng));
+      }
+    }
+    for (int i = 0; i < machines && trial % 4 == 1; ++i) {
+      g.set_load(i, 0, kForbidden);  // job 0 fits nowhere
+    }
+    for (int j = 0; j < jobs && trial % 4 == 2; ++j) {
+      g.set_load(0, j, kForbidden);  // machine 0 allows no job
+    }
+    SCOPED_TRACE(trial);
+    const GapLp lp = build_gap_lp(g);
+    const int rows = lp.model.num_constraints();
+    std::vector<std::vector<double>> duals;
+    const FractionalGap solved = solve_gap_lp(g);
+    if (solved.status == lp::SolveStatus::kOptimal) {
+      duals.push_back(solved.duals);
+    }
+    std::vector<double> random;
+    std::vector<double> non_finite;
+    for (int r = 0; r < rows; ++r) {
+      random.push_back(dual_dist(rng));
+      constexpr double kInf = std::numeric_limits<double>::infinity();
+      const double odd[] = {kInf, -kInf,
+                            std::numeric_limits<double>::quiet_NaN()};
+      non_finite.push_back(r % 3 == 0 ? odd[r / 3 % 3] : dual_dist(rng));
+    }
+    duals.push_back(random);
+    duals.push_back(non_finite);
+    for (const std::vector<double>& y : duals) {
+      const std::optional<double> streamed = gap_dual_bound(g, y);
+      ASSERT_TRUE(streamed.has_value());
+      const double expected = lp::dual_bound(lp.model, y);
+      EXPECT_TRUE(same_bits(*streamed, expected))
+          << *streamed << " vs " << expected;
+      const double reference = reference_gap_bound(g, y);
+      EXPECT_NEAR(*streamed, reference,
+                  1e-9 * std::max(1.0, std::abs(reference)));
+      ++compared;
+    }
+    const std::vector<double> long_y(static_cast<std::size_t>(rows) + 1, 0.0);
+    EXPECT_FALSE(gap_dual_bound(g, long_y).has_value());
+  }
+  EXPECT_GE(compared, 80);
 }
 
 /// Property sweep: random GAP instances; whenever the LP is feasible the

@@ -29,10 +29,10 @@ namespace {
 
 TEST(Model, TracksVariablesAndConstraints) {
   Model m;
-  const int x = m.add_variable(1.0, "x");
+  const int x = m.add_variable(1.0);
   const int y = m.add_variable(-2.0);
   EXPECT_EQ(m.num_variables(), 2);
-  EXPECT_EQ(m.variable_name(x), "x");
+  EXPECT_EQ(x, 0);
   m.add_constraint({{x, 1.0}, {y, 1.0}}, Relation::kLessEqual, 4.0);
   EXPECT_EQ(m.num_constraints(), 1);
   m.set_objective_coefficient(y, 2.0);

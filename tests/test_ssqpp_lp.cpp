@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <numeric>
 #include <optional>
 #include <random>
@@ -318,6 +320,212 @@ TEST(SsqppLp, NamedRowModelRejectsBadNames) {
   EXPECT_FALSE(build_ssqpp_lp(instance, {-1, 1}).has_value());
   EXPECT_FALSE(build_ssqpp_lp(instance, {1, 1}).has_value());
   EXPECT_FALSE(build_ssqpp_lp(instance, {2, 1}).has_value());
+}
+
+/// The weak-duality bound b.y + sum_j min(0, (c - A^T y)_j) over the named
+/// rows of LP (9)-(14), read straight from the paper's rows in sorted-node
+/// coordinates, with y projected onto each row's sign by hand: a second
+/// description of the rows, independent of the library's generator.
+double reference_ssqpp_bound(const SsqppInstance& instance,
+                             const std::vector<int>& rows,
+                             const std::vector<double>& y) {
+  const int n = instance.num_nodes();
+  const int num_u = instance.system().universe_size();
+  const int num_q = instance.system().num_quorums();
+  const std::vector<double>& loads = instance.element_loads();
+  const std::vector<int> order =
+      instance.metric().nodes_by_distance_from(instance.source());
+  const auto at = [](int t, int width, int column) {
+    return static_cast<std::size_t>(t) * static_cast<std::size_t>(width) +
+           static_cast<std::size_t>(column);
+  };
+  const auto fits = [&](int t, int u) {
+    return loads[static_cast<std::size_t>(u)] <=
+           instance.capacity(order[static_cast<std::size_t>(t)]) + 1e-12;
+  };
+  std::vector<double> reduced_tu(at(n, num_u, 0), 0.0);
+  std::vector<double> reduced_tq(at(n, num_q, 0), 0.0);
+  std::vector<int> capacity_ranks;
+  for (int t = 0; t < n; ++t) {
+    const int node = order[static_cast<std::size_t>(t)];
+    const double d = instance.metric()(instance.source(), node);
+    for (int q = 0; q < num_q; ++q) {
+      reduced_tq[at(t, num_q, q)] = instance.strategy().probability(q) * d;
+    }
+    bool any = false;
+    for (int u = 0; u < num_u; ++u) any = any || fits(t, u);
+    if (any) capacity_ranks.push_back(t);
+  }
+  std::vector<std::pair<int, int>> members;
+  for (int q = 0; q < num_q; ++q) {
+    for (const int u : instance.system().quorum(q)) members.emplace_back(q, u);
+  }
+  const int first_capacity = num_u + num_q;
+  const int first_prefix =
+      first_capacity + static_cast<int>(capacity_ranks.size());
+  double bound = 0.0;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const int row = rows[i];
+    const double y_i = std::isfinite(y[i]) ? y[i] : 0.0;
+    if (row < num_u) {  // (10) sum_t x_tu = 1
+      bound += y_i;
+      for (int t = 0; t < n; ++t) {
+        if (fits(t, row)) reduced_tu[at(t, num_u, row)] -= y_i;
+      }
+    } else if (row < first_capacity) {  // (11) sum_t x_tQ = 1
+      bound += y_i;
+      for (int t = 0; t < n; ++t) reduced_tq[at(t, num_q, row - num_u)] -= y_i;
+    } else if (row < first_prefix) {  // (12) sum_u load_u x_tu <= cap(v_t)
+      const double dual = std::min(y_i, 0.0);
+      const int t =
+          capacity_ranks[static_cast<std::size_t>(row - first_capacity)];
+      bound += instance.capacity(order[static_cast<std::size_t>(t)]) * dual;
+      for (int u = 0; u < num_u; ++u) {
+        if (fits(t, u)) {
+          reduced_tu[at(t, num_u, u)] -=
+              loads[static_cast<std::size_t>(u)] * dual;
+        }
+      }
+    } else {  // (14) sum_{s<=t} (x_sQ - x_su) <= 0
+      const double dual = std::min(y_i, 0.0);
+      const auto [q, u] =
+          members[static_cast<std::size_t>((row - first_prefix) / (n - 1))];
+      const int t = (row - first_prefix) % (n - 1);
+      for (int s = 0; s <= t; ++s) {
+        reduced_tq[at(s, num_q, q)] -= dual;
+        if (fits(s, u)) reduced_tu[at(s, num_u, u)] += dual;
+      }
+    }
+  }
+  for (int t = 0; t < n; ++t) {
+    for (int u = 0; u < num_u; ++u) {
+      if (fits(t, u)) bound += std::min(reduced_tu[at(t, num_u, u)], 0.0);
+    }
+    for (int q = 0; q < num_q; ++q) {
+      bound += std::min(reduced_tq[at(t, num_q, q)], 0.0);
+    }
+  }
+  return bound;
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+// The streamed bound is lp::dual_bound on the named-row model bit for bit,
+// and both agree with the paper's rows read independently, on random
+// instances (uniform, heterogeneous and ample capacities; grid(2), grid(3)
+// and majority(5,3); uniform and skewed strategies), on empty, partial,
+// full and solver-named row sets, and on solver duals, random duals of
+// either sign on every row, and duals with +-inf and NaN entries.
+TEST(SsqppLp, StreamedBoundEqualsModelBound) {
+  std::mt19937_64 rng(11);
+  std::uniform_real_distribution<double> dual_dist(-2.0, 2.0);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  const quorum::QuorumSystem systems[] = {quorum::grid(2), quorum::grid(3),
+                                          quorum::majority(5, 3)};
+  int compared = 0;
+  for (int trial = 0; trial < 24; ++trial) {
+    const int n = 6 + trial % 9;
+    const quorum::QuorumSystem& system = systems[trial % 3];
+    std::vector<double> weights;
+    for (int q = 0; q < system.num_quorums(); ++q) {
+      weights.push_back(trial % 2 == 0 ? 1.0 : 0.5 + unit(rng));
+    }
+    const double total = std::accumulate(weights.begin(), weights.end(), 0.0);
+    for (double& weight : weights) weight /= total;
+    const quorum::AccessStrategy strategy(system, weights);
+    const std::vector<double> loads = quorum::element_loads(system, strategy);
+    const double max_load = *std::max_element(loads.begin(), loads.end());
+    const double total_load = std::accumulate(loads.begin(), loads.end(), 0.0);
+    std::vector<double> caps;
+    for (int v = 0; v < n; ++v) {
+      switch (trial % 4) {
+        case 0: caps.push_back(1.5 * max_load); break;  // uniform
+        case 1:  // heterogeneous; some nodes hold no element
+          caps.push_back((v % 3 == 0 ? 0.5 : 1.0 + 0.25 * (v % 4)) * max_load);
+          break;
+        case 2: caps.push_back(total_load + 1.0); break;  // no (12) binds
+        default: caps.push_back(0.5 * max_load); break;   // fits nowhere
+      }
+    }
+    const graph::Metric metric =
+        graph::Metric::from_graph(graph::random_geometric(n, 0.5, rng).graph);
+    const SsqppInstance instance(metric, caps, system, strategy,
+                                 static_cast<int>(rng() % n));
+    // The full model's row count, from the rows' definition.
+    int capacity_rows = 0;
+    for (int v = 0; v < n; ++v) {
+      if (std::ranges::any_of(loads, [&](double load) {
+            return load <= caps[static_cast<std::size_t>(v)] + 1e-12;
+          })) {
+        ++capacity_rows;
+      }
+    }
+    int members = 0;
+    for (int q = 0; q < system.num_quorums(); ++q) {
+      members += static_cast<int>(system.quorum(q).size());
+    }
+    const int num_rows = system.universe_size() + system.num_quorums() +
+                         capacity_rows + members * (n - 1);
+    SCOPED_TRACE(testing::Message() << "trial " << trial << " rows "
+                                    << num_rows);
+
+    std::vector<std::pair<std::vector<int>, std::vector<double>>> cases;
+    std::vector<int> full(static_cast<std::size_t>(num_rows));
+    std::iota(full.begin(), full.end(), 0);
+    std::vector<int> partial;
+    for (const int row : full) {
+      if (unit(rng) < 0.3) partial.push_back(row);
+    }
+    const FractionalSsqpp solved = solve_ssqpp_lp(instance);
+    if (solved.status == lp::SolveStatus::kOptimal) {
+      cases.emplace_back(solved.duals.rows, solved.duals.values);
+    }
+    for (const std::vector<int>& rows :
+         {std::vector<int>{}, partial, full, solved.duals.rows}) {
+      std::vector<double> random;
+      std::vector<double> non_finite;
+      for (std::size_t i = 0; i < rows.size(); ++i) {
+        random.push_back(dual_dist(rng));
+        constexpr double kInf = std::numeric_limits<double>::infinity();
+        const double odd[] = {kInf, -kInf,
+                              std::numeric_limits<double>::quiet_NaN()};
+        non_finite.push_back(i % 4 == 0 ? odd[i / 4 % 3] : dual_dist(rng));
+      }
+      cases.emplace_back(rows, random);
+      cases.emplace_back(rows, non_finite);
+    }
+
+    for (const auto& [rows, y] : cases) {
+      const std::optional<SsqppBound> streamed =
+          ssqpp_dual_bound(instance, rows, y);
+      const std::optional<SsqppLp> model = build_ssqpp_lp(instance, rows);
+      ASSERT_TRUE(streamed.has_value());
+      ASSERT_TRUE(model.has_value());
+      ASSERT_EQ(streamed->element_fits, model->element_fits);
+      EXPECT_EQ(streamed->element_fits, trial % 4 != 3);
+      if (!streamed->element_fits) continue;
+      const double expected = lp::dual_bound(model->model, y);
+      EXPECT_TRUE(same_bits(streamed->value, expected))
+          << streamed->value << " vs " << expected;
+      const double reference = reference_ssqpp_bound(instance, rows, y);
+      EXPECT_NEAR(streamed->value, reference,
+                  1e-9 * std::max(1.0, std::abs(reference)));
+      ++compared;
+    }
+    // Bad names are refused as build_ssqpp_lp refuses them.
+    for (const std::vector<int>& bad :
+         {std::vector<int>{1, 1}, std::vector<int>{num_rows}}) {
+      EXPECT_FALSE(build_ssqpp_lp(instance, bad).has_value());
+      EXPECT_FALSE(ssqpp_dual_bound(instance, bad,
+                                    std::vector<double>(bad.size(), 0.0))
+                       .has_value());
+    }
+  }
+  EXPECT_GE(compared, 100);
+  EXPECT_THROW(ssqpp_dual_bound(line_grid_instance(2, 6, 1.0), {0, 1}, {0.0}),
+               std::invalid_argument);
 }
 
 // --- Filtering (Sec 3.3.1) ---------------------------------------------------
