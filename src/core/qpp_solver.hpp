@@ -113,10 +113,12 @@ RelaySweep<Result> relay_sweep(const QppInstance& instance,
 /// relay_candidates(instance, options), as solve_qpp and solve_qpp_multi
 /// run it. The instance, its metric included, is validated once here; each
 /// relay checks only what its view adds (solve_ssqpp_view). On uniform
-/// capacities every relay's seeded LP (9)-(14) has the same rows, so
-/// phase 1 of the first candidate's is solved once, on this thread before
-/// the sweep, and every relay starts from it; the start is freed when the
-/// sweep returns. Other capacities solve every relay cold.
+/// capacities every relay's seeded LP (9)-(14) has the same rows, so the
+/// first candidate's seed (its seeded model and phase 1 of it,
+/// ssqpp_phase1_start) is built once, on this thread before the sweep, and
+/// every relay's first model shares the seed's rows and starts from its
+/// phase 1; the seed is freed when the sweep returns. Other capacities solve
+/// every relay cold.
 /// Either way the results are those of cold solves, and the work counters
 /// do not depend on the pool size.
 template <typename Score>
@@ -131,7 +133,7 @@ RelaySweep<SsqppResult> ssqpp_relay_sweep(const QppInstance& instance,
   const bool uniform =
       std::ranges::adjacent_find(caps, std::ranges::not_equal_to{}) ==
       caps.end();
-  const std::optional<lp::Phase1> start =
+  const std::optional<SsqppSeed> seed =
       uniform && !candidates.empty()
           ? ssqpp_phase1_start(single_source_view(instance, candidates.front()),
                                options.simplex)
@@ -140,7 +142,7 @@ RelaySweep<SsqppResult> ssqpp_relay_sweep(const QppInstance& instance,
       instance, candidates,
       [&](const SsqppInstance& view) {
         return solve_ssqpp_view(view, options.alpha, options.simplex,
-                                start ? &*start : nullptr);
+                                seed ? &*seed : nullptr);
       },
       std::forward<Score>(score));
 }

@@ -1,6 +1,7 @@
 #include "core/ssqpp_lp.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <functional>
@@ -344,25 +345,101 @@ Part seed_part(const SsqppInstance& instance, const Layout& layout) {
 
 }  // namespace
 
-SsqppLp build_seeded_ssqpp_lp(const SsqppInstance& instance) {
-  const Layout layout = layout_of(instance);
-  if (!layout.element_fits) return build_part(instance, layout, 0, {});
-  const Part seed = seed_part(instance, layout);
-  return build_part(instance, layout, seed.ranks, seed.rows());
+namespace {
+
+bool same_bits(double x, double y) {
+  return std::bit_cast<std::uint64_t>(x) == std::bit_cast<std::uint64_t>(y);
 }
 
-std::optional<lp::Phase1> ssqpp_phase1_start(
+/// The instance's capacities in the layout's distance order.
+std::vector<double> capacities_in_order(const SsqppInstance& instance,
+                                        const Layout& layout) {
+  std::vector<double> out;
+  out.reserve(layout.node_order.size());
+  for (const int node : layout.node_order) {
+    out.push_back(instance.capacity(node));
+  }
+  return out;
+}
+
+/// Whether `seed`'s rows are the instance's seeded rows: everything they
+/// depend on, the capacities in distance order, the element loads and the
+/// quorum membership, is the seed's bit for bit.
+bool takes_rows(const SsqppSeed& seed, const SsqppInstance& instance,
+                const Layout& layout) {
+  const std::vector<double>& loads = instance.element_loads();
+  if (seed.capacities.size() != layout.node_order.size() ||
+      seed.element_loads.size() != loads.size()) {
+    return false;
+  }
+  for (std::size_t t = 0; t < layout.node_order.size(); ++t) {
+    if (!same_bits(seed.capacities[t],
+                   instance.capacity(layout.node_order[t]))) {
+      return false;
+    }
+  }
+  return std::ranges::equal(seed.element_loads, loads, same_bits) &&
+         seed.quorums == instance.system().quorums();
+}
+
+/// The first model of solve_ssqpp_lp, over the seeded `part`: when `seed`'s
+/// rows are the instance's, a model that shares them under the instance's
+/// objective and columns (columns_of gives the same columns, in the same
+/// order, as the seed's model has); else one built as any round's.
+SsqppLp seeded_model(const SsqppInstance& instance, const Layout& layout,
+                     const Part& part, const std::vector<int>& rows,
+                     const SsqppSeed* seed) {
+  if (seed == nullptr || !takes_rows(*seed, instance, layout)) {
+    return build_part(instance, layout, part.ranks, rows);
+  }
+  Columns columns = columns_of(instance, layout, part.ranks);
+  QP_INVARIANT(columns.objective.size() ==
+                   static_cast<std::size_t>(seed->lp.model.num_variables()),
+               "equal capacities, loads and quorums give the seed's columns");
+  SsqppLp out;
+  out.model = seed->lp.model;  // shares its rows
+  for (std::size_t j = 0; j < columns.objective.size(); ++j) {
+    out.model.set_objective_coefficient(static_cast<int>(j),
+                                        columns.objective[j]);
+  }
+  out.var_tu = std::move(columns.var_tu);
+  out.var_tq = std::move(columns.var_tq);
+  return out;
+}
+
+}  // namespace
+
+SsqppLp build_seeded_ssqpp_lp(const SsqppInstance& instance,
+                              const SsqppSeed* seed) {
+  const Layout layout = layout_of(instance);
+  if (!layout.element_fits) return build_part(instance, layout, 0, {});
+  const Part part = seed_part(instance, layout);
+  return seeded_model(instance, layout, part, part.rows(), seed);
+}
+
+std::optional<SsqppSeed> ssqpp_phase1_start(
     const SsqppInstance& instance, const lp::SimplexOptions& options) {
   QP_SPAN("ssqpp_lp.start");
-  const SsqppLp seed = build_seeded_ssqpp_lp(instance);
-  if (!seed.element_fits) return std::nullopt;
-  return lp::solve_phase1(seed.model, options);
+  const Layout layout = layout_of(instance);
+  if (!layout.element_fits) return std::nullopt;
+  const Part part = seed_part(instance, layout);
+  SsqppLp lp = build_part(instance, layout, part.ranks, part.rows());
+  lp::Phase1 phase1 = lp::solve_phase1(lp.model, options);
+  return SsqppSeed{std::move(phase1), std::move(lp),
+                   capacities_in_order(instance, layout),
+                   instance.element_loads(), instance.system().quorums()};
 }
 
 FractionalSsqpp solve_ssqpp_lp(const SsqppInstance& instance,
                                const lp::SimplexOptions& options,
-                               const lp::Phase1* start) {
-  const Layout layout = layout_of(instance);
+                               const SsqppSeed* seed) {
+  Layout layout;
+  Part part;
+  {
+    QP_SPAN("ssqpp_lp.layout");
+    layout = layout_of(instance);
+    if (layout.element_fits) part = seed_part(instance, layout);
+  }
   const int n = layout.n;
   const int num_elements = layout.num_elements;
   const int num_quorums = layout.num_quorums;
@@ -379,17 +456,18 @@ FractionalSsqpp solve_ssqpp_lp(const SsqppInstance& instance,
   }
   QP_COUNTER_ADD("ssqpp_lp.models", 1);
 
-  Part part = seed_part(instance, layout);
   const std::vector<double>& probability = out.quorum_probability;
   for (bool first_round = true;; first_round = false) {
     std::vector<int> rows = part.rows();
-    const SsqppLp lp = build_part(instance, layout, part.ranks, rows);
+    const SsqppLp lp =
+        first_round ? seeded_model(instance, layout, part, rows, seed)
+                    : build_part(instance, layout, part.ranks, rows);
     QP_COUNTER_ADD("ssqpp_lp.rounds", 1);
     QP_COUNTER_ADD("ssqpp_lp.variables", lp.model.num_variables());
     QP_COUNTER_ADD("ssqpp_lp.constraints", lp.model.num_constraints());
     // Only the seeded model can share its rows with another relay's.
     lp::Solution solution =
-        lp::solve(lp.model, options, first_round ? start : nullptr);
+        lp::solve(lp.model, options, first_round ? seed : nullptr);
     if (solution.status == lp::SolveStatus::kInfeasible && part.ranks < n) {
       // Infeasible over fewer ranks proves nothing. Over all n ranks the
       // model is a relaxation of the full LP, so there it proves kInfeasible.
@@ -414,39 +492,40 @@ FractionalSsqpp solve_ssqpp_lp(const SsqppInstance& instance,
       }
     }
 
-    // Violated (14) rows, by prefix sums over the ranks in the model (the
-    // rows of later ranks hold by (10) and (11)).
     std::uint64_t rows_added = 0;
-    for (std::size_t k = 0; k < layout.members.size(); ++k) {
-      const auto [q, u] = layout.members[k];
-      double prefix = 0.0;
-      for (int t = 0; t < std::min(part.ranks, n - 1); ++t) {
-        prefix += out.xq(t, q) - out.xu(t, u);
-        char& row =
-            part.active[static_cast<std::size_t>(layout.prefix_row(k, t))];
-        if (row == 0 && prefix > options.epsilon) {
-          row = 1;
-          ++rows_added;
-        }
-      }
-    }
-    // Pricing the missing columns with y = 0 on the missing rows: x_{tQ}
-    // costs p(Q) d_t - y_(11)(Q), x_{tu} costs -y_(10)(u).
     int wanted = part.ranks;
-    for (int t = part.ranks; t < n; ++t) {
-      const double d = layout.sorted_distance[static_cast<std::size_t>(t)];
-      for (int q = 0; q < num_quorums; ++q) {
-        const double y =
-            solution.duals[static_cast<std::size_t>(num_elements + q)];
-        if (probability[static_cast<std::size_t>(q)] * d - y <
-            -options.epsilon) {
-          wanted = t + 1;
+    {
+      QP_SPAN("ssqpp_lp.price");
+      // Violated (14) rows, by prefix sums over the ranks in the model (the
+      // rows of later ranks hold by (10) and (11)).
+      for (std::size_t k = 0; k < layout.members.size(); ++k) {
+        const auto [q, u] = layout.members[k];
+        double prefix = 0.0;
+        for (int t = 0; t < std::min(part.ranks, n - 1); ++t) {
+          prefix += out.xq(t, q) - out.xu(t, u);
+          char& row = part.active[static_cast<std::size_t>(
+              layout.prefix_row(k, t))];
+          if (row == 0 && prefix > options.epsilon) {
+            row = 1;
+            ++rows_added;
+          }
         }
       }
-      for (int u = 0; u < num_elements; ++u) {
-        if (layout.fit(t, u) &&
-            -solution.duals[static_cast<std::size_t>(u)] < -options.epsilon) {
-          wanted = t + 1;
+      // Pricing the missing columns with y = 0 on the missing rows: x_{tQ}
+      // costs p(Q) d_t - y_(11)(Q), x_{tu} costs -y_(10)(u).
+      for (int t = part.ranks; t < n; ++t) {
+        const double d = layout.sorted_distance[static_cast<std::size_t>(t)];
+        for (int q = 0; q < num_quorums; ++q) {
+          const double y =
+              solution.duals[static_cast<std::size_t>(num_elements + q)];
+          if (probability[static_cast<std::size_t>(q)] * d - y <
+              -options.epsilon) {
+            wanted = t + 1;
+          }
+        }
+        for (int u = 0; u < num_elements; ++u) {
+          const double y = solution.duals[static_cast<std::size_t>(u)];
+          if (layout.fit(t, u) && -y < -options.epsilon) wanted = t + 1;
         }
       }
     }

@@ -105,6 +105,21 @@ std::optional<SsqppBound> ssqpp_dual_bound(const SsqppInstance& instance,
                                            const std::vector<int>& rows,
                                            const std::vector<double>& y);
 
+/// What the relays of a Thm 1.2 sweep share (ssqpp_phase1_start): the
+/// seeded model of one relay (build_seeded_ssqpp_lp) and phase 1 of it,
+/// which the seed is, so lp::solve starts from it any model with its rows.
+/// The seeded rows depend on the capacities in distance order, the element
+/// loads and the quorum membership, not on the distances; solve_ssqpp_lp
+/// takes the seed's rows object as its first model's rows (shared, not
+/// rebuilt) when those three equal the seed's bit for bit, an O(n) compare.
+/// Immutable, so the relays of a sweep may use it on any thread at once.
+struct SsqppSeed : lp::Phase1 {
+  SsqppLp lp;  ///< the seeding relay's seeded model
+  std::vector<double> capacities;  ///< its capacities in distance order
+  std::vector<double> element_loads;
+  std::vector<quorum::Quorum> quorums;
+};
+
 /// Solves LP (9)-(14) on the rows and ranks its optimum uses. The first
 /// model holds the columns of ranks t < m, where m is the shortest prefix of
 /// the distance order whose capacity covers sum_u load(u) and that holds
@@ -114,20 +129,26 @@ std::optional<SsqppBound> ssqpp_dual_bound(const SsqppInstance& instance,
 /// the ranks widen to cover those with negative reduced cost. It stops when
 /// nothing is violated and nothing prices out, so x and Z* are an optimum
 /// of the full LP; an infeasible model is widened to all n ranks before
-/// kInfeasible is reported. The first model starts from `start` when its
-/// rows are the start's (lp::solve); the result is the same either way.
+/// kInfeasible is reported. The first model is build_seeded_ssqpp_lp(
+/// instance, seed), which starts from `seed`'s phase 1 when its rows are the
+/// seed's (lp::solve); the result is the same with any seed or none.
 FractionalSsqpp solve_ssqpp_lp(const SsqppInstance& instance,
                                const lp::SimplexOptions& options = {},
-                               const lp::Phase1* start = nullptr);
+                               const SsqppSeed* seed = nullptr);
 
-/// The first model solve_ssqpp_lp(instance) solves (its "seed"). Its rows
-/// depend on the capacities in distance order, not on the distances, so on
-/// uniform capacities every relay of a QPP instance has the same rows.
-SsqppLp build_seeded_ssqpp_lp(const SsqppInstance& instance);
+/// The first model solve_ssqpp_lp(instance, options, seed) solves (its
+/// "seed"). Its rows depend on the capacities in distance order, not on the
+/// distances, so on uniform capacities every relay of a QPP instance has the
+/// same rows. Where the seed's rows are this instance's (see SsqppSeed),
+/// the model shares them under its own objective and columns; either way it
+/// equals build_seeded_ssqpp_lp(instance) bit for bit.
+SsqppLp build_seeded_ssqpp_lp(const SsqppInstance& instance,
+                              const SsqppSeed* seed = nullptr);
 
-/// lp::solve_phase1 of build_seeded_ssqpp_lp(instance); std::nullopt when
-/// some element fits on no node (there is no model).
-std::optional<lp::Phase1> ssqpp_phase1_start(
+/// The seed of `instance`: build_seeded_ssqpp_lp(instance) and
+/// lp::solve_phase1 of it; std::nullopt when some element fits on no node
+/// (there is no model).
+std::optional<SsqppSeed> ssqpp_phase1_start(
     const SsqppInstance& instance, const lp::SimplexOptions& options = {});
 
 /// The alpha-filtering of Sec 3.3.1: x~ is the largest solution with

@@ -95,17 +95,17 @@ std::optional<Placement> round_filtered_ssqpp(const SsqppInstance& instance,
 std::optional<SsqppResult> solve_ssqpp(const SsqppInstance& instance,
                                        double alpha,
                                        const lp::SimplexOptions& options,
-                                       const lp::Phase1* start) {
+                                       const SsqppSeed* seed) {
   QP_REQUIRE(check::validate_metric(instance.metric()).ok(),
              "SSQPP instance's distances violate the triangle inequality; "
              "see check::validate_metric");
-  return solve_ssqpp_view(instance, alpha, options, start);
+  return solve_ssqpp_view(instance, alpha, options, seed);
 }
 
 std::optional<SsqppResult> solve_ssqpp_view(const SsqppInstance& instance,
                                             double alpha,
                                             const lp::SimplexOptions& options,
-                                            const lp::Phase1* start) {
+                                            const SsqppSeed* seed) {
   if (!(alpha > 1.0)) {
     throw std::invalid_argument("solve_ssqpp: alpha > 1 required");
   }
@@ -116,7 +116,7 @@ std::optional<SsqppResult> solve_ssqpp_view(const SsqppInstance& instance,
   QP_COUNTER_ADD("ssqpp.solves", 1);
   FractionalSsqpp fractional = [&] {
     QP_SPAN("ssqpp.lp");
-    return solve_ssqpp_lp(instance, options, start);
+    return solve_ssqpp_lp(instance, options, seed);
   }();
   if (fractional.status != lp::SolveStatus::kOptimal) return std::nullopt;
   SsqppDuals lp_duals = std::move(fractional.duals);

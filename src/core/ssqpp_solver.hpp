@@ -26,13 +26,13 @@ struct SsqppResult {
 };
 
 /// Runs the Thm 3.7 pipeline. Returns std::nullopt when the LP itself is
-/// infeasible (no capacity-respecting fractional placement exists). `start`
+/// infeasible (no capacity-respecting fractional placement exists). `seed`
 /// is passed to solve_ssqpp_lp and changes nothing but the work done.
 /// \throws std::invalid_argument unless alpha > 1.
 std::optional<SsqppResult> solve_ssqpp(const SsqppInstance& instance,
                                        double alpha = 2.0,
                                        const lp::SimplexOptions& options = {},
-                                       const lp::Phase1* start = nullptr);
+                                       const SsqppSeed* seed = nullptr);
 
 /// solve_ssqpp on a view whose metric the caller has validated: the relay
 /// sweep's per-relay call on a single_source_view of a QppInstance it
@@ -41,7 +41,7 @@ std::optional<SsqppResult> solve_ssqpp(const SsqppInstance& instance,
 /// metric's triangle check.
 std::optional<SsqppResult> solve_ssqpp_view(
     const SsqppInstance& instance, double alpha = 2.0,
-    const lp::SimplexOptions& options = {}, const lp::Phase1* start = nullptr);
+    const lp::SimplexOptions& options = {}, const SsqppSeed* seed = nullptr);
 
 /// Rounding stage only: converts an alpha-filtered fractional solution into
 /// a placement via GAP (machines = nodes, jobs = elements, budgets

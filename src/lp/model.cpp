@@ -3,9 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <stdexcept>
 
 namespace qp::lp {
+
+const std::vector<Constraint> Model::kNoConstraints;
 
 int Model::add_variable(double objective_coefficient) {
   if (!std::isfinite(objective_coefficient)) {
@@ -38,7 +41,12 @@ void Model::add_constraint(std::vector<std::pair<int, double>> terms,
       throw std::invalid_argument("Model: constraint coefficient must be finite");
     }
   }
-  constraints_.push_back({std::move(terms), relation, rhs});
+  if (constraints_ == nullptr) {
+    constraints_ = std::make_shared<std::vector<Constraint>>();
+  } else if (constraints_.use_count() > 1) {  // shared: copy on write
+    constraints_ = std::make_shared<std::vector<Constraint>>(*constraints_);
+  }
+  constraints_->push_back({std::move(terms), relation, rhs});
 }
 
 double dual_bound(const Model& model, const std::vector<double>& y) {

@@ -5,7 +5,16 @@
 /// x >= 0. This is the interface consumed by the simplex solver and produced
 /// by the SSQPP LP builder (paper eqs. (9)-(14)) and the GAP LP relaxation
 /// (paper eqs. (15)-(18)).
+///
+/// A Model is a value, but its rows are held behind a shared pointer:
+/// copying a model shares them, and add_constraint on a model whose rows
+/// are shared copies them first (copy on write). So a model that differs
+/// from another only in its objective, built by copying it and setting the
+/// objective, costs no row copies, and lp::solve can tell from the rows'
+/// address that two models have the same rows (the relay LPs of a Thm 1.2
+/// sweep on uniform capacities do, src/core/ssqpp_lp.cpp).
 
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -36,13 +45,21 @@ class Model {
                       Relation relation, double rhs);
 
   int num_variables() const { return static_cast<int>(objective_.size()); }
-  int num_constraints() const { return static_cast<int>(constraints_.size()); }
+  int num_constraints() const {
+    return static_cast<int>(constraints().size());
+  }
   const std::vector<double>& objective() const { return objective_; }
-  const std::vector<Constraint>& constraints() const { return constraints_; }
+  /// The rows; one object for this model and every copy that shares them.
+  const std::vector<Constraint>& constraints() const {
+    return constraints_ != nullptr ? *constraints_ : kNoConstraints;
+  }
 
  private:
+  static const std::vector<Constraint> kNoConstraints;
+
   std::vector<double> objective_;
-  std::vector<Constraint> constraints_;
+  /// Shared with the copies of this model; never written while shared.
+  std::shared_ptr<std::vector<Constraint>> constraints_;
 };
 
 /// Weak-duality lower bound on min c.x over the model's rows, 0 <= x <= 1,

@@ -29,9 +29,11 @@ std::string to_string(SolveStatus status) {
 namespace {
 
 /// One nonzero of a packed row or column: its column or row, and its value.
+/// No default member initializers: Tableau::save packs into blocks of them
+/// that are never initialized, so it writes each entry once.
 struct Entry {
-  int index = 0;
-  double value = 0.0;
+  int index;
+  double value;
 };
 
 /// One pivot on (row, column): the inverse of its pivot element, the pivot
@@ -107,15 +109,16 @@ class EtaFile {
 }  // namespace
 
 /// Phase 1 depends on the rows, the variable count and the options only;
-/// `rows` keeps them for the equality check. When phase 1 reached a feasible
-/// basis, the rest is the tableau T0 it left, its rhs, basis and dual
-/// bookkeeping, and its eta file. T0 is kept as its nonzeros twice, row by
-/// row and column by column (each about a tenth of the dense tableau on the
-/// SSQPP relay LPs): a phase 2 from this start reads T0's pivot rows and
+/// `model` keeps them for the match: a copy of the model phase 1 was solved
+/// for, which shares its rows instead of copying them, so a model that
+/// shares them too is matched by their address. When phase 1 reached a
+/// feasible basis, the rest is the tableau T0 it left, its rhs, basis and
+/// dual bookkeeping, and its eta file. T0 is kept as its nonzeros twice, row
+/// by row and column by column (each about a tenth of the dense tableau on
+/// the SSQPP relay LPs): a phase 2 from this start reads T0's pivot rows and
 /// entering columns there and never copies it.
 struct Phase1::State {
-  std::vector<Constraint> rows;
-  int num_variables = 0;
+  Model model;
   SimplexOptions options;
   SolveStatus status = SolveStatus::kOptimal;
   std::int64_t iterations = 0;
@@ -148,18 +151,22 @@ struct Phase1::State {
     return {entries.data() + start[at], start[at + 1] - start[at]};
   }
 
-  /// Whether `model` solved with `model_options` runs exactly this phase 1.
-  bool matches(const Model& model, const SimplexOptions& model_options) const {
-    if (model_options != options || model.num_variables() != num_variables ||
-        model.constraints().size() != rows.size()) {
+  /// Whether `other` solved with `other_options` runs exactly this phase 1:
+  /// its rows are this model's, the same object or equal bit for bit.
+  bool matches(const Model& other, const SimplexOptions& other_options) const {
+    const std::vector<Constraint>& rows = model.constraints();
+    if (other_options != options ||
+        other.num_variables() != model.num_variables() ||
+        other.constraints().size() != rows.size()) {
       return false;
     }
+    if (&other.constraints() == &rows) return true;  // shared rows
     const auto same = [](double x, double y) {
       return std::bit_cast<std::uint64_t>(x) == std::bit_cast<std::uint64_t>(y);
     };
     for (std::size_t i = 0; i < rows.size(); ++i) {
       const Constraint& mine = rows[i];
-      const Constraint& theirs = model.constraints()[i];
+      const Constraint& theirs = other.constraints()[i];
       if (mine.relation != theirs.relation || !same(mine.rhs, theirs.rhs) ||
           mine.terms.size() != theirs.terms.size()) {
         return false;
@@ -391,27 +398,38 @@ class Tableau : public Simplex<Tableau> {
   void save(Phase1::State& state) const {
     state.cols = cols_;
     state.first_artificial = first_artificial_;
-    // Both scans of the dense tableau run without a branch on the entries
-    // (most are zero, and which is hard to predict), so the copy writes one
-    // past the last nonzero at worst: the arrays get one spare slot.
+    // One pass over the dense tableau packs its rows into blocks, each
+    // allocated once and left uninitialized; the row-wise copy is then
+    // taken from them at its exact size. pack() writes one past a row's
+    // last nonzero at worst, so a row starts a new block unless cols_ + 1
+    // entries are free in the last one.
+    const auto cols = static_cast<std::size_t>(cols_);
+    const std::size_t block_size = std::max(kSaveBlockEntries, cols + 1);
+    std::vector<std::unique_ptr<Entry[]>> blocks;
+    std::vector<std::span<const Entry>> packed(static_cast<std::size_t>(rows_));
+    std::size_t used = block_size;
     std::size_t nonzeros = 0;
-    const std::size_t size =
-        static_cast<std::size_t>(rows_) * static_cast<std::size_t>(cols_);
-    for (std::size_t k = 0; k < size; ++k) nonzeros += a_[k] != 0.0 ? 1U : 0U;
-    state.row_entries.resize(nonzeros + 1);
-    state.row_start.resize(static_cast<std::size_t>(rows_) + 1);
-    std::size_t count = 0;
     for (int i = 0; i < rows_; ++i) {
-      state.row_start[static_cast<std::size_t>(i)] = count;
-      const double* row_data = &a_[static_cast<std::size_t>(i) *
-                                   static_cast<std::size_t>(cols_)];
-      for (int j = 0; j < cols_; ++j) {
-        state.row_entries[count] = {j, row_data[j]};
-        count += row_data[j] != 0.0 ? 1U : 0U;
+      if (block_size - used < cols + 1) {
+        blocks.push_back(std::make_unique_for_overwrite<Entry[]>(block_size));
+        used = 0;
       }
+      Entry* out = blocks.back().get() + used;
+      const std::size_t count = pack(row(i), out);
+      packed[static_cast<std::size_t>(i)] = {out, count};
+      used += count;
+      nonzeros += count;
     }
-    state.row_start[static_cast<std::size_t>(rows_)] = count;
-    state.row_entries.resize(nonzeros);
+    state.row_entries.reserve(nonzeros);
+    state.row_start.resize(static_cast<std::size_t>(rows_) + 1);
+    for (int i = 0; i < rows_; ++i) {
+      state.row_start[static_cast<std::size_t>(i)] = state.row_entries.size();
+      state.row_entries.insert(state.row_entries.end(),
+                               packed[static_cast<std::size_t>(i)].begin(),
+                               packed[static_cast<std::size_t>(i)].end());
+    }
+    state.row_start[static_cast<std::size_t>(rows_)] = nonzeros;
+    blocks.clear();  // before the column-wise copy, which may reuse them
     // The column-wise copy, by a counting sort of the row-wise one.
     state.col_start.assign(static_cast<std::size_t>(cols_) + 1, 0);
     for (const Entry& entry : state.row_entries) {
@@ -441,6 +459,38 @@ class Tableau : public Simplex<Tableau> {
 
   double* row(int r) {
     return &a_[static_cast<std::size_t>(r) * static_cast<std::size_t>(cols_)];
+  }
+  const double* row(int r) const {
+    return &a_[static_cast<std::size_t>(r) * static_cast<std::size_t>(cols_)];
+  }
+
+  /// Packs the nonzeros of the dense row `data` into `out`, by column, and
+  /// returns their count. A run of four entries that are all zero is
+  /// skipped with one test; the entries of any other run are packed without
+  /// a branch on them (which are zero is hard to predict), which writes one
+  /// entry past the last nonzero at worst. Both tests read an entry's bits
+  /// without the sign bit, which are 0 exactly where x != 0.0 is false
+  /// (0.0 and -0.0; a NaN is nonzero): half the time of comparing doubles.
+  std::size_t pack(const double* data, Entry* out) const {
+    const auto magnitude = [&](int j) {
+      return std::bit_cast<std::uint64_t>(data[j]) << 1U;
+    };
+    std::size_t count = 0;
+    const auto pack_one = [&](int j) {
+      const std::uint64_t bits = magnitude(j);
+      out[count] = {j, data[j]};
+      count += bits != 0 ? 1U : 0U;
+    };
+    int j = 0;
+    for (; j + 4 <= cols_; j += 4) {
+      if ((magnitude(j) | magnitude(j + 1) | magnitude(j + 2) |
+           magnitude(j + 3)) == 0) {
+        continue;
+      }
+      for (int k = j; k < j + 4; ++k) pack_one(k);
+    }
+    for (; j < cols_; ++j) pack_one(j);
+    return count;
   }
   double at(int r, int c) const {
     return a_[static_cast<std::size_t>(r) * static_cast<std::size_t>(cols_) +
@@ -616,6 +666,8 @@ class Tableau : public Simplex<Tableau> {
   /// than it saves, and the small LPs (the SSQPP relay LPs, the GAP LPs of
   /// small instances) make no exec call at all.
   static constexpr std::size_t kPooledUpdates = std::size_t{1} << 15;
+  /// Entries of one of save()'s temporary blocks (64 KiB), as in EtaFile.
+  static constexpr std::size_t kSaveBlockEntries = 4096;
 
   int num_artificial_ = 0;
   double rhs_scale_ = 0.0;
@@ -641,8 +693,8 @@ class Tableau : public Simplex<Tableau> {
 class Phase2FromStart : public Simplex<Phase2FromStart> {
  public:
   Phase2FromStart(const Phase1::State& start, const Model& model)
-      : Simplex(start.options, start.num_variables,
-                static_cast<int>(start.rows.size())),
+      : Simplex(start.options, start.model.num_variables(),
+                start.model.num_constraints()),
         start_(start) {
     cols_ = start.cols;
     first_artificial_ = start.first_artificial;
@@ -756,8 +808,7 @@ class Phase2FromStart : public Simplex<Phase2FromStart> {
 Phase1 solve_phase1(const Model& model, const SimplexOptions& options) {
   QP_SPAN("lp.phase1");
   auto state = std::make_shared<Phase1::State>();
-  state->rows = model.constraints();
-  state->num_variables = model.num_variables();
+  state->model = model;  // shares the rows
   state->options = options;
   if (model.num_constraints() > 0) {
     Tableau tableau(model, options);

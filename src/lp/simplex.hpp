@@ -27,9 +27,12 @@
 /// brings a dense row through an eta, and every row and cost-row update
 /// goes through it. Phase 1 reads the rows and never the objective, so
 /// models that share their rows and differ in the objective share phase 1
-/// (the relay LPs of a Thm 1.2 sweep on uniform capacities do).
-/// solve_phase1 runs it once and keeps the resulting tableau, stored
-/// sparse, with the eta file of its pivots; lp::solve given that start
+/// (the relay LPs of a Thm 1.2 sweep on uniform capacities do, and share
+/// the rows object itself, see model.hpp). solve_phase1 runs it once and
+/// keeps the model's rows, shared rather than copied, and the resulting
+/// tableau, packed in one pass and stored sparse, with the eta file of its
+/// pivots. lp::solve matches a model to that start by its rows' identity
+/// first and only then compares them bit for bit; given a match, it
 /// brings its own cost row through those etas and runs only phase 2,
 /// without a tableau of its own: it records its pivots in a second eta
 /// file and rebuilds the one column and one row each iteration reads from
@@ -79,18 +82,20 @@ class Phase1;
 Phase1 solve_phase1(const Model& model, const SimplexOptions& options = {});
 
 /// Solves min c.x subject to the model's rows and x >= 0: phase 1, then
-/// phase 2. With a `start` whose rows (terms, relations, rhs, bit for bit),
-/// variable count and options equal the model's, phase 1 is taken from it
-/// instead; the Solution, iterations included, is that of the cold solve.
-/// Any other start is ignored.
+/// phase 2. With a `start` whose rows are the model's (the same object, or
+/// equal terms, relations and rhs bit for bit) and whose variable count and
+/// options equal the model's, phase 1 is taken from it instead; the
+/// Solution, iterations included, is that of the cold solve. Any other
+/// start is ignored.
 Solution solve(const Model& model, const SimplexOptions& options = {},
                const Phase1* start = nullptr);
 
 /// The state after phase 1 of a model, as solve_phase1 leaves it: status and
 /// iteration count, the final tableau (its nonzeros by row and by column)
-/// and basis, the eta file of its pivots and, for the equality check, the
-/// model's rows. Immutable, so any number of threads may solve from it at
-/// once; a solve from it reads the tableau in place.
+/// and basis, the eta file of its pivots and, for the match, the model's
+/// rows, shared with the model (not copied), so a model that shares them is
+/// matched by identity. Immutable, so any number of threads may solve from
+/// it at once; a solve from it reads the tableau in place.
 class Phase1 {
  public:
   struct State;  ///< defined in simplex.cpp

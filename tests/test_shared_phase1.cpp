@@ -10,6 +10,7 @@
 #include <bit>
 #include <cstdint>
 #include <iterator>
+#include <limits>
 #include <numeric>
 #include <optional>
 #include <random>
@@ -369,6 +370,47 @@ TEST(SharedPhase1, EtaLongerThanABlock) {
   EXPECT_GE(phase2_iterations(cold, start), 10);  // rows pivoted on again
 }
 
+// Tableau::save packs each row of the phase-1 tableau in one pass that
+// skips runs of four zeros. Here the tableau has 18 columns (two are left
+// over after the runs of four in every row), runs of four zeros, runs whose
+// only nonzero is their last entry, and a -0.0 entry: x1's coefficient in
+// row 0 is the least subnormal, and phase 1 pivots on row 0 at x0's 4.0,
+// which scales it by 0.25 to -0.0. The start must give the cold solve bit
+// for bit under several objectives.
+TEST(SharedPhase1, StartSavedAcrossZeroRuns) {
+  constexpr double kTiny = std::numeric_limits<double>::denorm_min();
+  lp::Model model;
+  for (int j = 0; j < 9; ++j) model.add_variable(0.0);
+  model.add_constraint({{0, 4.0}, {1, -kTiny}, {2, 1.0}},
+                       lp::Relation::kEqual, 4.0);
+  model.add_constraint({{1, 1.0}, {3, 1.0}, {8, 1.0}},
+                       lp::Relation::kGreaterEqual, 1.0);
+  model.add_constraint({{2, 1.0}, {4, 1.0}}, lp::Relation::kLessEqual, 3.0);
+  model.add_constraint({{5, 1.0}, {6, 1.0}, {7, 1.0}},
+                       lp::Relation::kGreaterEqual, 2.0);
+  model.add_constraint({{0, 1.0}, {5, 1.0}, {8, -1.0}},
+                       lp::Relation::kLessEqual, 5.0);
+  model.add_constraint({{3, -1.0}, {6, 2.0}}, lp::Relation::kGreaterEqual,
+                       -1.0);
+  std::vector<std::pair<int, double>> all;
+  for (int j = 0; j < 9; ++j) all.emplace_back(j, 1.0);
+  model.add_constraint(std::move(all), lp::Relation::kLessEqual, 20.0);
+  const lp::Phase1 start = lp::solve_phase1(model);
+  ASSERT_EQ(start.status(), lp::SolveStatus::kOptimal);
+  std::mt19937_64 rng(3);
+  int pivoted = 0;
+  for (int objective = 0; objective < 8; ++objective) {
+    SCOPED_TRACE(objective);
+    const lp::Model costed = with_costs(model, rng);
+    const lp::Solution cold = expect_start_equals_cold(costed, start);
+    pivoted += cold.status == lp::SolveStatus::kOptimal &&
+                       phase2_iterations(cold, start) > 1
+                   ? 1
+                   : 0;
+  }
+  EXPECT_GT(pivoted, 2);
+}
+
 class SharedPhase1Panel
     : public ::testing::TestWithParam<std::tuple<std::string, int>> {};
 
@@ -378,7 +420,7 @@ class SharedPhase1Panel
 TEST_P(SharedPhase1Panel, EveryRelayEqualsItsColdSolve) {
   const auto [name, n] = GetParam();
   const core::QppInstance instance = uniform_instance(system_named(name), n);
-  const std::optional<lp::Phase1> start =
+  const std::optional<core::SsqppSeed> start =
       core::ssqpp_phase1_start(core::single_source_view(instance, 0));
   ASSERT_TRUE(start.has_value());
   ASSERT_EQ(start->status(), lp::SolveStatus::kOptimal);
@@ -481,6 +523,61 @@ TEST(SharedPhase1, SolveQppEqualsColdSweep) {
   if (obs::compiled_in()) {
     EXPECT_GE(warm_pivots, phase1_pivots + 4 * 100);
   }
+
+  // Heterogeneous capacities, mirror-symmetric on a path: solve_qpp builds
+  // no seed there, so relay 0's is handed to every relay of a sweep here.
+  // Only relay 11, whose capacities in distance order are relay 0's, shares
+  // the seed's rows; every other relay builds its own model. The sweep
+  // returns what cold solves return.
+  const int n = 12;
+  const quorum::QuorumSystem system = quorum::grid(2);
+  const quorum::AccessStrategy strategy =
+      quorum::AccessStrategy::uniform(system);
+  const std::vector<double> loads = quorum::element_loads(system, strategy);
+  const double max_load = *std::max_element(loads.begin(), loads.end());
+  std::vector<double> caps;
+  for (int v = 0; v < n; ++v) {
+    caps.push_back((1.0 + 0.5 * (std::min(v, n - 1 - v) % 3)) * max_load);
+  }
+  const core::QppInstance mirrored(
+      graph::Metric::from_graph(graph::path_graph(n, 1.0)), caps, system,
+      strategy);
+  const std::optional<core::SsqppSeed> seed =
+      core::ssqpp_phase1_start(core::single_source_view(mirrored, 0));
+  ASSERT_TRUE(seed.has_value());
+  for (int source = 0; source < n; ++source) {
+    SCOPED_TRACE(source);
+    const core::SsqppLp first = core::build_seeded_ssqpp_lp(
+        core::single_source_view(mirrored, source), &*seed);
+    EXPECT_EQ(&first.model.constraints() == &seed->lp.model.constraints(),
+              source == 0 || source == n - 1);
+  }
+  const core::QppSolveOptions options;
+  const auto score = [&](const core::SsqppResult& single) {
+    return core::average_max_delay(mirrored, single.placement);
+  };
+  const auto seeded = core::relay_sweep<core::SsqppResult>(
+      mirrored, core::relay_candidates(mirrored, options),
+      [&](const core::SsqppInstance& view) {
+        return core::solve_ssqpp_view(view, options.alpha, options.simplex,
+                                      &*seed);
+      },
+      score);
+  const auto cold = cold_sweep(mirrored, options, score);
+  ASSERT_EQ(seeded.feasible.size(), cold.feasible.size());
+  EXPECT_EQ(seeded.winner, cold.winner);
+  for (std::size_t i = 0; i < cold.feasible.size(); ++i) {
+    SCOPED_TRACE(i);
+    const core::SsqppResult& warm = seeded.feasible[i].solution;
+    const core::SsqppResult& relay = cold.feasible[i].solution;
+    EXPECT_EQ(seeded.feasible[i].source, cold.feasible[i].source);
+    EXPECT_EQ(warm.placement, relay.placement);
+    EXPECT_TRUE(same_bits(seeded.feasible[i].objective,
+                          cold.feasible[i].objective));
+    EXPECT_TRUE(same_bits(warm.lp_objective, relay.lp_objective));
+    EXPECT_EQ(warm.lp_duals.rows, relay.lp_duals.rows);
+    EXPECT_TRUE(same_bits(warm.lp_duals.values, relay.lp_duals.values));
+  }
 }
 
 TEST(SharedPhase1, Sec6SweepEqualsColdSweep) {
@@ -568,7 +665,7 @@ TEST(SharedPhase1, FailedStartsGiveTheColdStatuses) {
       graph::Metric::from_graph(graph::path_graph(3, 1.0)), {0.8, 0.8, 0.8},
       quorum::grid(2), quorum::AccessStrategy::uniform(quorum::grid(2)));
   const core::SsqppInstance view = core::single_source_view(infeasible, 1);
-  const std::optional<lp::Phase1> start = core::ssqpp_phase1_start(
+  const std::optional<core::SsqppSeed> start = core::ssqpp_phase1_start(
       core::single_source_view(infeasible, 0));
   ASSERT_TRUE(start.has_value());
   EXPECT_EQ(start->status(), lp::SolveStatus::kInfeasible);

@@ -47,6 +47,53 @@ TEST(Model, RejectsUnknownVariable) {
   EXPECT_THROW(m.set_objective_coefficient(7, 1.0), std::invalid_argument);
 }
 
+// A copy of a model shares its rows, the objective apart; add_constraint on
+// a model whose rows are shared copies them first, so the other models' rows
+// are left as they were, and a phase 1 that keeps them still starts only
+// models with those rows.
+TEST(LpModel, SharedRowsCopyOnWrite) {
+  using Terms = std::vector<std::pair<int, double>>;
+  Model a;
+  a.add_variable(-1.0);
+  a.add_variable(-2.0);
+  a.add_constraint({{0, 1.0}, {1, 1.0}}, Relation::kLessEqual, 4.0);
+  Model b = a;
+  EXPECT_EQ(&a.constraints(), &b.constraints());
+  b.set_objective_coefficient(0, -3.0);
+  EXPECT_EQ(a.objective()[0], -1.0);
+  EXPECT_EQ(&a.constraints(), &b.constraints());
+
+  b.add_constraint({{1, 2.0}}, Relation::kLessEqual, 1.0);
+  EXPECT_NE(&a.constraints(), &b.constraints());
+  ASSERT_EQ(a.num_constraints(), 1);
+  EXPECT_EQ(a.constraints()[0].terms, (Terms{{0, 1.0}, {1, 1.0}}));
+  EXPECT_EQ(a.constraints()[0].relation, Relation::kLessEqual);
+  EXPECT_EQ(a.constraints()[0].rhs, 4.0);
+  ASSERT_EQ(b.num_constraints(), 2);
+  EXPECT_EQ(b.constraints()[0].terms, a.constraints()[0].terms);
+  EXPECT_EQ(b.constraints()[1].terms, (Terms{{1, 2.0}}));
+  // b's rows are its own now, so it writes them in place.
+  const std::vector<Constraint>* rows = &b.constraints();
+  b.add_constraint({{0, 1.0}}, Relation::kGreaterEqual, 0.5);
+  EXPECT_EQ(&b.constraints(), rows);
+  EXPECT_EQ(b.num_constraints(), 3);
+
+  // solve_phase1 keeps a's rows shared; a row added to a then leaves the
+  // start with a's old rows, which no longer start a.
+  const Phase1 start = solve_phase1(a);
+  const Model before = a;
+  a.add_constraint({{0, 1.0}}, Relation::kLessEqual, 1.0);
+  EXPECT_EQ(before.num_constraints(), 1);
+  EXPECT_EQ(a.num_constraints(), 2);
+  const Solution cold = solve(a);
+  const Solution warm = solve(a, {}, &start);
+  ASSERT_EQ(cold.status, SolveStatus::kOptimal);
+  EXPECT_EQ(warm.status, cold.status);
+  EXPECT_EQ(warm.objective, cold.objective);
+  EXPECT_EQ(warm.values, cold.values);
+  EXPECT_EQ(solve(before, {}, &start).objective, solve(before).objective);
+}
+
 TEST(Simplex, SimpleMaximizationAsMinimization) {
   // max x + y s.t. x <= 2, y <= 3  ->  min -x - y; optimum -(2+3).
   Model m;

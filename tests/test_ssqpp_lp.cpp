@@ -312,6 +312,83 @@ TEST(SsqppLp, SeedHoldsEachElementsFirstFittingRank) {
   }
 }
 
+/// Equal bit for bit: rows (terms, relations, rhs), objective and column
+/// maps.
+void expect_same_lp(const SsqppLp& a, const SsqppLp& b) {
+  const auto same = [](double x, double y) {
+    return std::memcmp(&x, &y, sizeof(double)) == 0;
+  };
+  EXPECT_EQ(a.element_fits, b.element_fits);
+  EXPECT_EQ(a.var_tu, b.var_tu);
+  EXPECT_EQ(a.var_tq, b.var_tq);
+  ASSERT_EQ(a.model.num_variables(), b.model.num_variables());
+  EXPECT_TRUE(std::ranges::equal(a.model.objective(), b.model.objective(),
+                                 same));
+  ASSERT_EQ(a.model.num_constraints(), b.model.num_constraints());
+  for (int i = 0; i < a.model.num_constraints(); ++i) {
+    SCOPED_TRACE(i);
+    const auto row = static_cast<std::size_t>(i);
+    const lp::Constraint& x = a.model.constraints()[row];
+    const lp::Constraint& y = b.model.constraints()[row];
+    EXPECT_EQ(x.relation, y.relation);
+    EXPECT_TRUE(same(x.rhs, y.rhs));
+    EXPECT_TRUE(std::ranges::equal(x.terms, y.terms, [&](const auto& s,
+                                                         const auto& t) {
+      return s.first == t.first && same(s.second, t.second);
+    }));
+  }
+}
+
+// On uniform capacities every relay's first model (build_seeded_ssqpp_lp
+// with the sweep's seed, as solve_ssqpp_lp builds it) shares the seed's row
+// object, and equals the model built for the relay alone bit for bit: rows,
+// objective and column maps. Geometric and Waxman graphs of 6-30 nodes,
+// grid(2), grid(3), grid(4) and majority(5,3), uniform and skewed
+// strategies.
+TEST(SsqppLp, SeedRowsSharedBitForBit) {
+  std::mt19937_64 rng(17);
+  const quorum::QuorumSystem systems[] = {quorum::grid(2), quorum::grid(3),
+                                          quorum::grid(4),
+                                          quorum::majority(5, 3)};
+  constexpr int kNodes[] = {6,  12, 18, 24, 30, 9,  15, 21,
+                            27, 8,  14, 20, 26, 30, 10, 16};
+  for (int trial = 0; trial < 16; ++trial) {
+    SCOPED_TRACE(trial);
+    const quorum::QuorumSystem& system = systems[trial % 4];
+    const int n = kNodes[trial];
+    const bool waxman = (trial / 4) % 2 == 1;
+    graph::Metric metric = graph::Metric::from_graph(
+        waxman ? graph::waxman(n, 0.9, 0.4, rng).graph
+               : graph::random_geometric(n, 0.45, rng).graph);
+    std::vector<double> weights;
+    for (int q = 0; q < system.num_quorums(); ++q) {
+      weights.push_back(trial < 8 ? 1.0 : 1.0 + q % 3);
+    }
+    const double total = std::accumulate(weights.begin(), weights.end(), 0.0);
+    for (double& weight : weights) weight /= total;
+    const quorum::AccessStrategy strategy(system, weights);
+    const std::vector<double> loads = quorum::element_loads(system, strategy);
+    // On grid(4) capacities of 1.2 x the largest load seed about 1600 rows;
+    // at 3 x they seed about 700, whose phase 1 is much quicker.
+    const double cap = (trial % 4 == 2 ? 3.0 : 1.2) *
+                       *std::max_element(loads.begin(), loads.end());
+    const QppInstance instance(std::move(metric),
+                               std::vector<double>(static_cast<std::size_t>(n),
+                                                   cap),
+                               system, strategy);
+    const std::optional<SsqppSeed> seed =
+        ssqpp_phase1_start(single_source_view(instance, 0));
+    ASSERT_TRUE(seed.has_value());
+    for (int source = 0; source < n; ++source) {
+      SCOPED_TRACE(source);
+      const SsqppInstance view = single_source_view(instance, source);
+      const SsqppLp first = build_seeded_ssqpp_lp(view, &*seed);
+      EXPECT_EQ(&first.model.constraints(), &seed->lp.model.constraints());
+      expect_same_lp(first, build_seeded_ssqpp_lp(view));
+    }
+  }
+}
+
 TEST(SsqppLp, NamedRowModelRejectsBadNames) {
   const SsqppInstance instance = line_grid_instance(2, 6, 1.0);
   const int rows = build_ssqpp_lp(instance).model.num_constraints();

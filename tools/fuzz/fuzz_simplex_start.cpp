@@ -4,7 +4,11 @@
 /// and negative values, and two objectives on its rows.
 /// Contract: solved from lp::solve_phase1 of the model under the first
 /// objective, the model under either objective equals its cold lp::solve
-/// bit for bit: status, iterations, objective, values and duals.
+/// bit for bit: status, iterations, objective, values and duals. The second
+/// objective is solved from the start two ways, which lp::solve matches to
+/// the start differently: over a copy of the first model, which shares its
+/// rows object (matched by identity), and over a model built anew from the
+/// same rows (matched bit for bit).
 
 #include <cstddef>
 #include <cstdint>
@@ -57,41 +61,62 @@ bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
   Bytes bytes(data, size);
-  const int rows = 1 + bytes.next() % 8;
+  const int rows_count = 1 + bytes.next() % 8;
   const int vars = 1 + bytes.next() % 8;
   SimplexOptions options;
   // At threshold 1 every degenerate pivot switches to Bland's rule.
   options.stall_threshold = bytes.next() % 2 == 0 ? 64 : 1;
 
-  Model first;
-  for (int j = 0; j < vars; ++j) first.add_variable(bytes.pick(kCosts));
-  for (int i = 0; i < rows; ++i) {
+  std::vector<double> first_costs;
+  for (int j = 0; j < vars; ++j) first_costs.push_back(bytes.pick(kCosts));
+  std::vector<Constraint> rows;
+  for (int i = 0; i < rows_count; ++i) {
     static constexpr Relation kRelations[] = {
         Relation::kLessEqual, Relation::kGreaterEqual, Relation::kEqual};
-    const Relation relation = kRelations[bytes.next() % 3];
-    const double rhs = bytes.pick(kRhs);
-    std::vector<std::pair<int, double>> terms;
+    Constraint row;
+    row.relation = kRelations[bytes.next() % 3];
+    row.rhs = bytes.pick(kRhs);
     for (int j = 0; j < vars; ++j) {
       const double coefficient = bytes.pick(kCoefficients);
-      if (coefficient != 0.0) terms.emplace_back(j, coefficient);
+      if (coefficient != 0.0) row.terms.emplace_back(j, coefficient);
     }
-    first.add_constraint(std::move(terms), relation, rhs);
+    rows.push_back(std::move(row));
   }
-  Model second = first;
+  std::vector<double> second_costs;
+  for (int j = 0; j < vars; ++j) second_costs.push_back(bytes.pick(kCosts));
+
+  const auto build = [&](const std::vector<double>& costs) {
+    Model model;
+    for (const double cost : costs) model.add_variable(cost);
+    for (const Constraint& row : rows) {
+      model.add_constraint(row.terms, row.relation, row.rhs);
+    }
+    return model;
+  };
+  const Model first = build(first_costs);
+  Model shared = first;
   for (int j = 0; j < vars; ++j) {
-    second.set_objective_coefficient(j, bytes.pick(kCosts));
+    shared.set_objective_coefficient(
+        j, second_costs[static_cast<std::size_t>(j)]);
+  }
+  const Model built = build(second_costs);
+  if (&shared.constraints() != &first.constraints() ||
+      &built.constraints() == &first.constraints()) {
+    __builtin_trap();
   }
 
   const Phase1 start = solve_phase1(first, options);
-  for (const Model* model : {&first, &second}) {
-    const Solution cold = solve(*model, options);
-    const Solution warm = solve(*model, options, &start);
+  const auto expect_same = [](const Solution& cold, const Solution& warm) {
     if (cold.status != warm.status || cold.iterations != warm.iterations ||
         !same_bits(cold.objective, warm.objective) ||
         !same_bits(cold.values, warm.values) ||
         !same_bits(cold.duals, warm.duals)) {
       __builtin_trap();
     }
-  }
+  };
+  expect_same(solve(first, options), solve(first, options, &start));
+  const Solution cold = solve(built, options);
+  expect_same(cold, solve(shared, options, &start));
+  expect_same(cold, solve(built, options, &start));
   return 0;
 }
