@@ -1,10 +1,12 @@
 #include "lp/simplex.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <new>
 #include <span>
@@ -49,6 +51,14 @@ struct Eta {
   std::span<const Entry> factors;
 };
 
+/// row -= factor * entries, on the entries' columns only: one
+/// multiply-subtract per entry, in the entries' order.
+void subtract(double* row, double factor, std::span<const Entry> entries) {
+  for (const Entry& entry : entries) {
+    row[entry.index] -= factor * entry.value;
+  }
+}
+
 /// Brings a dense row through the pivot `eta`, as every pivot updates its
 /// other rows and its cost rows: with the row's pivot-column entry as the
 /// factor, row -= factor * (scaled pivot row), exactly 0.0 at the pivot
@@ -58,9 +68,7 @@ struct Eta {
 void eliminate(const Eta& eta, double* row, double& rhs) {
   const double factor = row[eta.column];
   if (factor == 0.0) return;
-  for (const Entry& entry : eta.pivot_row) {
-    row[entry.index] -= factor * entry.value;
-  }
+  subtract(row, factor, eta.pivot_row);
   row[eta.column] = 0.0;  // exact
   rhs -= factor * eta.rhs;
 }
@@ -187,21 +195,21 @@ std::int64_t Phase1::iterations() const { return state_->iterations; }
 
 namespace {
 
-/// One column of a tableau: entry i is data[i * stride].
-struct Column {
-  const double* data;
-  std::size_t stride;
-  double operator[](int i) const {
-    return data[static_cast<std::size_t>(i) * stride];
-  }
+/// A column Dantzig's rule may enter and its reduced cost; column -1 when
+/// none prices below -epsilon.
+struct Candidate {
+  double cost;
+  int column;
 };
 
 /// What the cold Tableau and Phase2FromStart share: the rhs, the basis, the
 /// phase-2 cost row, the dual bookkeeping and the simplex loop itself
 /// (Dantzig pricing, the ratio test, the Bland fallback). `Table` supplies
-/// the tableau: column(e) views column e of the current tableau, and
-/// pivot(r, c), called right after column(c), pivots on (r, c) and updates
-/// b_, basis_ and the live cost rows.
+/// the tableau: column(e) copies column e of the current tableau into
+/// column_ and returns it, and pivot(r, c, limit), called right after
+/// column(c), pivots on (r, c), updates b_, basis_ and the live cost rows,
+/// and returns the column Dantzig's rule enters next: price() of the live
+/// cost row over columns [0, limit).
 template <class Table>
 class Simplex {
  public:
@@ -256,32 +264,27 @@ class Simplex {
     int stalled = 0;
     bool use_bland = false;
     double last_objective = -cost[static_cast<std::size_t>(cols_)];
+    // Dantzig's entering column; each pivot prices the cost row it updates.
+    int dantzig = price(cost.data(), 0, limit_col).column;
     while (true) {
       if (iterations++ >= options_.max_iterations) {
         return SolveStatus::kIterationLimit;
       }
       // Entering column.
-      int entering = -1;
+      int entering = dantzig;
       if (use_bland) {
+        entering = -1;
         for (int j = 0; j < limit_col; ++j) {
           if (cost[static_cast<std::size_t>(j)] < -options_.epsilon) {
             entering = j;
             break;
           }
         }
-      } else {
-        double best = -options_.epsilon;
-        for (int j = 0; j < limit_col; ++j) {
-          if (cost[static_cast<std::size_t>(j)] < best) {
-            best = cost[static_cast<std::size_t>(j)];
-            entering = j;
-          }
-        }
       }
       if (entering < 0) return SolveStatus::kOptimal;
 
       // Ratio test (ties broken by smallest basis index, Bland-compatible).
-      const Column column = table.column(entering);
+      const double* column = table.column(entering);
       int leaving = -1;
       double best_ratio = 0.0;
       for (int i = 0; i < rows_; ++i) {
@@ -299,7 +302,7 @@ class Simplex {
       }
       if (leaving < 0) return SolveStatus::kUnbounded;
 
-      table.pivot(leaving, entering);
+      dantzig = table.pivot(leaving, entering, limit_col);
 
       // Anti-cycling: if the objective stops improving, fall back to Bland.
       const double objective = -cost[static_cast<std::size_t>(cols_)];
@@ -313,21 +316,40 @@ class Simplex {
     }
   }
 
-  /// Scales the pivot row `data` by `inverse` in place, exactly 1.0 at
-  /// `pivot_col`, and packs its nonzeros into packed_row_ (an entry that
-  /// underflows to zero is dropped). Only the nonzeros are scaled: a skipped
-  /// column holds exactly 0.0, where x - f * 0.0 == x, so the eliminations
-  /// the packed row feeds equal the dense update up to the sign of a zero,
-  /// which no comparison or division reads. Both scans run without a branch
-  /// on the entries: most are zero, and which is hard to predict.
-  std::span<const Entry> pack_pivot_row(double* data, int pivot_col,
-                                        double inverse) {
-    Entry* packed = packed_row_.data();
-    int num_found = 0;
-    for (int j = 0; j < cols_; ++j) {
+  /// Dantzig's rule on cost[begin, end): the first column of least reduced
+  /// cost below -epsilon. Over consecutive ranges, the candidate of least
+  /// cost, the earliest range's on a tie, is the one of their union.
+  Candidate price(const double* cost, int begin, int end) const {
+    Candidate best{-options_.epsilon, -1};
+    for (int j = begin; j < end; ++j) {
+      if (cost[j] < best.cost) best = {cost[j], j};
+    }
+    return best;
+  }
+
+  /// Appends the columns j of [begin, end) where data[j] != 0.0 to
+  /// packed[num_found, ...), indices only, and returns the new count.
+  /// Writes only packed[num_found, num_found + end - begin), without a
+  /// branch on the entries: most are zero, and which is hard to predict.
+  static int find_nonzeros(const double* data, int begin, int end,
+                           Entry* packed, int num_found) {
+    for (int j = begin; j < end; ++j) {
       packed[num_found].index = j;
       num_found += data[j] != 0.0 ? 1 : 0;
     }
+    return num_found;
+  }
+
+  /// Scales the pivot row `data` by `inverse` in place at the `num_found`
+  /// columns find_nonzeros() left in `packed`, exactly 1.0 at `pivot_col`,
+  /// and packs the scaled nonzeros there (an entry that underflows to zero
+  /// is dropped). Only the nonzeros are scaled: a skipped column holds
+  /// exactly 0.0, where x - f * 0.0 == x, so the eliminations the packed
+  /// row feeds equal the dense update up to the sign of a zero, which no
+  /// comparison or division reads.
+  static std::span<const Entry> scale_found(double* data, int pivot_col,
+                                            double inverse, Entry* packed,
+                                            int num_found) {
     std::size_t count = 0;
     for (int k = 0; k < num_found; ++k) {
       const int j = packed[k].index;
@@ -336,6 +358,20 @@ class Simplex {
       count += data[j] != 0.0 ? 1U : 0U;
     }
     return {packed, count};
+  }
+
+  /// The pivot's factors: the nonzeros of column_ (the pivot column before
+  /// the pivot) off `pivot_row`, by row, collected without a branch, as
+  /// find_nonzeros() collects the row's. Zeroes column_'s pivot-row entry.
+  std::span<const Entry> collect_factors(int pivot_row) {
+    column_[static_cast<std::size_t>(pivot_row)] = 0.0;
+    Entry* factors = packed_column_.data();
+    std::size_t num_factors = 0;
+    for (int i = 0; i < rows_; ++i) {
+      factors[num_factors] = {i, column_[static_cast<std::size_t>(i)]};
+      num_factors += column_[static_cast<std::size_t>(i)] != 0.0 ? 1U : 0U;
+    }
+    return {factors, num_factors};
   }
 
   /// Snaps a row's rhs that a pivot left within epsilon of 0.0 to 0.0.
@@ -357,6 +393,9 @@ class Simplex {
   /// the row's dual; phase2() scales it into the dual itself.
   std::vector<double> duals_;
   std::vector<Entry> packed_row_;  ///< the scaled pivot row, packed, scratch
+  std::vector<double> column_;  ///< column column_of_, dense, scratch
+  int column_of_ = -1;
+  std::vector<Entry> packed_column_;  ///< the pivot's factors, scratch
 };
 
 /// Dense two-phase tableau. Row-major matrix `a` of size rows x cols, the
@@ -496,8 +535,18 @@ class Tableau : public Simplex<Tableau> {
     return a_[static_cast<std::size_t>(r) * static_cast<std::size_t>(cols_) +
               static_cast<std::size_t>(c)];
   }
-  Column column(int c) const {
-    return {&a_[static_cast<std::size_t>(c)], static_cast<std::size_t>(cols_)};
+  /// Copies column c of the tableau into column_: the one strided pass
+  /// over it that the ratio test and the pivot then share. An entry on a
+  /// page no write has reached is 0.0 and is not read.
+  const double* column(int c) {
+    const double* data = &a_[static_cast<std::size_t>(c)];
+    const auto stride = static_cast<std::size_t>(cols_);
+    for (int i = 0; i < rows_; ++i) {
+      const double* entry = data + static_cast<std::size_t>(i) * stride;
+      column_[static_cast<std::size_t>(i)] = touched(entry) ? *entry : 0.0;
+    }
+    column_of_ = c;
+    return column_.data();
   }
 
   void build(const Model& model) {
@@ -537,8 +586,13 @@ class Tableau : public Simplex<Tableau> {
         static_cast<std::size_t>(rows_) * static_cast<std::size_t>(cols_),
         sizeof(double))));
     if (a_ == nullptr) throw std::bad_alloc();
+    touched_ = std::vector<std::atomic<bool>>(
+        page(a_.get() + static_cast<std::size_t>(rows_) *
+                            static_cast<std::size_t>(cols_) - 1) + 1);
     packed_row_.resize(static_cast<std::size_t>(cols_));
-    updated_.resize(static_cast<std::size_t>(rows_));
+    column_.resize(static_cast<std::size_t>(rows_));
+    packed_column_.resize(static_cast<std::size_t>(rows_));
+    plan_blocks();
     basis_.assign(static_cast<std::size_t>(rows_), -1);
 
     // Second pass: sum each row's terms straight into the tableau, negated
@@ -551,8 +605,12 @@ class Tableau : public Simplex<Tableau> {
       const Constraint& c = constraints[static_cast<std::size_t>(i)];
       double* row_data = row(i);
       const bool negated = c.rhs < 0.0;
+      const auto set = [&](int j, double value) {
+        row_data[j] = value;
+        touch(row_data + j, row_data + j);
+      };
       for (const auto& [var, coeff] : c.terms) {
-        row_data[var] += negated ? -coeff : coeff;
+        set(var, row_data[var] + (negated ? -coeff : coeff));
       }
       // With y = c_B B^-1, a column of +1 in row i (a <= slack or an
       // artificial) ends with reduced cost -y_i, the >= slack's -1 with
@@ -560,19 +618,19 @@ class Tableau : public Simplex<Tableau> {
       double dual_sign = negated ? 1.0 : -1.0;
       switch (relation[static_cast<std::size_t>(i)]) {
         case Relation::kLessEqual:
-          row_data[next_slack] = 1.0;
+          set(next_slack, 1.0);
           dual_column_[static_cast<std::size_t>(i)] = next_slack;
           basis_[static_cast<std::size_t>(i)] = next_slack++;
           break;
         case Relation::kGreaterEqual:
-          row_data[next_slack] = -1.0;
+          set(next_slack, -1.0);
           dual_column_[static_cast<std::size_t>(i)] = next_slack++;
           dual_sign = -dual_sign;
-          row_data[next_artificial] = 1.0;
+          set(next_artificial, 1.0);
           basis_[static_cast<std::size_t>(i)] = next_artificial++;
           break;
         case Relation::kEqual:
-          row_data[next_artificial] = 1.0;
+          set(next_artificial, 1.0);
           dual_column_[static_cast<std::size_t>(i)] = next_artificial;
           basis_[static_cast<std::size_t>(i)] = next_artificial++;
           break;
@@ -599,47 +657,111 @@ class Tableau : public Simplex<Tableau> {
     in_phase1_ = num_artificial_ > 0;
   }
 
-  /// Pivots on (pivot_row, pivot_col), updating the live cost rows: packs
-  /// the scaled pivot row, records it when phase 1 is being kept, and
-  /// brings every other row and cost row through it by eliminate(). The
-  /// other rows are updated on the exec pool when there are enough entries
-  /// to update (kPooledUpdates), else in a loop, by the same per-row body.
-  void pivot(int pivot_row, int pivot_col) {
-    double* pivot_row_data = row(pivot_row);
-    const double inverse = 1.0 / pivot_row_data[pivot_col];
+  /// Splits the columns into blocks_: one block below kBlockedWidth, else
+  /// kBlocks of equal width. A pure function of the width: the blocks, and
+  /// so every operation a pivot performs, are the same at any thread count.
+  void plan_blocks() {
+    const int count = cols_ < kBlockedWidth ? 1 : kBlocks;
+    const int width = (cols_ + count - 1) / count;
+    blocks_.clear();
+    for (int begin = 0; begin < cols_; begin += width) {
+      blocks_.push_back({begin, std::min(cols_, begin + width), {}, {}});
+    }
+  }
+
+  /// Pivots on (pivot_row, pivot_col), updating the live cost rows, and
+  /// returns the column Dantzig's rule enters next: the least reduced cost
+  /// of the live cost row (cost1_ in phase 1, else cost2_) over columns
+  /// [0, limit_col). Per column block, in one pass on the exec pool when
+  /// there is more than one block: scales and packs the block's slice of
+  /// the pivot row, brings every row with a nonzero factor (read from
+  /// column_ before the pass) and each cost row whose factor is nonzero
+  /// through that slice, writes the exact 0.0 at the pivot column if the
+  /// block holds it, and prices the block. A block reads and writes only
+  /// its own columns, so every entry sees the serial update's operations in
+  /// its order at any thread count (docs/PARALLEL.md). Then, in block order:
+  /// the rhs and objective entries, the price, and the eta of the
+  /// concatenated slices when phase 1 is being kept.
+  int pivot(int pivot_row, int pivot_col, int limit_col) {
+    QP_INVARIANT(column_of_ == pivot_col,
+                 "a pivot follows the ratio test on its own column");
+    double* pivot_data = row(pivot_row);
+    const double inverse = 1.0 / pivot_data[pivot_col];
     double& pivot_rhs = b_[static_cast<std::size_t>(pivot_row)];
     pivot_rhs *= inverse;
-    const Eta eta{pivot_row, pivot_col, inverse, pivot_rhs,
-                  pack_pivot_row(pivot_row_data, pivot_col, inverse), {}};
-    if (etas_ != nullptr) etas_->add(eta);
-    // The rows to update: every other row whose pivot-column entry is
-    // nonzero. Each reads only the packed pivot row and writes only itself
-    // and its rhs, so a row sees the same operations in the same order
-    // whether the rows run in a loop or as items of exec::parallel_for.
-    int* updated = updated_.data();
-    int num_updated = 0;
-    for (int i = 0; i < rows_; ++i) {
-      updated[num_updated] = i;
-      num_updated += i != pivot_row && at(i, pivot_col) != 0.0 ? 1 : 0;
-    }
-    const auto update_row = [&](std::size_t k) {
-      const int i = updated[k];
-      double& rhs = b_[static_cast<std::size_t>(i)];
-      eliminate(eta, row(i), rhs);
-      snap(rhs);
-    };
-    const auto count = static_cast<std::size_t>(num_updated);
-    if (count * eta.pivot_row.size() >= kPooledUpdates) {
-      exec::parallel_for(count, update_row);
-    } else {
-      for (std::size_t k = 0; k < count; ++k) update_row(k);
-    }
+    const std::span<const Entry> factors = collect_factors(pivot_row);
     // Nothing reads cost1_ once phase 1 has ended.
+    const double factor1 =
+        in_phase1_ ? cost1_[static_cast<std::size_t>(pivot_col)] : 0.0;
+    const double factor2 = cost2_[static_cast<std::size_t>(pivot_col)];
+    const double* live = in_phase1_ ? cost1_.data() : cost2_.data();
+    const auto run_block = [&](std::size_t k) {
+      Block& block = blocks_[k];
+      Entry* packed = &packed_row_[static_cast<std::size_t>(block.begin)];
+      int num_found = 0;
+      for_each_touched_run(pivot_data, block.begin, block.end,
+                           [&](int begin, int end) {
+                             num_found = find_nonzeros(pivot_data, begin, end,
+                                                       packed, num_found);
+                           });
+      block.packed =
+          scale_found(pivot_data, pivot_col, inverse, packed, num_found);
+      const bool holds_pivot =
+          block.begin <= pivot_col && pivot_col < block.end;
+      const auto update = [&](double* data, double factor) {
+        subtract(data, factor, block.packed);
+        if (holds_pivot) data[pivot_col] = 0.0;  // exact
+      };
+      for (const Entry& factor : factors) {
+        double* data = row(factor.index);
+        update(data, factor.value);
+        if (!block.packed.empty()) {
+          touch(data + block.packed.front().index,
+                data + block.packed.back().index);
+        }
+      }
+      if (factor1 != 0.0) update(cost1_.data(), factor1);
+      if (factor2 != 0.0) update(cost2_.data(), factor2);
+      block.price = price(live, block.begin, std::min(block.end, limit_col));
+    };
+    if (blocks_.size() == 1) {
+      run_block(0);
+    } else {
+      exec::parallel_for(blocks_.size(), run_block);
+    }
+    for (const Entry& factor : factors) {
+      double& rhs = b_[static_cast<std::size_t>(factor.index)];
+      rhs -= factor.value * pivot_rhs;
+      snap(rhs);
+    }
     const auto objective = static_cast<std::size_t>(cols_);
-    if (in_phase1_) eliminate(eta, cost1_.data(), cost1_[objective]);
-    eliminate(eta, cost2_.data(), cost2_[objective]);
+    if (factor1 != 0.0) cost1_[objective] -= factor1 * pivot_rhs;
+    if (factor2 != 0.0) cost2_[objective] -= factor2 * pivot_rhs;
+    Candidate entering{-options_.epsilon, -1};
+    for (const Block& block : blocks_) {
+      if (block.price.cost < entering.cost) entering = block.price;
+    }
+    if (etas_ != nullptr) {
+      etas_->add({pivot_row, pivot_col, inverse, pivot_rhs,
+                  concatenate_packed(), {}});
+    }
     basis_[static_cast<std::size_t>(pivot_row)] = pivot_col;
     ++pivots_;
+    column_of_ = -1;  // the pivot changed every column
+    return entering.column;
+  }
+
+  /// The scaled pivot row, packed: the blocks' slices moved together, in
+  /// block order, at the front of packed_row_.
+  std::span<const Entry> concatenate_packed() {
+    Entry* packed = packed_row_.data();
+    std::size_t count = 0;
+    for (const Block& block : blocks_) {
+      std::memmove(packed + count, block.packed.data(),
+                   block.packed.size() * sizeof(Entry));
+      count += block.packed.size();
+    }
+    return {packed, count};
   }
 
   /// After phase 1, pivot artificial variables out of the basis where
@@ -657,17 +779,64 @@ class Tableau : public Simplex<Tableau> {
           break;
         }
       }
-      if (pivot_col >= 0) pivot(i, pivot_col);
+      if (pivot_col >= 0) {
+        column(pivot_col);
+        pivot(i, pivot_col, /*limit_col=*/0);
+      }
     }
   }
 
-  /// Entry updates (rows x pivot-row nonzeros) from which a pivot's row
-  /// elimination runs on the exec pool: below it the dispatch costs more
-  /// than it saves, and the small LPs (the SSQPP relay LPs, the GAP LPs of
-  /// small instances) make no exec call at all.
-  static constexpr std::size_t kPooledUpdates = std::size_t{1} << 15;
+  /// One column block of a pivot: columns [begin, end), the pivot row's
+  /// packed nonzeros there and the block's Dantzig candidate.
+  struct Block {
+    int begin;
+    int end;
+    std::span<const Entry> packed;
+    Candidate price;
+  };
+
+  /// Width (columns) from which pivots run on kBlocks column blocks on the
+  /// exec pool: the Thm 5.1 GAP LPs from a few hundred nodes up. Narrower
+  /// tableaus (the SSQPP relay LPs, the GAP LPs of small instances) pivot
+  /// in one block, inline, and make no exec call.
+  static constexpr int kBlockedWidth = 4096;
+  static constexpr int kBlocks = 4;
+  /// log2 of the page size touched_ tracks (4 KiB).
+  static constexpr unsigned kPageBits = 12;
   /// Entries of one of save()'s temporary blocks (64 KiB), as in EtaFile.
   static constexpr std::size_t kSaveBlockEntries = 4096;
+
+  /// The page of a_ that holds `entry`, counted from a_'s first page.
+  std::size_t page(const double* entry) const {
+    return (std::bit_cast<std::uintptr_t>(entry) >> kPageBits) -
+           (std::bit_cast<std::uintptr_t>(a_.get()) >> kPageBits);
+  }
+  /// Records that entries from `first` to `last` may have been written.
+  void touch(const double* first, const double* last) {
+    for (std::size_t p = page(first); p <= page(last); ++p) {
+      touched_[p].store(true, std::memory_order_relaxed);
+    }
+  }
+  /// False only if no write has reached the page of `entry`, which then
+  /// holds 0.0 as std::calloc left it.
+  bool touched(const double* entry) const {
+    return touched_[page(entry)].load(std::memory_order_relaxed);
+  }
+  /// Calls scan(begin, end) on each run of columns [begin, end) of the row
+  /// `data`, within [first, last), that lies on one touched page: the
+  /// columns it skips hold 0.0.
+  template <class Scan>
+  void for_each_touched_run(const double* data, int first, int last,
+                            Scan&& scan) const {
+    constexpr std::uintptr_t kPage = std::uintptr_t{1} << kPageBits;
+    for (int begin = first; begin < last;) {
+      const auto offset = std::bit_cast<std::uintptr_t>(data + begin) % kPage;
+      const int end = std::min(
+          last, begin + static_cast<int>((kPage - offset) / sizeof(double)));
+      if (touched(data + begin)) scan(begin, end);
+      begin = end;
+    }
+  }
 
   int num_artificial_ = 0;
   double rhs_scale_ = 0.0;
@@ -678,7 +847,11 @@ class Tableau : public Simplex<Tableau> {
   };
   std::unique_ptr<double[], Free> a_;  ///< rows_ x cols_, from std::calloc
   std::vector<double> cost1_;
-  std::vector<int> updated_;  ///< rows a pivot updates, scratch
+  std::vector<Block> blocks_;  ///< the column blocks, fixed by cols_
+  /// Per 4 KiB page of a_: whether a write may have reached it. A page never
+  /// written is never read either, so the OS maps no page for it at all,
+  /// not even the shared zero page (a fault per page on first read).
+  std::vector<std::atomic<bool>> touched_;
 };
 
 /// Phase 2 from a Phase1::State without a tableau of its own. It owns b, the
@@ -718,7 +891,7 @@ class Phase2FromStart : public Simplex<Phase2FromStart> {
 
   /// Column c of the current tableau: T0's column c, brought through every
   /// eta as Tableau::pivot updates it.
-  Column column(int c) {
+  const double* column(int c) {
     std::ranges::fill(column_, 0.0);
     for (const Entry& entry : start_.column(c)) {
       column_[static_cast<std::size_t>(entry.index)] = entry.value;
@@ -735,7 +908,7 @@ class Phase2FromStart : public Simplex<Phase2FromStart> {
       }
     }
     column_of_ = c;
-    return {column_.data(), 1};
+    return column_.data();
   }
 
   /// Row r of the current tableau, into row_: from r's last scaled pivot
@@ -759,7 +932,7 @@ class Phase2FromStart : public Simplex<Phase2FromStart> {
 
   /// Tableau::pivot on the rebuilt row and column, recording the eta
   /// instead of updating the other rows.
-  void pivot(int pivot_row, int pivot_col) {
+  int pivot(int pivot_row, int pivot_col, int limit_col) {
     QP_INVARIANT(column_of_ == pivot_col,
                  "a pivot follows the ratio test on its own column");
     rebuild_row(pivot_row);
@@ -769,18 +942,13 @@ class Phase2FromStart : public Simplex<Phase2FromStart> {
     const double inverse = 1.0 / row_[static_cast<std::size_t>(pivot_col)];
     double& pivot_rhs = b_[static_cast<std::size_t>(pivot_row)];
     pivot_rhs *= inverse;
-    // The factors: the pivot column's nonzeros off the pivot row, collected
-    // without a branch, as pack_pivot_row() collects the row's.
-    column_[static_cast<std::size_t>(pivot_row)] = 0.0;
-    Entry* factors = packed_column_.data();
-    std::size_t num_factors = 0;
-    for (int i = 0; i < rows_; ++i) {
-      factors[num_factors] = {i, column_[static_cast<std::size_t>(i)]};
-      num_factors += column_[static_cast<std::size_t>(i)] != 0.0 ? 1U : 0U;
-    }
-    const Eta& eta = etas_.add({pivot_row, pivot_col, inverse, pivot_rhs,
-                                pack_pivot_row(row_.data(), pivot_col, inverse),
-                                {factors, num_factors}});
+    const std::span<const Entry> factors = collect_factors(pivot_row);
+    const Eta& eta = etas_.add(
+        {pivot_row, pivot_col, inverse, pivot_rhs,
+         scale_found(row_.data(), pivot_col, inverse, packed_row_.data(),
+                     find_nonzeros(row_.data(), 0, cols_,
+                                   packed_row_.data(), 0)),
+         factors});
     for (const Entry& factor : eta.factors) {
       double& rhs = b_[static_cast<std::size_t>(factor.index)];
       rhs -= factor.value * eta.rhs;
@@ -792,15 +960,13 @@ class Phase2FromStart : public Simplex<Phase2FromStart> {
     basis_[static_cast<std::size_t>(pivot_row)] = pivot_col;
     ++pivots_;
     column_of_ = -1;  // the pivot changed every column
+    return price(cost2_.data(), 0, limit_col).column;
   }
 
   const Phase1::State& start_;
   EtaFile etas_;
   std::vector<int> last_eta_;  ///< per row: its last eta as pivot row, or -1
-  std::vector<double> column_;  ///< column column_of_, dense, scratch
-  int column_of_ = -1;
   std::vector<double> row_;  ///< the pivot row, dense, scratch
-  std::vector<Entry> packed_column_;  ///< the pivot's factors, scratch
 };
 
 }  // namespace

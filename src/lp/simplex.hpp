@@ -13,13 +13,22 @@
 /// address space and resident only where it has held a nonzero: it comes
 /// zeroed from std::calloc, and neither building it nor pivoting writes a
 /// zero where the dense update did not need one, so pages that never hold a
-/// nonzero are never backed by memory (most of the Thm 5.1 GAP LP's). A
-/// pivot that updates many entries (the GAP LP's, from a few hundred nodes)
-/// eliminates its rows on the exec pool, one row per item: each row reads
-/// only the scaled pivot row and writes only itself, so the result is bit
-/// for bit the serial loop's at any thread count (docs/PARALLEL.md). An
-/// optimal solve also returns the row duals, so a caller can certify its
-/// objective with lp::dual_bound without trusting the solver.
+/// nonzero are never backed by memory (most of the Thm 5.1 GAP LP's). The
+/// tableau keeps a map of the pages a write has reached and reads no other
+/// page, so those pages are not even mapped to the shared zero page. The
+/// ratio test reads the entering column once, into a buffer the pivot
+/// takes its rows and factors from. A pivot works on column blocks: per
+/// block it scales and packs its slice of the pivot row, brings every row
+/// it updates and the live cost rows through that slice, and prices its
+/// part of the live cost row; the rhs, the choice of the next entering
+/// column and the eta follow in block order. The blocks are a pure
+/// function of the tableau's width: one below a few thousand columns, run
+/// inline, else a few, on the exec pool (the GAP LP's, from a few hundred
+/// nodes). A block reads and writes only its own columns, so every entry
+/// sees the same operations in the same order at any thread count
+/// (docs/PARALLEL.md). An optimal solve also returns the row duals, so a
+/// caller can certify its objective with lp::dual_bound without trusting
+/// the solver.
 ///
 /// Every pivot is recorded in one eta format: the pivot row and column, the
 /// inverse, the scaled rhs, the scaled pivot row's nonzeros and, for a

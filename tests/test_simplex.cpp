@@ -6,6 +6,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <initializer_list>
 #include <optional>
 #include <random>
 #include <stdexcept>
@@ -470,9 +471,12 @@ struct ColdSolve {
   std::uint64_t digest;
 };
 
-void expect_cold_solve(const Model& model, const ColdSolve& pinned) {
+/// Expects `call`, which returns a Solution, to reproduce `pinned`; the
+/// pivots are those counted while it runs.
+template <typename Call>
+void expect_pinned_solve(Call&& call, const ColdSolve& pinned) {
   Solution solution;
-  const LpWork work = lp_work_of([&] { solution = solve(model); });
+  const LpWork work = lp_work_of([&] { solution = call(); });
   ASSERT_EQ(solution.status, SolveStatus::kOptimal);
   EXPECT_EQ(std::bit_cast<std::uint64_t>(solution.objective),
             pinned.objective_bits);
@@ -481,6 +485,10 @@ void expect_cold_solve(const Model& model, const ColdSolve& pinned) {
     EXPECT_EQ(work.pivots, pinned.pivots);
   }
   EXPECT_EQ(solution_digest(solution), pinned.digest);
+}
+
+void expect_cold_solve(const Model& model, const ColdSolve& pinned) {
+  expect_pinned_solve([&] { return solve(model); }, pinned);
 }
 
 // Pins the cold solve of the Thm 5.1 GAP LP (15)-(18) on a Waxman n = 128,
@@ -523,6 +531,79 @@ TEST(ParallelDeterminism, GapLpPivotBitIdentical) {
     }
     exec::set_num_threads(0);
   }
+}
+
+/// The Thm 5.1 GAP LP (15)-(18) of `qplace solve --algorithm total
+/// --topology waxman --nodes <nodes> --seed 1` on `system`.
+Model waxman_gap_lp(int nodes, quorum::QuorumSystem system) {
+  std::mt19937_64 rng(1);
+  const core::QppInstance instance = cli_instance(
+      graph::waxman(nodes, 0.9, 0.4, rng).graph, std::move(system));
+  return assign::build_gap_lp(core::total_delay_gap(instance)).model;
+}
+
+/// Expects `call` to reproduce `pinned` and to have run on the exec pool,
+/// at every thread count in `threads`.
+template <typename Call>
+void expect_pooled_pins(std::initializer_list<int> threads, Call&& call,
+                        const ColdSolve& pinned) {
+  for (const int count : threads) {
+    SCOPED_TRACE(count);
+    exec::set_num_threads(count);
+    const std::uint64_t parallel_calls = counter("exec.parallel_calls");
+    expect_pinned_solve(call, pinned);
+    if (obs::compiled_in()) {
+      EXPECT_GT(counter("exec.parallel_calls"), parallel_calls);
+    }
+    exec::set_num_threads(0);
+  }
+}
+
+// A GAP LP of perfbench large-layout's shape (Waxman n = 512, grid(5),
+// 13 337 columns): every pivot runs on column blocks. Pinned as the
+// row-by-row elimination left it, at 1, 2 and 8 threads.
+TEST(ParallelDeterminism, LargeLayoutGapLpBlockPivotPinned) {
+  const Model model = waxman_gap_lp(512, quorum::grid(5));
+  // objective 3.323848700334
+  expect_pooled_pins({1, 2, 8}, [&] { return solve(model); },
+                     {0x400a973dfcc64b07ULL, 375, 373, 0xdb77153eaf989e07ULL});
+}
+
+// A majority(5,3) GAP LP: five elements, so a tableau with about as many
+// rows as a fifth of its columns, and few pivots. At n = 1024 (6149
+// columns) it pivots on blocks; at n = 512 (3077) it stays in one.
+TEST(ParallelDeterminism, MajorityGapLpBlockPivotPinned) {
+  const Model model = waxman_gap_lp(1024, quorum::majority(5, 3));
+  // objective 1.1333634066617446
+  expect_pooled_pins({1, 8}, [&] { return solve(model); },
+                     {0x3ff22241aae18685ULL, 32, 30, 0xe3ac3a0244398102ULL});
+}
+
+// The large-layout GAP LP with stall_threshold = 1: from the first pivot
+// that does not improve the objective on, Bland's rule picks the entering
+// column instead of the price the block pass returns.
+TEST(ParallelDeterminism, BlandGapLpBlockPivotPinned) {
+  const Model model = waxman_gap_lp(512, quorum::grid(5));
+  SimplexOptions options;
+  options.stall_threshold = 1;
+  // objective 3.3238487003339965, 8 ulps below Dantzig's path
+  expect_pooled_pins({1, 8}, [&] { return solve(model, options); },
+                     {0x400a973dfcc64affULL, 367, 365, 0x81e2c917dffa0482ULL});
+}
+
+// Phase 1 recorded on column blocks (its etas concatenate the blocks'
+// packed pivot-row slices), then phase 2 from that start: together the
+// cold solve of GapLpPivotBitIdentical's LP, bit for bit.
+TEST(ParallelDeterminism, BlockPivotPhase1StartIsTheColdSolve) {
+  const Model model = waxman_gap_lp(256, quorum::grid(5));
+  // objective 3.3210214638509057
+  expect_pooled_pins(
+      {1, 8},
+      [&] {
+        const Phase1 start = solve_phase1(model);
+        return solve(model, {}, &start);
+      },
+      {0x400a9173b3846df3ULL, 371, 369, 0x321f4903c39d3e4aULL});
 }
 
 // The same pins on a hand-built LP with every row build() treats apart: a
