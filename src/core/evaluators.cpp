@@ -26,7 +26,14 @@ constexpr std::size_t kLanes = 8;
 /// acc[c] = op(acc[c], x[c]) for every c in [0, count), kLanes at a time,
 /// then one at a time. -O2 vectorizes only a loop whose trip count is known
 /// and whose pointers cannot overlap, so the inner loop has a fixed trip
-/// count and the pointers are restrict; each c still sees one op.
+/// count and the pointers are restrict; each c still sees one op. The
+/// vector width is the ISA's: SSE2 runs the 8 lanes 2 doubles at a time,
+/// and client_delays_block's AVX2 and AVX-512 clones 4 and 8 at a time.
+/// The lanes are independent, so a lane's op is the same IEEE operation on
+/// the same operands at any width, and every clone returns the same bits.
+/// That holds only while op is not contracted: a*b+c fused into one FMA
+/// rounds once, not twice, so src/CMakeLists.txt builds with
+/// -ffp-contract=off.
 template <typename Op>
 inline void for_each_lane(double* __restrict acc, const double* __restrict x,
                           std::size_t count, Op op) {
@@ -49,11 +56,11 @@ inline void for_each_lane(double* __restrict acc, const double* __restrict x,
 /// its value does not depend on the block it is in. \p quorum_delay is
 /// scratch of \p count doubles; \p strategy may be null for kClosest.
 template <ClientDelay kind>
-void client_delays(const graph::Metric& metric,
-                   const quorum::QuorumSystem& system,
-                   const quorum::AccessStrategy* strategy,
-                   const Placement& placement, std::size_t begin,
-                   std::size_t count, double* quorum_delay, double* value) {
+[[gnu::always_inline]] inline void client_delays(
+    const graph::Metric& metric, const quorum::QuorumSystem& system,
+    const quorum::AccessStrategy* strategy, const Placement& placement,
+    std::size_t begin, std::size_t count, double* quorum_delay,
+    double* value) {
   const auto n = static_cast<std::size_t>(metric.num_points());
   QP_REQUIRE(count <= n && begin <= n - count, "client id out of range");
   std::fill_n(value, count,
@@ -90,6 +97,60 @@ void client_delays(const graph::Metric& metric,
   }
 }
 
+// target_clones compiles client_delays_block once per listed ISA and adds
+// an ifunc resolver, which the dynamic loader runs once per process to bind
+// the call to the widest clone the CPU supports. The attribute needs an x86
+// compiler that has it (GCC 6+, Clang 14+) and ifunc, which ELF with glibc
+// provides; elsewhere the one default-ISA kernel is compiled as before. So
+// it is under ThreadSanitizer, which instruments the resolver too: the
+// loader runs it before the TSan runtime starts, and the process crashes.
+#if defined(__SANITIZE_THREAD__)
+#define QP_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define QP_TSAN 1
+#endif
+#endif
+#if defined(__x86_64__) && defined(__ELF__) && defined(__GLIBC__) && \
+    defined(__has_attribute) && !defined(QP_TSAN)
+#if __has_attribute(target_clones)
+#define QP_DELAY_CLONES \
+  __attribute__((target_clones("avx512f", "avx2", "default")))
+#endif
+#endif
+#ifndef QP_DELAY_CLONES
+#define QP_DELAY_CLONES
+#endif
+
+/// client_delays<kind> over a block of clients, in the widest clone the CPU
+/// supports. Clang rejects target_clones on a template, so the kind is a
+/// parameter here and each case inlines the one kernel body.
+QP_DELAY_CLONES
+void client_delays_block(ClientDelay kind, const graph::Metric& metric,
+                         const quorum::QuorumSystem& system,
+                         const quorum::AccessStrategy* strategy,
+                         const Placement& placement, std::size_t begin,
+                         std::size_t count, double* quorum_delay,
+                         double* value) {
+  switch (kind) {
+    case ClientDelay::kExpectedMax:
+      client_delays<ClientDelay::kExpectedMax>(metric, system, strategy,
+                                               placement, begin, count,
+                                               quorum_delay, value);
+      return;
+    case ClientDelay::kExpectedTotal:
+      client_delays<ClientDelay::kExpectedTotal>(metric, system, strategy,
+                                                 placement, begin, count,
+                                                 quorum_delay, value);
+      return;
+    case ClientDelay::kClosest:
+      client_delays<ClientDelay::kClosest>(metric, system, strategy,
+                                           placement, begin, count,
+                                           quorum_delay, value);
+      return;
+  }
+}
+
 template <ClientDelay kind>
 double client_delay(const graph::Metric& metric,
                     const quorum::QuorumSystem& system,
@@ -120,7 +181,7 @@ double average_delay(const QppInstance& instance, const Placement& placement) {
         const std::size_t count = end - begin;
         std::vector<double> scratch(2 * count);
         double* value = scratch.data() + count;
-        client_delays<kind>(instance.metric(), instance.system(),
+        client_delays_block(kind, instance.metric(), instance.system(),
                             &instance.strategy(), placement, begin, count,
                             scratch.data(), value);
         double sum = 0.0;
